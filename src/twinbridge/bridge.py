@@ -15,8 +15,13 @@ are re-sent on a timer until the gap closes or the attempt budget runs out.
 Every frame sent is retained in a per-topic replay ring that evicts bulk
 first, then standard, and touches critical only when nothing else remains.
 
-A baseline mode (prioritization, replay, and discovery all off, single FIFO
-queue) stands in for a conventional unprioritized setup in comparisons.
+A baseline mode (prioritization, replay, and discovery all off, every topic
+in the standard queue sent FIFO) stands in for a conventional unprioritized
+setup in comparisons.
+
+Nothing that arrives from the peer raises out of an endpoint: a batch that
+does not decode, and a decoded frame the endpoint cannot act on, are counted
+in `decode_errors` and dropped.
 """
 
 from __future__ import annotations
@@ -35,13 +40,14 @@ from .envelope import (
     TIER_NAMES,
     TIER_STANDARD,
     TIERS,
+    BadTopic,
     Envelope,
     FrameError,
     decode_stream,
     encode_envelope,
     with_replay_flag,
 )
-from .msgbus import Message, MessageKind, Publisher, Subscription, TopicBus
+from .msgbus import InvalidTopic, KindMismatch, MessageKind, Publisher, Subscription, TopicBus
 from .netsim import NetLink, SimClock
 
 CONTROL_PREFIX = "/__bridge"
@@ -53,6 +59,10 @@ _REQ_RANGE = struct.Struct("<QQ")
 _BEAT_SEQ = struct.Struct("<Q")
 
 BULK_BUDGET_FRACTION = 0.05
+
+
+class BadControl(FrameError):
+    """A control frame whose payload the endpoint cannot act on."""
 
 
 # --- prioritization -------------------------------------------------------------
@@ -135,12 +145,6 @@ class ReplayBuffer:
         if not ring:
             return []
         return [e for e in ring if from_seq <= e.seq <= to_seq]
-
-    def topics(self) -> list[str]:
-        return sorted(self._rings)
-
-    def held(self, topic: str) -> int:
-        return len(self._rings.get(topic, ()))
 
     def contains(self, topic: str, seq: int) -> bool:
         ring = self._rings.get(topic)
@@ -239,19 +243,11 @@ class TierScheduler:
         return out
 
 
-def tier_scheduler(
-    queues: dict[int, deque[QueuedFrame]], budget: float
-) -> list[QueuedFrame]:
-    """Single-tick scheduling with fresh state (no carried deficit)."""
-    return TierScheduler().plan(queues, budget)
-
-
 # --- bridge endpoint ---------------------------------------------------------------
 
 
 class EndpointState:
     RUNNING = "running"
-    STOPPED = "stopped"
     LINK_CLOSED = "link_closed"
 
 
@@ -332,9 +328,7 @@ class BridgeEndpoint:
         self._tx: dict[str, _TxTopic] = {}
         self._rx: dict[str, _RxTopic] = {}
         self._queues: dict[int, deque[QueuedFrame]] = {t: deque() for t in TIERS}
-        self._fifo: deque[QueuedFrame] = deque()
         self._publishers: dict[str, Publisher] = {}
-        self._republished_topics: set[str] = set()
         self._control_seq = {REPLAY_TOPIC: 0, HEARTBEAT_TOPIC: 0}
 
         # op counters feed the deterministic compute metric and reports
@@ -369,17 +363,13 @@ class BridgeEndpoint:
         # of the link's FIFO serialization queue
         return 0.9 * cap * self.config.tick if cap else 1_000_000.0
 
-    def stop(self) -> None:
-        if self.state == EndpointState.RUNNING:
-            self.state = EndpointState.STOPPED
-
     # --- discovery duty -------------------------------------------------------
 
     def _run_discovery(self) -> None:
         if self.state != EndpointState.RUNNING:
             return
         for topic, _kind in sorted(self.bus.list_topics()):
-            if topic in self._tx or topic in self._republished_topics:
+            if topic in self._tx or topic in self._publishers:
                 continue
             if self.discovery.permits(topic):
                 self._ensure_subscription(topic)
@@ -445,19 +435,15 @@ class BridgeEndpoint:
                 if self.config.prioritized:
                     self.replay_buffer.insert(env)
                 for _ in range(1 + self.config.redundancy):
-                    self._enqueue(QueuedFrame(env, frame))
-
-    def _enqueue(self, item: QueuedFrame) -> None:
-        if self.config.prioritized:
-            self._queues[item.env.tier].append(item)
-        else:
-            self._fifo.append(item)
+                    self._queues[tx.tier].append(QueuedFrame(env, frame))
 
     def _plan_fifo(self, budget: float) -> list[QueuedFrame]:
+        # baseline mode classifies every topic as standard: one FIFO queue
+        fifo = self._queues[TIER_STANDARD]
         out: list[QueuedFrame] = []
         spent = 0.0
-        while self._fifo and (not out or spent + self._fifo[0].size <= budget):
-            item = self._fifo.popleft()
+        while fifo and (not out or spent + fifo[0].size <= budget):
+            item = fifo.popleft()
             spent += item.size
             out.append(item)
         return out
@@ -519,41 +505,44 @@ class BridgeEndpoint:
             return
         for env in frames:
             self.decodes += 1
-            if env.topic.startswith(CONTROL_PREFIX):
-                self._handle_control(env, at)
-            else:
-                self._handle_data(env, at)
+            try:
+                if env.topic.startswith(CONTROL_PREFIX):
+                    self._handle_control(env, at)
+                else:
+                    self._handle_data(env, at)
+            except FrameError:
+                # dropped alone: the rest of the batch decoded and still counts
+                self.decode_errors += 1
 
     def _handle_control(self, env: Envelope, at: float) -> None:
         if env.topic == REPLAY_TOPIC:
-            topic, rest = _unpack_topic(env.payload)
-            from_seq, to_seq = _REQ_RANGE.unpack(rest)
+            topic, from_seq, to_seq = _unpack_control(env.payload, _REQ_RANGE)
+            if from_seq > to_seq:
+                raise BadControl(f"replay range {from_seq}..{to_seq} is inverted")
             self.request_replay(topic, from_seq, to_seq)
         elif env.topic == HEARTBEAT_TOPIC:
-            topic, rest = _unpack_topic(env.payload)
-            (last_seq,) = _BEAT_SEQ.unpack(rest)
+            topic, last_seq = _unpack_control(env.payload, _BEAT_SEQ)
             rx = self._rx.setdefault(topic, _RxTopic())
             if self.config.prioritized and last_seq >= rx.expected:
                 self._note_gap(rx, topic, rx.expected, last_seq, at)
 
     def _handle_data(self, env: Envelope, at: float) -> None:
+        # a topic is advertised with its first frame, so one the local bus
+        # refuses is rejected before any receive state exists for it
+        if env.topic not in self._publishers:
+            kind = MessageKind(env.kind) if env.kind in MessageKind._value2member_map_ else MessageKind.BLOB
+            try:
+                self._publishers[env.topic] = self.bus.advertise(env.topic, kind)
+            except (InvalidTopic, KindMismatch) as exc:
+                raise BadTopic(str(exc)) from None
         rx = self._rx.setdefault(env.topic, _RxTopic())
-        if not self.config.prioritized:
-            if env.seq >= rx.expected:
-                self._republish(env, at)
-                rx.expected = env.seq + 1
-            else:
-                rx.late_drops += 1
-            return
-
-        if env.tier == TIER_CRITICAL:
+        if self.config.prioritized and env.tier == TIER_CRITICAL:
             self._handle_critical(rx, env, at)
+        elif env.seq >= rx.expected:
+            self._republish(env, at)
+            rx.expected = env.seq + 1
         else:
-            if env.seq >= rx.expected:
-                self._republish(env, at)
-                rx.expected = env.seq + 1
-            else:
-                rx.late_drops += 1
+            rx.late_drops += 1
 
     def _handle_critical(self, rx: _RxTopic, env: Envelope, at: float) -> None:
         if env.seq < rx.expected or env.seq in rx.seen or env.seq in rx.ahead:
@@ -626,13 +615,7 @@ class BridgeEndpoint:
         self._flush_ahead(rx, now)
 
     def _republish(self, env: Envelope, at: float) -> None:
-        pub = self._publishers.get(env.topic)
-        if pub is None:
-            kind = MessageKind(env.kind) if env.kind in MessageKind._value2member_map_ else MessageKind.BLOB
-            pub = self.bus.advertise(env.topic, kind)
-            self._publishers[env.topic] = pub
-            self._republished_topics.add(env.topic)
-        pub.publish(env.payload, at, origin=self.origin_id)
+        self._publishers[env.topic].publish(env.payload, at, origin=self.origin_id)
         self.republished[env.topic] = self.republished.get(env.topic, 0) + 1
         self.delivered_seqs.setdefault(env.topic, set()).add(env.seq)
         self.latencies.setdefault(env.topic, []).append(at - env.sim_time)
@@ -655,9 +638,7 @@ class BridgeEndpoint:
 
     def pending_frames(self) -> list[Envelope]:
         """Frames waiting in send queues (for end-of-run audits)."""
-        out = [item.env for q in self._queues.values() for item in q]
-        out.extend(item.env for item in self._fifo)
-        return out
+        return [item.env for q in self._queues.values() for item in q]
 
     def held_for_reassembly(self) -> list[Envelope]:
         return [env for rx in self._rx.values() for env in rx.ahead.values()]
@@ -669,25 +650,17 @@ class BridgeEndpoint:
         return dict(self._tx)
 
 
-def run_bridge_endpoint(
-    bus: TopicBus,
-    tx_link: NetLink,
-    rx_link: NetLink,
-    policy: PriorityPolicy,
-    discovery: DiscoveryConfig,
-    clock: SimClock,
-    config: EndpointConfig = EndpointConfig(),
-) -> BridgeEndpoint:
-    """Attach a bridge endpoint to a bus and link pair; returns its handle."""
-    return BridgeEndpoint(bus, tx_link, rx_link, policy, discovery, clock, config)
-
-
 def _pack_topic(topic: str) -> bytes:
     raw = topic.encode("utf-8")
     return _REQ_HEAD.pack(len(raw)) + raw
 
 
-def _unpack_topic(payload: bytes) -> tuple[str, bytes]:
-    (n,) = _REQ_HEAD.unpack_from(payload, 0)
-    topic = payload[2 : 2 + n].decode("utf-8")
-    return topic, payload[2 + n :]
+def _unpack_control(payload: bytes, tail: struct.Struct) -> tuple:
+    """Split a control payload into its topic and the fields of `tail`."""
+    try:
+        (n,) = _REQ_HEAD.unpack_from(payload, 0)
+        topic = payload[2 : 2 + n].decode("utf-8")
+        fields = tail.unpack(payload[2 + n :])
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise BadControl(f"malformed control payload: {exc}") from None
+    return (topic, *fields)

@@ -10,7 +10,19 @@ from .runner import compare, load_report, run, sweep_agents
 from .scenario import ScenarioParseError, load_scenario
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports scenario errors of every command as `error:` lines, exit code 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ScenarioParseError as exc:
+            for problem in exc.problems:
+                click.echo(f"error: {problem}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Digital-twin synchronization and prioritized bridge benchmark harness."""
 
@@ -22,12 +34,7 @@ def main() -> None:
 @click.option("--baseline", is_flag=True, help="FIFO mode: no prioritization, replay, or discovery.")
 def run_cmd(scenario_path: str, seed: int | None, out_dir: str | None, baseline: bool) -> None:
     """Run one scenario and print its summary."""
-    try:
-        report = run(scenario_path, seed=seed, out_dir=out_dir, baseline=baseline)
-    except ScenarioParseError as exc:
-        for problem in exc.problems:
-            click.echo(f"error: {problem}", err=True)
-        raise SystemExit(2)
+    report = run(scenario_path, seed=seed, out_dir=out_dir, baseline=baseline)
     for key in sorted(report.summary):
         click.echo(f"{key}: {report.summary[key]}")
     if out_dir:

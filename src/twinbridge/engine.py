@@ -10,15 +10,10 @@ sent = delivered + dropped + buffered checkable exactly.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, replace
 
-from .bridge import (
-    BridgeEndpoint,
-    DiscoveryConfig,
-    EndpointConfig,
-    PriorityPolicy,
-    run_bridge_endpoint,
-)
+from .bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
 from .envelope import TIER_NAMES
 from .msgbus import MessageKind, TopicBus
 from .netsim import NetLink, NetworkConditions, SimClock, link_pair
@@ -152,11 +147,11 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     publishers = {t.topic: bus_local.advertise(t.topic, t.kind) for t in topics}
     payloads = {t.topic: _payload(t, scenario.seed) for t in topics}
 
-    local = run_bridge_endpoint(
+    local = BridgeEndpoint(
         bus_local, fwd, rev, scenario.policy, scenario.discovery, clock, endpoint_cfg
     )
     remote_cfg = replace(endpoint_cfg, topics=())
-    remote = run_bridge_endpoint(
+    remote = BridgeEndpoint(
         bus_remote,
         rev,
         fwd,
@@ -197,8 +192,9 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
 
 
 def _payload(t: TopicTraffic, seed: int) -> bytes:
-    # deterministic filler unique per topic
-    basis = (hash((t.topic, seed)) & 0xFF) or 1
+    # deterministic filler unique per topic; crc32, unlike hash(), is not
+    # salted per process
+    basis = (zlib.crc32(f"{t.topic}:{seed}".encode("utf-8")) & 0xFF) or 1
     return bytes((basis + i) % 256 for i in range(t.size))
 
 

@@ -19,10 +19,11 @@ Frame layout, all multi-byte integers little-endian:
 An empty-payload frame with topic "/a" is exactly 36 bytes.
 
 Decode validates, in order: buffer length, magic, declared frame length, CRC,
-then version. CRC is checked before version so that any single corrupted byte
-in an otherwise valid frame surfaces as BadMagic, Truncated, or CrcMismatch;
-BadVersion is reserved for well-formed frames from a different protocol
-revision.
+version, payload size, then topic encoding. CRC is checked before version so
+that any single corrupted byte in an otherwise valid frame surfaces as
+BadMagic, Truncated, or CrcMismatch; BadVersion is reserved for well-formed
+frames from a different protocol revision, and PayloadTooLarge and BadTopic
+for CRC-valid frames that break the layout's limits.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ class PayloadTooLarge(FrameError):
     pass
 
 
+class BadTopic(FrameError):
+    """Topic bytes that do not name a topic, such as invalid UTF-8."""
+
+
 @dataclass(frozen=True)
 class Envelope:
     """One decoded wire frame."""
@@ -116,31 +121,6 @@ def encode_envelope(env: Envelope) -> bytes:
     return bytes(body)
 
 
-def encode_message(
-    topic: str,
-    payload: bytes,
-    kind: int,
-    tier: int,
-    seq: int,
-    sim_time: float,
-    flags: int = 0,
-) -> bytes:
-    """Frame a topic message for transmission."""
-    env = Envelope(tier, flags, seq, int(round(sim_time * 1e6)), topic, int(kind), payload)
-    return encode_envelope(env)
-
-
-def encode_bus_message(msg, tier: int, seq: int, flags: int = 0) -> bytes:
-    """Frame a bus message (anything with topic/payload/kind/publish_time)."""
-    return encode_message(
-        msg.topic, msg.payload, int(msg.kind), tier, seq, msg.publish_time, flags
-    )
-
-
-def frame_size(topic: str, payload_len: int) -> int:
-    return MIN_FRAME + len(topic.encode("utf-8")) + payload_len
-
-
 def _parse_one(buf: bytes, offset: int) -> tuple[Envelope, int]:
     """Parse one frame starting at offset; returns (envelope, next offset)."""
     remaining = len(buf) - offset
@@ -163,7 +143,12 @@ def _parse_one(buf: bytes, offset: int) -> tuple[Envelope, int]:
         raise CrcMismatch(f"crc {stated_crc:#010x} != computed {actual_crc:#010x}")
     if version != VERSION:
         raise BadVersion(f"version {version}, expected {VERSION}")
-    topic = buf[offset + _HEAD.size : mid_at].decode("utf-8")
+    if payload_len > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"payload of {payload_len} bytes exceeds 16 MiB")
+    try:
+        topic = buf[offset + _HEAD.size : mid_at].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadTopic(f"topic is not UTF-8: {exc.reason}") from None
     payload = buf[mid_at + _MID.size : crc_at]
     env = Envelope(tier, flags, seq, sim_time_us, topic, kind, payload)
     return env, end

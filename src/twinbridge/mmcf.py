@@ -230,10 +230,6 @@ class OptimizeResult:
         default_factory=list
     )
 
-    def __iter__(self):
-        yield self.best
-        yield self.cost
-
 
 EXHAUSTIVE_LIMIT = 10_000
 

@@ -11,9 +11,8 @@ Timestamps are simulated seconds supplied by the caller, never wall clock.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 MAX_PAYLOAD = 16 * 1024 * 1024
@@ -123,64 +122,40 @@ class Publisher:
         return msg
 
 
-@dataclass
-class BusStats:
-    publish_counts: dict[str, int] = field(default_factory=dict)
-    subscriber_counts: dict[str, int] = field(default_factory=dict)
-    queue_depths: dict[str, list[int]] = field(default_factory=dict)
-
-
 class TopicBus:
     """Shareable in-process pub/sub bus with per-subscriber FIFO queues."""
 
     def __init__(self) -> None:
-        self._lock = threading.RLock()
         self._kinds: dict[str, MessageKind] = {}
         self._subs: dict[str, list[Subscription]] = {}
-        self._publish_counts: dict[str, int] = {}
 
     def advertise(self, topic: str, kind: MessageKind) -> Publisher:
         validate_topic(topic)
-        with self._lock:
-            existing = self._kinds.get(topic)
-            if existing is not None and existing != kind:
-                raise KindMismatch(
-                    f"topic {topic!r} already advertised as {existing.name}, not {kind.name}"
-                )
-            self._kinds[topic] = kind
-            return Publisher(self, topic, kind)
+        existing = self._kinds.get(topic)
+        if existing is not None and existing != kind:
+            raise KindMismatch(
+                f"topic {topic!r} already advertised as {existing.name}, not {kind.name}"
+            )
+        self._kinds[topic] = kind
+        return Publisher(self, topic, kind)
 
     def subscribe(self, topic: str, queue_capacity: int) -> Subscription:
         validate_topic(topic)
-        with self._lock:
-            sub = Subscription(topic, queue_capacity)
-            self._subs.setdefault(topic, []).append(sub)
-            return sub
+        sub = Subscription(topic, queue_capacity)
+        self._subs.setdefault(topic, []).append(sub)
+        return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            subs = self._subs.get(sub.topic, [])
-            if sub in subs:
-                subs.remove(sub)
+        subs = self._subs.get(sub.topic, [])
+        if sub in subs:
+            subs.remove(sub)
 
     def list_topics(self) -> set[tuple[str, MessageKind]]:
-        with self._lock:
-            return {(name, kind) for name, kind in self._kinds.items()}
+        return {(name, kind) for name, kind in self._kinds.items()}
 
     def kind_of(self, topic: str) -> MessageKind | None:
-        with self._lock:
-            return self._kinds.get(topic)
+        return self._kinds.get(topic)
 
     def _dispatch(self, msg: Message) -> None:
-        with self._lock:
-            self._publish_counts[msg.topic] = self._publish_counts.get(msg.topic, 0) + 1
-            for sub in self._subs.get(msg.topic, ()):
-                sub._push(msg)
-
-    def stats(self) -> BusStats:
-        with self._lock:
-            return BusStats(
-                publish_counts=dict(self._publish_counts),
-                subscriber_counts={t: len(s) for t, s in self._subs.items()},
-                queue_depths={t: [len(q) for q in s] for t, s in self._subs.items()},
-            )
+        for sub in self._subs.get(msg.topic, ()):
+            sub._push(msg)

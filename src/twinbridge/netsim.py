@@ -46,9 +46,6 @@ class PiecewiseConstant:
     def breakpoints(self) -> list[tuple[float, float]]:
         return list(zip(self._times, self._values))
 
-    def __call__(self, t: float) -> float:
-        return self.value_at(t)
-
 
 class SimClock:
     """Simulated-time event queue.
@@ -84,14 +81,6 @@ class SimClock:
             callback()
         self.now = target
         return fired
-
-    def run_until(self, t: float) -> list[tuple[float, Any]]:
-        if t < self.now:
-            raise ValueError("cannot run backwards")
-        return self.advance(t - self.now)
-
-    def pending(self) -> int:
-        return len(self._heap)
 
 
 @dataclass(frozen=True)
@@ -194,8 +183,8 @@ class NetLink:
         self._flight_seq = itertools.count()
         self._trace: list[TraceEvent] = []
 
-    def send(self, payload: bytes, t_now: float | None = None) -> SendOutcome:
-        t = self.clock.now if t_now is None else t_now
+    def send(self, payload: bytes) -> SendOutcome:
+        t = self.clock.now
         draw = self._rng.random()
         size = len(payload)
         if self.closed:
@@ -243,12 +232,9 @@ def replay_trace(link: NetLink) -> list[TraceEvent]:
 
 
 def link_pair(
-    clock: SimClock,
-    conditions: NetworkConditions,
-    seed: int,
-    reverse_conditions: NetworkConditions | None = None,
+    clock: SimClock, conditions: NetworkConditions, seed: int
 ) -> tuple[NetLink, NetLink]:
     """Two directions of a link between endpoint peers, independently seeded."""
     fwd = NetLink(clock, conditions, seed ^ 0x5BD1E995, name="fwd")
-    rev = NetLink(clock, reverse_conditions or conditions, seed ^ 0x27D4EB2F, name="rev")
+    rev = NetLink(clock, conditions, seed ^ 0x27D4EB2F, name="rev")
     return fwd, rev

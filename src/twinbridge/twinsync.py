@@ -147,7 +147,6 @@ class SyncController:
 
     t_ref and cap_factor shape the adaptive threshold law; response_mass,
     accuracy_weight and energy_weight parameterize the gain-scheduling cost.
-    disconnect_duration tracks the live gap length during a run.
     """
 
     kp: float = 40.0
@@ -155,7 +154,6 @@ class SyncController:
     eps_pos: float = 0.05
     eps_vel: float = 0.1
     gain_grid: tuple[tuple[float, float], ...] = ()
-    disconnect_duration: float = 0.0
     t_ref: float = 10.0
     cap_factor: float = 4.0
     response_mass: float = 1.0
@@ -407,9 +405,6 @@ class VectorScript:
         idx = bisect_right(self._times, t) - 1
         return self._values[max(idx, 0)].copy()
 
-    def change_times(self) -> list[float]:
-        return list(self._times)
-
 
 class PhysicalAgent:
     """Ground-truth agent integrating its scripted force and yaw-rate profile."""
@@ -481,7 +476,7 @@ class VirtualTwin:
         self.state = replace(new, heading=heading, t=t_end if t_end is not None else new.t)
         self._history.append(self.state)
 
-    def state_at(self, t: float, tol: float = 1e-6) -> TwinState:
+    def state_at(self, t: float) -> TwinState:
         """Recorded state nearest to t; exact on the shared tick grid."""
         best = min(self._history, key=lambda s: abs(s.t - t))
         return best
@@ -661,7 +656,6 @@ def run_sync_loop(
 
             loss_rate = _estimate_loss(recent_updates, now, config)
             disconnect = max(0.0, gap - config.update_period)
-            ctrl.disconnect_duration = disconnect
             thresholds = adaptive_thresholds(ctrl, loss_rate, disconnect)
             if correcting:
                 thresholds = (

@@ -1,5 +1,7 @@
 """Prioritization, replay, discovery, and endpoint integration."""
 
+import struct
+import zlib
 from collections import deque
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbridge.bridge import (
+    HEARTBEAT_TOPIC,
+    REPLAY_TOPIC,
     BridgeEndpoint,
     DiscoveryConfig,
     EndpointConfig,
@@ -15,14 +19,13 @@ from twinbridge.bridge import (
     QueuedFrame,
     ReplayBuffer,
     TierScheduler,
-    run_bridge_endpoint,
-    tier_scheduler,
 )
 from twinbridge.envelope import (
     TIER_BULK,
     TIER_CRITICAL,
     TIER_STANDARD,
     Envelope,
+    decode_stream,
     encode_envelope,
 )
 from twinbridge.msgbus import MessageKind, TopicBus
@@ -38,6 +41,17 @@ from twinbridge.netsim import (
 def frame(topic="/t", tier=TIER_STANDARD, seq=0, size=100):
     env = Envelope(tier, 0, seq, 0, topic, 0, bytes(size))
     return QueuedFrame(env, encode_envelope(env))
+
+
+def raw_frame(topic: bytes, payload: bytes, tier=TIER_CRITICAL, seq=0, kind=4) -> bytes:
+    """A CRC-valid frame built from the documented layout, bypassing the encoder."""
+    body = struct.pack("<4sBBBQQH", b"SERN", 1, tier, 0, seq, 0, len(topic)) + topic
+    body += struct.pack("<BI", kind, len(payload)) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def control_payload(topic: bytes, tail: bytes) -> bytes:
+    return struct.pack("<H", len(topic)) + topic + tail
 
 
 def queues(critical=(), standard=(), bulk=()):
@@ -89,7 +103,7 @@ class TestPolicy:
 class TestTierScheduler:
     def test_only_bulk_uses_full_budget(self):
         q = queues(bulk=[frame(tier=TIER_BULK, size=900) for _ in range(10)])
-        plan = tier_scheduler(q, budget=5000)
+        plan = TierScheduler().plan(q, budget=5000)
         sent = sum(item.size for item in plan)
         assert sent >= 4 * 930  # frames are ~934 bytes; most of the budget used
         assert all(item.env.tier == TIER_BULK for item in plan)
@@ -99,7 +113,7 @@ class TestTierScheduler:
             critical=[frame(tier=TIER_CRITICAL, size=400) for _ in range(10)],
             standard=[frame(tier=TIER_STANDARD, size=400) for _ in range(10)],
         )
-        plan = tier_scheduler(q, budget=1000)
+        plan = TierScheduler().plan(q, budget=1000)
         assert plan  # some critical sent
         assert all(item.env.tier == TIER_CRITICAL for item in plan)
 
@@ -109,7 +123,7 @@ class TestTierScheduler:
             standard=[frame(tier=TIER_STANDARD, size=1000) for _ in range(200)],
             bulk=[frame(tier=TIER_BULK, size=1000) for _ in range(200)],
         )
-        plan = tier_scheduler(q, budget=100 * 1024)
+        plan = TierScheduler().plan(q, budget=100 * 1024)
         bulk_bytes = sum(item.size for item in plan if item.env.tier == TIER_BULK)
         assert bulk_bytes >= 5 * 1024
 
@@ -126,12 +140,12 @@ class TestTierScheduler:
             critical=[frame(tier=TIER_CRITICAL, size=100)],
             standard=[frame(tier=TIER_STANDARD, size=100) for _ in range(3)],
         )
-        plan = tier_scheduler(q, budget=10_000)
+        plan = TierScheduler().plan(q, budget=10_000)
         assert len(plan) == 4
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            tier_scheduler(queues(), 0)
+            TierScheduler().plan(queues(), 0)
 
     def test_shares_override(self):
         sched = TierScheduler(shares=(0.5, 0.3, 0.2))
@@ -161,7 +175,7 @@ class TestTierScheduler:
             bulk=[frame(tier=TIER_BULK, size=s) for s in bulk_sizes],
         )
         bulk_available = sum(item.size for item in q[TIER_BULK])
-        plan = tier_scheduler(q, budget=budget)
+        plan = TierScheduler().plan(q, budget=budget)
         # transmit order is strictly by tier
         tiers_in_plan = [item.env.tier for item in plan]
         assert tiers_in_plan == sorted(tiers_in_plan)
@@ -220,10 +234,10 @@ def make_pair(clock, fwd, rev, policy=None, config=None, discovery=None, remote_
     policy = policy or PriorityPolicy()
     config = config or EndpointConfig(topics=("/data",))
     bus_a, bus_b = TopicBus(), TopicBus()
-    local = run_bridge_endpoint(
+    local = BridgeEndpoint(
         bus_a, fwd, rev, policy, discovery or DiscoveryConfig(enabled=False), clock, config
     )
-    remote = run_bridge_endpoint(
+    remote = BridgeEndpoint(
         bus_b, rev, fwd, policy, DiscoveryConfig(enabled=False), clock,
         remote_config or EndpointConfig(topics=()),
     )
@@ -321,8 +335,8 @@ class TestEndpoint:
         policy = PriorityPolicy()
         discovery = DiscoveryConfig(enabled=True, period=0.3)
         bus_a, bus_b = TopicBus(), TopicBus()
-        local = run_bridge_endpoint(bus_a, fwd, rev, policy, discovery, clock, EndpointConfig())
-        remote = run_bridge_endpoint(bus_b, rev, fwd, policy, discovery, clock, EndpointConfig())
+        local = BridgeEndpoint(bus_a, fwd, rev, policy, discovery, clock, EndpointConfig())
+        remote = BridgeEndpoint(bus_b, rev, fwd, policy, discovery, clock, EndpointConfig())
         pub = bus_a.advertise("/ping", MessageKind.POSE)
         sub = bus_b.subscribe("/ping", 64)
         clock.advance(0.4)  # let discovery subscribe before traffic starts
@@ -408,3 +422,114 @@ class TestEndpoint:
         got = [int.from_bytes(m.payload, "little") for m in sub.drain()]
         assert 0 < len(got) < 80  # loss is permanent without replay
         assert got == sorted(got)
+
+
+# CRC-valid frames that no endpoint can act on, and whether each one decodes
+# (a frame that decodes is dropped alone; one that does not loses its batch)
+BAD_PEER_FRAMES = {
+    "replay-1-byte-payload": (raw_frame(REPLAY_TOPIC.encode(), b"\x05"), True),
+    "replay-inverted-range": (
+        raw_frame(REPLAY_TOPIC.encode(), control_payload(b"/data", struct.pack("<QQ", 5, 2))),
+        True,
+    ),
+    "replay-topic-not-utf8": (
+        raw_frame(REPLAY_TOPIC.encode(), control_payload(b"/\xff\xfe", struct.pack("<QQ", 0, 1))),
+        True,
+    ),
+    "heartbeat-short": (
+        raw_frame(HEARTBEAT_TOPIC.encode(), control_payload(b"/data", b"\x01\x02")),
+        True,
+    ),
+    "data-topic-not-utf8": (raw_frame(b"/\xff\xfe", b"x"), False),
+    "data-topic-invalid-name": (raw_frame(b"no-slash", b"x"), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PEER_FRAMES))
+def test_bad_peer_frame_is_counted_and_dropped(name):
+    bad, decodes = BAD_PEER_FRAMES[name]
+    clock = SimClock()
+    fwd, rev = ideal_pair(clock)
+    bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
+    bus_b.advertise("/data", MessageKind.POSE)
+    sub = bus_b.subscribe("/data", 16)
+
+    def good(seq):
+        return raw_frame(b"/data", b"ok%d" % seq, tier=TIER_STANDARD, seq=seq,
+                         kind=int(MessageKind.POSE))
+
+    remote._on_deliver(bad, clock.now)
+    assert remote.decode_errors == 1
+    assert remote.state == EndpointState.RUNNING
+    remote._on_deliver(good(0), clock.now)
+    assert [m.payload for m in sub.drain()] == [b"ok0"]
+    remote._on_deliver(bad + good(1), clock.now)
+    assert remote.decode_errors == 2
+    assert [m.payload for m in sub.drain()] == ([b"ok1"] if decodes else [])
+    clock.advance(1.0)
+    assert remote.state == EndpointState.RUNNING
+
+
+def test_first_frame_of_a_topic_with_a_clashing_kind_is_dropped():
+    clock = SimClock()
+    fwd, rev = ideal_pair(clock)
+    bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
+    bus_b.advertise("/data", MessageKind.POSE)
+    remote._on_deliver(raw_frame(b"/data", b"x", kind=int(MessageKind.BLOB)), clock.now)
+    assert remote.decode_errors == 1
+    assert remote.republished == {}
+
+
+def _control_payload_is_wellformed(control: str, payload: bytes) -> bool:
+    """Independent oracle for the control payload layouts."""
+    if len(payload) < 2:
+        return False
+    (n,) = struct.unpack_from("<H", payload)
+    tail = 16 if control == REPLAY_TOPIC else 8
+    if len(payload) != 2 + n + tail:
+        return False
+    try:
+        payload[2 : 2 + n].decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    if control == REPLAY_TOPIC:
+        lo, hi = struct.unpack_from("<QQ", payload, 2 + n)
+        return lo <= hi
+    return True
+
+
+u64 = st.integers(0, 2**64 - 1)
+control_payloads = st.one_of(
+    st.binary(max_size=40),
+    st.builds(
+        control_payload,
+        st.one_of(st.just(b"/data"), st.binary(max_size=12)),
+        st.one_of(
+            st.binary(max_size=20),
+            st.builds(lambda lo, hi: struct.pack("<QQ", lo, hi), st.integers(0, 12) | u64, st.integers(0, 12) | u64),
+            u64.map(lambda seq: struct.pack("<Q", seq)),
+        ),
+    ),
+)
+
+
+@given(control=st.sampled_from([REPLAY_TOPIC, HEARTBEAT_TOPIC]), payload=control_payloads)
+@settings(max_examples=200, deadline=None)
+def test_control_frames_never_raise_property(control, payload):
+    clock = SimClock()
+    fwd, rev = ideal_pair(clock)
+    policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
+    bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy)
+    pub = bus_a.advertise("/data", MessageKind.COMMAND)
+    sub = bus_b.subscribe("/data", 64)
+    for i in range(4):
+        pub.publish(bytes([i]), clock.now)
+        clock.advance(0.05)
+    local._on_deliver(raw_frame(control.encode(), payload), clock.now)
+    assert local.decode_errors == (0 if _control_payload_is_wellformed(control, payload) else 1)
+    for i in range(4, 8):
+        pub.publish(bytes([i]), clock.now)
+        clock.advance(0.05)
+    clock.advance(1.0)
+    assert local.state == remote.state == EndpointState.RUNNING
+    assert [m.payload[0] for m in sub.drain()] == list(range(8))

@@ -1,5 +1,10 @@
 """Engine-level traffic runs and configuration measurement behavior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from twinbridge.bridge import EndpointConfig, PriorityPolicy
@@ -86,3 +91,23 @@ class TestMeasureConfig:
         )
         with pytest.raises(ScenarioError):
             measure_config(BridgeConfig(), bad)
+
+
+def test_payload_filler_independent_of_hash_seed():
+    script = (
+        "from twinbridge.engine import TopicTraffic, _payload\n"
+        "from twinbridge.msgbus import MessageKind\n"
+        "for i in range(8):\n"
+        "    t = TopicTraffic(f'/robot{i}/pose', MessageKind.POSE, 1.0, 16)\n"
+        "    print(_payload(t, 7).hex())\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def payloads(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        return out.stdout
+
+    assert payloads("1") == payloads("2")

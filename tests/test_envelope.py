@@ -1,31 +1,62 @@
 """Wire-format framing: layout, roundtrips, corruption rejection."""
 
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinbridge.bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
 from twinbridge.envelope import (
     MIN_FRAME,
+    MAX_PAYLOAD,
     BadMagic,
+    BadTopic,
     BadVersion,
     CrcMismatch,
     Envelope,
     FrameError,
+    TIER_CRITICAL,
     PayloadTooLarge,
     Truncated,
     decode_envelope,
     decode_stream,
     encode_envelope,
-    encode_message,
-    frame_size,
     with_replay_flag,
 )
+from twinbridge.msgbus import MessageKind, TopicBus
+from twinbridge.netsim import NetworkConditions, PiecewiseConstant, SimClock, link_pair
 
 
 def make_env(topic="/a", payload=b"", tier=0, flags=0, seq=0, sim_time_us=0, kind=0):
     return Envelope(tier, flags, seq, sim_time_us, topic, kind, payload)
+
+
+def raw_frame(topic: bytes, payload: bytes = b"") -> bytes:
+    """A CRC-valid frame built from the documented layout, bypassing the encoder."""
+    body = struct.pack("<4sBBBQQH", b"SERN", 1, 0, 0, 0, 0, len(topic)) + topic
+    body += struct.pack("<BI", 0, len(payload)) + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def bridge_frames(publishes):
+    """Publish (payload, time) pairs on a critical /odom topic and let one bridge
+    endpoint frame them: returns the decoded in-flight frames and the replay ring."""
+    clock = SimClock()
+    ideal = NetworkConditions(PiecewiseConstant(5.0), PiecewiseConstant(0.0), None, ())
+    fwd, rev = link_pair(clock, ideal, 1)
+    bus = TopicBus()
+    endpoint = BridgeEndpoint(
+        bus, fwd, rev, PriorityPolicy(rules=(("/odom", TIER_CRITICAL),)),
+        DiscoveryConfig(enabled=False), clock, EndpointConfig(topics=("/odom",)),
+    )
+    pub = bus.advertise("/odom", MessageKind.POSE)
+    for payload, t in publishes:
+        pub.publish(payload, t)
+    clock.advance(0.05)
+    wire = decode_stream(b"".join(fwd.in_flight()))
+    return wire, endpoint.replay_buffer.get_range("/odom", 0, len(publishes) - 1)
 
 
 class TestLayout:
@@ -35,7 +66,7 @@ class TestLayout:
         frame = encode_envelope(make_env())
         assert expected == 36
         assert len(frame) == 36
-        assert frame_size("/a", 0) == 36
+        assert MIN_FRAME + len(b"/a") == 36
 
     def test_magic_and_version_bytes(self):
         frame = encode_envelope(make_env())
@@ -57,22 +88,22 @@ class TestRoundtrip:
         assert decode_envelope(encode_envelope(env)) == env
 
     def test_encode_message_stamps_microseconds(self):
-        frame = encode_message("/t", b"x", kind=1, tier=0, seq=5, sim_time=1.5)
-        env = decode_envelope(frame)
+        (env,), ring = bridge_frames([(b"x", 1.5)])
         assert env.sim_time_us == 1_500_000
         assert env.sim_time == pytest.approx(1.5)
+        assert ring == [env]
 
     def test_encode_bus_message(self):
-        from twinbridge.envelope import encode_bus_message
-        from twinbridge.msgbus import Message, MessageKind
-
-        msg = Message("/odom", b"state", 2.25, MessageKind.POSE)
-        env = decode_envelope(encode_bus_message(msg, tier=1, seq=9))
+        wire, _ = bridge_frames([(b"", 0.0), (b"state", 2.25)])
+        env = wire[1]
         assert env.topic == "/odom"
         assert env.payload == b"state"
         assert env.kind == int(MessageKind.POSE)
-        assert env.seq == 9
+        assert env.seq == 1
         assert env.sim_time == pytest.approx(2.25)
+
+    def test_raw_frame_matches_encoder(self):
+        assert raw_frame(b"/a", b"xy") == encode_envelope(make_env(payload=b"xy"))
 
     def test_replay_flag(self):
         env = with_replay_flag(make_env())
@@ -106,11 +137,19 @@ class TestErrors:
         frame = bytearray(encode_envelope(make_env()))
         frame[4] = 2
         body = bytes(frame[:-4])
-        import zlib
-
         frame[-4:] = struct.pack("<I", zlib.crc32(body))
         with pytest.raises(BadVersion):
             decode_envelope(bytes(frame))
+
+    def test_non_utf8_topic_with_valid_crc(self):
+        with pytest.raises(BadTopic):
+            decode_envelope(raw_frame(b"/\xff\xfe"))
+        with pytest.raises(BadTopic):
+            decode_stream(encode_envelope(make_env()) + raw_frame(b"/\xc3"))
+
+    def test_oversized_payload_with_valid_crc(self):
+        with pytest.raises(PayloadTooLarge):
+            decode_envelope(raw_frame(b"/a", bytes(MAX_PAYLOAD + 1)))
 
     def test_version_flip_without_recrc_is_crc_mismatch(self):
         frame = bytearray(encode_envelope(make_env()))
@@ -163,3 +202,4 @@ def test_roundtrip_property(topic, payload, tier, flags, seq, sim_time_us, kind)
 
 def test_frame_error_is_value_error():
     assert issubclass(FrameError, ValueError)
+    assert issubclass(BadTopic, FrameError)

@@ -241,6 +241,24 @@ class TestCli:
         assert "mmcf_best" in result.output
         assert (tmp_path / "out" / "mmcf.csv").exists()
 
+    @pytest.mark.parametrize("command", sorted(set(main.commands) - {"compare"}))
+    def test_every_scenario_command_reports_errors_by_line(self, tmp_path, command):
+        # compare reads run directories, not scenarios; every other command
+        # must report scenario errors as diagnostics, never as a traceback
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            (SCENARIOS / "mmcf_default.yaml").read_text(encoding="utf-8").replace(
+                "rate: 10.0", "rate: -1.0"
+            ),
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, [command, str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines)
+        assert any("rate (line " in line and "must be positive" in line for line in lines)
+
     def test_mmcf_opt_requires_section(self, tmp_path):
         scenario = tmp_path / "plain.yaml"
         scenario.write_text("name: plain\nseed: 1\nduration: 1.0\n", encoding="utf-8")
