@@ -10,22 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .engine import TrafficResult, percentile, run_traffic
 from .geo import gps_to_scene
 from .mmcf import calibrate_bounds, optimize
-from .netsim import NetLink, SimClock
+from .netsim import NetLink, PiecewiseConstant, SimClock
 from .scenario import Scenario, load_scenario
-from .twinsync import (
-    PhysicalAgent,
-    PhysicalParams,
-    SyncReport,
-    TwinState,
-    VirtualTwin,
-    run_sync_loop,
-)
+from .twinsync import PhysicalAgent, SyncReport, VectorScript, VirtualTwin, run_sync_loop
 
 TOPICS_HEADER = (
     "topic", "tier", "sent", "delivered", "dropped", "buffered",
@@ -175,22 +168,17 @@ def run_sync_section(
     assert spec is not None
     clock = SimClock()
     link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED, name="sync")
-    params = PhysicalParams(
-        mass=spec.mass, diameter=spec.diameter, friction=spec.friction, drag=spec.drag
+    agent = PhysicalAgent(
+        spec.params, VectorScript(spec.force_script), PiecewiseConstant(spec.yaw_script), spec.terrain
     )
-    force_script, yaw_script = spec.scripts()
-    agent = PhysicalAgent(params, force_script, yaw_script, spec.terrain)
-    twin = VirtualTwin(params, spec.terrain, history_window=6.0, tick=spec.tick)
-    ctrl = spec.controller(kp=kp, kd=kd)
-    return run_sync_loop(
-        agent,
-        twin,
-        ctrl,
-        link,
-        clock,
-        spec.loop_config(scenario.duration, adaptive=adaptive),
-        spec.bound_model(),
-    )
+    twin = VirtualTwin(spec.params, spec.terrain, history_window=6.0, tick=spec.loop.tick)
+    ctrl = spec.controller
+    if kp is not None or kd is not None:
+        ctrl = replace(ctrl, kp=ctrl.kp if kp is None else kp, kd=ctrl.kd if kd is None else kd)
+    loop = replace(spec.loop, duration=scenario.duration)
+    if adaptive is not None:
+        loop = replace(loop, adaptive_gains=adaptive)
+    return run_sync_loop(agent, twin, ctrl, link, clock, loop, spec.bound)
 
 
 def sync_gain_comparison(
@@ -198,13 +186,13 @@ def sync_gain_comparison(
 ) -> tuple[SyncReport, dict[tuple[float, float], SyncReport]]:
     """Adaptive run plus one fixed-gain run per grid candidate."""
     spec = scenario.sync
-    if spec is None or not spec.gain_grid:
+    if spec is None or not spec.controller.gain_grid:
         raise ValueError("scenario has no sync section with a gain grid")
     use_seed = scenario.seed if seed is None else seed
     adaptive_report = run_sync_section(scenario, use_seed, adaptive=True)
     fixed = {
         (kp, kd): run_sync_section(scenario, use_seed, kp=kp, kd=kd, adaptive=False)
-        for kp, kd in spec.gain_grid
+        for kp, kd in spec.controller.gain_grid
     }
     return adaptive_report, fixed
 

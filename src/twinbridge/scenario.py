@@ -39,7 +39,8 @@ duration are required):
       mass: 10.0
       force_script: [[0.0, 2.0, 0.0, 0.0]]   # rows: t, fx, fy, fz
       bound: {lipschitz: 1.2, delta: 0.6, e0: 0.0}
-      ... (gains, thresholds, grid; see SyncSpec)
+      ... (gains, thresholds, grid; an omitted key takes the default of
+      twinsync's PhysicalParams, SyncController or SyncLoopConfig)
 
     mmcf:                          # configuration optimization (optional)
       weights: [0.4, 0.3, 0.2, 0.1]
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -72,7 +73,7 @@ from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
 from .msgbus import MessageKind
 from .netsim import NetworkConditions, PiecewiseConstant
-from .twinsync import SyncBoundModel, SyncController, SyncLoopConfig, VectorScript
+from .twinsync import PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
 
 KIND_NAMES = {
     "pose": MessageKind.POSE,
@@ -95,6 +96,10 @@ class ScenarioParseError(ValueError):
 # --- YAML loading with per-path line marks ---------------------------------------
 
 
+_SCALAR_TAGS = frozenset(f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float"))
+_SCALARS = yaml.constructor.SafeConstructor()
+
+
 def _convert(node: yaml.Node, marks: dict[str, int], path: str) -> Any:
     marks[path] = node.start_mark.line + 1
     if isinstance(node, yaml.MappingNode):
@@ -105,23 +110,26 @@ def _convert(node: yaml.Node, marks: dict[str, int], path: str) -> Any:
         return out
     if isinstance(node, yaml.SequenceNode):
         return [_convert(child, marks, f"{path}[{i}]") for i, child in enumerate(node.value)]
-    tag = node.tag.rsplit(":", 1)[-1]
-    raw = node.value
-    if tag == "null":
-        return None
-    if tag == "bool":
-        return str(raw).lower() in ("true", "yes", "on")
-    if tag == "int":
-        return int(raw)
-    if tag == "float":
-        return float(raw)
-    return raw
+    if node.tag not in _SCALAR_TAGS:
+        return node.value
+    # PyYAML's own constructors read every YAML 1.1 spelling: .inf, .nan, 0x1f, 1_000
+    try:
+        return _SCALARS.yaml_constructors[node.tag](_SCALARS, node)
+    except (ValueError, IndexError, KeyError):
+        raise ScenarioParseError(
+            [f"{path} (line {marks[path]}): {node.value!r} is not a valid {node.tag.rsplit(':', 1)[-1]}"]
+        ) from None
 
 
 def load_yaml_with_lines(path: str | Path) -> tuple[dict, dict[str, int]]:
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        text = Path(path).read_text(encoding="utf-8")
         root = yaml.compose(text, Loader=yaml.SafeLoader)
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError([f"(line 1): not UTF-8 text: {exc.reason}"]) from exc
+    except yaml.reader.ReaderError as exc:
+        line = text.count("\n", 0, exc.position) + 1
+        raise ScenarioParseError([f"(line {line}): {exc.reason}"]) from exc
     except yaml.MarkedYAMLError as exc:
         line = exc.problem_mark.line + 1 if exc.problem_mark else 0
         raise ScenarioParseError([f"(line {line}): {exc.problem}"]) from exc
@@ -159,18 +167,63 @@ class _Ctx:
         return value
 
     def number(self, data, path, key, required=False, default=None, minimum=None, positive=False):
+        """data[key] as a finite float; default if it is missing or fails a check."""
+        if key not in data:
+            if required:
+                self.fail(path or key, f"missing required key {key!r}")
+            return default
         full = f"{path}.{key}" if path else key
-        value = self.get(data, path, key, (int, float), required=required, default=default)
+        value = _finite(data[key])
         if value is None:
-            return default
-        if isinstance(value, bool):
-            self.fail(full, "expected a number, got a boolean")
-            return default
-        if positive and value <= 0:
+            self.fail(full, f"expected a finite number, got {data[key]!r:.40}")
+        elif positive and value <= 0:
             self.fail(full, f"must be positive, got {value}")
         elif minimum is not None and value < minimum:
             self.fail(full, f"must be >= {minimum}, got {value}")
-        return float(value)
+        else:
+            return value
+        return default
+
+
+def _finite(value) -> float | None:
+    """value as a finite float, or None when it is not a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _vector(ctx: _Ctx, raw, path: str, width: int, what: str) -> tuple[float, ...] | None:
+    """raw as a list of `width` finite numbers, each as a float; None after a diagnostic."""
+    if isinstance(raw, list) and len(raw) == width:
+        row = tuple(_finite(x) for x in raw)
+        if None not in row:
+            return row
+    ctx.fail(path, f"expected {what}")
+    return None
+
+
+def _rows(ctx: _Ctx, raw, path: str, width: int, what: str) -> list[tuple[float, ...]]:
+    """A list of `width`-number rows (null is none); each bad row is reported and skipped."""
+    if raw is None:
+        return []
+    if not isinstance(raw, list):
+        ctx.fail(path, f"expected a list of {what} rows")
+        return []
+    rows = [_vector(ctx, row, f"{path}[{i}]", width, what) for i, row in enumerate(raw)]
+    return [row for row in rows if row is not None]
+
+
+def _strings(ctx: _Ctx, raw, path: str) -> tuple[str, ...]:
+    if raw is None:
+        return ()
+    if isinstance(raw, list) and all(isinstance(x, str) for x in raw):
+        return tuple(raw)
+    ctx.fail(path, "expected a list of strings")
+    return ()
 
 
 # --- typed sections ---------------------------------------------------------------
@@ -178,66 +231,18 @@ class _Ctx:
 
 @dataclass(frozen=True)
 class SyncSpec:
-    """Twin-synchronization section of a scenario."""
+    """Twin-synchronization section of a scenario, parsed into twinsync's configs.
 
-    mass: float = 10.0
-    diameter: float = 0.5
-    drag: float = 0.0
-    friction: dict[str, float] = field(default_factory=lambda: {"default": 0.0})
-    terrain: str = "default"
-    tick: float = 0.01
-    update_rate: float = 10.0
-    kp: float = 40.0
-    kd: float = 30.0
-    eps_pos: float = 0.05
-    eps_vel: float = 0.1
-    t_ref: float = 10.0
-    cap_factor: float = 4.0
-    response_mass: float = 10.0
-    heading_gain: float = 1.0
-    f_corr_max: float = math.inf
-    accuracy_weight: float = 0.8
-    energy_weight: float = 0.2
-    adaptive_gains: bool = False
-    gain_window: float = 2.0
-    gain_grid: tuple[tuple[float, float], ...] = ()
-    force_script: tuple[tuple[float, float, float, float], ...] = ((0.0, 0.0, 0.0, 0.0),)
-    yaw_script: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
-    bound: tuple[float, float, float] | None = None  # (lipschitz, delta, e0)
+    loop.duration is not read: a run lasts the scenario's duration.
+    """
 
-    def controller(self, kp: float | None = None, kd: float | None = None) -> SyncController:
-        return SyncController(
-            kp=self.kp if kp is None else kp,
-            kd=self.kd if kd is None else kd,
-            eps_pos=self.eps_pos,
-            eps_vel=self.eps_vel,
-            gain_grid=self.gain_grid,
-            t_ref=self.t_ref,
-            cap_factor=self.cap_factor,
-            response_mass=self.response_mass,
-            heading_gain=self.heading_gain,
-            f_corr_max=self.f_corr_max,
-            accuracy_weight=self.accuracy_weight,
-            energy_weight=self.energy_weight,
-        )
-
-    def loop_config(self, duration: float, adaptive: bool | None = None) -> SyncLoopConfig:
-        return SyncLoopConfig(
-            duration=duration,
-            tick=self.tick,
-            update_period=1.0 / self.update_rate,
-            adaptive_gains=self.adaptive_gains if adaptive is None else adaptive,
-            gain_window=self.gain_window,
-        )
-
-    def bound_model(self) -> SyncBoundModel | None:
-        if self.bound is None:
-            return None
-        k, delta, e0 = self.bound
-        return SyncBoundModel(lipschitz=k, delta_bound=delta, e0=e0)
-
-    def scripts(self) -> tuple[VectorScript, PiecewiseConstant]:
-        return VectorScript(self.force_script), PiecewiseConstant(self.yaw_script)
+    params: PhysicalParams
+    controller: SyncController
+    loop: SyncLoopConfig
+    bound: SyncBoundModel | None
+    force_script: tuple[tuple[float, float, float, float], ...]
+    yaw_script: tuple[tuple[float, float], ...]
+    terrain: str
 
 
 @dataclass(frozen=True)
@@ -346,22 +351,14 @@ class Scenario:
 
 
 def _parse_profile(ctx: _Ctx, raw, path: str, lo=None, hi=None) -> PiecewiseConstant:
-    if raw is None:
-        return PiecewiseConstant(0.0)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        points = [(0.0, float(raw))]
-    elif isinstance(raw, list):
-        points = []
-        for i, row in enumerate(raw):
-            if not (isinstance(row, list) and len(row) == 2):
-                ctx.fail(f"{path}[{i}]", "expected [time, value] pair")
-                continue
-            points.append((float(row[0]), float(row[1])))
-        if not points:
-            points = [(0.0, 0.0)]
+    if isinstance(raw, list):
+        points = _rows(ctx, raw, path, 2, "[time, value]") or [(0.0, 0.0)]
     else:
-        ctx.fail(path, "expected a number or a list of [time, value] pairs")
-        points = [(0.0, 0.0)]
+        value = 0.0 if raw is None else _finite(raw)
+        if value is None:
+            ctx.fail(path, "expected a number or a list of [time, value] pairs")
+            value = 0.0
+        points = [(0.0, value)]
     for t, v in points:
         if lo is not None and v < lo or hi is not None and v > hi:
             ctx.fail(path, f"value {v} at t={t} outside [{lo}, {hi}]")
@@ -370,18 +367,12 @@ def _parse_profile(ctx: _Ctx, raw, path: str, lo=None, hi=None) -> PiecewiseCons
 
 def _parse_network(ctx: _Ctx, data: dict) -> NetworkConditions:
     net = ctx.get(data, "", "network", dict, default={}) or {}
-    latency = _parse_profile(ctx, net.get("latency", 0.0), "network.latency", lo=0.0)
-    loss = _parse_profile(ctx, net.get("loss", 0.0), "network.loss", lo=0.0, hi=1.0)
-    bandwidth = net.get("bandwidth")
-    if bandwidth is not None:
-        b = ctx.number(net, "network", "bandwidth", positive=True)
-        bandwidth = b
-    windows = []
-    for i, row in enumerate(net.get("disconnects", []) or []):
-        if not (isinstance(row, list) and len(row) == 2 and row[0] < row[1]):
-            ctx.fail(f"network.disconnects[{i}]", "expected [start, end) with start < end")
-            continue
-        windows.append((float(row[0]), float(row[1])))
+    latency = _parse_profile(ctx, net.get("latency"), "network.latency", lo=0.0)
+    loss = _parse_profile(ctx, net.get("loss"), "network.loss", lo=0.0, hi=1.0)
+    bandwidth = None
+    if net.get("bandwidth") is not None:
+        bandwidth = ctx.number(net, "network", "bandwidth", positive=True)
+    windows = _rows(ctx, net.get("disconnects"), "network.disconnects", 2, "[start, end)")
     try:
         return NetworkConditions(latency, loss, bandwidth, tuple(windows))
     except ValueError as exc:
@@ -403,31 +394,31 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfi
     disc_raw = ctx.get(br, "bridge", "discovery", dict, default={}) or {}
     discovery = DiscoveryConfig(
         enabled=bool(disc_raw.get("enabled", False)),
-        period=ctx.number(disc_raw, "bridge.discovery", "period", default=0.5, positive=True) or 0.5,
-        allow=tuple(disc_raw.get("allow", []) or []),
-        deny=tuple(disc_raw.get("deny", []) or []),
+        period=ctx.number(disc_raw, "bridge.discovery", "period", default=0.5, positive=True),
+        allow=_strings(ctx, disc_raw.get("allow"), "bridge.discovery.allow"),
+        deny=_strings(ctx, disc_raw.get("deny"), "bridge.discovery.deny"),
     )
     shares = br.get("shares")
     if shares is not None:
-        shares = tuple(float(s) for s in shares)
+        shares = _vector(ctx, shares, "bridge.shares", 3, "[critical, standard, bulk] fractions")
     try:
         endpoint = EndpointConfig(
             prioritized=True,
-            tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True) or 0.01,
-            budget_per_tick=br.get("budget_per_tick"),
-            batch_size=int(ctx.number(br, "bridge", "batch", default=4, minimum=1) or 4),
-            redundancy=int(ctx.number(br, "bridge", "redundancy", default=0, minimum=0) or 0),
+            tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
+            budget_per_tick=ctx.number(br, "bridge", "budget_per_tick", positive=True),
+            batch_size=int(ctx.number(br, "bridge", "batch", default=4, minimum=1)),
+            redundancy=int(ctx.number(br, "bridge", "redundancy", default=0, minimum=0)),
             shares=shares,
-            replay_capacity=int(ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1) or 256),
-            sub_capacity=int(ctx.number(br, "bridge", "sub_capacity", default=4096, minimum=1) or 4096),
-            heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True) or 0.25,
-            replay_retry=ctx.number(br, "bridge", "replay_retry", default=0.3, positive=True) or 0.3,
-            replay_attempts=int(ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0) or 12),
+            replay_capacity=int(ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1)),
+            sub_capacity=int(ctx.number(br, "bridge", "sub_capacity", default=4096, minimum=1)),
+            heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
+            replay_retry=ctx.number(br, "bridge", "replay_retry", default=0.3, positive=True),
+            replay_attempts=int(ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0)),
         )
     except ValueError as exc:
         ctx.fail("bridge", str(exc))
         endpoint = EndpointConfig()
-    drain = ctx.number(br, "bridge", "drain", default=0.0, minimum=0.0) or 0.0
+    drain = ctx.number(br, "bridge", "drain", default=0.0, minimum=0.0)
     return endpoint, discovery, drain
 
 
@@ -435,7 +426,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
     ag = ctx.get(data, "", "agents", dict, default=None)
     if ag is None:
         return 0, ()
-    count = int(ctx.number(ag, "agents", "count", required=True, minimum=0) or 0)
+    count = int(ctx.number(ag, "agents", "count", required=True, default=0, minimum=0))
     templates = []
     topics = ctx.get(ag, "agents", "topics", list, required=True, default=[]) or []
     for i, raw in enumerate(topics):
@@ -459,87 +450,87 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
             {
                 "name": name,
                 "kind": KIND_NAMES[kind_name],
-                "rate": float(rate),
+                "rate": rate,
                 "size": int(size),
-                "start": ctx.number(raw, path, "start", default=0.0, minimum=0.0) or 0.0,
+                "start": ctx.number(raw, path, "start", default=0.0, minimum=0.0),
             }
         )
     return count, tuple(templates)
+
+
+# numeric sync keys, each named after the field of PhysicalParams, SyncController or
+# SyncLoopConfig that it sets; the first group must be positive, the second >= 0
+_SYNC_POSITIVE = (
+    "mass", "diameter", "eps_pos", "eps_vel", "t_ref", "cap_factor", "response_mass", "f_corr_max",
+    "tick", "gain_window",
+)
+_SYNC_NON_NEGATIVE = ("drag", "kp", "kd", "heading_gain", "accuracy_weight", "energy_weight")
 
 
 def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     sy = ctx.get(data, "", "sync", dict, default=None)
     if sy is None:
         return None
-    friction = sy.get("friction", {"default": 0.0}) or {"default": 0.0}
-    if isinstance(friction, (int, float)):
-        friction = {"default": float(friction)}
-    grid_raw = sy.get("gain_grid", []) or []
-    grid = tuple((float(kp), float(kd)) for kp, kd in grid_raw)
-    force_raw = sy.get("force_script", [[0.0, 0.0, 0.0, 0.0]]) or [[0.0, 0.0, 0.0, 0.0]]
-    force = []
-    for i, row in enumerate(force_raw):
-        if not (isinstance(row, list) and len(row) == 4):
-            ctx.fail(f"sync.force_script[{i}]", "expected [t, fx, fy, fz]")
-            continue
-        force.append(tuple(float(x) for x in row))
-    yaw_raw = sy.get("yaw_script", [[0.0, 0.0]]) or [[0.0, 0.0]]
-    yaw = []
-    for i, row in enumerate(yaw_raw):
-        if not (isinstance(row, list) and len(row) == 2):
-            ctx.fail(f"sync.yaw_script[{i}]", "expected [t, yaw_rate]")
-            continue
-        yaw.append((float(row[0]), float(row[1])))
-    bound = None
-    if "bound" in sy and sy["bound"] is not None:
-        b = sy["bound"]
-        k = ctx.number(b, "sync.bound", "lipschitz", required=True, positive=True)
-        delta = ctx.number(b, "sync.bound", "delta", required=True, minimum=0.0)
-        e0 = ctx.number(b, "sync.bound", "e0", default=0.0, minimum=0.0)
-        if k is not None and delta is not None:
-            bound = (k, delta, e0 or 0.0)
-    update_rate = ctx.number(sy, "sync", "update_rate", default=10.0, positive=True) or 10.0
-    return SyncSpec(
-        mass=ctx.number(sy, "sync", "mass", default=10.0, positive=True) or 10.0,
-        diameter=ctx.number(sy, "sync", "diameter", default=0.5, positive=True) or 0.5,
-        drag=ctx.number(sy, "sync", "drag", default=0.0, minimum=0.0) or 0.0,
-        friction={str(k): float(v) for k, v in friction.items()},
-        terrain=str(sy.get("terrain", "default")),
-        tick=ctx.number(sy, "sync", "tick", default=0.01, positive=True) or 0.01,
-        update_rate=update_rate,
-        kp=ctx.number(sy, "sync", "kp", default=40.0, minimum=0.0) or 0.0,
-        kd=ctx.number(sy, "sync", "kd", default=30.0, minimum=0.0) or 0.0,
-        eps_pos=ctx.number(sy, "sync", "eps_pos", default=0.05, positive=True) or 0.05,
-        eps_vel=ctx.number(sy, "sync", "eps_vel", default=0.1, positive=True) or 0.1,
-        t_ref=ctx.number(sy, "sync", "t_ref", default=10.0, positive=True) or 10.0,
-        cap_factor=ctx.number(sy, "sync", "cap_factor", default=4.0, positive=True) or 4.0,
-        response_mass=ctx.number(sy, "sync", "response_mass", default=10.0, positive=True) or 10.0,
-        heading_gain=ctx.number(sy, "sync", "heading_gain", default=1.0, minimum=0.0) or 0.0,
-        f_corr_max=ctx.number(sy, "sync", "f_corr_max", default=math.inf, positive=True) or math.inf,
-        accuracy_weight=ctx.number(sy, "sync", "accuracy_weight", default=0.8, minimum=0.0) or 0.0,
-        energy_weight=ctx.number(sy, "sync", "energy_weight", default=0.2, minimum=0.0) or 0.0,
-        adaptive_gains=bool(sy.get("adaptive_gains", False)),
-        gain_window=ctx.number(sy, "sync", "gain_window", default=2.0, positive=True) or 2.0,
-        gain_grid=grid,
-        force_script=tuple(force) or ((0.0, 0.0, 0.0, 0.0),),
-        yaw_script=tuple(yaw) or ((0.0, 0.0),),
-        bound=bound,
+    numbers = {}
+    for key in _SYNC_POSITIVE + _SYNC_NON_NEGATIVE:
+        value = ctx.number(sy, "sync", key, minimum=0.0, positive=key in _SYNC_POSITIVE)
+        if value is not None:
+            numbers[key] = value
+    params, controller, loop = (
+        {key: value for key, value in numbers.items() if key in {f.name for f in fields(config)}}
+        for config in (PhysicalParams, SyncController, SyncLoopConfig)
     )
+    friction = sy.get("friction")
+    if friction is not None:
+        by_terrain = friction if isinstance(friction, dict) else {"default": friction}
+        coefficients = {str(terrain): _finite(mu) for terrain, mu in by_terrain.items()}
+        if None in coefficients.values():
+            ctx.fail("sync.friction", "expected a coefficient or a mapping of terrain to coefficient")
+        else:
+            params["friction"] = coefficients
+    controller["gain_grid"] = tuple(_rows(ctx, sy.get("gain_grid"), "sync.gain_grid", 2, "[kp, kd]"))
+    update_rate = ctx.number(sy, "sync", "update_rate", positive=True)
+    if update_rate is not None:
+        loop["update_period"] = 1.0 / update_rate
+    if "adaptive_gains" in sy:
+        loop["adaptive_gains"] = bool(sy["adaptive_gains"])
+    force = _rows(ctx, sy.get("force_script"), "sync.force_script", 4, "[t, fx, fy, fz]")
+    yaw = _rows(ctx, sy.get("yaw_script"), "sync.yaw_script", 2, "[t, yaw_rate]")
+    bound_raw = ctx.get(sy, "sync", "bound", dict) if sy.get("bound") is not None else None
+    try:
+        bound = None
+        if bound_raw is not None:
+            k = ctx.number(bound_raw, "sync.bound", "lipschitz", required=True, positive=True)
+            delta = ctx.number(bound_raw, "sync.bound", "delta", required=True, minimum=0.0)
+            e0 = ctx.number(bound_raw, "sync.bound", "e0", minimum=0.0)
+            if k is not None and delta is not None:
+                bound = SyncBoundModel(k, delta) if e0 is None else SyncBoundModel(k, delta, e0)
+        return SyncSpec(
+            params=PhysicalParams(**params),
+            controller=SyncController(**controller),
+            loop=SyncLoopConfig(**loop),
+            bound=bound,
+            force_script=tuple(force) or ((0.0, 0.0, 0.0, 0.0),),
+            yaw_script=tuple(yaw) or ((0.0, 0.0),),
+            terrain=str(sy.get("terrain", "default")),
+        )
+    except ValueError as exc:
+        ctx.fail("sync", str(exc))
+        return None
 
 
 def _parse_mmcf(ctx: _Ctx, data: dict) -> MmcfSpec | None:
     mm = ctx.get(data, "", "mmcf", dict, default=None)
     if mm is None:
         return None
+    weights = MmcfWeights(0.25, 0.25, 0.25, 0.25)
     weights_raw = ctx.get(mm, "mmcf", "weights", list, required=True, default=[0.25, 0.25, 0.25, 0.25])
-    if len(weights_raw) != 4:
-        ctx.fail("mmcf.weights", f"expected 4 weights, got {len(weights_raw)}")
-        weights_raw = [0.25, 0.25, 0.25, 0.25]
-    try:
-        weights = MmcfWeights(*(float(w) for w in weights_raw))
-    except ValueError as exc:
-        ctx.fail("mmcf.weights", str(exc))
-        weights = MmcfWeights(0.25, 0.25, 0.25, 0.25)
+    values = _vector(ctx, weights_raw, "mmcf.weights", 4, "4 weights")
+    if values is not None:
+        try:
+            weights = MmcfWeights(*values)
+        except ValueError as exc:
+            ctx.fail("mmcf.weights", str(exc))
     space_raw = ctx.get(mm, "mmcf", "space", dict, default={}) or {}
     known = {"redundancy", "shares", "replay_capacity", "discovery_period", "batch"}
     space: dict[str, tuple] = {}
@@ -551,36 +542,37 @@ def _parse_mmcf(ctx: _Ctx, data: dict) -> MmcfSpec | None:
             ctx.fail(f"mmcf.space.{key}", "expected a non-empty list of values")
             continue
         space[key] = tuple(tuple(v) if isinstance(v, list) else v for v in values)
-    probes = int(ctx.number(mm, "mmcf", "probes", default=6, minimum=2) or 6)
-    return MmcfSpec(weights=weights, space=space, probes=probes)
+    probes = int(ctx.number(mm, "mmcf", "probes", default=6, minimum=2))
+    spec = MmcfSpec(weights=weights, space=space, probes=probes)
+    try:
+        spec.configs()  # each value converts, and each configuration is in range
+    except (ValueError, TypeError, OverflowError) as exc:
+        ctx.fail("mmcf.space", str(exc))
+    return spec
 
 
 def _parse_geo(ctx: _Ctx, data: dict) -> GeoSpec | None:
     ge = ctx.get(data, "", "geo", dict, default=None)
     if ge is None:
         return None
+    ref = GeoPoint(0.0, 0.0, 0.0)
     ref_raw = ctx.get(ge, "geo", "reference", list, required=True, default=[0.0, 0.0, 0.0])
-    if len(ref_raw) != 3:
-        ctx.fail("geo.reference", "expected [lat_deg, lon_deg, alt_m]")
-        ref_raw = [0.0, 0.0, 0.0]
-    try:
-        ref = GeoPoint.from_degrees(float(ref_raw[0]), float(ref_raw[1]), float(ref_raw[2]))
-    except ValueError as exc:
-        ctx.fail("geo.reference", str(exc))
-        ref = GeoPoint(0.0, 0.0, 0.0)
-    waypoints = []
-    for i, row in enumerate(ge.get("waypoints", []) or []):
-        if not (isinstance(row, list) and len(row) == 3):
-            ctx.fail(f"geo.waypoints[{i}]", "expected [lat_deg, lon_deg, alt_m]")
-            continue
+    values = _vector(ctx, ref_raw, "geo.reference", 3, "[lat_deg, lon_deg, alt_m]")
+    if values is not None:
         try:
-            waypoints.append(GeoPoint.from_degrees(float(row[0]), float(row[1]), float(row[2])))
+            ref = GeoPoint.from_degrees(*values)
         except ValueError as exc:
-            ctx.fail(f"geo.waypoints[{i}]", str(exc))
+            ctx.fail("geo.reference", str(exc))
+    waypoints = []
+    for row in _rows(ctx, ge.get("waypoints"), "geo.waypoints", 3, "[lat_deg, lon_deg, alt_m]"):
+        try:
+            waypoints.append(GeoPoint.from_degrees(*row))
+        except ValueError as exc:
+            ctx.fail("geo.waypoints", f"{list(row)}: {exc}")
     return GeoSpec(
         reference=ref,
-        scale=ctx.number(ge, "geo", "scale", default=1.0, positive=True) or 1.0,
-        extent=ctx.number(ge, "geo", "extent", default=0.0, minimum=0.0) or 0.0,
+        scale=ctx.number(ge, "geo", "scale", default=1.0, positive=True),
+        extent=ctx.number(ge, "geo", "extent", default=0.0, minimum=0.0),
         waypoints=tuple(waypoints),
     )
 
@@ -602,7 +594,7 @@ def load_scenario(path: str | Path) -> Scenario:
     mmcf_spec = _parse_mmcf(ctx, data)
     geo_spec = _parse_geo(ctx, data)
 
-    if duration is not None and drain >= duration:
+    if drain >= duration:
         ctx.fail("bridge.drain", f"drain {drain} must be below duration {duration}")
 
     if ctx.problems:

@@ -81,7 +81,7 @@ class PhysicalParams:
     fallback. drag is a linear coefficient in N*s/m.
     """
 
-    mass: float
+    mass: float = 10.0
     diameter: float = 0.5
     friction: Mapping[str, float] = field(default_factory=lambda: {"default": 0.0})
     drag: float = 0.0
@@ -133,7 +133,7 @@ def predict_step(
     return TwinState(p_next, v_next, a, state.heading, state.t + dt)
 
 
-def sync_errors(phys: TwinState, pred: TwinState) -> tuple[Vec3, Vec3, float]:
+def sync_errors(phys: TwinState | StateUpdate, pred: TwinState) -> tuple[Vec3, Vec3, float]:
     """(position error, velocity error, wrapped heading error in (-pi, pi])."""
     e_pos = phys.p - pred.p
     e_vel = phys.v - pred.v
@@ -141,7 +141,7 @@ def sync_errors(phys: TwinState, pred: TwinState) -> tuple[Vec3, Vec3, float]:
     return e_pos, e_vel, e_rot
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyncController:
     """PD gains, base gate thresholds, and the candidate gain grid.
 
@@ -156,7 +156,7 @@ class SyncController:
     gain_grid: tuple[tuple[float, float], ...] = ()
     t_ref: float = 10.0
     cap_factor: float = 4.0
-    response_mass: float = 1.0
+    response_mass: float = 10.0
     accuracy_weight: float = 0.8
     energy_weight: float = 0.2
     heading_gain: float = 1.0
@@ -166,7 +166,7 @@ class SyncController:
     gate_hysteresis: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.kp < 0 or self.kd < 0:
+        if self.kp < 0 or self.kd < 0 or any(g < 0 for pair in self.gain_grid for g in pair):
             raise ValueError("gains must be >= 0")
         if self.eps_pos <= 0 or self.eps_vel <= 0:
             raise ValueError("thresholds must be positive")
@@ -305,7 +305,6 @@ class SyncBoundModel:
     lipschitz: float
     delta_bound: float
     e0: float = 0.0
-    epsilon: float = math.inf
     delta_profile: PiecewiseConstant | None = None
 
     def __post_init__(self) -> None:
@@ -343,8 +342,6 @@ def gronwall_bound(model: SyncBoundModel, t: float) -> float:
 # --- state updates on the wire -------------------------------------------------
 
 _UPDATE = struct.Struct("<12dQ")  # t, p3, v3, heading, f3, yaw_rate, seq
-
-STATE_UPDATE_BYTES = _UPDATE.size
 
 
 @dataclass(frozen=True)
@@ -406,6 +403,16 @@ class VectorScript:
         return self._values[max(idx, 0)].copy()
 
 
+def _advance(
+    body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, dt: float, t_end: float | None
+) -> TwinState:
+    """body's state one interval on, under force and yaw_rate; t_end pins the timestamp
+    to the caller's tick grid so script breakpoints stay aligned across agent and twin."""
+    new = predict_step(body.state, force, body.params, body.terrain, dt)
+    heading = wrap_angle(new.heading + yaw_rate * dt)
+    return replace(new, heading=heading, t=t_end if t_end is not None else new.t)
+
+
 class PhysicalAgent:
     """Ground-truth agent integrating its scripted force and yaw-rate profile."""
 
@@ -425,14 +432,8 @@ class PhysicalAgent:
         self._seq = 0
 
     def step(self, dt: float, t_end: float | None = None) -> None:
-        """Integrate one interval; t_end pins the timestamp to the caller's
-        tick grid so script breakpoints stay aligned across agent and twin."""
         t = self.state.t
-        force = self.force_script.value_at(t)
-        yaw_rate = self.yaw_script.value_at(t)
-        new = predict_step(self.state, force, self.params, self.terrain, dt)
-        heading = wrap_angle(new.heading + yaw_rate * dt)
-        self.state = replace(new, heading=heading, t=t_end if t_end is not None else new.t)
+        self.state = _advance(self, self.force_script.value_at(t), self.yaw_script.value_at(t), dt, t_end)
 
     def sample(self) -> StateUpdate:
         t = self.state.t
@@ -470,10 +471,7 @@ class VirtualTwin:
         self._history.append(self.state)
 
     def step(self, dt: float, t_end: float | None = None) -> None:
-        force = self.known_force + self.correction
-        new = predict_step(self.state, force, self.params, self.terrain, dt)
-        heading = wrap_angle(new.heading + self.known_yaw_rate * dt)
-        self.state = replace(new, heading=heading, t=t_end if t_end is not None else new.t)
+        self.state = _advance(self, self.known_force + self.correction, self.known_yaw_rate, dt, t_end)
         self._history.append(self.state)
 
     def state_at(self, t: float) -> TwinState:
@@ -497,15 +495,12 @@ class SyncReport:
     kp: list[float] = field(default_factory=list)
     kd: list[float] = field(default_factory=list)
     corrected: list[int] = field(default_factory=list)
-    eps_pos: list[float] = field(default_factory=list)
-    eps_vel: list[float] = field(default_factory=list)
-    update_errors: list[tuple[float, float, float]] = field(default_factory=list)
+    eps_pos: list[float] = field(default_factory=list)  # adaptive gate threshold per sample
     bound_violations: int = 0
     max_input_mismatch: float = 0.0
     updates_sent: int = 0
     updates_received: int = 0
     corrections_applied: int = 0
-    correction_energy: float = 0.0
 
     def integrated_error(self, t_from: float = 0.0, t_to: float = math.inf) -> float:
         total = 0.0
@@ -524,8 +519,6 @@ class SyncReport:
     def rows(self) -> list[tuple]:
         return list(zip(self.t, self.e_pos, self.e_rot, self.bound, self.kp, self.kd, self.corrected))
 
-    HEADER = ("t", "e_pos", "e_rot", "bound", "kp", "kd", "corrected")
-
 
 @dataclass(frozen=True)
 class SyncLoopConfig:
@@ -536,11 +529,13 @@ class SyncLoopConfig:
     update_period: float = 0.1
     adaptive_gains: bool = False
     gain_window: float = 2.0
-    loss_window: float = 5.0
-    drop_stale_updates: bool = True
-    # corrections expire this many update periods after the arrival that set
-    # them; during longer gaps the twin reverts to pure dead reckoning
-    correction_hold_periods: float = 2.0
+
+
+# arrivals within this many seconds feed the loss estimate behind the adaptive thresholds
+LOSS_WINDOW = 5.0
+# corrections expire this many update periods after the arrival that set
+# them; during longer gaps the twin reverts to pure dead reckoning
+CORRECTION_HOLD_PERIODS = 2.0
 
 
 def run_sync_loop(
@@ -558,7 +553,8 @@ def run_sync_loop(
     last known force plus any held correction, due updates cross the link,
     and arrivals gate PD corrections through the adaptive thresholds. The
     report records the true instantaneous error every tick alongside the
-    analytic envelope and flags any sample exceeding it.
+    analytic envelope and flags any sample exceeding it. Gain switches rebind
+    a local controller; the caller's ctrl is left as passed.
     """
     report = SyncReport()
     ticks = int(round(config.duration / config.tick))
@@ -575,7 +571,7 @@ def run_sync_loop(
 
     link.on_deliver = on_deliver
 
-    gain_samples: deque[GainSample] = deque()
+    gain_samples: deque[GainSample] = deque(maxlen=max(1, int(config.gain_window / config.update_period)))
     recent_updates: deque[float] = deque()  # arrival times for loss estimation
     last_arrival = 0.0
     last_reschedule = 0.0
@@ -589,8 +585,7 @@ def run_sync_loop(
         if bound_model and e_pos_true > b + 1e-12:
             report.bound_violations += 1
         live_gap = max(0.0, now - last_arrival - config.update_period)
-        loss_now = _estimate_loss(recent_updates, now, config) if now > 0 else 0.0
-        eps_p, eps_v = adaptive_thresholds(ctrl, loss_now, live_gap)
+        loss_now = _estimate_loss(recent_updates, now, config.update_period) if now > 0 else 0.0
         report.t.append(now)
         report.e_pos.append(e_pos_true)
         report.e_rot.append(e_rot_true)
@@ -598,8 +593,7 @@ def run_sync_loop(
         report.kp.append(ctrl.kp)
         report.kd.append(ctrl.kd)
         report.corrected.append(1 if np.any(twin.correction != 0.0) else 0)
-        report.eps_pos.append(eps_p)
-        report.eps_vel.append(eps_v)
+        report.eps_pos.append(adaptive_thresholds(ctrl, loss_now, live_gap)[0])
 
     correction_expires = -math.inf
 
@@ -622,27 +616,19 @@ def run_sync_loop(
         while arrivals:
             update = arrivals.popleft()
             report.updates_received += 1
-            if config.drop_stale_updates and update.t <= latest_update_t:
+            if update.t <= latest_update_t:
                 continue
             latest_update_t = update.t
             recent_updates.append(now)
             gap = now - last_arrival if report.updates_received > 1 else 0.0
             last_arrival = now
 
-            twin_then = twin.state_at(update.t)
-            e_pos = update.p - twin_then.p
-            e_vel = update.v - twin_then.v
-            e_rot = wrap_angle(update.heading - twin_then.heading)
-            report.update_errors.append(
-                (now, float(np.linalg.norm(e_pos)), float(np.linalg.norm(e_vel)))
-            )
+            e_pos, e_vel, e_rot = sync_errors(update, twin.state_at(update.t))
             # the sample horizon is the staleness of the information the
             # correction will act on; long horizons penalize stiff gains in
             # the rollout evaluation
             staleness = max(config.update_period, now - update.t)
-            gain_samples.append((staleness, e_pos.copy(), e_vel.copy()))
-            while gain_samples and len(gain_samples) > max(1, int(config.gain_window / config.update_period)):
-                gain_samples.popleft()
+            gain_samples.append((staleness, e_pos, e_vel))
 
             # escalation: a grossly out-of-band error reschedules immediately
             # so the transient is handled with freshly chosen gains
@@ -651,10 +637,11 @@ def run_sync_loop(
                 and ctrl.gain_grid
                 and float(np.linalg.norm(e_pos)) > ctrl.cap_factor * ctrl.eps_pos
             ):
-                ctrl.kp, ctrl.kd = schedule_gains(ctrl, list(gain_samples))
+                kp, kd = schedule_gains(ctrl, list(gain_samples))
+                ctrl = replace(ctrl, kp=kp, kd=kd)
                 last_reschedule = now
 
-            loss_rate = _estimate_loss(recent_updates, now, config)
+            loss_rate = _estimate_loss(recent_updates, now, config.update_period)
             disconnect = max(0.0, gap - config.update_period)
             thresholds = adaptive_thresholds(ctrl, loss_rate, disconnect)
             if correcting:
@@ -665,17 +652,17 @@ def run_sync_loop(
             f_corr = pd_correct(e_pos, e_vel, ctrl, thresholds)
             correcting = bool(np.any(f_corr != 0.0))
             twin.correction = f_corr
-            correction_expires = now + config.correction_hold_periods * config.update_period
-            if np.any(f_corr != 0.0):
+            correction_expires = now + CORRECTION_HOLD_PERIODS * config.update_period
+            if correcting:
                 report.corrections_applied += 1
-                report.correction_energy += float(np.linalg.norm(f_corr)) * config.update_period
             twin.nudge_heading(ctrl.heading_gain * e_rot)
             twin.known_force = update.force
             twin.known_yaw_rate = update.yaw_rate
 
         if config.adaptive_gains and ctrl.gain_grid and now - last_reschedule >= config.gain_window:
             if gain_samples:
-                ctrl.kp, ctrl.kd = schedule_gains(ctrl, list(gain_samples))
+                kp, kd = schedule_gains(ctrl, list(gain_samples))
+                ctrl = replace(ctrl, kp=kp, kd=kd)
             last_reschedule = now
 
         if bound_model is not None:
@@ -691,10 +678,10 @@ def run_sync_loop(
     return report
 
 
-def _estimate_loss(recent: deque[float], now: float, config: SyncLoopConfig) -> float:
-    while recent and recent[0] < now - config.loss_window:
+def _estimate_loss(recent: deque[float], now: float, update_period: float) -> float:
+    while recent and recent[0] < now - LOSS_WINDOW:
         recent.popleft()
-    expected = config.loss_window / config.update_period
-    if now < config.loss_window:
-        expected = max(1.0, now / config.update_period)
+    expected = LOSS_WINDOW / update_period
+    if now < LOSS_WINDOW:
+        expected = max(1.0, now / update_period)
     return min(1.0, max(0.0, 1.0 - len(recent) / expected))

@@ -85,7 +85,7 @@ def test_criterion_2_gronwall_bound(sync_default, disconnect_comparison):
         report = run_sync_section(scenario, scenario.seed)
         assert report.bound_violations == 0, f"{name}: {report.bound_violations} violations"
         assert scenario.sync.bound is not None
-        assert report.max_input_mismatch <= scenario.sync.bound[1], name
+        assert report.max_input_mismatch <= scenario.sync.bound.delta_bound, name
         checked.append(name)
     adaptive_report, _ = disconnect_comparison
     assert adaptive_report.bound_violations == 0

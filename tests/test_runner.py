@@ -259,6 +259,33 @@ class TestCli:
         assert lines and all(line.startswith("error: ") for line in lines)
         assert any("rate (line " in line and "must be positive" in line for line in lines)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "duration: 5.0\nsync:\n  gain_grid: [[1.0, 2.0, 3.0]]\n",
+            "duration: 5.0\nsync:\n  force_script: [[0.0, x, 0.0, 0.0]]\n",
+            "duration: 5.0\nsync:\n  friction: [1, 2]\n",
+            "duration: 5.0\nsync:\n  friction: {default: -0.5}\n",
+            "duration: 5.0\nsync:\n  bound: 5\n",
+            "duration: 5.0\nnetwork:\n  latency: [[0.0, abc]]\n",
+            "duration: 5.0\nnetwork:\n  disconnects: [[a, 1.0]]\n",
+            "duration: 5.0\nbridge:\n  shares: 0.5\n",
+            "duration: .inf\n",
+            "duration: 5.0\nsync:\n  mass: .nan\n",
+            "duration: 5.0\nnote: !!bool maybe\n",
+            "duration: 5.0\nnote: \"\x01\"\n",  # a character YAML does not allow
+            "duration: 5.0\nnote: \udcff\n",  # a byte that is not UTF-8
+        ],
+    )
+    def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(("name: bad\nseed: 1\n" + body).encode("utf-8", "surrogateescape"))
+        result = CliRunner().invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert lines and all(line.startswith("error: ") and "(line " in line for line in lines)
+
     def test_mmcf_opt_requires_section(self, tmp_path):
         scenario = tmp_path / "plain.yaml"
         scenario.write_text("name: plain\nseed: 1\nduration: 1.0\n", encoding="utf-8")

@@ -1,12 +1,17 @@
 """Scenario file parsing, validation diagnostics, and shipped-file sanity."""
 
+import copy
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, TIER_STANDARD
 from twinbridge.msgbus import MessageKind
 from twinbridge.scenario import ScenarioParseError, load_scenario
+from twinbridge.twinsync import PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -70,10 +75,21 @@ geo:
         traffic = scenario.traffic_for()
         assert [t.topic for t in traffic] == ["/r1/pose", "/r2/pose"]
         assert traffic[0].kind == MessageKind.POSE
-        assert scenario.sync.mass == 5.0
-        assert scenario.sync.bound == (1.0, 0.5, 0.0)
+        assert scenario.sync.params.mass == 5.0
+        assert scenario.sync.bound == SyncBoundModel(1.0, 0.5, 0.0)
         assert len(scenario.mmcf.configs()) == 2
         assert scenario.geo.scale == 2.0
+
+    def test_empty_sync_section_takes_the_twinsync_defaults(self, tmp_path):
+        spec = load_scenario(write(tmp_path, MINIMAL + "sync: {}\n")).sync
+        assert spec.controller == SyncController()
+        assert spec.params == PhysicalParams(friction={"default": 0.0})
+        assert spec.loop == SyncLoopConfig()
+        assert spec.bound is None
+
+    def test_zero_is_kept_not_replaced_by_the_default(self, tmp_path):
+        scenario = load_scenario(write(tmp_path, MINIMAL + "bridge:\n  replay_attempts: 0\n"))
+        assert scenario.endpoint.replay_attempts == 0
 
     def test_traffic_for_overrides_count(self, tmp_path):
         text = MINIMAL + """\
@@ -161,3 +177,36 @@ class TestShippedScenarios:
         probes = scenario.mmcf.probe_configs()
         assert len(probes) == 6
         assert set(probes) <= set(scenario.mmcf.configs())
+
+
+def _leaf_paths(node, path=()):
+    """Key/index path of every scalar and empty container in a loaded YAML document."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+SHIPPED = {p.name: yaml.safe_load(p.read_text(encoding="utf-8")) for p in sorted(SCENARIOS.glob("*.yaml"))}
+LEAVES = [(name, path) for name, doc in SHIPPED.items() for path in _leaf_paths(doc)]
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+)
+
+
+@given(leaf=st.sampled_from(LEAVES), value=ANY_VALUE)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_single_leaf_replacement_loads_or_reports(tmp_path, leaf, value):
+    name, path = leaf
+    doc = copy.deepcopy(SHIPPED[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        load_scenario(write(tmp_path, yaml.safe_dump(doc, allow_unicode=True)))
+    except ScenarioParseError as exc:
+        assert exc.problems

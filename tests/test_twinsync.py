@@ -358,6 +358,18 @@ class TestRunSyncLoop:
         assert len(report.e_pos) == n == len(report.e_rot) == len(report.bound)
         assert len(report.kp) == n == len(report.kd) == len(report.corrected)
 
+    def test_gain_switches_leave_the_callers_controller_alone(self):
+        clock = SimClock()
+        link = NetLink(clock, NetworkConditions.ideal(), seed=1)
+        p = params(mass=10.0, drag=1.5)
+        agent = PhysicalAgent(p, VectorScript([(0.0, 2.0, 0.0, 0.0)]))
+        ctrl = SyncController(kp=40.0, kd=30.0, gain_grid=((12.0, 10.0), (110.0, 40.0)))
+        config = SyncLoopConfig(duration=3.0, adaptive_gains=True, gain_window=1.0)
+        report = run_sync_loop(agent, VirtualTwin(p), ctrl, link, clock, config)
+        assert (ctrl.kp, ctrl.kd) == (40.0, 30.0)
+        assert (report.kp[0], report.kd[0]) == (40.0, 30.0)
+        assert set(zip(report.kp, report.kd)) - {(40.0, 30.0)}
+
     def test_integrated_error_zero_on_perfect_channel(self):
         report = ideal_loop(duration=2.0)
         assert report.integrated_error() < 1e-9
