@@ -12,8 +12,8 @@ An endpoint runs three duties on the shared simulation clock:
 
 Critical-tier gaps trigger replay requests over the reverse link; requests
 are re-sent on a timer until the gap closes or the attempt budget runs out.
-Every frame sent is retained in a per-topic replay ring that evicts bulk
-first, then standard, and touches critical only when nothing else remains.
+Every frame sent is retained in a per-topic replay ring that keeps the last
+`replay_capacity` frames of each topic.
 
 A baseline mode (prioritization, replay, and discovery all off, every topic
 in the standard queue sent FIFO) stands in for a conventional unprioritized
@@ -37,7 +37,6 @@ from .envelope import (
     TIER_BULK,
     TIER_BY_NAME,
     TIER_CRITICAL,
-    TIER_NAMES,
     TIER_STANDARD,
     TIERS,
     BadTopic,
@@ -83,10 +82,12 @@ class PriorityPolicy:
 
     @staticmethod
     def from_dict(data: dict) -> "PriorityPolicy":
-        rules = tuple(
-            (rule["pattern"], _tier_code(rule["tier"])) for rule in data.get("rules", ())
-        )
-        return PriorityPolicy(rules, _tier_code(data.get("default", "standard")))
+        rules = []
+        for rule in data.get("rules", ()):
+            if not isinstance(rule, dict) or not isinstance(rule.get("pattern"), str):
+                raise ValueError(f"rule {rule!r:.60} must be a mapping with a string pattern")
+            rules.append((rule["pattern"], _tier_code(rule["tier"])))
+        return PriorityPolicy(tuple(rules), _tier_code(data.get("default", "standard")))
 
 
 def _tier_code(value) -> int:
@@ -112,11 +113,11 @@ def load_policy(path) -> PriorityPolicy:
 
 
 class ReplayBuffer:
-    """Per-topic ring of sent envelopes with tier-aware eviction.
+    """Per-topic ring of the last `capacity` envelopes sent.
 
-    When a topic's ring exceeds capacity the oldest bulk envelope goes first,
-    then the oldest standard; critical entries are evicted only when the ring
-    holds nothing else.
+    Each topic's envelopes must arrive with consecutive seqs, so a ring is
+    one unbroken window of seqs and a lookup is arithmetic on its ends.
+    `dropped` counts the envelopes pushed out of full rings.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -127,28 +128,28 @@ class ReplayBuffer:
         self._rings: dict[str, deque[Envelope]] = {}
 
     def insert(self, env: Envelope) -> None:
-        ring = self._rings.setdefault(env.topic, deque())
+        ring = self._rings.get(env.topic)
+        if ring is None:
+            ring = self._rings[env.topic] = deque(maxlen=self.capacity)
+        elif env.seq != ring[-1].seq + 1:
+            raise ValueError(f"{env.topic} seq {env.seq} does not follow {ring[-1].seq}")
+        if len(ring) == self.capacity:
+            self.dropped += 1
         ring.append(env)
-        if len(ring) > self.capacity:
-            self._evict(ring)
-
-    def _evict(self, ring: deque[Envelope]) -> None:
-        for tier in (TIER_BULK, TIER_STANDARD, TIER_CRITICAL):
-            for i, env in enumerate(ring):
-                if env.tier == tier:
-                    del ring[i]
-                    self.dropped += 1
-                    return
 
     def get_range(self, topic: str, from_seq: int, to_seq: int) -> list[Envelope]:
         ring = self._rings.get(topic)
         if not ring:
             return []
-        return [e for e in ring if from_seq <= e.seq <= to_seq]
+        # peers send u64 bounds: clip them to the window, never walk them
+        first = ring[0].seq
+        start = max(from_seq, first) - first
+        stop = min(to_seq, ring[-1].seq) - first + 1
+        return list(itertools.islice(ring, start, stop)) if start < stop else []
 
     def contains(self, topic: str, seq: int) -> bool:
         ring = self._rings.get(topic)
-        return any(e.seq == seq for e in ring) if ring else False
+        return bool(ring) and ring[0].seq <= seq <= ring[-1].seq
 
 
 # --- discovery ------------------------------------------------------------------
@@ -201,7 +202,8 @@ class TierScheduler:
 
     def __init__(self, shares: tuple[float, float, float] | None = None) -> None:
         if shares is not None:
-            if len(shares) != 3 or any(s < 0 for s in shares) or sum(shares) > 1.0 + 1e-9:
+            # written so that NaN fails each check
+            if len(shares) != 3 or not all(0 <= s for s in shares) or not sum(shares) <= 1.0 + 1e-9:
                 raise ValueError("shares must be 3 non-negative fractions summing to <= 1")
         self.shares = shares
         self._credit = {tier: 0.0 for tier in TIERS}
@@ -246,11 +248,6 @@ class TierScheduler:
 # --- bridge endpoint ---------------------------------------------------------------
 
 
-class EndpointState:
-    RUNNING = "running"
-    LINK_CLOSED = "link_closed"
-
-
 @dataclass(frozen=True)
 class EndpointConfig:
     """Tunable endpoint parameters; `prioritized=False` is the FIFO baseline."""
@@ -279,13 +276,11 @@ class EndpointConfig:
 
 @dataclass
 class _RxTopic:
+    # every seq below `expected` was delivered or given up; it never decreases
     expected: int = 0
     ahead: dict[int, Envelope] = field(default_factory=dict)
-    seen: set[int] = field(default_factory=set)
     gaps: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
-    duplicates: int = 0
-    late_drops: int = 0
-    skipped: int = 0
+    delivered: dict[int, float] = field(default_factory=dict)  # seq -> latency, in republish order
 
 
 @dataclass
@@ -293,13 +288,12 @@ class _TxTopic:
     tier: int
     kind: int
     sub: Subscription
-    next_seq: int = 0
+    next_seq: int = 0  # also the count of envelopes sent
     last_sent_at: float = 0.0
-    sent: int = 0
 
 
 class BridgeEndpoint:
-    """One side of a bridged link; also the handle reporting its state."""
+    """One side of a bridged link."""
 
     _ids = itertools.count()
 
@@ -320,7 +314,6 @@ class BridgeEndpoint:
         self.discovery = discovery
         self.clock = clock
         self.config = config
-        self.state = EndpointState.RUNNING
         self.origin_id = f"bridge-{next(self._ids)}"
 
         self.replay_buffer = ReplayBuffer(config.replay_capacity)
@@ -336,9 +329,6 @@ class BridgeEndpoint:
         self.decodes = 0
         self.link_sends = 0
         self.bytes_sent = 0
-        self.republished: dict[str, int] = {}
-        self.delivered_seqs: dict[str, set[int]] = {}
-        self.latencies: dict[str, list[float]] = {}
         self.decode_errors = 0
         self.replays_served = 0
         self.replays_requested = 0
@@ -366,8 +356,6 @@ class BridgeEndpoint:
     # --- discovery duty -------------------------------------------------------
 
     def _run_discovery(self) -> None:
-        if self.state != EndpointState.RUNNING:
-            return
         for topic, _kind in sorted(self.bus.list_topics()):
             if topic in self._tx or topic in self._publishers:
                 continue
@@ -393,11 +381,6 @@ class BridgeEndpoint:
     # --- egress duty ----------------------------------------------------------
 
     def _tick(self) -> None:
-        if self.state != EndpointState.RUNNING:
-            return
-        if self.tx_link.closed:
-            self.state = EndpointState.LINK_CLOSED
-            return
         now = self.clock.now
         self._drain_bus(now)
         if self.config.prioritized:
@@ -428,7 +411,6 @@ class BridgeEndpoint:
                     payload=msg.payload,
                 )
                 tx.next_seq += 1
-                tx.sent += 1
                 tx.last_sent_at = now
                 frame = encode_envelope(env)
                 self.encodes += 1
@@ -496,8 +478,6 @@ class BridgeEndpoint:
     # --- ingress duty -----------------------------------------------------------
 
     def _on_deliver(self, payload: bytes, at: float) -> None:
-        if self.state != EndpointState.RUNNING:
-            return
         try:
             frames = decode_stream(payload)
         except FrameError:
@@ -539,40 +519,25 @@ class BridgeEndpoint:
         if self.config.prioritized and env.tier == TIER_CRITICAL:
             self._handle_critical(rx, env, at)
         elif env.seq >= rx.expected:
-            self._republish(env, at)
+            self._republish(rx, env, at)
             rx.expected = env.seq + 1
-        else:
-            rx.late_drops += 1
 
     def _handle_critical(self, rx: _RxTopic, env: Envelope, at: float) -> None:
-        if env.seq < rx.expected or env.seq in rx.seen or env.seq in rx.ahead:
-            rx.duplicates += 1
-            return
+        if env.seq < rx.expected or env.seq in rx.ahead:
+            return  # delivered, given up or already held
         if env.seq == rx.expected:
-            self._republish(env, at)
-            rx.seen.add(env.seq)
+            self._republish(rx, env, at)
             rx.expected += 1
             self._flush_ahead(rx, at)
         else:
             rx.ahead[env.seq] = env
             self._note_gap(rx, env.topic, rx.expected, env.seq - 1, at)
-        self._trim_seen(rx)
 
     def _flush_ahead(self, rx: _RxTopic, at: float) -> None:
+        # a gap this closes is dropped by the next _retry_gap_requests
         while rx.expected in rx.ahead:
-            nxt = rx.ahead.pop(rx.expected)
-            self._republish(nxt, at)
-            rx.seen.add(nxt.seq)
+            self._republish(rx, rx.ahead.pop(rx.expected), at)
             rx.expected += 1
-        rx.gaps = {
-            (lo, hi): v for (lo, hi), v in rx.gaps.items() if hi >= rx.expected
-        }
-
-    def _trim_seen(self, rx: _RxTopic) -> None:
-        window = self.config.replay_capacity
-        if len(rx.seen) > 2 * window:
-            floor = rx.expected - window
-            rx.seen = {s for s in rx.seen if s >= floor}
 
     def _note_gap(self, rx: _RxTopic, topic: str, lo: int, hi: int, at: float) -> None:
         if hi < lo:
@@ -580,7 +545,6 @@ class BridgeEndpoint:
         for (glo, ghi) in rx.gaps:
             if glo <= lo and hi <= ghi:
                 return
-        rx.gaps[(lo, hi)] = (at, 0)  # retry bookkeeping starts immediately
         self._send_gap_request(topic, lo, hi, at)
         rx.gaps[(lo, hi)] = (at + self.config.replay_retry, 1)
 
@@ -603,22 +567,20 @@ class BridgeEndpoint:
                     updated[(lo, hi)] = (retry_at, attempts)
                     continue
                 if attempts >= self.config.replay_attempts:
-                    self._give_up_gap(rx, live_lo, hi, now)
+                    self._give_up_gap(rx, hi, now)
                     continue
                 self._send_gap_request(topic, live_lo, hi, now)
                 updated[(lo, hi)] = (now + self.config.replay_retry, attempts + 1)
             rx.gaps = updated
 
-    def _give_up_gap(self, rx: _RxTopic, lo: int, hi: int, now: float) -> None:
-        rx.skipped += hi - max(lo, rx.expected) + 1
+    def _give_up_gap(self, rx: _RxTopic, hi: int, now: float) -> None:
         rx.expected = max(rx.expected, hi + 1)
         self._flush_ahead(rx, now)
 
-    def _republish(self, env: Envelope, at: float) -> None:
+    def _republish(self, rx: _RxTopic, env: Envelope, at: float) -> None:
+        # callers advance `expected` past env.seq, so each seq lands here once
         self._publishers[env.topic].publish(env.payload, at, origin=self.origin_id)
-        self.republished[env.topic] = self.republished.get(env.topic, 0) + 1
-        self.delivered_seqs.setdefault(env.topic, set()).add(env.seq)
-        self.latencies.setdefault(env.topic, []).append(at - env.sim_time)
+        rx.delivered[env.seq] = at - env.sim_time
 
     # --- replay -------------------------------------------------------------------
 

@@ -66,8 +66,6 @@ class TopicResult:
     buffered: int = 0
     bytes_sent: int = 0
     latencies: list[float] = field(default_factory=list)
-    duplicates: int = 0
-    skipped: int = 0
 
 
 @dataclass
@@ -231,14 +229,11 @@ def _audit(
         res = results[t.topic]
         tx = tx_stats.get(t.topic)
         rx = rx_stats.get(t.topic)
-        sent = tx.sent if tx else 0
+        sent = tx.next_seq if tx else 0
         res.sent = sent
         res.bytes_sent = sent * t.size
-        res.latencies = sorted(remote.latencies.get(t.topic, []))
-        if rx:
-            res.duplicates = rx.duplicates
-            res.skipped = rx.skipped
-        delivered = remote.delivered_seqs.get(t.topic, set())
+        delivered = rx.delivered if rx else {}
+        res.latencies = sorted(delivered.values())
         buffered = 0
         dropped = 0
         for seq in range(sent):

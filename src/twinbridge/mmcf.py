@@ -43,16 +43,17 @@ class BridgeConfig:
     batch_size: int = 4
 
     def __post_init__(self) -> None:
+        # each range check is written so that NaN fails it
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
         if self.shares is not None:
-            if len(self.shares) != 3 or any(s < 0 for s in self.shares):
+            if len(self.shares) != 3 or not all(0 <= s for s in self.shares):
                 raise ValueError("shares must be 3 non-negative fractions")
-            if sum(self.shares) > 1.0 + 1e-9:
+            if not sum(self.shares) <= 1.0 + 1e-9:
                 raise ValueError("shares must sum to <= 1")
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
-        if self.discovery_period <= 0:
+        if not self.discovery_period > 0:
             raise ValueError("discovery_period must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -176,7 +176,6 @@ class NetLink:
         self.conditions = conditions
         self.name = name
         self.on_deliver = on_deliver
-        self.closed = False
         self._rng = random.Random(seed)
         self._free_at = 0.0
         self._in_flight: dict[int, bytes] = {}
@@ -187,8 +186,6 @@ class NetLink:
         t = self.clock.now
         draw = self._rng.random()
         size = len(payload)
-        if self.closed:
-            return self._drop(t, size, "closed")
         if self.conditions.in_disconnect(t):
             return self._drop(t, size, "disconnect")
         if draw < self.conditions.loss.value_at(t):
@@ -217,9 +214,6 @@ class NetLink:
     def _drop(self, t: float, size: int, reason: str) -> SendOutcome:
         self._trace.append(TraceEvent(Outcome.DROPPED, t, size, None, reason))
         return SendOutcome(Outcome.DROPPED, None, reason)
-
-    def close(self) -> None:
-        self.closed = True
 
     def in_flight(self) -> list[bytes]:
         """Payloads scheduled but not yet delivered (for end-of-run audits)."""

@@ -393,7 +393,7 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfi
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
     disc_raw = ctx.get(br, "bridge", "discovery", dict, default={}) or {}
     discovery = DiscoveryConfig(
-        enabled=bool(disc_raw.get("enabled", False)),
+        enabled=ctx.get(disc_raw, "bridge.discovery", "enabled", bool, default=False),
         period=ctx.number(disc_raw, "bridge.discovery", "period", default=0.5, positive=True),
         allow=_strings(ctx, disc_raw.get("allow"), "bridge.discovery.allow"),
         deny=_strings(ctx, disc_raw.get("deny"), "bridge.discovery.deny"),
@@ -492,8 +492,9 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     update_rate = ctx.number(sy, "sync", "update_rate", positive=True)
     if update_rate is not None:
         loop["update_period"] = 1.0 / update_rate
-    if "adaptive_gains" in sy:
-        loop["adaptive_gains"] = bool(sy["adaptive_gains"])
+    adaptive = ctx.get(sy, "sync", "adaptive_gains", bool)
+    if adaptive is not None:
+        loop["adaptive_gains"] = adaptive
     force = _rows(ctx, sy.get("force_script"), "sync.force_script", 4, "[t, fx, fy, fz]")
     yaw = _rows(ctx, sy.get("yaw_script"), "sync.yaw_script", 2, "[t, yaw_rate]")
     bound_raw = ctx.get(sy, "sync", "bound", dict) if sy.get("bound") is not None else None

@@ -123,13 +123,6 @@ class TestSend:
         clock.advance(0.1)
         assert got == [(b"hello", 0.25)]
 
-    def test_closed_link_drops(self):
-        clock = SimClock()
-        link = make_link(clock)
-        link.close()
-        out = link.send(b"x")
-        assert out.dropped and out.reason == "closed"
-
 
 class TestDeterminism:
     def run_once(self, seed=7):

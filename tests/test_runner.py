@@ -1,6 +1,9 @@
 """End-to-end runs: determinism, conservation, comparison, sweep, CLI."""
 
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,21 @@ class TestRun:
         run(sweep_scenario, out_dir=tmp_path / "b")
         for name in ("topics.csv", "tiers.csv", "summary.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
+    def test_artifacts_independent_of_hash_seed(self, tmp_path):
+        src = str(SCENARIOS.parent / "src")
+        for hash_seed in ("1", "2"):
+            subprocess.run(
+                [sys.executable, "-m", "twinbridge.cli", "run", str(SCENARIOS / "bridge_loss.yaml"),
+                 "--out-dir", str(tmp_path / hash_seed)],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+                capture_output=True, check=True,
+            )
+        names = sorted(path.name for path in (tmp_path / "1").glob("*.csv"))
+        assert names == sorted(path.name for path in (tmp_path / "2").glob("*.csv"))
+        assert "topics.csv" in names
+        for name in names:
+            assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
 
     def test_sync_csv_written(self, tmp_path):
         report = run(SCENARIOS / "sync_default.yaml", out_dir=tmp_path)
@@ -275,6 +293,11 @@ class TestCli:
             "duration: 5.0\nnote: !!bool maybe\n",
             "duration: 5.0\nnote: \"\x01\"\n",  # a character YAML does not allow
             "duration: 5.0\nnote: \udcff\n",  # a byte that is not UTF-8
+            "duration: 5.0\npolicy:\n  rules: [{pattern: 5, tier: critical}]\n",
+            "duration: 5.0\nbridge:\n  discovery: {enabled: \"false\"}\n",
+            "duration: 5.0\nsync:\n  adaptive_gains: \"false\"\n",
+            "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {shares: [[.nan, 0.3, 0.1]]}\n",
+            "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {discovery_period: [.nan]}\n",
         ],
     )
     def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):
