@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from .envelope import (
-    FLAG_REPLAY,
     TIER_BULK,
     TIER_BY_NAME,
     TIER_CRITICAL,

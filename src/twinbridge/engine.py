@@ -72,10 +72,7 @@ class TopicResult:
 class TrafficResult:
     """Outcome of one engine run, keyed by topic."""
 
-    name: str
-    seed: int
     duration: float
-    prioritized: bool
     topics: dict[str, TopicResult]
     encodes: int
     decodes: int
@@ -248,10 +245,7 @@ def _audit(
         res.dropped = dropped
 
     return TrafficResult(
-        name=scenario.name,
-        seed=scenario.seed,
         duration=scenario.duration,
-        prioritized=scenario.endpoint.prioritized,
         topics=dict(sorted(results.items())),
         encodes=local.encodes + remote.encodes,
         decodes=local.decodes + remote.decodes,

@@ -26,24 +26,26 @@ class PiecewiseConstant:
 
     Defined by (t, value) breakpoints; the value at time t is the value of the
     latest breakpoint <= t. Before the first breakpoint the first value holds.
+    Of breakpoints sharing a time, the last one given holds. Values are stored
+    as given and may be any type, such as 3-vectors for a scripted force.
     """
 
     __slots__ = ("_times", "_values")
 
-    def __init__(self, points: Iterable[tuple[float, float]] | float):
+    def __init__(self, points: Iterable[tuple[float, Any]] | float):
         if isinstance(points, (int, float)):
             points = [(0.0, float(points))]
-        pts = sorted((float(t), float(v)) for t, v in points)
+        pts = sorted({float(t): v for t, v in points}.items())
         if not pts:
             raise ValueError("profile needs at least one breakpoint")
         self._times = [t for t, _ in pts]
         self._values = [v for _, v in pts]
 
-    def value_at(self, t: float) -> float:
+    def value_at(self, t: float) -> Any:
         idx = bisect_right(self._times, t) - 1
         return self._values[max(idx, 0)]
 
-    def breakpoints(self) -> list[tuple[float, float]]:
+    def breakpoints(self) -> list[tuple[float, Any]]:
         return list(zip(self._times, self._values))
 
 

@@ -18,7 +18,7 @@ from .geo import gps_to_scene
 from .mmcf import calibrate_bounds, optimize
 from .netsim import NetLink, PiecewiseConstant, SimClock
 from .scenario import Scenario, load_scenario
-from .twinsync import PhysicalAgent, SyncReport, VectorScript, VirtualTwin, run_sync_loop
+from .twinsync import PhysicalAgent, SyncReport, VirtualTwin, run_sync_loop, vec3
 
 TOPICS_HEADER = (
     "topic", "tier", "sent", "delivered", "dropped", "buffered",
@@ -55,7 +55,6 @@ class RunReport:
     name: str
     seed: int
     mode: str
-    duration: float
     topic_rows: list[tuple] = field(default_factory=list)
     tier_rows: list[tuple] = field(default_factory=list)
     summary: dict[str, object] = field(default_factory=dict)
@@ -168,10 +167,9 @@ def run_sync_section(
     assert spec is not None
     clock = SimClock()
     link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED, name="sync")
-    agent = PhysicalAgent(
-        spec.params, VectorScript(spec.force_script), PiecewiseConstant(spec.yaw_script), spec.terrain
-    )
-    twin = VirtualTwin(spec.params, spec.terrain, history_window=6.0, tick=spec.loop.tick)
+    force = PiecewiseConstant((t, vec3(x, y, z)) for t, x, y, z in spec.force_script)
+    agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script), spec.terrain)
+    twin = VirtualTwin(spec.params, spec.terrain, tick=spec.loop.tick)
     ctrl = spec.controller
     if kp is not None or kd is not None:
         ctrl = replace(ctrl, kp=ctrl.kp if kp is None else kp, kd=ctrl.kd if kd is None else kd)
@@ -242,7 +240,7 @@ def run(
         scenario = load_scenario(scenario)
     use_seed = scenario.seed if seed is None else seed
     mode = "fifo" if baseline else "prioritized"
-    report = RunReport(scenario.name, use_seed, mode, scenario.duration)
+    report = RunReport(scenario.name, use_seed, mode)
     report.summary.update({"name": scenario.name, "seed": use_seed, "mode": mode})
 
     if scenario.topic_templates:
@@ -358,7 +356,6 @@ def load_report(run_dir: str | Path) -> RunReport:
         name=str(summary.get("name", "")),
         seed=int(float(str(summary.get("seed", 0)))),
         mode=str(summary.get("mode", "")),
-        duration=0.0,
         summary=summary,
     )
     with open(run_dir / "topics.csv", encoding="utf-8") as fh:
@@ -407,7 +404,7 @@ def sweep_agents(
     rows: list[tuple] = []
     for count in counts:
         result = run_traffic(scenario.bridge_scenario(count=count, baseline=baseline, seed=use_seed))
-        report = RunReport(scenario.name, use_seed, "fifo" if baseline else "prioritized", scenario.duration)
+        report = RunReport(scenario.name, use_seed, "fifo" if baseline else "prioritized")
         report.summary.update({"name": scenario.name, "seed": use_seed, "mode": report.mode, "agents": count})
         report.traffic = result
         _traffic_report(report, result)

@@ -71,7 +71,7 @@ from .bridge import DiscoveryConfig, EndpointConfig, PriorityPolicy
 from .engine import BridgeScenario, TopicTraffic
 from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
-from .msgbus import MessageKind
+from .msgbus import InvalidTopic, MessageKind, validate_topic
 from .netsim import NetworkConditions, PiecewiseConstant
 from .twinsync import PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
 
@@ -443,8 +443,13 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
         size = ctx.number(raw, path, "size", required=True, minimum=0)
         if name is None or rate is None or size is None:
             continue
-        if not name.startswith("/"):
-            ctx.fail(f"{path}.name", "topic must start with '/'")
+        try:
+            validate_topic(name.replace("{i}", "1"))
+        except InvalidTopic as exc:
+            ctx.fail(f"{path}.name", f"template {name!r}: {exc}")
+            continue
+        if any(tpl["name"] == name for tpl in templates):
+            ctx.fail(f"{path}.name", f"topic {name!r} is already named by an earlier template")
             continue
         templates.append(
             {
@@ -461,7 +466,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
 # numeric sync keys, each named after the field of PhysicalParams, SyncController or
 # SyncLoopConfig that it sets; the first group must be positive, the second >= 0
 _SYNC_POSITIVE = (
-    "mass", "diameter", "eps_pos", "eps_vel", "t_ref", "cap_factor", "response_mass", "f_corr_max",
+    "mass", "eps_pos", "eps_vel", "t_ref", "cap_factor", "response_mass", "f_corr_max",
     "tick", "gain_window",
 )
 _SYNC_NON_NEGATIVE = ("drag", "kp", "kd", "heading_gain", "accuracy_weight", "energy_weight")

@@ -18,7 +18,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,13 +33,6 @@ def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> Vec3:
     return np.array([x, y, z], dtype=np.float64)
 
 
-def as_vec3(v) -> Vec3:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.shape != (3,):
-        raise ValueError(f"expected 3-vector, got shape {arr.shape}")
-    return arr.copy()
-
-
 class InvalidStep(ValueError):
     """Integration step with a non-positive dt."""
 
@@ -52,21 +45,17 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class TwinState:
-    """Position/velocity/acceleration plus heading of one agent at time t."""
+    """Position/velocity/acceleration plus heading of one agent at time t.
+
+    States share their arrays with each other and with the force script, so
+    nothing may change one in place.
+    """
 
     p: Vec3
     v: Vec3
     a: Vec3
     heading: float
     t: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", as_vec3(self.p))
-        object.__setattr__(self, "v", as_vec3(self.v))
-        object.__setattr__(self, "a", as_vec3(self.a))
-        for name in ("p", "v", "a"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
 
     @staticmethod
     def at_rest(t: float = 0.0) -> "TwinState":
@@ -82,16 +71,12 @@ class PhysicalParams:
     """
 
     mass: float = 10.0
-    diameter: float = 0.5
     friction: Mapping[str, float] = field(default_factory=lambda: {"default": 0.0})
     drag: float = 0.0
-    gravity: float = GRAVITY
 
     def __post_init__(self) -> None:
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.diameter <= 0:
-            raise ValueError("diameter must be positive")
         if any(mu < 0 for mu in self.friction.values()):
             raise ValueError("friction coefficients must be >= 0")
 
@@ -106,7 +91,7 @@ def resistive_force(v: Vec3, params: PhysicalParams, terrain: str = "default") -
     speed = float(np.linalg.norm(v))
     if speed == 0.0:
         return vec3()
-    coulomb = params.mu(terrain) * params.mass * params.gravity * (v / speed)
+    coulomb = params.mu(terrain) * params.mass * GRAVITY * (v / speed)
     return coulomb + params.drag * v
 
 
@@ -125,7 +110,6 @@ def predict_step(
     """
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
-    f_phys = as_vec3(f_phys)
     f_res = resistive_force(state.v, params, terrain)
     a = (f_phys - f_res) / params.mass
     v_next = state.v + a * dt
@@ -161,9 +145,6 @@ class SyncController:
     energy_weight: float = 0.2
     heading_gain: float = 1.0
     f_corr_max: float = math.inf  # actuator saturation for the correction force
-    # once the gate opens, corrections continue until the error falls below
-    # this fraction of the threshold; stops the error riding the gate boundary
-    gate_hysteresis: float = 0.4
 
     def __post_init__(self) -> None:
         if self.kp < 0 or self.kd < 0 or any(g < 0 for pair in self.gain_grid for g in pair):
@@ -197,8 +178,6 @@ def pd_correct(
     thresholds unless the adaptive pair is supplied).
     """
     eps_pos, eps_vel = thresholds if thresholds is not None else (ctrl.eps_pos, ctrl.eps_vel)
-    e_pos = as_vec3(e_pos)
-    e_vel = as_vec3(e_vel)
     if np.linalg.norm(e_pos) <= eps_pos and np.linalg.norm(e_vel) <= eps_vel:
         return vec3()
     f = ctrl.kp * e_pos + ctrl.kd * e_vel
@@ -234,8 +213,8 @@ def _gain_candidate_cost(
     energy = 0.0
     for dt, e_pos, e_vel in window:
         lag = max(1, int(round(dt / h)))
-        states = [(e_pos.copy(), e_vel.copy())] * lag
-        e, ev = e_pos.copy(), e_vel.copy()
+        states = [(e_pos, e_vel)] * lag
+        e, ev = e_pos, e_vel
         for _ in range(GAIN_ROLLOUT_STEPS):
             e_old, ev_old = states[-lag]
             f = kp * e_old + kd * ev_old
@@ -375,34 +354,6 @@ class StateUpdate:
         )
 
 
-class VectorScript:
-    """Piecewise-constant 3-vector of time, for scripted forces.
-
-    Rows sharing a timestamp collapse to the last one given.
-    """
-
-    def __init__(self, segments: Iterable[tuple[float, float, float, float]]):
-        segs = sorted(
-            ((float(t), vec3(x, y, z)) for t, x, y, z in segments), key=lambda p: p[0]
-        )
-        if not segs:
-            segs = [(0.0, vec3())]
-        deduped: list[tuple[float, Vec3]] = []
-        for t, v in segs:
-            if deduped and deduped[-1][0] == t:
-                deduped[-1] = (t, v)
-            else:
-                deduped.append((t, v))
-        self._times = [t for t, _ in deduped]
-        self._values = [v for _, v in deduped]
-
-    def value_at(self, t: float) -> Vec3:
-        from bisect import bisect_right
-
-        idx = bisect_right(self._times, t) - 1
-        return self._values[max(idx, 0)].copy()
-
-
 def _advance(
     body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, dt: float, t_end: float | None
 ) -> TwinState:
@@ -419,7 +370,7 @@ class PhysicalAgent:
     def __init__(
         self,
         params: PhysicalParams,
-        force_script: VectorScript,
+        force_script: PiecewiseConstant,
         yaw_script: PiecewiseConstant | None = None,
         terrain: str = "default",
         state: TwinState | None = None,
@@ -450,6 +401,10 @@ class PhysicalAgent:
         return update
 
 
+# seconds of recorded twin states kept for lookups at an update's send instant
+HISTORY_WINDOW = 6.0
+
+
 class VirtualTwin:
     """Dead-reckoning twin with a bounded state history for staleness lookups."""
 
@@ -458,7 +413,6 @@ class VirtualTwin:
         params: PhysicalParams,
         terrain: str = "default",
         state: TwinState | None = None,
-        history_window: float = 4.0,
         tick: float = 0.01,
     ) -> None:
         self.params = params
@@ -467,7 +421,7 @@ class VirtualTwin:
         self.known_force = vec3()
         self.known_yaw_rate = 0.0
         self.correction = vec3()
-        self._history: deque[TwinState] = deque(maxlen=max(2, int(history_window / tick) + 2))
+        self._history: deque[TwinState] = deque(maxlen=max(2, int(HISTORY_WINDOW / tick) + 2))
         self._history.append(self.state)
 
     def step(self, dt: float, t_end: float | None = None) -> None:
@@ -536,6 +490,9 @@ LOSS_WINDOW = 5.0
 # corrections expire this many update periods after the arrival that set
 # them; during longer gaps the twin reverts to pure dead reckoning
 CORRECTION_HOLD_PERIODS = 2.0
+# once the gate opens, corrections continue until the error falls below
+# this fraction of the threshold; stops the error riding the gate boundary
+GATE_HYSTERESIS = 0.4
 
 
 def run_sync_loop(
@@ -580,6 +537,8 @@ def run_sync_loop(
 
     def record(now: float) -> None:
         e_pos_true = float(np.linalg.norm(agent.state.p - twin.state.p))
+        if not math.isfinite(e_pos_true):
+            raise ValueError(f"sync state is not finite at t={now}")
         e_rot_true = wrap_angle(agent.state.heading - twin.state.heading)
         b = gronwall_bound(bound_model, now) if bound_model else math.inf
         if bound_model and e_pos_true > b + 1e-12:
@@ -645,10 +604,7 @@ def run_sync_loop(
             disconnect = max(0.0, gap - config.update_period)
             thresholds = adaptive_thresholds(ctrl, loss_rate, disconnect)
             if correcting:
-                thresholds = (
-                    thresholds[0] * ctrl.gate_hysteresis,
-                    thresholds[1] * ctrl.gate_hysteresis,
-                )
+                thresholds = (thresholds[0] * GATE_HYSTERESIS, thresholds[1] * GATE_HYSTERESIS)
             f_corr = pd_correct(e_pos, e_vel, ctrl, thresholds)
             correcting = bool(np.any(f_corr != 0.0))
             twin.correction = f_corr

@@ -1,6 +1,8 @@
 """Clock, profile, and impaired-link behavior."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinbridge.netsim import (
     NetLink,
@@ -35,6 +37,20 @@ class TestPiecewiseConstant:
     def test_before_first_breakpoint(self):
         p = PiecewiseConstant([(10.0, 3.0)])
         assert p.value_at(0.0) == 3.0
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.integers(-5, 5).map(float)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_of_rows_sharing_a_time_the_last_given_holds(self, rows):
+        p = PiecewiseConstant(rows)
+        for t in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+            earlier = [time for time, _ in rows if time <= t]
+            held = max(earlier) if earlier else min(time for time, _ in rows)
+            assert p.value_at(t) == [v for time, v in rows if time == held][-1]
 
 
 class TestSimClock:

@@ -130,8 +130,8 @@ class TestCompare:
     def test_dominating_report_gives_one_signed_deltas(self):
         from twinbridge.runner import RunReport
 
-        better = RunReport("x", 1, "prioritized", 1.0)
-        worse = RunReport("x", 1, "fifo", 1.0)
+        better = RunReport("x", 1, "prioritized")
+        worse = RunReport("x", 1, "fifo")
         better.topic_rows = [("/a", "critical", 10, 10, 0, 0, 100, 0.01, 0.02, 0.03)]
         worse.topic_rows = [("/a", "critical", 10, 8, 2, 0, 100, 0.05, 0.08, 0.09)]
         rows = compare(better, worse)
@@ -298,6 +298,14 @@ class TestCli:
             "duration: 5.0\nsync:\n  adaptive_gains: \"false\"\n",
             "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {shares: [[.nan, 0.3, 0.1]]}\n",
             "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {discovery_period: [.nan]}\n",
+            "duration: 5.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot {i}/pose\", kind: pose, rate: 5.0, size: 8}\n",
+            "duration: 5.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
+            "    - {name: \"/robot{i}/pose\", kind: scan2d, rate: 5.0, size: 8}\n",
+            "duration: 5.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n",
         ],
     )
     def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):

@@ -86,6 +86,7 @@ geo:
         assert spec.params == PhysicalParams(friction={"default": 0.0})
         assert spec.loop == SyncLoopConfig()
         assert spec.bound is None
+        assert spec.force_script == ((0.0, 0.0, 0.0, 0.0),)
 
     def test_zero_is_kept_not_replaced_by_the_default(self, tmp_path):
         scenario = load_scenario(write(tmp_path, MINIMAL + "bridge:\n  replay_attempts: 0\n"))

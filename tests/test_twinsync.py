@@ -19,7 +19,6 @@ from twinbridge.twinsync import (
     SyncController,
     SyncLoopConfig,
     TwinState,
-    VectorScript,
     VirtualTwin,
     adaptive_thresholds,
     gronwall_bound,
@@ -318,25 +317,22 @@ class TestStateUpdateWire:
         assert back.seq == 42
 
 
-class TestVectorScript:
+class TestForceScript:
     def test_piecewise_lookup(self):
-        script = VectorScript([(0.0, 1.0, 0.0, 0.0), (2.0, -1.0, 0.5, 0.0)])
+        script = PiecewiseConstant([(0.0, vec3(1.0, 0.0, 0.0)), (2.0, vec3(-1.0, 0.5, 0.0))])
         assert script.value_at(1.999) == pytest.approx([1.0, 0.0, 0.0])
         assert script.value_at(2.0) == pytest.approx([-1.0, 0.5, 0.0])
 
     def test_duplicate_times_last_wins(self):
-        script = VectorScript([(1.0, 9.0, 0.0, 0.0), (1.0, 3.0, 0.0, 0.0)])
+        script = PiecewiseConstant([(1.0, vec3(9.0, 0.0, 0.0)), (1.0, vec3(3.0, 0.0, 0.0))])
         assert script.value_at(1.5) == pytest.approx([3.0, 0.0, 0.0])
-
-    def test_empty_script_is_zero(self):
-        assert np.array_equal(VectorScript([]).value_at(5.0), vec3())
 
 
 def ideal_loop(duration=5.0, **kwargs):
     clock = SimClock()
     link = NetLink(clock, NetworkConditions.ideal(), seed=1)
     p = params(mass=10.0, drag=1.5)
-    script = VectorScript([(0.0, 2.0, 0.0, 0.0), (1.0, -1.0, 0.5, 0.0), (3.0, 0.5, 0.0, 0.0)])
+    script = PiecewiseConstant([(0.0, vec3(2.0)), (1.0, vec3(-1.0, 0.5)), (3.0, vec3(0.5))])
     yaw = PiecewiseConstant([(0.0, 0.1), (2.0, -0.05)])
     agent = PhysicalAgent(p, script, yaw)
     twin = VirtualTwin(p)
@@ -362,13 +358,23 @@ class TestRunSyncLoop:
         clock = SimClock()
         link = NetLink(clock, NetworkConditions.ideal(), seed=1)
         p = params(mass=10.0, drag=1.5)
-        agent = PhysicalAgent(p, VectorScript([(0.0, 2.0, 0.0, 0.0)]))
+        agent = PhysicalAgent(p, PiecewiseConstant([(0.0, vec3(2.0))]))
         ctrl = SyncController(kp=40.0, kd=30.0, gain_grid=((12.0, 10.0), (110.0, 40.0)))
         config = SyncLoopConfig(duration=3.0, adaptive_gains=True, gain_window=1.0)
         report = run_sync_loop(agent, VirtualTwin(p), ctrl, link, clock, config)
         assert (ctrl.kp, ctrl.kd) == (40.0, 30.0)
         assert (report.kp[0], report.kd[0]) == (40.0, 30.0)
         assert set(zip(report.kp, report.kd)) - {(40.0, 30.0)}
+
+    def test_a_state_that_goes_non_finite_is_an_error(self):
+        clock = SimClock()
+        link = NetLink(clock, NetworkConditions.ideal(), seed=1)
+        agent = PhysicalAgent(params(mass=10.0), PiecewiseConstant([(0.0, vec3(2.0))]))
+        twin = VirtualTwin(params(mass=1.0))
+        ctrl = SyncController(kp=1e300, kd=1e300)
+        config = SyncLoopConfig(duration=1.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+            run_sync_loop(agent, twin, ctrl, link, clock, config)
 
     def test_integrated_error_zero_on_perfect_channel(self):
         report = ideal_loop(duration=2.0)
