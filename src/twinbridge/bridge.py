@@ -100,14 +100,6 @@ def _tier_code(value) -> int:
         raise ValueError(f"unknown tier name {value!r}") from None
 
 
-def load_policy(path) -> PriorityPolicy:
-    """Load a priority policy from its YAML file."""
-    import yaml
-
-    with open(path, "r", encoding="utf-8") as fh:
-        return PriorityPolicy.from_dict(yaml.safe_load(fh) or {})
-
-
 # --- replay buffer ---------------------------------------------------------------
 
 
@@ -188,6 +180,15 @@ class QueuedFrame:
         return len(self.frame)
 
 
+def check_shares(shares: tuple[float, float, float] | None) -> None:
+    """Raise ValueError unless shares is None or 3 non-negative fractions summing to <= 1."""
+    # written so that NaN fails each check
+    if shares is not None and (
+        len(shares) != 3 or not all(0 <= s for s in shares) or not sum(shares) <= 1.0 + 1e-9
+    ):
+        raise ValueError("shares must be 3 non-negative fractions summing to <= 1")
+
+
 class TierScheduler:
     """Strict-priority scheduler with a bulk floor and per-tier byte credit.
 
@@ -200,10 +201,7 @@ class TierScheduler:
     """
 
     def __init__(self, shares: tuple[float, float, float] | None = None) -> None:
-        if shares is not None:
-            # written so that NaN fails each check
-            if len(shares) != 3 or not all(0 <= s for s in shares) or not sum(shares) <= 1.0 + 1e-9:
-                raise ValueError("shares must be 3 non-negative fractions summing to <= 1")
+        check_shares(shares)
         self.shares = shares
         self._credit = {tier: 0.0 for tier in TIERS}
 
@@ -271,6 +269,7 @@ class EndpointConfig:
             raise ValueError("redundancy must be in 0..3")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        check_shares(self.shares)
 
 
 @dataclass
@@ -373,9 +372,6 @@ class BridgeEndpoint:
         self._tx[topic] = _TxTopic(
             tier=tier, kind=int(kind) if kind is not None else int(MessageKind.BLOB), sub=sub
         )
-
-    def bridged_topics(self) -> list[str]:
-        return sorted(self._tx)
 
     # --- egress duty ----------------------------------------------------------
 

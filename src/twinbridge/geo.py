@@ -1,4 +1,4 @@
-"""Geodetic-to-scene coordinate conversion and adaptive level-of-detail grids.
+"""Geodetic-to-scene coordinate conversion.
 
 Axis convention, used everywhere in this package: east -> x, up -> y,
 north -> z. Horizontal scene axes come from per-axis great-circle distances
@@ -18,9 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
-
-import numpy as np
 
 EARTH_RADIUS_M = 6_371_000.0
 AREA_THRESHOLD_M2 = 1_000_000.0  # 1 km^2
@@ -173,68 +170,3 @@ def scene_to_gps(
     lon = ref.longitude + east / (earth.radius * math.cos(ref.latitude))
     return GeoPoint(lat, lon, ref.altitude + coord.y / scale)
 
-
-class LodLevel(IntEnum):
-    HIGH = 0
-    MEDIUM = 1
-    LOW = 2
-
-
-@dataclass(frozen=True)
-class LodGrid:
-    """Uniform 3D cell grid with per-cell detail levels.
-
-    `cells` holds LodLevel codes; `critical_regions` is the caller-identified
-    set of cell indices that must stay at full fidelity. `proximity_threshold`
-    is in meters, converted to cell units through `cell_size`.
-    """
-
-    cells: np.ndarray
-    critical_regions: frozenset[tuple[int, int, int]] = frozenset()
-    proximity_threshold: float = 0.0
-    cell_size: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.cells.ndim != 3:
-            raise ValueError("cells must be a 3D array")
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        if self.proximity_threshold < 0:
-            raise ValueError("proximity_threshold must be >= 0")
-        shape = self.cells.shape
-        for idx in self.critical_regions:
-            if any(not 0 <= i < n for i, n in zip(idx, shape)):
-                raise ValueError(f"critical cell {idx} outside grid {shape}")
-
-    @staticmethod
-    def empty(shape: tuple[int, int, int], **kwargs) -> "LodGrid":
-        return LodGrid(np.full(shape, LodLevel.LOW, dtype=np.uint8), **kwargs)
-
-    def level_at(self, idx: tuple[int, int, int]) -> LodLevel:
-        return LodLevel(int(self.cells[idx]))
-
-
-def assign_lod(grid: LodGrid) -> LodGrid:
-    """Assign detail levels from critical regions and proximity.
-
-    Cells in a critical region get HIGH; cells whose center lies strictly
-    within the proximity threshold of any critical cell center get MEDIUM;
-    everything else gets LOW. Idempotent: levels depend only on the region
-    set and threshold, never on the incoming levels.
-    """
-    shape = grid.cells.shape
-    cells = np.full(shape, LodLevel.LOW, dtype=np.uint8)
-    if cells.size == 0 or not grid.critical_regions:
-        return LodGrid(cells, grid.critical_regions, grid.proximity_threshold, grid.cell_size)
-
-    crit = np.array(sorted(grid.critical_regions), dtype=np.float64)
-    ix, iy, iz = np.indices(shape, dtype=np.float64)
-    centers = np.stack([ix, iy, iz], axis=-1)
-    # pairwise distance to the nearest critical cell center, in meters
-    deltas = centers[..., None, :] - crit[None, None, None, :, :]
-    dist = np.sqrt((deltas**2).sum(axis=-1)).min(axis=-1) * grid.cell_size
-
-    cells[dist < grid.proximity_threshold] = LodLevel.MEDIUM
-    for idx in grid.critical_regions:
-        cells[idx] = LodLevel.HIGH
-    return LodGrid(cells, grid.critical_regions, grid.proximity_threshold, grid.cell_size)

@@ -47,12 +47,6 @@ class PointCloud3D:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "z", z)
 
-    @staticmethod
-    def from_cartesian(x, y, z) -> "PointCloud3D":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        return PointCloud3D(np.hypot(x, y), np.arctan2(y, x), np.asarray(z, dtype=np.float64))
-
     def __len__(self) -> int:
         return self.r.shape[0]
 
@@ -167,19 +161,3 @@ def cloud_from_bytes(data: bytes) -> PointCloud3D:
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 3).astype(np.float64)
     return PointCloud3D(raw[:, 0], raw[:, 1], raw[:, 2])
 
-
-def cloud_to_csv(cloud: PointCloud3D, path) -> None:
-    """Write r,theta,z rows with a header line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("r,theta,z\n")
-        for r, theta, z in zip(cloud.r, cloud.theta, cloud.z):
-            fh.write(f"{float(r)!r},{float(theta)!r},{float(z)!r}\n")
-
-
-def cloud_from_csv(path) -> PointCloud3D:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
-    if rows.size == 0:
-        return PointCloud3D(np.array([]), np.array([]), np.array([]))
-    if rows.shape[1] != 3:
-        raise ValueError("cloud CSV needs r,theta,z columns")
-    return PointCloud3D(rows[:, 0], rows[:, 1], rows[:, 2])

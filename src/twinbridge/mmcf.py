@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
+from .bridge import check_shares
 from .engine import BridgeScenario, TrafficResult, run_traffic
 
 
@@ -46,11 +47,7 @@ class BridgeConfig:
         # each range check is written so that NaN fails it
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
-        if self.shares is not None:
-            if len(self.shares) != 3 or not all(0 <= s for s in self.shares):
-                raise ValueError("shares must be 3 non-negative fractions")
-            if not sum(self.shares) <= 1.0 + 1e-9:
-                raise ValueError("shares must sum to <= 1")
+        check_shares(self.shares)
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
         if not self.discovery_period > 0:
@@ -233,6 +230,7 @@ class OptimizeResult:
 
 
 EXHAUSTIVE_LIMIT = 10_000
+SEARCH_BUDGET = 200
 
 
 def optimize(
@@ -242,7 +240,6 @@ def optimize(
     weights: MmcfWeights,
     evaluator: Evaluator = measure_config,
     seed: int = 0,
-    search_budget: int = 200,
     known: dict[BridgeConfig, MeasuredMetrics] | None = None,
 ) -> OptimizeResult:
     """Minimize the cost function over a finite configuration space.
@@ -267,7 +264,7 @@ def optimize(
     if len(space) <= EXHAUSTIVE_LIMIT:
         candidates = space
     else:
-        candidates = _local_search(space, cost_of, seed, search_budget)
+        candidates = _local_search(space, cost_of, seed, SEARCH_BUDGET)
 
     best = min(candidates, key=lambda c: (cost_of(c), c.sort_key()))
     tabulated = set(candidates) if len(space) > EXHAUSTIVE_LIMIT else set(cache)

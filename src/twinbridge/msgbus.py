@@ -82,9 +82,6 @@ class Subscription:
         self._queue.append(msg)
         self.received += 1
 
-    def pop(self) -> Message | None:
-        return self._queue.popleft() if self._queue else None
-
     def drain(self) -> list[Message]:
         out = list(self._queue)
         self._queue.clear()
@@ -144,11 +141,6 @@ class TopicBus:
         sub = Subscription(topic, queue_capacity)
         self._subs.setdefault(topic, []).append(sub)
         return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        subs = self._subs.get(sub.topic, [])
-        if sub in subs:
-            subs.remove(sub)
 
     def list_topics(self) -> set[tuple[str, MessageKind]]:
         return {(name, kind) for name, kind in self._kinds.items()}

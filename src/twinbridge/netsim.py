@@ -171,13 +171,12 @@ class NetLink:
         clock: SimClock,
         conditions: NetworkConditions,
         seed: int,
-        on_deliver: Callable[[bytes, float], None] | None = None,
         name: str = "link",
     ) -> None:
         self.clock = clock
         self.conditions = conditions
         self.name = name
-        self.on_deliver = on_deliver
+        self.on_deliver: Callable[[bytes, float], None] | None = None
         self._rng = random.Random(seed)
         self._free_at = 0.0
         self._in_flight: dict[int, bytes] = {}

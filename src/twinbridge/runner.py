@@ -43,8 +43,6 @@ SYNC_LINK_SEED = 0x517CC1B7
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return _fmt(value.item())
     return str(value)
 
 
@@ -180,16 +178,15 @@ def run_sync_section(
 
 
 def sync_gain_comparison(
-    scenario: Scenario, seed: int | None = None
+    scenario: Scenario,
 ) -> tuple[SyncReport, dict[tuple[float, float], SyncReport]]:
     """Adaptive run plus one fixed-gain run per grid candidate."""
     spec = scenario.sync
     if spec is None or not spec.controller.gain_grid:
         raise ValueError("scenario has no sync section with a gain grid")
-    use_seed = scenario.seed if seed is None else seed
-    adaptive_report = run_sync_section(scenario, use_seed, adaptive=True)
+    adaptive_report = run_sync_section(scenario, scenario.seed, adaptive=True)
     fixed = {
-        (kp, kd): run_sync_section(scenario, use_seed, kp=kp, kd=kd, adaptive=False)
+        (kp, kd): run_sync_section(scenario, scenario.seed, kp=kp, kd=kd, adaptive=False)
         for kp, kd in spec.controller.gain_grid
     }
     return adaptive_report, fixed
@@ -402,8 +399,10 @@ def sweep_agents(
     use_seed = scenario.seed if seed is None else seed
     reports: list[RunReport] = []
     rows: list[tuple] = []
-    for count in counts:
-        result = run_traffic(scenario.bridge_scenario(count=count, baseline=baseline, seed=use_seed))
+    # every count's topics are expanded, and so checked, before the first run
+    bridges = [scenario.bridge_scenario(count=count, baseline=baseline, seed=use_seed) for count in counts]
+    for count, bridge in zip(counts, bridges):
+        result = run_traffic(bridge)
         report = RunReport(scenario.name, use_seed, "fifo" if baseline else "prioritized")
         report.summary.update({"name": scenario.name, "seed": use_seed, "mode": report.mode, "agents": count})
         report.traffic = result

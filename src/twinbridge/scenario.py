@@ -44,7 +44,7 @@ duration are required):
 
     mmcf:                          # configuration optimization (optional)
       weights: [0.4, 0.3, 0.2, 0.1]
-      space: {redundancy: [0, 1], batch: [1, 4]}
+      space: {redundancy: [0, 1], batch: [1, 4]}  # an omitted axis takes its bridge: value
       probes: 6
 
     geo:                           # coordinate conversion inputs (optional)
@@ -53,15 +53,18 @@ duration are required):
       extent: 500000.0
       waypoints: [[39.2505, -76.7095, 10.0]]
 
-Validation failures raise ScenarioParseError carrying one "path (line N):
-message" entry per problem.
+A key that counts (seed, count, size, batch, capacities, attempts, probes,
+integer mmcf axes) takes a whole number: 2.0 reads as 2, 2.5 is an error. Two
+expansions of the topic templates may not name one topic, which is checked at
+the agent count of each run and of each sweep step. Validation failures raise
+ScenarioParseError carrying one "path (line N): message" entry per problem.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -166,16 +169,18 @@ class _Ctx:
             return default
         return value
 
-    def number(self, data, path, key, required=False, default=None, minimum=None, positive=False):
-        """data[key] as a finite float; default if it is missing or fails a check."""
+    def number(
+        self, data, path, key, required=False, default=None, minimum=None, positive=False, integer=False
+    ):
+        """data[key] as a finite float (an int if `integer`); default if it is missing or fails a check."""
         if key not in data:
             if required:
                 self.fail(path or key, f"missing required key {key!r}")
             return default
         full = f"{path}.{key}" if path else key
-        value = _finite(data[key])
+        value = _whole(data[key]) if integer else _finite(data[key])
         if value is None:
-            self.fail(full, f"expected a finite number, got {data[key]!r:.40}")
+            self.fail(full, f"expected {'an integer' if integer else 'a finite number'}, got {data[key]!r:.40}")
         elif positive and value <= 0:
             self.fail(full, f"must be positive, got {value}")
         elif minimum is not None and value < minimum:
@@ -194,6 +199,12 @@ def _finite(value) -> float | None:
     except OverflowError:
         return None
     return value if math.isfinite(value) else None
+
+
+def _whole(value) -> int | None:
+    """value as an int, or None when it is not a finite number without a fractional part."""
+    number = _finite(value)
+    return int(number) if number is not None and number.is_integer() else None
 
 
 def _vector(ctx: _Ctx, raw, path: str, width: int, what: str) -> tuple[float, ...] | None:
@@ -245,33 +256,31 @@ class SyncSpec:
     terrain: str
 
 
+# mmcf.space axes, in BridgeConfig's field order; an integer axis takes whole numbers only
+_MMCF_AXES = ("redundancy", "shares", "replay_capacity", "discovery_period", "batch")
+_MMCF_INTEGER_AXES = ("redundancy", "replay_capacity", "batch")
+
+
 @dataclass(frozen=True)
 class MmcfSpec:
+    """mmcf section; `space` holds every axis, an omitted one as the scenario's own value."""
+
     weights: MmcfWeights
-    space: dict[str, tuple] = field(default_factory=dict)
-    probes: int = 6
+    space: dict[str, tuple]
+    probes: int
 
     def configs(self) -> list[BridgeConfig]:
-        axes = {
-            "redundancy": self.space.get("redundancy", (0,)),
-            "shares": self.space.get("shares", (None,)),
-            "replay_capacity": self.space.get("replay_capacity", (256,)),
-            "discovery_period": self.space.get("discovery_period", (0.5,)),
-            "batch": self.space.get("batch", (4,)),
-        }
         out = []
-        for red, shares, cap, period, batch in itertools.product(
-            axes["redundancy"], axes["shares"], axes["replay_capacity"],
-            axes["discovery_period"], axes["batch"],
-        ):
+        axes = (self.space[axis] for axis in _MMCF_AXES)
+        for red, shares, cap, period, batch in itertools.product(*axes):
             shares_t = tuple(shares) if shares is not None else None
             out.append(
                 BridgeConfig(
-                    redundancy=int(red),
+                    redundancy=red,
                     shares=shares_t,
-                    replay_capacity=int(cap),
+                    replay_capacity=cap,
                     discovery_period=float(period),
-                    batch_size=int(batch),
+                    batch_size=batch,
                 )
             )
         return sorted(set(out), key=BridgeConfig.sort_key)
@@ -312,13 +321,21 @@ class Scenario:
     geo: GeoSpec | None = None
 
     def traffic_for(self, count: int | None = None) -> tuple[TopicTraffic, ...]:
+        """Every template expanded for agents 1..count; ScenarioParseError if two name one topic."""
         count = self.agent_count if count is None else count
         out = []
+        named_by: dict[str, tuple[str, int]] = {}  # topic -> (template location, agent)
         for i in range(1, count + 1):
             for tpl in self.topic_templates:
+                topic = tpl["name"].replace("{i}", str(i))
+                at, agent = named_by.setdefault(topic, (tpl["at"], i))
+                if (at, agent) != (tpl["at"], i):
+                    raise ScenarioParseError(
+                        [f"{tpl['at']}: agent {i} of {count} gets {topic!r}, which {at} names for agent {agent}"]
+                    )
                 out.append(
                     TopicTraffic(
-                        topic=tpl["name"].replace("{i}", str(i)),
+                        topic=topic,
                         kind=tpl["kind"],
                         rate=tpl["rate"],
                         size=tpl["size"],
@@ -406,14 +423,14 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfi
             prioritized=True,
             tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
             budget_per_tick=ctx.number(br, "bridge", "budget_per_tick", positive=True),
-            batch_size=int(ctx.number(br, "bridge", "batch", default=4, minimum=1)),
-            redundancy=int(ctx.number(br, "bridge", "redundancy", default=0, minimum=0)),
+            batch_size=ctx.number(br, "bridge", "batch", default=4, minimum=1, integer=True),
+            redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, integer=True),
             shares=shares,
-            replay_capacity=int(ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1)),
-            sub_capacity=int(ctx.number(br, "bridge", "sub_capacity", default=4096, minimum=1)),
+            replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1, integer=True),
+            sub_capacity=ctx.number(br, "bridge", "sub_capacity", default=4096, minimum=1, integer=True),
             heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
             replay_retry=ctx.number(br, "bridge", "replay_retry", default=0.3, positive=True),
-            replay_attempts=int(ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0)),
+            replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0, integer=True),
         )
     except ValueError as exc:
         ctx.fail("bridge", str(exc))
@@ -426,7 +443,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
     ag = ctx.get(data, "", "agents", dict, default=None)
     if ag is None:
         return 0, ()
-    count = int(ctx.number(ag, "agents", "count", required=True, default=0, minimum=0))
+    count = ctx.number(ag, "agents", "count", required=True, default=0, minimum=0, integer=True)
     templates = []
     topics = ctx.get(ag, "agents", "topics", list, required=True, default=[]) or []
     for i, raw in enumerate(topics):
@@ -440,7 +457,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
             ctx.fail(f"{path}.kind", f"unknown kind {kind_name!r}; expected one of {sorted(KIND_NAMES)}")
             continue
         rate = ctx.number(raw, path, "rate", required=True, positive=True)
-        size = ctx.number(raw, path, "size", required=True, minimum=0)
+        size = ctx.number(raw, path, "size", required=True, minimum=0, integer=True)
         if name is None or rate is None or size is None:
             continue
         try:
@@ -448,15 +465,13 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
         except InvalidTopic as exc:
             ctx.fail(f"{path}.name", f"template {name!r}: {exc}")
             continue
-        if any(tpl["name"] == name for tpl in templates):
-            ctx.fail(f"{path}.name", f"topic {name!r} is already named by an earlier template")
-            continue
         templates.append(
             {
+                "at": f"{path}.name (line {ctx.marks[f'{path}.name']})",
                 "name": name,
                 "kind": KIND_NAMES[kind_name],
                 "rate": rate,
-                "size": int(size),
+                "size": size,
                 "start": ctx.number(raw, path, "start", default=0.0, minimum=0.0),
             }
         )
@@ -525,7 +540,9 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
         return None
 
 
-def _parse_mmcf(ctx: _Ctx, data: dict) -> MmcfSpec | None:
+def _parse_mmcf(
+    ctx: _Ctx, data: dict, endpoint: EndpointConfig, discovery: DiscoveryConfig
+) -> MmcfSpec | None:
     mm = ctx.get(data, "", "mmcf", dict, default=None)
     if mm is None:
         return None
@@ -538,17 +555,27 @@ def _parse_mmcf(ctx: _Ctx, data: dict) -> MmcfSpec | None:
         except ValueError as exc:
             ctx.fail("mmcf.weights", str(exc))
     space_raw = ctx.get(mm, "mmcf", "space", dict, default={}) or {}
-    known = {"redundancy", "shares", "replay_capacity", "discovery_period", "batch"}
-    space: dict[str, tuple] = {}
+    space: dict[str, tuple] = {
+        "redundancy": (endpoint.redundancy,),
+        "shares": (endpoint.shares,),
+        "replay_capacity": (endpoint.replay_capacity,),
+        "discovery_period": (discovery.period,),
+        "batch": (endpoint.batch_size,),
+    }
     for key, values in space_raw.items():
-        if key not in known:
-            ctx.fail(f"mmcf.space.{key}", f"unknown axis; expected one of {sorted(known)}")
+        if key not in _MMCF_AXES:
+            ctx.fail(f"mmcf.space.{key}", f"unknown axis; expected one of {sorted(_MMCF_AXES)}")
             continue
         if not isinstance(values, list) or not values:
             ctx.fail(f"mmcf.space.{key}", "expected a non-empty list of values")
             continue
+        if key in _MMCF_INTEGER_AXES:
+            if None in [_whole(v) for v in values]:
+                ctx.fail(f"mmcf.space.{key}", f"expected a list of integers, got {values!r:.40}")
+                continue
+            values = [_whole(v) for v in values]
         space[key] = tuple(tuple(v) if isinstance(v, list) else v for v in values)
-    probes = int(ctx.number(mm, "mmcf", "probes", default=6, minimum=2))
+    probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, integer=True)
     spec = MmcfSpec(weights=weights, space=space, probes=probes)
     try:
         spec.configs()  # each value converts, and each configuration is in range
@@ -589,7 +616,7 @@ def load_scenario(path: str | Path) -> Scenario:
     ctx = _Ctx(marks)
 
     name = ctx.get(data, "", "name", str, required=True, default="unnamed")
-    seed_val = ctx.number(data, "", "seed", required=True, default=0, minimum=0)
+    seed = ctx.number(data, "", "seed", required=True, default=0, minimum=0, integer=True)
     duration = ctx.number(data, "", "duration", required=True, default=1.0, positive=True)
 
     conditions = _parse_network(ctx, data)
@@ -597,7 +624,7 @@ def load_scenario(path: str | Path) -> Scenario:
     endpoint, discovery, drain = _parse_bridge(ctx, data)
     agent_count, templates = _parse_agents(ctx, data)
     sync = _parse_sync(ctx, data)
-    mmcf_spec = _parse_mmcf(ctx, data)
+    mmcf_spec = _parse_mmcf(ctx, data, endpoint, discovery)
     geo_spec = _parse_geo(ctx, data)
 
     if drain >= duration:
@@ -608,7 +635,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     return Scenario(
         name=name,
-        seed=int(seed_val),
+        seed=seed,
         duration=float(duration),
         conditions=conditions,
         policy=policy,

@@ -58,8 +58,8 @@ class TwinState:
     t: float
 
     @staticmethod
-    def at_rest(t: float = 0.0) -> "TwinState":
-        return TwinState(vec3(), vec3(), vec3(), 0.0, t)
+    def at_rest() -> "TwinState":
+        return TwinState(vec3(), vec3(), vec3(), 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -373,13 +373,12 @@ class PhysicalAgent:
         force_script: PiecewiseConstant,
         yaw_script: PiecewiseConstant | None = None,
         terrain: str = "default",
-        state: TwinState | None = None,
     ) -> None:
         self.params = params
         self.force_script = force_script
         self.yaw_script = yaw_script or PiecewiseConstant(0.0)
         self.terrain = terrain
-        self.state = state or TwinState.at_rest()
+        self.state = TwinState.at_rest()
         self._seq = 0
 
     def step(self, dt: float, t_end: float | None = None) -> None:
@@ -412,12 +411,11 @@ class VirtualTwin:
         self,
         params: PhysicalParams,
         terrain: str = "default",
-        state: TwinState | None = None,
         tick: float = 0.01,
     ) -> None:
         self.params = params
         self.terrain = terrain
-        self.state = state or TwinState.at_rest()
+        self.state = TwinState.at_rest()
         self.known_force = vec3()
         self.known_yaw_rate = 0.0
         self.correction = vec3()
@@ -456,11 +454,10 @@ class SyncReport:
     updates_received: int = 0
     corrections_applied: int = 0
 
-    def integrated_error(self, t_from: float = 0.0, t_to: float = math.inf) -> float:
+    def integrated_error(self) -> float:
         total = 0.0
         for i in range(1, len(self.t)):
-            if t_from <= self.t[i] <= t_to:
-                total += self.e_pos[i] * (self.t[i] - self.t[i - 1])
+            total += self.e_pos[i] * (self.t[i] - self.t[i - 1])
         return total
 
     def steady_state_max(self, t_from: float) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import zlib
 from collections import deque
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from twinbridge.bridge import (
     QueuedFrame,
     ReplayBuffer,
     TierScheduler,
+    check_shares,
 )
 from twinbridge.envelope import (
     TIER_BULK,
@@ -27,6 +29,7 @@ from twinbridge.envelope import (
     decode_stream,
     encode_envelope,
 )
+from twinbridge.mmcf import BridgeConfig
 from twinbridge.msgbus import MessageKind, TopicBus
 from twinbridge.netsim import (
     NetLink,
@@ -82,18 +85,14 @@ class TestPolicy:
         with pytest.raises(ValueError):
             PriorityPolicy.from_dict({"rules": [{"pattern": "/a", "tier": "super"}]})
 
-    def test_load_policy_file(self, tmp_path):
-        from twinbridge.bridge import load_policy
-
-        path = tmp_path / "policy.yaml"
-        path.write_text(
+    def test_load_policy_file(self):
+        text = (
             "default: standard\n"
             "rules:\n"
             "  - {pattern: '/cmd/*', tier: critical}\n"
-            "  - {pattern: '/lidar/*', tier: bulk}\n",
-            encoding="utf-8",
+            "  - {pattern: '/lidar/*', tier: bulk}\n"
         )
-        policy = load_policy(path)
+        policy = PriorityPolicy.from_dict(yaml.safe_load(text))
         assert policy.classify("/cmd/stop") == TIER_CRITICAL
         assert policy.classify("/lidar/points") == TIER_BULK
         assert policy.classify("/misc") == TIER_STANDARD
@@ -183,6 +182,24 @@ class TestTierScheduler:
         if bulk_available:
             bulk_sent = sum(item.size for item in plan if item.env.tier == TIER_BULK)
             assert bulk_sent >= min(0.05 * budget, bulk_available)
+
+
+@pytest.mark.parametrize(
+    "shares", [(0.9, 0.9, 0.9), (0.5, 0.5), (-0.1, 0.5, 0.5), (float("nan"), 0.3, 0.1)]
+)
+def test_one_shares_rule_for_scheduler_and_both_configs(shares):
+    for build in (
+        check_shares, TierScheduler, lambda s: EndpointConfig(shares=s), lambda s: BridgeConfig(shares=s)
+    ):
+        with pytest.raises(ValueError, match="shares"):
+            build(shares)
+
+
+def test_valid_shares_pass_the_rule():
+    for shares in (None, (0.6, 0.3, 0.1), (0.0, 0.0, 0.0)):
+        check_shares(shares)
+        assert TierScheduler(shares).shares == shares
+        assert EndpointConfig(shares=shares).shares == shares
 
 
 class TestReplayBuffer:
@@ -336,7 +353,7 @@ class TestEndpoint:
                 delivered_at = clock.now
         assert delivered_at is not None
         assert delivered_at - t_advertised <= 2 * discovery.period
-        assert "/skip/this" not in local.bridged_topics()
+        assert "/skip/this" not in local.tx_stats()
         assert bus_b.kind_of("/skip/this") is None
 
     def test_no_echo_loop_with_bidirectional_discovery(self):

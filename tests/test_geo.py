@@ -1,9 +1,8 @@
-"""Geodesy and LoD assignment, checked against independent oracles."""
+"""Geodesy, checked against independent oracles."""
 
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +10,6 @@ from hypothesis import strategies as st
 from twinbridge.geo import (
     EarthModel,
     GeoPoint,
-    LodGrid,
-    LodLevel,
-    assign_lod,
     gps_to_scene,
     haversine_distance,
     scene_to_gps,
@@ -192,86 +188,6 @@ class TestGeoPointValidation:
     def test_rejects_out_of_range(self, lat, lon, alt):
         with pytest.raises(ValueError):
             GeoPoint(lat, lon, alt)
-
-
-def brute_force_lod(grid: LodGrid) -> np.ndarray:
-    """Triple-loop reference for LoD assignment."""
-    shape = grid.cells.shape
-    out = np.full(shape, LodLevel.LOW, dtype=np.uint8)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            for k in range(shape[2]):
-                if (i, j, k) in grid.critical_regions:
-                    out[i, j, k] = LodLevel.HIGH
-                    continue
-                best = math.inf
-                for c in grid.critical_regions:
-                    d = math.dist((i, j, k), c) * grid.cell_size
-                    best = min(best, d)
-                if best < grid.proximity_threshold:
-                    out[i, j, k] = LodLevel.MEDIUM
-    return out
-
-
-class TestAssignLod:
-    def test_critical_cells_high(self):
-        grid = LodGrid.empty((4, 4, 1), critical_regions=frozenset({(1, 1, 0)}),
-                             proximity_threshold=1.5)
-        result = assign_lod(grid)
-        assert result.level_at((1, 1, 0)) is LodLevel.HIGH
-
-    def test_no_critical_regions_all_low(self):
-        grid = LodGrid.empty((3, 3, 3))
-        result = assign_lod(grid)
-        assert np.all(result.cells == LodLevel.LOW)
-
-    def test_one_cell_width_away_is_medium_with_threshold_two(self):
-        grid = LodGrid.empty((5, 1, 1), critical_regions=frozenset({(0, 0, 0)}),
-                             proximity_threshold=2.0)
-        result = assign_lod(grid)
-        assert brute_force_lod(grid)[1, 0, 0] == LodLevel.MEDIUM
-        assert result.level_at((1, 0, 0)) is LodLevel.MEDIUM
-        assert result.level_at((2, 0, 0)) is LodLevel.LOW  # exactly at threshold: strict
-
-    def test_empty_grid(self):
-        grid = LodGrid.empty((0, 0, 0))
-        assert assign_lod(grid).cells.size == 0
-
-    def test_matches_brute_force_on_random_grids(self):
-        rng = random.Random(99)
-        for _ in range(10):
-            shape = (rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4))
-            n_crit = rng.randint(0, 5)
-            crit = frozenset(
-                (rng.randrange(shape[0]), rng.randrange(shape[1]), rng.randrange(shape[2]))
-                for _ in range(n_crit)
-            )
-            grid = LodGrid.empty(
-                shape,
-                critical_regions=crit,
-                proximity_threshold=rng.uniform(0.0, 4.0),
-                cell_size=rng.choice([0.5, 1.0, 2.0]),
-            )
-            assert np.array_equal(assign_lod(grid).cells, brute_force_lod(grid))
-
-    def test_idempotent(self):
-        grid = LodGrid.empty((4, 4, 2), critical_regions=frozenset({(0, 0, 0), (3, 3, 1)}),
-                             proximity_threshold=2.5)
-        once = assign_lod(grid)
-        twice = assign_lod(once)
-        assert np.array_equal(once.cells, twice.cells)
-
-    def test_partition_and_invariants(self):
-        grid = LodGrid.empty((5, 5, 2), critical_regions=frozenset({(2, 2, 0)}),
-                             proximity_threshold=2.0)
-        result = assign_lod(grid)
-        assert set(np.unique(result.cells)) <= {0, 1, 2}
-        for idx in grid.critical_regions:
-            assert result.level_at(idx) is LodLevel.HIGH
-
-    def test_critical_outside_grid_rejected(self):
-        with pytest.raises(ValueError):
-            LodGrid.empty((2, 2, 2), critical_regions=frozenset({(5, 0, 0)}))
 
 
 def test_earth_model_validation():

@@ -165,15 +165,3 @@ class TestPayloads:
         back = cloud_from_bytes(cloud_to_bytes(cloud))
         assert len(back) == 50
         assert np.allclose(back.r, cloud.r, atol=1e-3)
-
-    def test_cloud_csv_roundtrip(self, tmp_path):
-        from twinbridge.lidar2d import cloud_from_csv, cloud_to_csv
-
-        rng = random.Random(4)
-        cloud = random_cloud(rng, 25)
-        path = tmp_path / "cloud.csv"
-        cloud_to_csv(cloud, path)
-        back = cloud_from_csv(path)
-        assert len(back) == 25
-        assert np.allclose(back.r, cloud.r)
-        assert np.allclose(back.z, cloud.z)

@@ -103,15 +103,6 @@ class TestMessage:
         pub.publish(b"z", 5.0)  # equal is fine
 
 
-def test_unsubscribe_stops_delivery(bus):
-    pub = bus.advertise("/a", MessageKind.POSE)
-    sub = bus.subscribe("/a", queue_capacity=4)
-    pub.publish(b"1", 0.0)
-    bus.unsubscribe(sub)
-    pub.publish(b"2", 1.0)
-    assert [m.payload for m in sub.drain()] == [b"1"]
-
-
 def test_queue_depth_before_and_after_drain(bus):
     pub = bus.advertise("/a", MessageKind.POSE)
     sub = bus.subscribe("/a", queue_capacity=10)

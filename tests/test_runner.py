@@ -306,6 +306,15 @@ class TestCli:
             "duration: 5.0\nagents:\n  count: 1\n  topics:\n"
             "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
             "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n",
+            "duration: 5.0\nagents:\n  count: 2\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
+            "    - {name: \"/robot1/pose\", kind: scan2d, rate: 5.0, size: 8}\n",
+            "duration: 5.0\nagents:\n  count: 2\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
+            "    - {name: \"/robot1/pose\", kind: pose, rate: 5.0, size: 8}\n",
+            "duration: 5.0\nbridge:\n  shares: [0.9, 0.9, 0.9]\n",
+            "duration: 5.0\nbridge:\n  batch: 2.9\n",
+            "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {redundancy: [0.7, 1]}\n",
         ],
     )
     def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):
@@ -316,6 +325,24 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert lines and all(line.startswith("error: ") and "(line " in line for line in lines)
+
+    def test_sweep_checks_every_count_before_the_first_run(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "clash.yaml"
+        scenario.write_text(
+            "name: clash\nseed: 1\nduration: 5.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
+            "    - {name: \"/robot2/pose\", kind: scan2d, rate: 5.0, size: 8}\n",
+            encoding="utf-8",
+        )
+        runs = []
+        monkeypatch.setattr("twinbridge.runner.run_traffic", runs.append)
+        result = CliRunner().invoke(main, ["sweep", str(scenario), "--counts", "1,2"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            "error: agents.topics[0].name (line 7): agent 2 of 2 gets '/robot2/pose', "
+            "which agents.topics[1].name (line 8) names for agent 1"
+        ]
+        assert runs == []
 
     def test_mmcf_opt_requires_section(self, tmp_path):
         scenario = tmp_path / "plain.yaml"

@@ -92,6 +92,25 @@ geo:
         scenario = load_scenario(write(tmp_path, MINIMAL + "bridge:\n  replay_attempts: 0\n"))
         assert scenario.endpoint.replay_attempts == 0
 
+    def test_an_omitted_mmcf_axis_takes_the_scenarios_bridge_value(self, tmp_path):
+        text = MINIMAL + """\
+bridge:
+  batch: 8
+  replay_capacity: 512
+  shares: [0.6, 0.3, 0.1]
+  discovery: {enabled: true, period: 0.8}
+mmcf:
+  weights: [0.4, 0.3, 0.2, 0.1]
+  space: {redundancy: [0, 1]}
+"""
+        configs = load_scenario(write(tmp_path, text)).mmcf.configs()
+        assert [c.redundancy for c in configs] == [0, 1]
+        for config in configs:
+            assert config.batch_size == 8
+            assert config.replay_capacity == 512
+            assert config.shares == (0.6, 0.3, 0.1)
+            assert config.discovery_period == 0.8
+
     def test_traffic_for_overrides_count(self, tmp_path):
         text = MINIMAL + """\
 agents:
@@ -101,6 +120,34 @@ agents:
 """
         scenario = load_scenario(write(tmp_path, text))
         assert len(scenario.traffic_for(5)) == 5
+
+    def test_whole_floats_read_as_integers(self, tmp_path):
+        text = "name: test\nseed: 2.0\nduration: 5.0\nbridge:\n  batch: 3.0\n" + """\
+mmcf:
+  weights: [0.4, 0.3, 0.2, 0.1]
+  space: {redundancy: [0.0, 1.0]}
+"""
+        scenario = load_scenario(write(tmp_path, text))
+        assert scenario.seed == 2 and isinstance(scenario.seed, int)
+        assert scenario.endpoint.batch_size == 3 and isinstance(scenario.endpoint.batch_size, int)
+        assert [c.redundancy for c in scenario.mmcf.configs()] == [0, 1]
+
+    def test_traffic_for_rejects_two_templates_naming_one_topic(self, tmp_path):
+        text = MINIMAL + """\
+agents:
+  count: 1
+  topics:
+    - {name: "/r{i}/pose", kind: pose, rate: 1.0, size: 8}
+    - {name: "/r2/pose", kind: pose, rate: 1.0, size: 8}
+"""
+        scenario = load_scenario(write(tmp_path, text))
+        assert [t.topic for t in scenario.traffic_for()] == ["/r1/pose", "/r2/pose"]
+        with pytest.raises(ScenarioParseError) as err:
+            scenario.traffic_for(2)
+        assert err.value.problems == [
+            "agents.topics[0].name (line 7): agent 2 of 2 gets '/r2/pose', "
+            "which agents.topics[1].name (line 8) names for agent 1"
+        ]
 
     def test_baseline_bridge_scenario_disables_features(self, tmp_path):
         text = MINIMAL + """\
@@ -142,6 +189,23 @@ agents:
         with pytest.raises(ScenarioParseError) as err:
             load_scenario(write(tmp_path, text))
         assert any("agents.topics[0].kind" in p for p in err.value.problems)
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("name: x\nseed: 2.5\nduration: 5.0\n", "seed (line 2)"),
+            (MINIMAL + "agents:\n  count: 1.7\n  topics:\n"
+             "    - {name: \"/a{i}\", kind: pose, rate: 1.0, size: 8}\n", "agents.count (line 5)"),
+            (MINIMAL + "agents:\n  count: 1\n  topics:\n"
+             "    - {name: \"/a{i}\", kind: pose, rate: 1.0, size: 64.9}\n", "agents.topics[0].size (line 7)"),
+            (MINIMAL + "mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  probes: 2.6\n", "mmcf.probes (line 6)"),
+        ],
+        ids=["seed", "agents.count", "size", "mmcf.probes"],
+    )
+    def test_a_fractional_count_is_an_error_not_truncated(self, tmp_path, text, path):
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write(tmp_path, text))
+        assert [p for p in err.value.problems if p.startswith(path)], err.value.problems
 
     def test_yaml_syntax_error_carries_line(self, tmp_path):
         with pytest.raises(ScenarioParseError) as err:
