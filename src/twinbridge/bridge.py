@@ -2,9 +2,9 @@
 
 An endpoint runs three duties on the shared simulation clock:
 
-* egress: drain subscribed topics, classify each message into a priority tier,
-  frame it, and feed per-tier send queues emptied by the tier scheduler under
-  a per-tick byte budget;
+* egress: drain only the subscribed topics that received messages, classify
+  each message into a priority tier, frame it, and feed per-tier send queues
+  emptied by the tier scheduler under a per-tick byte budget;
 * ingress: decode arriving frames, deduplicate by sequence number, republish
   on the local bus in per-topic sequence order, and detect gaps;
 * discovery: periodically subscribe to newly advertised topics that pass the
@@ -26,6 +26,7 @@ in `decode_errors` and dropped.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import struct
 from collections import deque
@@ -317,6 +318,8 @@ class BridgeEndpoint:
         self.replay_buffer = ReplayBuffer(config.replay_capacity)
         self._scheduler = TierScheduler(config.shares)
         self._tx: dict[str, _TxTopic] = {}
+        self._ready: set[str] = set()  # subscribed topics with queued messages
+        self._critical: list[str] = []  # critical-tier subscribed topics, in name order
         self._rx: dict[str, _RxTopic] = {}
         self._queues: dict[int, deque[QueuedFrame]] = {t: deque() for t in TIERS}
         self._publishers: dict[str, Publisher] = {}
@@ -368,7 +371,10 @@ class BridgeEndpoint:
             return
         kind = self.bus.kind_of(topic)
         sub = self.bus.subscribe(topic, self.config.sub_capacity)
+        sub.ready = self._ready
         tier = self.policy.classify(topic) if self.config.prioritized else TIER_STANDARD
+        if tier == TIER_CRITICAL:
+            bisect.insort(self._critical, topic)
         self._tx[topic] = _TxTopic(
             tier=tier, kind=int(kind) if kind is not None else int(MessageKind.BLOB), sub=sub
         )
@@ -388,11 +394,10 @@ class BridgeEndpoint:
         self._schedule_tick()
 
     def _drain_bus(self, now: float) -> None:
-        for topic in sorted(self._tx):
+        ready = sorted(self._ready)
+        self._ready.clear()
+        for topic in ready:
             tx = self._tx[topic]
-            kind = self.bus.kind_of(topic)
-            if kind is not None:
-                tx.kind = int(kind)
             for msg in tx.sub.drain():
                 if msg.origin == self.origin_id:
                     continue
@@ -446,11 +451,9 @@ class BridgeEndpoint:
         self.bytes_sent += len(payload)
 
     def _emit_heartbeats(self, now: float) -> None:
-        for topic in sorted(self._tx):
+        for topic in self._critical:
             tx = self._tx[topic]
-            if tx.tier != TIER_CRITICAL or tx.next_seq == 0:
-                continue
-            if now - tx.last_sent_at < self.config.heartbeat_interval:
+            if tx.next_seq == 0 or now - tx.last_sent_at < self.config.heartbeat_interval:
                 continue
             tx.last_sent_at = now
             payload = _pack_topic(topic) + _BEAT_SEQ.pack(tx.next_seq - 1)
@@ -549,10 +552,8 @@ class BridgeEndpoint:
         self.replays_requested += 1
 
     def _retry_gap_requests(self, now: float) -> None:
-        for topic in sorted(self._rx):
+        for topic in sorted(topic for topic, rx in self._rx.items() if rx.gaps):
             rx = self._rx[topic]
-            if not rx.gaps:
-                continue
             updated: dict[tuple[int, int], tuple[float, int]] = {}
             for (lo, hi), (retry_at, attempts) in sorted(rx.gaps.items()):
                 live_lo = max(lo, rx.expected)

@@ -190,7 +190,8 @@ def _payload(t: TopicTraffic, seed: int) -> bytes:
     # deterministic filler unique per topic; crc32, unlike hash(), is not
     # salted per process
     basis = (zlib.crc32(f"{t.topic}:{seed}".encode("utf-8")) & 0xFF) or 1
-    return bytes((basis + i) % 256 for i in range(t.size))
+    # byte i is (basis + i) % 256
+    return (bytes(range(256)) * (t.size // 256 + 2))[basis : basis + t.size]
 
 
 def _audit(

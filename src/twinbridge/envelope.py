@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 MAGIC = b"SERN"
 VERSION = 1
@@ -173,4 +173,6 @@ def decode_stream(buf: bytes) -> list[Envelope]:
 
 
 def with_replay_flag(env: Envelope) -> Envelope:
-    return replace(env, flags=env.flags | FLAG_REPLAY)
+    return Envelope(
+        env.tier, env.flags | FLAG_REPLAY, env.seq, env.sim_time_us, env.topic, env.kind, env.payload
+    )

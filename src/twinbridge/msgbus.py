@@ -4,7 +4,8 @@ The bus is the substrate agents and bridge endpoints attach to. Topics are
 path-like names ("/robot1/odom"). Each subscriber owns a bounded FIFO queue;
 on overflow the oldest message is dropped and counted. Subscribing to a topic
 that has not been advertised yet is allowed (delivery starts when it appears),
-which dynamic discovery relies on.
+which dynamic discovery relies on. A topic name is validated once, at
+`advertise` or `subscribe`; the messages published on it are not re-checked.
 
 Timestamps are simulated seconds supplied by the caller, never wall clock.
 """
@@ -58,7 +59,6 @@ class Message:
     origin: str | None = None
 
     def __post_init__(self) -> None:
-        validate_topic(self.topic)
         if len(self.payload) > MAX_PAYLOAD:
             raise ValueError(f"payload of {len(self.payload)} bytes exceeds 16 MiB")
 
@@ -74,6 +74,7 @@ class Subscription:
         self.drops = 0
         self.received = 0
         self._queue: deque[Message] = deque()
+        self.ready: set[str] | None = None  # a consumer's set; each push adds the topic
 
     def _push(self, msg: Message) -> None:
         if len(self._queue) >= self.capacity:
@@ -81,6 +82,8 @@ class Subscription:
             self.drops += 1
         self._queue.append(msg)
         self.received += 1
+        if self.ready is not None:
+            self.ready.add(self.topic)
 
     def drain(self) -> list[Message]:
         out = list(self._queue)

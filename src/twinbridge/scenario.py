@@ -256,9 +256,10 @@ class SyncSpec:
     terrain: str
 
 
-# mmcf.space axes, in BridgeConfig's field order; an integer axis takes whole numbers only
+# mmcf.space axes, in BridgeConfig's field order
 _MMCF_AXES = ("redundancy", "shares", "replay_capacity", "discovery_period", "batch")
-_MMCF_INTEGER_AXES = ("redundancy", "replay_capacity", "batch")
+# each scalar axis's reading of one value: None for a value it rejects
+_MMCF_SCALAR_AXES = {"redundancy": _whole, "replay_capacity": _whole, "discovery_period": _finite, "batch": _whole}
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ class MmcfSpec:
                     redundancy=red,
                     shares=shares_t,
                     replay_capacity=cap,
-                    discovery_period=float(period),
+                    discovery_period=period,
                     batch_size=batch,
                 )
             )
@@ -569,11 +570,13 @@ def _parse_mmcf(
         if not isinstance(values, list) or not values:
             ctx.fail(f"mmcf.space.{key}", "expected a non-empty list of values")
             continue
-        if key in _MMCF_INTEGER_AXES:
-            if None in [_whole(v) for v in values]:
-                ctx.fail(f"mmcf.space.{key}", f"expected a list of integers, got {values!r:.40}")
+        read = _MMCF_SCALAR_AXES.get(key)
+        if read is not None:
+            if None in [read(v) for v in values]:
+                what = "integers" if read is _whole else "finite numbers"
+                ctx.fail(f"mmcf.space.{key}", f"expected a list of {what}, got {values!r:.40}")
                 continue
-            values = [_whole(v) for v in values]
+            values = [read(v) for v in values]
         space[key] = tuple(tuple(v) if isinstance(v, list) else v for v in values)
     probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, integer=True)
     spec = MmcfSpec(weights=weights, space=space, probes=probes)

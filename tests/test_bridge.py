@@ -30,7 +30,7 @@ from twinbridge.envelope import (
     encode_envelope,
 )
 from twinbridge.mmcf import BridgeConfig
-from twinbridge.msgbus import MessageKind, TopicBus
+from twinbridge.msgbus import MessageKind, Subscription, TopicBus
 from twinbridge.netsim import (
     NetLink,
     NetworkConditions,
@@ -442,6 +442,60 @@ class TestEndpoint:
         got = [int.from_bytes(m.payload, "little") for m in sub.drain()]
         assert 0 < len(got) < 80  # loss is permanent without replay
         assert got == sorted(got)
+
+
+class TestWakeOnWork:
+    """Egress work follows the messages published, not topics x ticks."""
+
+    TOPICS = tuple(f"/robot{i:02d}/pose" for i in range(30))
+
+    @pytest.fixture
+    def drains(self, monkeypatch):
+        calls: list[str] = []
+        real = Subscription.drain
+        monkeypatch.setattr(Subscription, "drain", lambda sub: calls.append(sub.topic) or real(sub))
+        return calls
+
+    def idle_endpoint(self):
+        """30 bridged, advertised topics after 50 ticks with nothing published."""
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        config = EndpointConfig(topics=self.TOPICS)
+        bus_a, bus_b, _, _ = make_pair(clock, fwd, rev, config=config)
+        pubs = {topic: bus_a.advertise(topic, MessageKind.POSE) for topic in self.TOPICS}
+        for _ in range(50):
+            clock.advance(config.tick)
+        return clock, pubs, bus_b
+
+    def test_idle_ticks_drain_nothing(self, drains):
+        self.idle_endpoint()
+        assert drains == []
+
+    def test_one_publish_drains_once_on_the_next_tick(self, drains):
+        clock, pubs, bus_b = self.idle_endpoint()
+        sub = bus_b.subscribe("/robot07/pose", 8)
+        pubs["/robot07/pose"].publish(b"x", clock.now)
+        clock.advance(EndpointConfig.tick)
+        assert drains == ["/robot07/pose"]
+        clock.advance(0.5)
+        assert drains == ["/robot07/pose"]
+        assert [m.payload for m in sub.drain()] == [b"x"]
+
+    def test_topic_listed_before_it_is_advertised_is_bridged(self):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        policy = PriorityPolicy(rules=(("/late", TIER_CRITICAL),))
+        config = EndpointConfig(topics=("/late",))
+        bus_a, bus_b, local, _ = make_pair(clock, fwd, rev, policy=policy, config=config)
+        sub = bus_b.subscribe("/late", 8)
+        clock.advance(0.3)
+        pub = bus_a.advertise("/late", MessageKind.COMMAND)
+        for i in range(3):
+            pub.publish(bytes([i]), clock.now)
+            clock.advance(0.1)
+        clock.advance(1.0)
+        assert [m.payload for m in sub.drain()] == [b"\x00", b"\x01", b"\x02"]
+        assert local.tx_stats()["/late"].next_seq == 3
 
 
 # CRC-valid frames that no endpoint can act on, and whether each one decodes

@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 from twinbridge.bridge import EndpointConfig, PriorityPolicy
-from twinbridge.engine import BridgeScenario, TopicTraffic, percentile, run_traffic
+from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
 from twinbridge.msgbus import MessageKind
@@ -111,3 +112,17 @@ def test_payload_filler_independent_of_hash_seed():
         return out.stdout
 
     assert payloads("1") == payloads("2")
+
+
+def test_payload_filler_matches_the_per_byte_formula():
+    def basis(seed):
+        return (zlib.crc32(f"/t:{seed}".encode("utf-8")) & 0xFF) or 1
+
+    seed_for: dict[int, int] = {}
+    for seed in range(20_000):
+        seed_for.setdefault(basis(seed), seed)
+    assert sorted(seed_for) == list(range(1, 256))
+    for b, seed in sorted(seed_for.items()):
+        for size in (0, 1, 255, 256, 257, 1440, 12000):
+            expected = bytes((b + i) % 256 for i in range(size))
+            assert _payload(TopicTraffic("/t", MessageKind.BLOB, 1.0, size), seed) == expected, (b, size)

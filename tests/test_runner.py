@@ -315,6 +315,7 @@ class TestCli:
             "duration: 5.0\nbridge:\n  shares: [0.9, 0.9, 0.9]\n",
             "duration: 5.0\nbridge:\n  batch: 2.9\n",
             "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {redundancy: [0.7, 1]}\n",
+            "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {discovery_period: [\"0.5\", \"0.25\"]}\n",
         ],
     )
     def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):
@@ -342,6 +343,17 @@ class TestCli:
             "error: agents.topics[0].name (line 7): agent 2 of 2 gets '/robot2/pose', "
             "which agents.topics[1].name (line 8) names for agent 1"
         ]
+        assert runs == []
+
+    @pytest.mark.parametrize("counts", ["3,2", "2,x", "-1,2", ","])
+    def test_bad_sweep_counts_are_an_error_line_not_a_traceback(self, counts, monkeypatch):
+        runs = []
+        monkeypatch.setattr("twinbridge.runner.run_traffic", runs.append)
+        result = CliRunner().invoke(main, ["sweep", str(SCENARIOS / "bridge_sweep.yaml"), "--counts", counts])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --counts {counts!r}")
         assert runs == []
 
     def test_mmcf_opt_requires_section(self, tmp_path):

@@ -207,6 +207,14 @@ agents:
             load_scenario(write(tmp_path, text))
         assert [p for p in err.value.problems if p.startswith(path)], err.value.problems
 
+    def test_a_quoted_discovery_period_is_an_error_not_converted(self, tmp_path):
+        text = MINIMAL + "mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  space: {discovery_period: [\"0.5\", 0.25]}\n"
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write(tmp_path, text))
+        assert err.value.problems == [
+            "mmcf.space.discovery_period (line 6): expected a list of finite numbers, got ['0.5', 0.25]"
+        ]
+
     def test_yaml_syntax_error_carries_line(self, tmp_path):
         with pytest.raises(ScenarioParseError) as err:
             load_scenario(write(tmp_path, "name: [unclosed\nseed: 1\n"))
