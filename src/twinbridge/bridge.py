@@ -344,7 +344,7 @@ class BridgeEndpoint:
     # --- wiring -------------------------------------------------------------
 
     def _schedule_tick(self) -> None:
-        self.clock.schedule(self.clock.now + self.config.tick, self._tick, tag=(self.origin_id, "tick"))
+        self.clock.schedule(self.clock.now + self.config.tick, self._tick)
 
     def _budget(self) -> float:
         if self.config.budget_per_tick is not None:
@@ -362,9 +362,7 @@ class BridgeEndpoint:
                 continue
             if self.discovery.permits(topic):
                 self._ensure_subscription(topic)
-        self.clock.schedule(
-            self.clock.now + self.discovery.period, self._run_discovery, tag=(self.origin_id, "disc")
-        )
+        self.clock.schedule(self.clock.now + self.discovery.period, self._run_discovery)
 
     def _ensure_subscription(self, topic: str) -> None:
         if topic in self._tx:
@@ -538,8 +536,6 @@ class BridgeEndpoint:
             rx.expected += 1
 
     def _note_gap(self, rx: _RxTopic, topic: str, lo: int, hi: int, at: float) -> None:
-        if hi < lo:
-            return
         for (glo, ghi) in rx.gaps:
             if glo <= lo and hi <= ghi:
                 return

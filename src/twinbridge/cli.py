@@ -63,8 +63,8 @@ def sweep_cmd(scenario_path: str, counts: str, seed: int | None, out_dir: str | 
     """Run the scenario across several agent counts and print the scaling table."""
     items = [c.strip() for c in counts.split(",") if c.strip()]
     count_list = [int(c) for c in items if c.isdecimal()]
-    if not items or len(count_list) < len(items) or count_list != sorted(count_list):
-        click.echo(f"error: --counts {counts!r}: expected ascending agent counts >= 0, such as 2,3,5", err=True)
+    if not items or len(count_list) < len(items) or any(a >= b for a, b in zip(count_list, count_list[1:])):
+        click.echo(f"error: --counts {counts!r}: expected strictly ascending whole counts, such as 2,3,5", err=True)
         raise SystemExit(2)
     result = sweep_agents(scenario_path, count_list, seed=seed, baseline=baseline)
     click.echo("agents,sent,delivered,delivery_rate,bytes,critical_p95,standard_p95,bulk_p95")

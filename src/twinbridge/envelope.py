@@ -93,10 +93,6 @@ class Envelope:
     payload: bytes
 
     @property
-    def is_replay(self) -> bool:
-        return bool(self.flags & FLAG_REPLAY)
-
-    @property
     def sim_time(self) -> float:
         return self.sim_time_us / 1e6
 

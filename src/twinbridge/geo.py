@@ -5,11 +5,12 @@ north -> z. Horizontal scene axes come from per-axis great-circle distances
 (longitude varying for x, latitude varying for z); the vertical axis is the
 scaled altitude difference.
 
-Method selection: operational extents above EarthModel.area_threshold
-(default 1 km^2) use great-circle distances; smaller areas use the local
-tangent plane approximation, which is cheaper and agrees with the
-great-circle per-axis values to better than 1e-5 relative error for angular
-separations under 0.005 rad.
+Method selection: operational extents above AREA_THRESHOLD_M2 (1 km^2) use
+great-circle distances on a sphere of radius EARTH_RADIUS_M; smaller areas
+use the local tangent plane approximation, which is cheaper and agrees with
+the great-circle per-axis values to better than 1e-5 relative error for
+angular separations under 0.005 rad. Both constants are fixed: every caller
+converts on the same spherical earth.
 
 All angles are radians; all lengths are meters unless stated otherwise.
 """
@@ -67,21 +68,7 @@ class SceneCoord:
     z: float
 
 
-@dataclass(frozen=True)
-class EarthModel:
-    """Spherical earth radius plus the large/small-area switch threshold."""
-
-    radius: float = EARTH_RADIUS_M
-    area_threshold: float = AREA_THRESHOLD_M2
-
-    def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.area_threshold <= 0:
-            raise ValueError("area_threshold must be positive")
-
-
-def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = EarthModel()) -> float:
+def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points on the spherical earth.
 
     Uses the atan2 form of the haversine conversion (identical value to the
@@ -92,71 +79,56 @@ def haversine_distance(a: GeoPoint, b: GeoPoint, earth: EarthModel = EarthModel(
     dlmb = b.longitude - a.longitude
     h = math.sin(dphi / 2) ** 2 + math.cos(a.latitude) * math.cos(b.latitude) * math.sin(dlmb / 2) ** 2
     h = min(max(h, 0.0), 1.0)
-    return earth.radius * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
+    return EARTH_RADIUS_M * 2.0 * math.atan2(math.sqrt(h), math.sqrt(1.0 - h))
 
 
-def tangent_plane_offset(
-    ref: GeoPoint, target: GeoPoint, earth: EarthModel = EarthModel()
-) -> LocalOffset:
+def tangent_plane_offset(ref: GeoPoint, target: GeoPoint) -> LocalOffset:
     """Small-area flat-earth offset of target relative to ref.
 
     east = r * cos(lat_ref) * dlon, north = r * dlat, up = dalt. Valid when
-    the operational area is below the earth model's threshold.
+    the operational area is below AREA_THRESHOLD_M2.
     """
-    east = earth.radius * math.cos(ref.latitude) * (target.longitude - ref.longitude)
-    north = earth.radius * (target.latitude - ref.latitude)
+    east = EARTH_RADIUS_M * math.cos(ref.latitude) * (target.longitude - ref.longitude)
+    north = EARTH_RADIUS_M * (target.latitude - ref.latitude)
     return LocalOffset(east, target.altitude - ref.altitude, north)
 
 
-def _axis_distances_haversine(ref: GeoPoint, target: GeoPoint, earth: EarthModel) -> tuple[float, float]:
+def _axis_distances_haversine(ref: GeoPoint, target: GeoPoint) -> tuple[float, float]:
     """Per-axis great-circle magnitudes: (east-axis, north-axis)."""
     east = haversine_distance(
         GeoPoint(ref.latitude, ref.longitude, 0.0),
         GeoPoint(ref.latitude, target.longitude, 0.0),
-        earth,
     )
     north = haversine_distance(
         GeoPoint(ref.latitude, ref.longitude, 0.0),
         GeoPoint(target.latitude, ref.longitude, 0.0),
-        earth,
     )
     return east, north
 
 
-def gps_to_scene(
-    ref: GeoPoint,
-    target: GeoPoint,
-    scale: float,
-    earth: EarthModel = EarthModel(),
-    extent: float = 0.0,
-) -> SceneCoord:
+def gps_to_scene(ref: GeoPoint, target: GeoPoint, scale: float, extent: float = 0.0) -> SceneCoord:
     """Convert a geodetic target to scene coordinates around a reference.
 
     `extent` is the operational bounding-box area in m^2, supplied by the
-    caller; above the earth model's threshold the per-axis great-circle
-    method is used, otherwise the tangent plane. Signs follow the direction
-    of the target from the reference. Vertical is scale * (alt - alt_ref).
+    caller; above AREA_THRESHOLD_M2 the per-axis great-circle method is
+    used, otherwise the tangent plane. Signs follow the direction of the
+    target from the reference. Vertical is scale * (alt - alt_ref).
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if extent > earth.area_threshold:
-        east, north = _axis_distances_haversine(ref, target, earth)
+    if extent > AREA_THRESHOLD_M2:
+        east, north = _axis_distances_haversine(ref, target)
         if target.longitude < ref.longitude:
             east = -east
         if target.latitude < ref.latitude:
             north = -north
     else:
-        off = tangent_plane_offset(ref, target, earth)
+        off = tangent_plane_offset(ref, target)
         east, north = off.east, off.north
     return SceneCoord(scale * east, scale * (target.altitude - ref.altitude), scale * north)
 
 
-def scene_to_gps(
-    ref: GeoPoint,
-    coord: SceneCoord,
-    scale: float,
-    earth: EarthModel = EarthModel(),
-) -> GeoPoint:
+def scene_to_gps(ref: GeoPoint, coord: SceneCoord, scale: float) -> GeoPoint:
     """Inverse of the tangent-plane branch of gps_to_scene.
 
     Exact for small-area conversions away from the poles; used to round-trip
@@ -166,7 +138,7 @@ def scene_to_gps(
         raise ValueError("scale must be positive")
     east = coord.x / scale
     north = coord.z / scale
-    lat = ref.latitude + north / earth.radius
-    lon = ref.longitude + east / (earth.radius * math.cos(ref.latitude))
+    lat = ref.latitude + north / EARTH_RADIUS_M
+    lon = ref.longitude + east / (EARTH_RADIUS_M * math.cos(ref.latitude))
     return GeoPoint(lat, lon, ref.altitude + coord.y / scale)
 

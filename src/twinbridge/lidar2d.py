@@ -15,9 +15,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Wire sentinel for bins without a return: float32 max, little-endian.
-NO_RETURN = float(np.finfo(np.float32).max)
-
 BYTES_PER_BIN = 4
 BYTES_PER_POINT = 12
 
@@ -69,17 +66,6 @@ class Scan2D:
     @property
     def n_bins(self) -> int:
         return self.ranges.shape[0]
-
-    def to_bytes(self) -> bytes:
-        """Packed little-endian float32 per bin; NO_RETURN for empty bins."""
-        out = np.where(np.isfinite(self.ranges), self.ranges, NO_RETURN).astype("<f4")
-        return out.tobytes()
-
-    @staticmethod
-    def from_bytes(data: bytes, obstacle_threshold: float) -> "Scan2D":
-        raw = np.frombuffer(data, dtype="<f4").astype(np.float64)
-        ranges = np.where(raw >= NO_RETURN, math.inf, raw)
-        return Scan2D(ranges, obstacle_threshold)
 
 
 def azimuth_bin(theta: float | np.ndarray, n_bins: int) -> np.ndarray:
@@ -147,17 +133,4 @@ def payload_comparison(scan: Scan2D, cloud: PointCloud3D) -> PayloadComparison:
     if c == 0:
         return PayloadComparison(s, c, None)
     return PayloadComparison(s, c, 1.0 - s / c)
-
-
-def cloud_to_bytes(cloud: PointCloud3D) -> bytes:
-    """Packed (r, theta, z) float32 triples, little-endian."""
-    out = np.stack([cloud.r, cloud.theta, cloud.z], axis=1).astype("<f4")
-    return out.tobytes()
-
-
-def cloud_from_bytes(data: bytes) -> PointCloud3D:
-    if len(data) % BYTES_PER_POINT:
-        raise ValueError("cloud buffer is not a whole number of 12-byte points")
-    raw = np.frombuffer(data, dtype="<f4").reshape(-1, 3).astype(np.float64)
-    return PointCloud3D(raw[:, 0], raw[:, 1], raw[:, 2])
 

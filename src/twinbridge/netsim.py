@@ -58,28 +58,28 @@ class SimClock:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None], Any]] = []
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
-    def schedule(self, at: float, callback: Callable[[], None], tag: Any = None) -> None:
+    def schedule(self, at: float, callback: Callable[[], None]) -> None:
         if at < self.now:
             raise ValueError(f"cannot schedule at {at} before now={self.now}")
-        heapq.heappush(self._heap, (at, next(self._seq), callback, tag))
+        heapq.heappush(self._heap, (at, next(self._seq), callback))
 
-    def advance(self, dt: float) -> list[tuple[float, Any]]:
+    def advance(self, dt: float) -> list[float]:
         """Advance by dt >= 0, firing every event due on the way.
 
-        Returns the (time, tag) of each fired event, in firing order. dt = 0
-        fires only events due exactly now.
+        Returns the time of each fired event, in firing order. dt = 0 fires
+        only events due exactly now.
         """
         if dt < 0:
             raise ValueError("dt must be >= 0")
         target = self.now + dt
-        fired: list[tuple[float, Any]] = []
+        fired: list[float] = []
         while self._heap and self._heap[0][0] <= target:
-            at, _, callback, tag = heapq.heappop(self._heap)
+            at, _, callback = heapq.heappop(self._heap)
             self.now = at
-            fired.append((at, tag))
+            fired.append(at)
             callback()
         self.now = target
         return fired
@@ -136,25 +136,18 @@ class Outcome(Enum):
 
 
 @dataclass(frozen=True)
-class SendOutcome:
-    """Result of one send: whether it was scheduled and when it will land."""
-
-    kind: Outcome
-    deliver_at: float | None = None
-    reason: str = ""
-
-    @property
-    def dropped(self) -> bool:
-        return self.kind is Outcome.DROPPED
-
-
-@dataclass(frozen=True)
 class TraceEvent:
+    """One send and its outcome: when it was sent, its size, and when it lands."""
+
     kind: Outcome
     t_send: float
     size: int
     deliver_at: float | None
     reason: str = ""
+
+    @property
+    def dropped(self) -> bool:
+        return self.kind is Outcome.DROPPED
 
 
 class NetLink:
@@ -171,11 +164,9 @@ class NetLink:
         clock: SimClock,
         conditions: NetworkConditions,
         seed: int,
-        name: str = "link",
     ) -> None:
         self.clock = clock
         self.conditions = conditions
-        self.name = name
         self.on_deliver: Callable[[bytes, float], None] | None = None
         self._rng = random.Random(seed)
         self._free_at = 0.0
@@ -183,7 +174,8 @@ class NetLink:
         self._flight_seq = itertools.count()
         self._trace: list[TraceEvent] = []
 
-    def send(self, payload: bytes) -> SendOutcome:
+    def send(self, payload: bytes) -> TraceEvent:
+        """Send one packet; returns its trace entry, the last of replay_trace."""
         t = self.clock.now
         draw = self._rng.random()
         size = len(payload)
@@ -207,14 +199,16 @@ class NetLink:
             if self.on_deliver is not None:
                 self.on_deliver(payload, deliver_at)
 
-        self.clock.schedule(deliver_at, _deliver, tag=(self.name, "deliver"))
+        self.clock.schedule(deliver_at, _deliver)
         kind = Outcome.DELIVERED if start == t else Outcome.DEFERRED
-        self._trace.append(TraceEvent(kind, t, size, deliver_at))
-        return SendOutcome(kind, deliver_at)
+        event = TraceEvent(kind, t, size, deliver_at)
+        self._trace.append(event)
+        return event
 
-    def _drop(self, t: float, size: int, reason: str) -> SendOutcome:
-        self._trace.append(TraceEvent(Outcome.DROPPED, t, size, None, reason))
-        return SendOutcome(Outcome.DROPPED, None, reason)
+    def _drop(self, t: float, size: int, reason: str) -> TraceEvent:
+        event = TraceEvent(Outcome.DROPPED, t, size, None, reason)
+        self._trace.append(event)
+        return event
 
     def in_flight(self) -> list[bytes]:
         """Payloads scheduled but not yet delivered (for end-of-run audits)."""
@@ -230,6 +224,6 @@ def link_pair(
     clock: SimClock, conditions: NetworkConditions, seed: int
 ) -> tuple[NetLink, NetLink]:
     """Two directions of a link between endpoint peers, independently seeded."""
-    fwd = NetLink(clock, conditions, seed ^ 0x5BD1E995, name="fwd")
-    rev = NetLink(clock, conditions, seed ^ 0x27D4EB2F, name="rev")
+    fwd = NetLink(clock, conditions, seed ^ 0x5BD1E995)
+    rev = NetLink(clock, conditions, seed ^ 0x27D4EB2F)
     return fwd, rev

@@ -164,7 +164,7 @@ def run_sync_section(
     spec = scenario.sync
     assert spec is not None
     clock = SimClock()
-    link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED, name="sync")
+    link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED)
     force = PiecewiseConstant((t, vec3(x, y, z)) for t, x, y, z in spec.force_script)
     agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script), spec.terrain)
     twin = VirtualTwin(spec.params, spec.terrain, tick=spec.loop.tick)
@@ -392,8 +392,8 @@ def sweep_agents(
     baseline: bool = False,
 ) -> SweepResult:
     """Run the scenario once per agent count; returns reports plus a table."""
-    if not counts or sorted(counts) != list(counts):
-        raise ValueError("counts must be non-empty and ascending")
+    if not counts or any(a >= b for a, b in zip(counts, counts[1:])):
+        raise ValueError("counts must be non-empty and strictly ascending")
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     use_seed = scenario.seed if seed is None else seed

@@ -56,8 +56,10 @@ duration are required):
 A key that counts (seed, count, size, batch, capacities, attempts, probes,
 integer mmcf axes) takes a whole number: 2.0 reads as 2, 2.5 is an error. Two
 expansions of the topic templates may not name one topic, which is checked at
-the agent count of each run and of each sweep step. Validation failures raise
-ScenarioParseError carrying one "path (line N): message" entry per problem.
+the agent count of each run and of each sweep step. A key the parser does not
+read is an error, in every mapping but sync.friction's terrain names.
+Validation failures raise ScenarioParseError carrying one "path (line N):
+message" entry per problem; the line of a key's problem is the key's line.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def _convert(node: yaml.Node, marks: dict[str, int], path: str) -> Any:
         out = {}
         for key_node, value_node in node.value:
             key = str(key_node.value)
-            out[key] = _convert(value_node, marks, f"{path}.{key}" if path else key)
+            child = f"{path}.{key}" if path else key
+            out[key] = _convert(value_node, marks, child)
+            marks[child] = key_node.start_mark.line + 1  # a key's diagnostics point at the key
         return out
     if isinstance(node, yaml.SequenceNode):
         return [_convert(child, marks, f"{path}[{i}]") for i, child in enumerate(node.value)]
@@ -168,6 +172,12 @@ class _Ctx:
             self.fail(full, f"expected {names}, got {type(value).__name__}")
             return default
         return value
+
+    def known(self, data: dict, path: str, keys) -> None:
+        """Reports each key of data that is not in keys, so a misspelt key is not silently ignored."""
+        for key in data:
+            if key not in keys:
+                self.fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {sorted(keys)}")
 
     def number(
         self, data, path, key, required=False, default=None, minimum=None, positive=False, integer=False
@@ -385,6 +395,7 @@ def _parse_profile(ctx: _Ctx, raw, path: str, lo=None, hi=None) -> PiecewiseCons
 
 def _parse_network(ctx: _Ctx, data: dict) -> NetworkConditions:
     net = ctx.get(data, "", "network", dict, default={}) or {}
+    ctx.known(net, "network", ("latency", "loss", "bandwidth", "disconnects"))
     latency = _parse_profile(ctx, net.get("latency"), "network.latency", lo=0.0)
     loss = _parse_profile(ctx, net.get("loss"), "network.loss", lo=0.0, hi=1.0)
     bandwidth = None
@@ -400,6 +411,11 @@ def _parse_network(ctx: _Ctx, data: dict) -> NetworkConditions:
 
 def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
     pol = ctx.get(data, "", "policy", dict, default={}) or {}
+    ctx.known(pol, "policy", ("default", "rules"))
+    rules = pol.get("rules")
+    for i, rule in enumerate(rules if isinstance(rules, list) else ()):
+        if isinstance(rule, dict):
+            ctx.known(rule, f"policy.rules[{i}]", ("pattern", "tier"))
     try:
         return PriorityPolicy.from_dict(pol)
     except (ValueError, KeyError, TypeError) as exc:
@@ -409,7 +425,12 @@ def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
 
 def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfig, float]:
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
+    ctx.known(br, "bridge", (
+        "tick", "budget_per_tick", "batch", "redundancy", "shares", "replay_capacity", "sub_capacity",
+        "heartbeat", "replay_retry", "replay_attempts", "drain", "discovery",
+    ))
     disc_raw = ctx.get(br, "bridge", "discovery", dict, default={}) or {}
+    ctx.known(disc_raw, "bridge.discovery", ("enabled", "period", "allow", "deny"))
     discovery = DiscoveryConfig(
         enabled=ctx.get(disc_raw, "bridge.discovery", "enabled", bool, default=False),
         period=ctx.number(disc_raw, "bridge.discovery", "period", default=0.5, positive=True),
@@ -444,6 +465,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
     ag = ctx.get(data, "", "agents", dict, default=None)
     if ag is None:
         return 0, ()
+    ctx.known(ag, "agents", ("count", "topics"))
     count = ctx.number(ag, "agents", "count", required=True, default=0, minimum=0, integer=True)
     templates = []
     topics = ctx.get(ag, "agents", "topics", list, required=True, default=[]) or []
@@ -452,6 +474,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
         if not isinstance(raw, dict):
             ctx.fail(path, "expected a mapping")
             continue
+        ctx.known(raw, path, ("name", "kind", "rate", "size", "start"))
         name = ctx.get(raw, path, "name", str, required=True)
         kind_name = ctx.get(raw, path, "kind", str, required=True, default="blob")
         if kind_name not in KIND_NAMES:
@@ -486,12 +509,16 @@ _SYNC_POSITIVE = (
     "tick", "gain_window",
 )
 _SYNC_NON_NEGATIVE = ("drag", "kp", "kd", "heading_gain", "accuracy_weight", "energy_weight")
+_SYNC_KEYS = _SYNC_POSITIVE + _SYNC_NON_NEGATIVE + (
+    "friction", "gain_grid", "update_rate", "adaptive_gains", "force_script", "yaw_script", "bound", "terrain",
+)
 
 
 def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     sy = ctx.get(data, "", "sync", dict, default=None)
     if sy is None:
         return None
+    ctx.known(sy, "sync", _SYNC_KEYS)
     numbers = {}
     for key in _SYNC_POSITIVE + _SYNC_NON_NEGATIVE:
         value = ctx.number(sy, "sync", key, minimum=0.0, positive=key in _SYNC_POSITIVE)
@@ -522,6 +549,7 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     try:
         bound = None
         if bound_raw is not None:
+            ctx.known(bound_raw, "sync.bound", ("lipschitz", "delta", "e0"))
             k = ctx.number(bound_raw, "sync.bound", "lipschitz", required=True, positive=True)
             delta = ctx.number(bound_raw, "sync.bound", "delta", required=True, minimum=0.0)
             e0 = ctx.number(bound_raw, "sync.bound", "e0", minimum=0.0)
@@ -547,6 +575,7 @@ def _parse_mmcf(
     mm = ctx.get(data, "", "mmcf", dict, default=None)
     if mm is None:
         return None
+    ctx.known(mm, "mmcf", ("weights", "space", "probes"))
     weights = MmcfWeights(0.25, 0.25, 0.25, 0.25)
     weights_raw = ctx.get(mm, "mmcf", "weights", list, required=True, default=[0.25, 0.25, 0.25, 0.25])
     values = _vector(ctx, weights_raw, "mmcf.weights", 4, "4 weights")
@@ -556,6 +585,7 @@ def _parse_mmcf(
         except ValueError as exc:
             ctx.fail("mmcf.weights", str(exc))
     space_raw = ctx.get(mm, "mmcf", "space", dict, default={}) or {}
+    ctx.known(space_raw, "mmcf.space", _MMCF_AXES)
     space: dict[str, tuple] = {
         "redundancy": (endpoint.redundancy,),
         "shares": (endpoint.shares,),
@@ -565,7 +595,6 @@ def _parse_mmcf(
     }
     for key, values in space_raw.items():
         if key not in _MMCF_AXES:
-            ctx.fail(f"mmcf.space.{key}", f"unknown axis; expected one of {sorted(_MMCF_AXES)}")
             continue
         if not isinstance(values, list) or not values:
             ctx.fail(f"mmcf.space.{key}", "expected a non-empty list of values")
@@ -591,6 +620,7 @@ def _parse_geo(ctx: _Ctx, data: dict) -> GeoSpec | None:
     ge = ctx.get(data, "", "geo", dict, default=None)
     if ge is None:
         return None
+    ctx.known(ge, "geo", ("reference", "scale", "extent", "waypoints"))
     ref = GeoPoint(0.0, 0.0, 0.0)
     ref_raw = ctx.get(ge, "geo", "reference", list, required=True, default=[0.0, 0.0, 0.0])
     values = _vector(ctx, ref_raw, "geo.reference", 3, "[lat_deg, lon_deg, alt_m]")
@@ -617,6 +647,7 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file, or raise ScenarioParseError."""
     data, marks = load_yaml_with_lines(path)
     ctx = _Ctx(marks)
+    ctx.known(data, "", ("name", "seed", "duration", "network", "bridge", "policy", "agents", "sync", "mmcf", "geo"))
 
     name = ctx.get(data, "", "name", str, required=True, default="unnamed")
     seed = ctx.number(data, "", "seed", required=True, default=0, minimum=0, integer=True)

@@ -278,13 +278,11 @@ class SyncBoundModel:
 
     lipschitz is the constant of the closed-loop dynamics; delta_bound is the
     declared sup of the control-input mismatch; e0 the initial state error.
-    An optional piecewise profile refines delta over time.
     """
 
     lipschitz: float
     delta_bound: float
     e0: float = 0.0
-    delta_profile: PiecewiseConstant | None = None
 
     def __post_init__(self) -> None:
         if self.lipschitz <= 0:
@@ -296,26 +294,13 @@ class SyncBoundModel:
 def gronwall_bound(model: SyncBoundModel, t: float) -> float:
     """Analytic error envelope at time t >= 0.
 
-    Constant mismatch: e0*exp(K*t) + delta*(exp(K*t) - 1). With a piecewise
-    profile the convolution integral is evaluated exactly per segment:
-    the segment [a, b) with value d contributes d*(exp(K*(t-a)) - exp(K*(t-b))).
+    Gronwall's inequality under a constant mismatch bound delta:
+    e0*exp(K*t) + delta*(exp(K*t) - 1).
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     k = model.lipschitz
-    if model.delta_profile is None:
-        return model.e0 * math.exp(k * t) + model.delta_bound * (math.exp(k * t) - 1.0)
-    total = model.e0 * math.exp(k * t)
-    points = model.delta_profile.breakpoints()
-    for i, (start, value) in enumerate(points):
-        if start >= t:
-            break
-        end = min(points[i + 1][0], t) if i + 1 < len(points) else t
-        a = max(start, 0.0)
-        if end <= a:
-            continue
-        total += value * (math.exp(k * (t - a)) - math.exp(k * (t - end)))
-    return total
+    return model.e0 * math.exp(k * t) + model.delta_bound * (math.exp(k * t) - 1.0)
 
 
 # --- state updates on the wire -------------------------------------------------

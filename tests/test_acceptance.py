@@ -22,7 +22,6 @@ from twinbridge.envelope import (
     encode_envelope,
 )
 from twinbridge.geo import (
-    EarthModel,
     GeoPoint,
     gps_to_scene,
     haversine_distance,
@@ -225,7 +224,6 @@ def test_criterion_7_geodesy():
         worst_mm = max(worst_mm, err * 1000.0)
         assert err < 1e-3
 
-    earth = EarthModel()
     worst_rel = 0.0
     for _ in range(200):
         lat = rng.uniform(-1.2, 1.2)
@@ -233,9 +231,9 @@ def test_criterion_7_geodesy():
         dlat = rng.uniform(-0.0035, 0.0035)
         dlon = rng.uniform(-0.0035, 0.0035)
         ref = GeoPoint(lat, lon)
-        off = tangent_plane_offset(ref, GeoPoint(lat + dlat, lon + dlon), earth)
-        east_h = haversine_distance(ref, GeoPoint(lat, lon + dlon), earth)
-        north_h = haversine_distance(ref, GeoPoint(lat + dlat, lon), earth)
+        off = tangent_plane_offset(ref, GeoPoint(lat + dlat, lon + dlon))
+        east_h = haversine_distance(ref, GeoPoint(lat, lon + dlon))
+        north_h = haversine_distance(ref, GeoPoint(lat + dlat, lon))
         norm_t = math.hypot(off.east, off.north)
         norm_h = math.hypot(east_h, north_h)
         if norm_h > 1e-6:
@@ -251,8 +249,8 @@ def test_criterion_7_geodesy():
             ref.longitude + rng.uniform(-0.004, 0.004),
             ref.altitude + rng.uniform(-10, 10),
         )
-        coord = gps_to_scene(ref, target, 1.5, earth, extent=100.0)
-        back = scene_to_gps(ref, coord, 1.5, earth)
+        coord = gps_to_scene(ref, target, 1.5, extent=100.0)
+        back = scene_to_gps(ref, coord, 1.5)
         worst_rad = max(
             worst_rad, abs(back.latitude - target.latitude), abs(back.longitude - target.longitude)
         )

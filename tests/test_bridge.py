@@ -22,6 +22,7 @@ from twinbridge.bridge import (
     check_shares,
 )
 from twinbridge.envelope import (
+    FLAG_REPLAY,
     TIER_BULK,
     TIER_CRITICAL,
     TIER_STANDARD,
@@ -408,7 +409,7 @@ class TestEndpoint:
         clock.advance(0.5)
         local.request_replay("/data", 1, 2)
         flagged = [item.env for q in local._queues.values() for item in q]
-        assert flagged and all(env.is_replay for env in flagged)
+        assert flagged and all(env.flags & FLAG_REPLAY for env in flagged)
         assert [env.seq for env in flagged] == [1, 2]
 
     def test_batching_reduces_link_sends(self):

@@ -16,6 +16,7 @@ from twinbridge.envelope import (
     BadVersion,
     CrcMismatch,
     Envelope,
+    FLAG_REPLAY,
     FrameError,
     TIER_CRITICAL,
     PayloadTooLarge,
@@ -107,8 +108,8 @@ class TestRoundtrip:
 
     def test_replay_flag(self):
         env = with_replay_flag(make_env())
-        assert env.is_replay
-        assert decode_envelope(encode_envelope(env)).is_replay
+        assert env.flags & FLAG_REPLAY
+        assert decode_envelope(encode_envelope(env)).flags & FLAG_REPLAY
 
 
 class TestErrors:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbridge.geo import (
-    EarthModel,
     GeoPoint,
     gps_to_scene,
     haversine_distance,
@@ -111,12 +110,11 @@ class TestTangentPlane:
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_per_axis_haversine_below_1e5(self, lat, lon, dlat, dlon):
         # the two selectable conversion methods agree per axis for small areas
-        earth = EarthModel()
         ref = GeoPoint(lat, lon)
         target = GeoPoint(lat + dlat, lon + dlon)
-        off = tangent_plane_offset(ref, target, earth)
-        east_h = haversine_distance(ref, GeoPoint(lat, lon + dlon), earth)
-        north_h = haversine_distance(ref, GeoPoint(lat + dlat, lon), earth)
+        off = tangent_plane_offset(ref, target)
+        east_h = haversine_distance(ref, GeoPoint(lat, lon + dlon))
+        north_h = haversine_distance(ref, GeoPoint(lat + dlat, lon))
         if east_h > 1e-6:
             assert abs(abs(off.east) - east_h) / east_h < 1e-5
         if north_h > 1e-6:
@@ -164,7 +162,6 @@ class TestGpsToScene:
 
     def test_roundtrip_small_area(self):
         rng = random.Random(7)
-        earth = EarthModel()
         for _ in range(50):
             ref = GeoPoint(rng.uniform(-1.2, 1.2), rng.uniform(-3.0, 3.0), rng.uniform(-50, 50))
             target = GeoPoint(
@@ -173,8 +170,8 @@ class TestGpsToScene:
                 ref.altitude + rng.uniform(-10, 10),
             )
             scale = rng.choice([0.5, 1.0, 3.0])
-            coord = gps_to_scene(ref, target, scale, earth, extent=100.0)
-            back = scene_to_gps(ref, coord, scale, earth)
+            coord = gps_to_scene(ref, target, scale, extent=100.0)
+            back = scene_to_gps(ref, coord, scale)
             assert back.latitude == pytest.approx(target.latitude, abs=1e-9)
             assert back.longitude == pytest.approx(target.longitude, abs=1e-9)
             assert back.altitude == pytest.approx(target.altitude, abs=1e-6)
@@ -188,10 +185,3 @@ class TestGeoPointValidation:
     def test_rejects_out_of_range(self, lat, lon, alt):
         with pytest.raises(ValueError):
             GeoPoint(lat, lon, alt)
-
-
-def test_earth_model_validation():
-    with pytest.raises(ValueError):
-        EarthModel(radius=0.0)
-    with pytest.raises(ValueError):
-        EarthModel(area_threshold=-1.0)

@@ -9,12 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbridge.lidar2d import (
-    NO_RETURN,
     PointCloud3D,
     Scan2D,
-    cloud_from_bytes,
     cloud_payload_size,
-    cloud_to_bytes,
     flag_obstacles,
     payload_comparison,
     project,
@@ -146,22 +143,3 @@ class TestPayloads:
         assert scan_payload_size(scan) == 1440
         assert cloud_payload_size(cloud) == 4320
 
-    def test_scan_bytes_roundtrip_with_sentinel(self):
-        ranges = np.array([1.5, math.inf, 0.25, math.inf])
-        scan = Scan2D(ranges, obstacle_threshold=1.0)
-        raw = scan.to_bytes()
-        assert len(raw) == 16
-        back = Scan2D.from_bytes(raw, obstacle_threshold=1.0)
-        assert back.ranges[0] == pytest.approx(1.5)
-        assert math.isinf(back.ranges[1])
-        assert back.ranges[2] == pytest.approx(0.25)
-
-    def test_no_return_sentinel_is_float32_max(self):
-        assert NO_RETURN == pytest.approx(3.4028235e38, rel=1e-6)
-
-    def test_cloud_binary_roundtrip(self):
-        rng = random.Random(3)
-        cloud = random_cloud(rng, 50)
-        back = cloud_from_bytes(cloud_to_bytes(cloud))
-        assert len(back) == 50
-        assert np.allclose(back.r, cloud.r, atol=1e-3)

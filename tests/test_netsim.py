@@ -57,11 +57,11 @@ class TestSimClock:
     def test_zero_dt_fires_only_now_due(self):
         clock = SimClock()
         fired = []
-        clock.schedule(0.0, lambda: fired.append("now"), tag="now")
-        clock.schedule(0.1, lambda: fired.append("later"), tag="later")
+        clock.schedule(0.0, lambda: fired.append("now"))
+        clock.schedule(0.1, lambda: fired.append("later"))
         events = clock.advance(0.0)
         assert fired == ["now"]
-        assert [tag for _, tag in events] == ["now"]
+        assert events == [0.0]
 
     def test_no_events(self):
         clock = SimClock()
@@ -127,6 +127,22 @@ class TestSend:
         assert out.dropped and out.reason == "disconnect"
         clock.advance(0.6)  # now 2.1, window closed
         assert not link.send(b"c").dropped
+
+    @pytest.mark.parametrize(
+        "kwargs, kind",
+        [
+            ({"latency": 0.1}, Outcome.DELIVERED),
+            ({"bandwidth": 1_000.0}, Outcome.DEFERRED),
+            ({"loss": 1.0}, Outcome.DROPPED),
+        ],
+    )
+    def test_send_returns_its_trace_entry(self, kwargs, kind):
+        clock = SimClock()
+        link = make_link(clock, **kwargs)
+        link.send(b"x" * 100)
+        out = link.send(b"y" * 100)
+        assert out.kind is kind
+        assert out is replay_trace(link)[-1]
 
     def test_delivery_callback_fires_on_clock(self):
         clock = SimClock()

@@ -54,11 +54,12 @@ class TestRun:
         for name in ("topics.csv", "tiers.csv", "summary.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
 
-    def test_artifacts_independent_of_hash_seed(self, tmp_path):
+    @pytest.mark.parametrize("scenario", sorted(path.name for path in SCENARIOS.glob("*.yaml")))
+    def test_artifacts_independent_of_hash_seed(self, tmp_path, scenario):
         src = str(SCENARIOS.parent / "src")
         for hash_seed in ("1", "2"):
             subprocess.run(
-                [sys.executable, "-m", "twinbridge.cli", "run", str(SCENARIOS / "bridge_loss.yaml"),
+                [sys.executable, "-m", "twinbridge.cli", "run", str(SCENARIOS / scenario),
                  "--out-dir", str(tmp_path / hash_seed)],
                 env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
                 capture_output=True, check=True,
@@ -316,6 +317,8 @@ class TestCli:
             "duration: 5.0\nbridge:\n  batch: 2.9\n",
             "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {redundancy: [0.7, 1]}\n",
             "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {discovery_period: [\"0.5\", \"0.25\"]}\n",
+            "duration: 5.0\nsycn:\n  mass: 10.0\n",  # a misspelt section runs nothing
+            "duration: 5.0\nbridge:\n  replay_capacty: 8\n",  # a misspelt knob keeps its default
         ],
     )
     def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):
@@ -345,7 +348,7 @@ class TestCli:
         ]
         assert runs == []
 
-    @pytest.mark.parametrize("counts", ["3,2", "2,x", "-1,2", ","])
+    @pytest.mark.parametrize("counts", ["3,2", "2,2", "2,x", "-1,2", ","])
     def test_bad_sweep_counts_are_an_error_line_not_a_traceback(self, counts, monkeypatch):
         runs = []
         monkeypatch.setattr("twinbridge.runner.run_traffic", runs.append)

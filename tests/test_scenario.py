@@ -29,6 +29,25 @@ duration: 5.0
 """
 
 
+# (section appended to MINIMAL, path of its misspelt key, line of that key)
+UNKNOWN_KEYS = [
+    ("sycn:\n  mass: 10.0\n", "sycn", 4),
+    ("network:\n  latncy: 0.1\n", "network.latncy", 5),
+    ("bridge:\n  replay_capacty: 8\n", "bridge.replay_capacty", 5),
+    ("bridge:\n  discovery: {enabeld: true}\n", "bridge.discovery.enabeld", 5),
+    ("policy:\n  defualt: bulk\n", "policy.defualt", 5),
+    ("policy:\n  rules:\n    - {pattern: /a, tier: critical, prio: 1}\n", "policy.rules[0].prio", 6),
+    ("agents:\n  count: 1\n  topic: []\n  topics: []\n", "agents.topic", 6),
+    ("agents:\n  count: 1\n  topics:\n    - {name: /a, kind: pose, rate: 1.0, size: 8, rat: 2}\n",
+     "agents.topics[0].rat", 7),
+    ("sync:\n  mas: 10.0\n", "sync.mas", 5),
+    ("sync:\n  bound: {lipschitz: 1.0, delta: 0.5, e_0: 0.1}\n", "sync.bound.e_0", 5),
+    ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  probe: 4\n", "mmcf.probe", 6),
+    ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {batches: [1, 2]}\n", "mmcf.space.batches", 6),
+    ("geo:\n  reference: [0.0, 0.0, 0.0]\n  scael: 2.0\n", "geo.scael", 6),
+]
+
+
 class TestLoading:
     def test_minimal(self, tmp_path):
         scenario = load_scenario(write(tmp_path, MINIMAL))
@@ -214,6 +233,16 @@ agents:
         assert err.value.problems == [
             "mmcf.space.discovery_period (line 6): expected a list of finite numbers, got ['0.5', 0.25]"
         ]
+
+    @pytest.mark.parametrize("section, path, line", UNKNOWN_KEYS, ids=[path for _, path, _ in UNKNOWN_KEYS])
+    def test_an_unknown_key_is_an_error_not_ignored(self, tmp_path, section, path, line):
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write(tmp_path, MINIMAL + section))
+        [problem] = err.value.problems
+        prefix = f"{path} (line {line}): unknown key; expected one of ["
+        assert problem.startswith(prefix), problem
+        expected = yaml.safe_load(problem[len(prefix) - 1:])
+        assert path.rsplit(".", 1)[-1] not in expected and expected == sorted(expected)
 
     def test_yaml_syntax_error_carries_line(self, tmp_path):
         with pytest.raises(ScenarioParseError) as err:

@@ -289,12 +289,6 @@ class TestGronwallBound:
         expected = quadrature_oracle(0.8, lambda _t: 0.3, 0.05, 2.5)
         assert gronwall_bound(model, 2.5) == pytest.approx(expected, rel=1e-4)
 
-    def test_profiled_delta_matches_quadrature(self):
-        profile = PiecewiseConstant([(0.0, 0.1), (1.0, 0.4), (2.0, 0.05)])
-        model = SyncBoundModel(lipschitz=1.2, delta_bound=0.4, e0=0.0, delta_profile=profile)
-        expected = quadrature_oracle(1.2, profile.value_at, 0.0, 3.0)
-        assert gronwall_bound(model, 3.0) == pytest.approx(expected, rel=1e-4)
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             gronwall_bound(SyncBoundModel(1.0, 0.0), -0.1)
