@@ -35,7 +35,6 @@ from fnmatch import fnmatchcase
 
 from .envelope import (
     TIER_BULK,
-    TIER_BY_NAME,
     TIER_CRITICAL,
     TIER_STANDARD,
     TIERS,
@@ -79,26 +78,6 @@ class PriorityPolicy:
             if fnmatchcase(topic, pattern):
                 return tier
         return self.default_tier
-
-    @staticmethod
-    def from_dict(data: dict) -> "PriorityPolicy":
-        rules = []
-        for rule in data.get("rules", ()):
-            if not isinstance(rule, dict) or not isinstance(rule.get("pattern"), str):
-                raise ValueError(f"rule {rule!r:.60} must be a mapping with a string pattern")
-            rules.append((rule["pattern"], _tier_code(rule["tier"])))
-        return PriorityPolicy(tuple(rules), _tier_code(data.get("default", "standard")))
-
-
-def _tier_code(value) -> int:
-    if isinstance(value, int):
-        if value not in TIERS:
-            raise ValueError(f"tier {value} not in {TIERS}")
-        return value
-    try:
-        return TIER_BY_NAME[str(value)]
-    except KeyError:
-        raise ValueError(f"unknown tier name {value!r}") from None
 
 
 # --- replay buffer ---------------------------------------------------------------
@@ -149,9 +128,9 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class DiscoveryConfig:
-    """Dynamic topic discovery: period and allow/deny glob lists."""
+    """Dynamic topic discovery, off unless enabled: period and allow/deny glob lists."""
 
-    enabled: bool = True
+    enabled: bool = False
     period: float = 0.5
     allow: tuple[str, ...] = ()
     deny: tuple[str, ...] = ()
@@ -308,7 +287,6 @@ class BridgeEndpoint:
     ) -> None:
         self.bus = bus
         self.tx_link = tx_link
-        self.rx_link = rx_link
         self.policy = policy
         self.discovery = discovery
         self.clock = clock
@@ -576,17 +554,14 @@ class BridgeEndpoint:
 
     # --- replay -------------------------------------------------------------------
 
-    def request_replay(self, topic: str, from_seq: int, to_seq: int) -> int:
-        """Re-enqueue buffered envelopes in [from_seq, to_seq]; returns count found."""
-        if from_seq > to_seq:
-            raise ValueError("from_seq must be <= to_seq")
+    def request_replay(self, topic: str, from_seq: int, to_seq: int) -> None:
+        """Re-enqueue buffered envelopes in [from_seq, to_seq]."""
         found = self.replay_buffer.get_range(topic, from_seq, to_seq)
         for env in found:
             flagged = with_replay_flag(env)
             self._queues[flagged.tier].append(QueuedFrame(flagged, encode_envelope(flagged)))
             self.encodes += 1
         self.replays_served += len(found)
-        return len(found)
 
     # --- audits ---------------------------------------------------------------------
 

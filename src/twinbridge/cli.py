@@ -6,7 +6,7 @@ from pathlib import Path
 
 import click
 
-from .runner import compare, load_report, run, sweep_agents
+from .runner import SWEEP_HEADER, compare, load_report, run, sweep_agents
 from .scenario import ScenarioParseError, load_scenario
 
 
@@ -46,7 +46,14 @@ def run_cmd(scenario_path: str, seed: int | None, out_dir: str | None, baseline:
 @click.argument("dir_b", type=click.Path(exists=True, file_okay=False))
 def compare_cmd(dir_a: str, dir_b: str) -> None:
     """Print per-metric deltas between two run directories (b relative to a)."""
-    rows = compare(load_report(dir_a), load_report(dir_b))
+    try:
+        rows = compare(load_report(dir_a), load_report(dir_b))
+    except OSError as exc:
+        click.echo(f"error: cannot read {exc.filename}: {exc.strerror}", err=True)
+        raise SystemExit(2)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        raise SystemExit(2)
     click.echo("scope,metric,a,b,delta,relative")
     for row in rows:
         rel = f"{row.relative:.4f}" if abs(row.relative) != float("inf") else "inf"
@@ -67,7 +74,7 @@ def sweep_cmd(scenario_path: str, counts: str, seed: int | None, out_dir: str | 
         click.echo(f"error: --counts {counts!r}: expected strictly ascending whole counts, such as 2,3,5", err=True)
         raise SystemExit(2)
     result = sweep_agents(scenario_path, count_list, seed=seed, baseline=baseline)
-    click.echo("agents,sent,delivered,delivery_rate,bytes,critical_p95,standard_p95,bulk_p95")
+    click.echo(",".join(SWEEP_HEADER))
     for row in result.rows:
         click.echo(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
     if out_dir:

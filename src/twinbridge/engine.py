@@ -2,10 +2,12 @@
 
 Builds two buses joined by a bridged link pair, publishes scripted periodic
 traffic on the local side, runs the shared clock, and audits the fate of
-every logical message at the end: delivered, still buffered somewhere (bus
-queue, tier queue, in flight, held for reassembly, or recoverable from the
-replay ring), or dropped. The audit makes the conservation invariant
-sent = delivered + dropped + buffered checkable exactly.
+every logical message at the end: delivered, still buffered somewhere (tier
+queue, in flight, held for reassembly, or recoverable from the replay ring),
+or dropped. The audit makes the conservation invariant
+sent = delivered + dropped + buffered checkable exactly. A ring copy counts
+as buffered only for a critical topic, at or above the receiver's next
+expected seq: the receiver asks for replays of nothing else.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import zlib
 from dataclasses import dataclass, field, replace
 
 from .bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
-from .envelope import TIER_NAMES
+from .envelope import TIER_CRITICAL, TIER_NAMES
 from .msgbus import MessageKind, TopicBus
 from .netsim import NetLink, NetworkConditions, SimClock, link_pair
 
@@ -47,7 +49,7 @@ class BridgeScenario:
     traffic: tuple[TopicTraffic, ...]
     policy: PriorityPolicy
     endpoint: EndpointConfig = EndpointConfig()
-    discovery: DiscoveryConfig = DiscoveryConfig(enabled=False)
+    discovery: DiscoveryConfig = DiscoveryConfig()
     drain: float = 0.0  # quiet tail after traffic stops, still simulated
 
     def __post_init__(self) -> None:
@@ -151,7 +153,7 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
         rev,
         fwd,
         scenario.policy,
-        DiscoveryConfig(enabled=False),
+        DiscoveryConfig(),
         clock,
         remote_cfg,
     )
@@ -232,12 +234,18 @@ def _audit(
         res.bytes_sent = sent * t.size
         delivered = rx.delivered if rx else {}
         res.latencies = sorted(delivered.values())
+        if tx and tx.tier == TIER_CRITICAL:
+            replayable_from = rx.expected if rx else 0
+        else:
+            replayable_from = sent
         buffered = 0
         dropped = 0
         for seq in range(sent):
             if seq in delivered:
                 continue
-            if (t.topic, seq) in in_queues or local.replay_buffer.contains(t.topic, seq):
+            if (t.topic, seq) in in_queues or (
+                seq >= replayable_from and local.replay_buffer.contains(t.topic, seq)
+            ):
                 buffered += 1
             else:
                 dropped += 1

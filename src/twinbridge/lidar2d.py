@@ -120,11 +120,6 @@ class PayloadComparison:
     cloud_bytes: int
     reduction: float | None
 
-    def __str__(self) -> str:
-        if self.reduction is None:
-            return f"{self.scan_bytes} B vs {self.cloud_bytes} B (no reduction defined)"
-        return f"{self.scan_bytes} B vs {self.cloud_bytes} B ({self.reduction:.1%} reduction)"
-
 
 def payload_comparison(scan: Scan2D, cloud: PointCloud3D) -> PayloadComparison:
     """Compare scan and cloud payload sizes; empty clouds give no ratio."""

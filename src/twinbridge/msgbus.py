@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
-MAX_PAYLOAD = 16 * 1024 * 1024
+from .envelope import MAX_PAYLOAD
 
 
 class MessageKind(IntEnum):
@@ -72,7 +72,6 @@ class Subscription:
         self.topic = topic
         self.capacity = capacity
         self.drops = 0
-        self.received = 0
         self._queue: deque[Message] = deque()
         self.ready: set[str] | None = None  # a consumer's set; each push adds the topic
 
@@ -81,7 +80,6 @@ class Subscription:
             self._queue.popleft()
             self.drops += 1
         self._queue.append(msg)
-        self.received += 1
         if self.ready is not None:
             self.ready.add(self.topic)
 
@@ -89,14 +87,6 @@ class Subscription:
         out = list(self._queue)
         self._queue.clear()
         return out
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def delivered(self) -> int:
-        """Messages that made it into the queue (received minus overflowed)."""
-        return self.received - self.drops
 
 
 class Publisher:
@@ -111,15 +101,13 @@ class Publisher:
         self.kind = kind
         self._last_time: float | None = None
 
-    def publish(self, payload: bytes, publish_time: float, origin: str | None = None) -> Message:
+    def publish(self, payload: bytes, publish_time: float, origin: str | None = None) -> None:
         if self._last_time is not None and publish_time < self._last_time:
             raise ValueError(
                 f"publish_time {publish_time} regresses below {self._last_time} on {self.topic}"
             )
         self._last_time = publish_time
-        msg = Message(self.topic, payload, publish_time, self.kind, origin)
-        self._bus._dispatch(msg)
-        return msg
+        self._bus._dispatch(Message(self.topic, payload, publish_time, self.kind, origin))
 
 
 class TopicBus:

@@ -17,7 +17,6 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Callable, Iterable
 
 
@@ -129,25 +128,17 @@ class NetworkConditions:
         return NetworkConditions(PiecewiseConstant(0.0), PiecewiseConstant(0.0))
 
 
-class Outcome(Enum):
-    DELIVERED = "delivered"
-    DEFERRED = "deferred"
-    DROPPED = "dropped"
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """One send and its outcome: when it was sent, its size, and when it lands."""
 
-    kind: Outcome
     t_send: float
     size: int
-    deliver_at: float | None
-    reason: str = ""
+    deliver_at: float | None  # None: dropped at send time
 
     @property
     def dropped(self) -> bool:
-        return self.kind is Outcome.DROPPED
+        return self.deliver_at is None
 
 
 class NetLink:
@@ -155,8 +146,8 @@ class NetLink:
 
     Packets are atomic: a send is either dropped at send time or delivered
     whole at t + L(t) + size/bandwidth, serialized FIFO behind earlier
-    traffic. There is no reordering; loss and disconnection are the only
-    impairments.
+    traffic. Serialization keeps send order, but latency is read at send
+    time, so when L(t) drops a later packet can land before an earlier one.
     """
 
     def __init__(
@@ -179,10 +170,10 @@ class NetLink:
         t = self.clock.now
         draw = self._rng.random()
         size = len(payload)
-        if self.conditions.in_disconnect(t):
-            return self._drop(t, size, "disconnect")
-        if draw < self.conditions.loss.value_at(t):
-            return self._drop(t, size, "loss")
+        if self.conditions.in_disconnect(t) or draw < self.conditions.loss.value_at(t):
+            event = TraceEvent(t, size, None)
+            self._trace.append(event)
+            return event
 
         cap = self.conditions.bandwidth_cap
         serialization = (size / cap) if cap else 0.0
@@ -200,13 +191,7 @@ class NetLink:
                 self.on_deliver(payload, deliver_at)
 
         self.clock.schedule(deliver_at, _deliver)
-        kind = Outcome.DELIVERED if start == t else Outcome.DEFERRED
-        event = TraceEvent(kind, t, size, deliver_at)
-        self._trace.append(event)
-        return event
-
-    def _drop(self, t: float, size: int, reason: str) -> TraceEvent:
-        event = TraceEvent(Outcome.DROPPED, t, size, None, reason)
+        event = TraceEvent(t, size, deliver_at)
         self._trace.append(event)
         return event
 

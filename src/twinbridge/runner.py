@@ -314,10 +314,6 @@ class DeltaRow:
         return (self.b - self.a) / self.a if self.a else math.inf if self.b else 0.0
 
 
-_TOPIC_METRICS = ("sent", "delivered", "dropped", "buffered", "bytes", "lat_p50", "lat_p95", "lat_max")
-_TIER_METRICS = ("sent", "delivered", "delivery_rate", "lat_p50", "lat_p95", "lat_max")
-
-
 def compare(a: RunReport, b: RunReport) -> list[DeltaRow]:
     """Per-metric deltas between two runs of the same scenario and seed."""
     if a.name != b.name or a.seed != b.seed:
@@ -330,14 +326,14 @@ def compare(a: RunReport, b: RunReport) -> list[DeltaRow]:
         other = b_topics.get(row[0])
         if other is None:
             continue
-        for i, metric in enumerate(_TOPIC_METRICS, start=2):
+        for i, metric in enumerate(TOPICS_HEADER[2:], start=2):
             rows.append(DeltaRow(f"topic:{row[0]}", metric, float(row[i]), float(other[i])))
     b_tiers = {row[0]: row for row in b.tier_rows}
     for row in a.tier_rows:
         other = b_tiers.get(row[0])
         if other is None:
             continue
-        for i, metric in enumerate(_TIER_METRICS, start=1):
+        for i, metric in enumerate(TIERS_HEADER[1:], start=1):
             rows.append(DeltaRow(f"tier:{row[0]}", metric, float(row[i]), float(other[i])))
     return rows
 

@@ -26,7 +26,7 @@ duration are required):
       discovery: {enabled: false, period: 0.5, allow: [], deny: []}
 
     policy:                        # topic -> tier, first match wins
-      default: standard
+      default: standard            # a tier: critical, standard or bulk
       rules:
         - {pattern: "/*/pose", tier: critical}
 
@@ -74,6 +74,7 @@ import yaml
 
 from .bridge import DiscoveryConfig, EndpointConfig, PriorityPolicy
 from .engine import BridgeScenario, TopicTraffic
+from .envelope import TIER_BY_NAME, TIER_STANDARD
 from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
 from .msgbus import InvalidTopic, MessageKind, validate_topic
@@ -361,7 +362,7 @@ class Scenario:
         endpoint = self.endpoint
         if baseline:
             endpoint = replace(endpoint, prioritized=False, redundancy=0, shares=None)
-        discovery = self.discovery if not baseline else DiscoveryConfig(enabled=False)
+        discovery = self.discovery if not baseline else DiscoveryConfig()
         return BridgeScenario(
             name=self.name,
             seed=self.seed if seed is None else seed,
@@ -409,18 +410,29 @@ def _parse_network(ctx: _Ctx, data: dict) -> NetworkConditions:
         return NetworkConditions.ideal()
 
 
+def _parse_tier(ctx: _Ctx, data: dict, path: str, key: str, required=False, default=None) -> int | None:
+    name = ctx.get(data, path, key, str, required=required, default=default)
+    if name is not None and name not in TIER_BY_NAME:
+        ctx.fail(f"{path}.{key}", f"unknown tier {name!r}; expected one of {sorted(TIER_BY_NAME)}")
+    return TIER_BY_NAME.get(name)
+
+
 def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
     pol = ctx.get(data, "", "policy", dict, default={}) or {}
     ctx.known(pol, "policy", ("default", "rules"))
-    rules = pol.get("rules")
-    for i, rule in enumerate(rules if isinstance(rules, list) else ()):
-        if isinstance(rule, dict):
-            ctx.known(rule, f"policy.rules[{i}]", ("pattern", "tier"))
-    try:
-        return PriorityPolicy.from_dict(pol)
-    except (ValueError, KeyError, TypeError) as exc:
-        ctx.fail("policy", str(exc))
-        return PriorityPolicy()
+    default = _parse_tier(ctx, pol, "policy", "default", default="standard")
+    rules = []
+    for i, raw in enumerate(ctx.get(pol, "policy", "rules", list, default=[])):
+        path = f"policy.rules[{i}]"
+        if not isinstance(raw, dict):
+            ctx.fail(path, "expected a mapping")
+            continue
+        ctx.known(raw, path, ("pattern", "tier"))
+        pattern = ctx.get(raw, path, "pattern", str, required=True)
+        tier = _parse_tier(ctx, raw, path, "tier", required=True)
+        if pattern is not None and tier is not None:
+            rules.append((pattern, tier))
+    return PriorityPolicy(tuple(rules), TIER_STANDARD if default is None else default)
 
 
 def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfig, float]:

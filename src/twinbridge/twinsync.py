@@ -45,7 +45,7 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class TwinState:
-    """Position/velocity/acceleration plus heading of one agent at time t.
+    """Position/velocity plus heading of one agent at time t.
 
     States share their arrays with each other and with the force script, so
     nothing may change one in place.
@@ -53,13 +53,12 @@ class TwinState:
 
     p: Vec3
     v: Vec3
-    a: Vec3
     heading: float
     t: float
 
     @staticmethod
     def at_rest() -> "TwinState":
-        return TwinState(vec3(), vec3(), vec3(), 0.0, 0.0)
+        return TwinState(vec3(), vec3(), 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def predict_step(
     a = (f_phys - f_res) / params.mass
     v_next = state.v + a * dt
     p_next = state.p + v_next * dt
-    return TwinState(p_next, v_next, a, state.heading, state.t + dt)
+    return TwinState(p_next, v_next, state.heading, state.t + dt)
 
 
 def sync_errors(phys: TwinState | StateUpdate, pred: TwinState) -> tuple[Vec3, Vec3, float]:

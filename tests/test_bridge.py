@@ -5,7 +5,6 @@ import zlib
 from collections import deque
 
 import pytest
-import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,29 +73,6 @@ class TestPolicy:
         assert policy.classify("/robot1/pose") == TIER_CRITICAL
         assert policy.classify("/robot1/points") == TIER_BULK
         assert policy.classify("/other") == TIER_STANDARD
-
-    def test_from_dict_with_names(self):
-        policy = PriorityPolicy.from_dict(
-            {"default": "bulk", "rules": [{"pattern": "/a", "tier": "critical"}]}
-        )
-        assert policy.classify("/a") == TIER_CRITICAL
-        assert policy.classify("/b") == TIER_BULK
-
-    def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError):
-            PriorityPolicy.from_dict({"rules": [{"pattern": "/a", "tier": "super"}]})
-
-    def test_load_policy_file(self):
-        text = (
-            "default: standard\n"
-            "rules:\n"
-            "  - {pattern: '/cmd/*', tier: critical}\n"
-            "  - {pattern: '/lidar/*', tier: bulk}\n"
-        )
-        policy = PriorityPolicy.from_dict(yaml.safe_load(text))
-        assert policy.classify("/cmd/stop") == TIER_CRITICAL
-        assert policy.classify("/lidar/points") == TIER_BULK
-        assert policy.classify("/misc") == TIER_STANDARD
 
 
 class TestTierScheduler:
@@ -350,7 +326,7 @@ class TestEndpoint:
             pub.publish(b"x", clock.now)
             deny_pub.publish(b"y", clock.now)
             clock.advance(0.05)
-            if delivered_at is None and len(sub):
+            if delivered_at is None and sub.drain():
                 delivered_at = clock.now
         assert delivered_at is not None
         assert delivered_at - t_advertised <= 2 * discovery.period
@@ -389,12 +365,16 @@ class TestEndpoint:
             pub.publish(bytes([i]), clock.now)
             clock.advance(0.05)
         clock.advance(1.0)
+
+        def served(topic, from_seq, to_seq):
+            before = local.replays_served
+            local.request_replay(topic, from_seq, to_seq)
+            return local.replays_served - before
+
         # capacity 4: seqs 4..7 retained
-        assert local.request_replay("/data", 0, 7) == 4
-        assert local.request_replay("/data", 0, 3) == 0
-        assert local.request_replay("/missing", 0, 3) == 0
-        with pytest.raises(ValueError):
-            local.request_replay("/data", 5, 2)
+        assert served("/data", 0, 7) == 4
+        assert served("/data", 0, 3) == 0
+        assert served("/missing", 0, 3) == 0
 
     def test_replayed_frames_carry_replay_flag(self):
         clock = SimClock()

@@ -4,16 +4,20 @@ import os
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from twinbridge.bridge import EndpointConfig, PriorityPolicy
+from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
 from twinbridge.msgbus import MessageKind
-from twinbridge.netsim import NetworkConditions, PiecewiseConstant
+from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant
+from twinbridge.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 POLICY = PriorityPolicy(
     rules=(("/*/pose", TIER_CRITICAL), ("/*/points", TIER_BULK)),
@@ -51,6 +55,45 @@ class TestRunTraffic:
         sent, delivered, dropped, buffered = result.totals()
         assert sent == delivered
         assert dropped == 0
+
+    def test_a_ring_copy_no_receiver_will_request_counts_as_dropped(self):
+        # only critical topics are replayed, so a standard or bulk message the
+        # link lost is gone even while the sender's ring still holds it
+        result = run_traffic(load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario())
+        lossy = [res for res in result.topics.values() if res.tier != "critical"]
+        assert lossy and any(res.dropped for res in lossy)
+        for res in lossy:
+            assert res.dropped == res.sent - res.delivered
+            assert res.buffered == 0
+
+    def test_critical_delivery_survives_reordering_latency_steps(self, monkeypatch):
+        # each latency drop lets later packets overtake earlier ones
+        bridge = load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario()
+        latency = PiecewiseConstant([(0.0, 0.3), (5.0, 0.01), (10.0, 0.3), (15.0, 0.01)])
+        bridge = replace(bridge, conditions=replace(bridge.conditions, latency=latency))
+        landings: dict[int, list[float]] = {}
+        republished: list[tuple[str, int]] = []
+        send, republish = NetLink.send, BridgeEndpoint._republish
+
+        def record_send(link, payload):
+            event = send(link, payload)
+            if event.deliver_at is not None:
+                landings.setdefault(id(link), []).append(event.deliver_at)
+            return event
+
+        def record_republish(endpoint, rx, env, at):
+            republished.append((env.topic, env.seq))
+            republish(endpoint, rx, env, at)
+
+        monkeypatch.setattr(NetLink, "send", record_send)
+        monkeypatch.setattr(BridgeEndpoint, "_republish", record_republish)
+        result = run_traffic(bridge)
+        assert any(b < a for lands in landings.values() for a, b in zip(lands, lands[1:]))
+        for topic, res in result.topics.items():
+            assert res.sent == res.delivered + res.dropped + res.buffered, topic
+            if res.tier == "critical":
+                seqs = sorted(seq for name, seq in republished if name == topic)
+                assert seqs == list(range(res.sent)), topic
 
     def test_percentile_nearest_rank(self):
         values = [float(i) for i in range(1, 101)]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from twinbridge.netsim import (
     NetLink,
     NetworkConditions,
-    Outcome,
     PiecewiseConstant,
     SimClock,
     link_pair,
@@ -100,7 +99,6 @@ class TestSend:
         clock = SimClock()
         link = make_link(clock, latency=0.1)
         out = link.send(b"x" * 1024)
-        assert out.kind is Outcome.DELIVERED
         assert out.deliver_at == pytest.approx(0.1)
 
     def test_certain_loss(self):
@@ -116,7 +114,6 @@ class TestSend:
         second = link.send(b"x" * 10_240)
         assert first.deliver_at == pytest.approx(1.0)
         assert second.deliver_at == pytest.approx(2.0)
-        assert second.kind is Outcome.DEFERRED
 
     def test_disconnect_window_drops(self):
         clock = SimClock()
@@ -124,24 +121,25 @@ class TestSend:
         assert not link.send(b"a").dropped
         clock.advance(1.5)
         out = link.send(b"b")
-        assert out.dropped and out.reason == "disconnect"
+        assert out.dropped
         clock.advance(0.6)  # now 2.1, window closed
         assert not link.send(b"c").dropped
 
     @pytest.mark.parametrize(
-        "kwargs, kind",
+        "kwargs, deliver_at",
         [
-            ({"latency": 0.1}, Outcome.DELIVERED),
-            ({"bandwidth": 1_000.0}, Outcome.DEFERRED),
-            ({"loss": 1.0}, Outcome.DROPPED),
+            ({"latency": 0.1}, 0.1),  # sent at once
+            ({"bandwidth": 1_000.0}, 0.2),  # serialized behind the first send
+            ({"loss": 1.0}, None),
         ],
     )
-    def test_send_returns_its_trace_entry(self, kwargs, kind):
+    def test_send_returns_its_trace_entry(self, kwargs, deliver_at):
         clock = SimClock()
         link = make_link(clock, **kwargs)
         link.send(b"x" * 100)
         out = link.send(b"y" * 100)
-        assert out.kind is kind
+        assert out.deliver_at == deliver_at
+        assert out.dropped == (deliver_at is None)
         assert out is replay_trace(link)[-1]
 
     def test_delivery_callback_fires_on_clock(self):
@@ -198,6 +196,22 @@ def test_fifo_no_reordering():
         link.send(bytes([i]) * 100)
     clock.advance(10.0)
     assert delivered == sorted(delivered, key=lambda p: p[0])
+
+
+def test_a_latency_drop_lets_a_later_send_overtake():
+    # latency is read at send time, so a send after a drop lands first
+    clock = SimClock()
+    delivered = []
+    link = make_link(clock, latency=[(0.0, 0.5), (1.0, 0.0)])
+    link.on_deliver = lambda payload, at: delivered.append((payload, at))
+    clock.advance(0.99)
+    early = link.send(b"early")
+    clock.advance(0.01)
+    late = link.send(b"late")
+    assert early.deliver_at == pytest.approx(1.49)
+    assert late.deliver_at == pytest.approx(1.0)
+    clock.advance(1.0)
+    assert [payload for payload, _ in delivered] == [b"late", b"early"]
 
 
 def test_link_pair_seeds_differ():

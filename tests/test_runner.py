@@ -330,6 +330,44 @@ class TestCli:
         lines = result.output.splitlines()
         assert lines and all(line.startswith("error: ") and "(line " in line for line in lines)
 
+    @pytest.mark.parametrize(
+        "policy, expected",
+        [
+            ("  rules: [{pattern: /a}]\n", "error: policy.rules[0] (line 5): missing required key 'tier'"),
+            ("  rules: null\n", "error: policy.rules (line 5): expected list, got NoneType"),
+        ],
+        ids=["rule-without-tier", "null-rules"],
+    )
+    def test_policy_errors_name_the_rule(self, tmp_path, policy, expected):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: bad\nseed: 1\nduration: 5.0\npolicy:\n" + policy, encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [expected]
+
+    def test_compare_of_different_scenarios_is_an_error_line(self, tmp_path):
+        for name in ("a", "b"):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "summary.csv").write_text(f"key,value\nname,{name}\nseed,1\n", encoding="utf-8")
+            (run_dir / "topics.csv").write_text("topic,tier\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "error: reports disagree on scenario identity: a/1 vs b/1"
+        ]
+
+    def test_compare_of_a_directory_without_summary_is_an_error_line(self, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        result = CliRunner().invoke(main, ["compare", str(empty), str(empty)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
+        assert "summary.csv" in lines[0]
+
     def test_sweep_checks_every_count_before_the_first_run(self, tmp_path, monkeypatch):
         scenario = tmp_path / "clash.yaml"
         scenario.write_text(

@@ -185,6 +185,35 @@ agents:
         assert baseline.discovery.enabled is False
 
 
+class TestPolicy:
+    def test_tier_names(self, tmp_path):
+        text = MINIMAL + "policy:\n  default: bulk\n  rules:\n    - {pattern: /a, tier: critical}\n"
+        policy = load_scenario(write(tmp_path, text)).policy
+        assert policy.classify("/a") == TIER_CRITICAL
+        assert policy.classify("/b") == TIER_BULK
+
+    @pytest.mark.parametrize("tier", ["super", "0"], ids=["unknown-name", "number"])
+    def test_a_tier_that_is_not_a_tier_name_is_rejected(self, tmp_path, tier):
+        text = MINIMAL + f"policy:\n  rules:\n    - {{pattern: /a, tier: {tier}}}\n"
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write(tmp_path, text))
+        [problem] = err.value.problems
+        assert problem.startswith("policy.rules[0].tier (line 6): "), problem
+
+    def test_policy_section(self, tmp_path):
+        text = MINIMAL + (
+            "policy:\n"
+            "  default: standard\n"
+            "  rules:\n"
+            "    - {pattern: '/cmd/*', tier: critical}\n"
+            "    - {pattern: '/lidar/*', tier: bulk}\n"
+        )
+        policy = load_scenario(write(tmp_path, text)).policy
+        assert policy.classify("/cmd/stop") == TIER_CRITICAL
+        assert policy.classify("/lidar/points") == TIER_BULK
+        assert policy.classify("/misc") == TIER_STANDARD
+
+
 class TestDiagnostics:
     def test_missing_required_keys(self, tmp_path):
         with pytest.raises(ScenarioParseError) as err:

@@ -49,14 +49,14 @@ class TestPredictStep:
         # net force 10 N on 10 kg: a=1, v'=0.1, p'=0.01 after dt=0.1
         state = TwinState.at_rest()
         out = predict_step(state, vec3(10.0), params(mass=10.0), dt=0.1)
-        assert out.a == pytest.approx([1.0, 0.0, 0.0])
+        assert (out.v - state.v) / 0.1 == pytest.approx([1.0, 0.0, 0.0])
         assert out.v == pytest.approx([0.1, 0.0, 0.0])
         assert out.p == pytest.approx([0.01, 0.0, 0.0])
 
     def test_coulomb_friction_deceleration(self):
-        state = TwinState(vec3(), vec3(1.0), vec3(), 0.0, 0.0)
+        state = TwinState(vec3(), vec3(1.0), 0.0, 0.0)
         out = predict_step(state, vec3(), params(mass=10.0, mu=0.3), dt=0.01)
-        assert out.a == pytest.approx([-2.943, 0.0, 0.0])
+        assert (out.v - state.v) / 0.01 == pytest.approx([-2.943, 0.0, 0.0])
 
     def test_friction_zero_at_rest(self):
         assert np.array_equal(resistive_force(vec3(), params(mu=0.9)), vec3())
@@ -66,7 +66,7 @@ class TestPredictStep:
             predict_step(TwinState.at_rest(), vec3(), params(), dt=0.0)
 
     def test_zero_force_zero_friction_conserves_momentum(self):
-        state = TwinState(vec3(), vec3(0.7, -0.2, 0.1), vec3(), 0.0, 0.0)
+        state = TwinState(vec3(), vec3(0.7, -0.2, 0.1), 0.0, 0.0)
         for _ in range(500):
             state = predict_step(state, vec3(), params(), dt=0.02)
         assert state.v == pytest.approx([0.7, -0.2, 0.1])
@@ -80,22 +80,22 @@ class TestPredictStep:
 
 class TestSyncErrors:
     def test_identical_states(self):
-        s = TwinState(vec3(1, 2, 3), vec3(0.1), vec3(), 0.5, 0.0)
+        s = TwinState(vec3(1, 2, 3), vec3(0.1), 0.5, 0.0)
         e_pos, e_vel, e_rot = sync_errors(s, s)
         assert np.array_equal(e_pos, vec3())
         assert np.array_equal(e_vel, vec3())
         assert e_rot == 0.0
 
     def test_five_centimeter_context(self):
-        phys = TwinState(vec3(1.0), vec3(), vec3(), 0.0, 0.0)
-        pred = TwinState(vec3(0.96), vec3(), vec3(), 0.0, 0.0)
+        phys = TwinState(vec3(1.0), vec3(), 0.0, 0.0)
+        pred = TwinState(vec3(0.96), vec3(), 0.0, 0.0)
         e_pos, _, _ = sync_errors(phys, pred)
         assert np.linalg.norm(e_pos) == pytest.approx(0.04)
         assert np.linalg.norm(e_pos) < 0.05
 
     def test_heading_wrap(self):
-        phys = TwinState(vec3(), vec3(), vec3(), math.radians(350.0) - 2 * math.pi, 0.0)
-        pred = TwinState(vec3(), vec3(), vec3(), math.radians(10.0), 0.0)
+        phys = TwinState(vec3(), vec3(), math.radians(350.0) - 2 * math.pi, 0.0)
+        pred = TwinState(vec3(), vec3(), math.radians(10.0), 0.0)
         _, _, e_rot = sync_errors(phys, pred)
         assert math.degrees(e_rot) == pytest.approx(-20.0)
 
@@ -105,8 +105,8 @@ class TestSyncErrors:
     )
     @settings(max_examples=100, deadline=None)
     def test_antisymmetry(self, px, vx, hp, hq):
-        a = TwinState(vec3(px), vec3(vx), vec3(), hp, 0.0)
-        b = TwinState(vec3(-px), vec3(2.0), vec3(), hq, 0.0)
+        a = TwinState(vec3(px), vec3(vx), hp, 0.0)
+        b = TwinState(vec3(-px), vec3(2.0), hq, 0.0)
         e1 = sync_errors(a, b)
         e2 = sync_errors(b, a)
         assert np.allclose(e1[0], -e2[0])
