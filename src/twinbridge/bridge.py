@@ -12,6 +12,8 @@ An endpoint runs three duties on the shared simulation clock:
 
 Critical-tier gaps trigger replay requests over the reverse link; requests
 are re-sent on a timer until the gap closes or the attempt budget runs out.
+Heartbeat and gap-retry deadlines live in min-heaps, so an idle tick, with
+nothing ready, queued or due, costs O(1): it only reschedules itself.
 Every frame sent is retained in a per-topic replay ring that keeps the last
 `replay_capacity` frames of each topic.
 
@@ -26,7 +28,7 @@ in `decode_errors` and dropped.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import struct
 from collections import deque
@@ -297,7 +299,10 @@ class BridgeEndpoint:
         self._scheduler = TierScheduler(config.shares)
         self._tx: dict[str, _TxTopic] = {}
         self._ready: set[str] = set()  # subscribed topics with queued messages
-        self._critical: list[str] = []  # critical-tier subscribed topics, in name order
+        # lazy deadline heaps: (last_sent_at, topic) per critical topic that has
+        # sent, stale after a later send; (retry_at, topic) per gap request
+        self._beats: list[tuple[float, str]] = []
+        self._retries: list[tuple[float, str]] = []
         self._rx: dict[str, _RxTopic] = {}
         self._queues: dict[int, deque[QueuedFrame]] = {t: deque() for t in TIERS}
         self._publishers: dict[str, Publisher] = {}
@@ -349,8 +354,6 @@ class BridgeEndpoint:
         sub = self.bus.subscribe(topic, self.config.sub_capacity)
         sub.ready = self._ready
         tier = self.policy.classify(topic) if self.config.prioritized else TIER_STANDARD
-        if tier == TIER_CRITICAL:
-            bisect.insort(self._critical, topic)
         self._tx[topic] = _TxTopic(
             tier=tier, kind=int(kind) if kind is not None else int(MessageKind.BLOB), sub=sub
         )
@@ -358,15 +361,20 @@ class BridgeEndpoint:
     # --- egress duty ----------------------------------------------------------
 
     def _tick(self) -> None:
-        now = self.clock.now
-        self._drain_bus(now)
-        if self.config.prioritized:
-            self._emit_heartbeats(now)
-            self._retry_gap_requests(now)
-            plan = self._scheduler.plan(self._queues, self._budget())
-        else:
-            plan = self._plan_fifo(self._budget())
-        self._transmit(plan)
+        now, beats, retries = self.clock.now, self._beats, self._retries
+        # an idle tick (nothing ready, queued or due) would send nothing and
+        # leave every scheduler credit at 0, as the last full tick did
+        if self._ready or any(self._queues.values()) or (retries and retries[0][0] <= now) or (
+            beats and now - beats[0][0] >= self.config.heartbeat_interval
+        ):
+            self._drain_bus(now)
+            if self.config.prioritized:
+                self._emit_heartbeats(now)
+                self._retry_gap_requests(now)
+                plan = self._scheduler.plan(self._queues, self._budget())
+            else:
+                plan = self._plan_fifo(self._budget())
+            self._transmit(plan)
         self._schedule_tick()
 
     def _drain_bus(self, now: float) -> None:
@@ -386,6 +394,8 @@ class BridgeEndpoint:
                     kind=int(msg.kind),
                     payload=msg.payload,
                 )
+                if tx.next_seq == 0 and tx.tier == TIER_CRITICAL:
+                    heapq.heappush(self._beats, (now, topic))
                 tx.next_seq += 1
                 tx.last_sent_at = now
                 frame = encode_envelope(env)
@@ -427,11 +437,17 @@ class BridgeEndpoint:
         self.bytes_sent += len(payload)
 
     def _emit_heartbeats(self, now: float) -> None:
-        for topic in self._critical:
+        beats, due = self._beats, []
+        while beats and now - beats[0][0] >= self.config.heartbeat_interval:
+            last, topic = beats[0]
+            if last == self._tx[topic].last_sent_at:
+                due.append(heapq.heappop(beats)[1])
+            else:
+                heapq.heapreplace(beats, (self._tx[topic].last_sent_at, topic))
+        for topic in sorted(due):
             tx = self._tx[topic]
-            if tx.next_seq == 0 or now - tx.last_sent_at < self.config.heartbeat_interval:
-                continue
             tx.last_sent_at = now
+            heapq.heappush(beats, (now, topic))
             payload = _pack_topic(topic) + _BEAT_SEQ.pack(tx.next_seq - 1)
             self._send_control(HEARTBEAT_TOPIC, payload, now)
 
@@ -517,16 +533,24 @@ class BridgeEndpoint:
         for (glo, ghi) in rx.gaps:
             if glo <= lo and hi <= ghi:
                 return
-        self._send_gap_request(topic, lo, hi, at)
-        rx.gaps[(lo, hi)] = (at + self.config.replay_retry, 1)
+        rx.gaps[(lo, hi)] = (self._send_gap_request(topic, lo, hi, at), 1)
 
-    def _send_gap_request(self, topic: str, lo: int, hi: int, now: float) -> None:
+    def _send_gap_request(self, topic: str, lo: int, hi: int, now: float) -> float:
+        """Ask the peer to replay [lo, hi] of topic; returns the retry deadline."""
         payload = _pack_topic(topic) + _REQ_RANGE.pack(lo, hi)
         self._send_control(REPLAY_TOPIC, payload, now)
         self.replays_requested += 1
+        retry_at = now + self.config.replay_retry
+        heapq.heappush(self._retries, (retry_at, topic))
+        return retry_at
 
     def _retry_gap_requests(self, now: float) -> None:
-        for topic in sorted(topic for topic, rx in self._rx.items() if rx.gaps):
+        # a gap closed before its deadline stays in rx.gaps until then; it lies
+        # below `expected`, where no later gap starts, so _note_gap skips it
+        retries, due = self._retries, set()
+        while retries and retries[0][0] <= now:
+            due.add(heapq.heappop(retries)[1])
+        for topic in sorted(due):
             rx = self._rx[topic]
             updated: dict[tuple[int, int], tuple[float, int]] = {}
             for (lo, hi), (retry_at, attempts) in sorted(rx.gaps.items()):
@@ -539,8 +563,7 @@ class BridgeEndpoint:
                 if attempts >= self.config.replay_attempts:
                     self._give_up_gap(rx, hi, now)
                     continue
-                self._send_gap_request(topic, live_lo, hi, now)
-                updated[(lo, hi)] = (now + self.config.replay_retry, attempts + 1)
+                updated[(lo, hi)] = (self._send_gap_request(topic, live_lo, hi, now), attempts + 1)
             rx.gaps = updated
 
     def _give_up_gap(self, rx: _RxTopic, hi: int, now: float) -> None:

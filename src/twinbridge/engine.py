@@ -7,7 +7,8 @@ queue, in flight, held for reassembly, or recoverable from the replay ring),
 or dropped. The audit makes the conservation invariant
 sent = delivered + dropped + buffered checkable exactly. A ring copy counts
 as buffered only for a critical topic, at or above the receiver's next
-expected seq: the receiver asks for replays of nothing else.
+expected seq: the receiver asks for replays of nothing else. A critical seq
+delivered but never sent, which only a forged frame can bring about, raises.
 """
 
 from __future__ import annotations
@@ -235,6 +236,8 @@ def _audit(
         delivered = rx.delivered if rx else {}
         res.latencies = sorted(delivered.values())
         if tx and tx.tier == TIER_CRITICAL:
+            if max(delivered, default=-1) >= sent:
+                raise RuntimeError(f"{t.topic}: seq {max(delivered)} delivered, only {sent} sent")
             replayable_from = rx.expected if rx else 0
         else:
             replayable_from = sent

@@ -339,33 +339,35 @@ def compare(a: RunReport, b: RunReport) -> list[DeltaRow]:
 
 
 def load_report(run_dir: str | Path) -> RunReport:
-    """Rehydrate a report from its CSV artifacts (topics, tiers, summary)."""
+    """Rehydrate a report from its CSVs; one not as `write_csvs` wrote it is a ValueError."""
     run_dir = Path(run_dir)
-    summary: dict[str, object] = {}
-    with open(run_dir / "summary.csv", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            summary[row["key"]] = row["value"]
+    summary: dict[str, object] = dict(_read_rows(run_dir / "summary.csv", SUMMARY_HEADER, 2))
     report = RunReport(
         name=str(summary.get("name", "")),
         seed=int(float(str(summary.get("seed", 0)))),
         mode=str(summary.get("mode", "")),
         summary=summary,
     )
-    with open(run_dir / "topics.csv", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            report.topic_rows.append(
-                (row[0], row[1], *[float(x) for x in row[2:]])
-            )
+    report.topic_rows = _read_rows(run_dir / "topics.csv", TOPICS_HEADER, 2)
     tiers_path = run_dir / "tiers.csv"
     if tiers_path.exists():
-        with open(tiers_path, encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                report.tier_rows.append((row[0], *[float(x) for x in row[1:]]))
+        report.tier_rows = _read_rows(tiers_path, TIERS_HEADER, 1)
     return report
+
+
+def _read_rows(path: Path, header: tuple[str, ...], text: int) -> list[tuple]:
+    """The rows under `header`, with every field after the first `text` a float."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+            if not rows or tuple(rows[0]) != header:
+                raise ValueError(f"the first line is not {','.join(header)}")
+            for n, row in enumerate(rows, 1):
+                if len(row) != len(header):
+                    raise ValueError(f"row {n} has {len(row)} fields, not {len(header)}")
+            return [(*row[:text], *map(float, row[text:])) for row in rows[1:]]
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # --- agent sweep -------------------------------------------------------------------

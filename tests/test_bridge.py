@@ -479,6 +479,100 @@ class TestWakeOnWork:
         assert local.tx_stats()["/late"].next_seq == 3
 
 
+class TestDeadlineHeaps:
+    """Idle ticks skip the egress work; heartbeat and retry deadlines keep their times."""
+
+    def test_idle_ticks_plan_nothing(self, monkeypatch):
+        plans, ticks = [], []
+        plan, tick = TierScheduler.plan, BridgeEndpoint._tick
+        monkeypatch.setattr(TierScheduler, "plan", lambda s, q, b: plans.append(b) or plan(s, q, b))
+        monkeypatch.setattr(BridgeEndpoint, "_tick", lambda e: ticks.append(e) or tick(e))
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        policy = PriorityPolicy(rules=(("/robot0*", TIER_CRITICAL),))
+        config = EndpointConfig(topics=TestWakeOnWork.TOPICS)
+        bus_a, _, _, _ = make_pair(clock, fwd, rev, policy=policy, config=config)
+        pubs = {topic: bus_a.advertise(topic, MessageKind.POSE) for topic in config.topics}
+        for _ in range(100):
+            clock.advance(config.tick)
+        assert len(ticks) == 200 and plans == []
+        pubs["/robot03/pose"].publish(b"x", clock.now)
+        clock.advance(config.tick)
+        assert len(plans) == 1
+
+    def test_heartbeats_due_on_one_tick_leave_in_name_order(self, monkeypatch):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        policy = PriorityPolicy(rules=(("/*", TIER_CRITICAL),))
+        config = EndpointConfig(topics=("/c", "/a", "/b"))
+        bus_a, _, local, _ = make_pair(clock, fwd, rev, policy=policy, config=config)
+        pubs = {topic: bus_a.advertise(topic, MessageKind.COMMAND) for topic in config.topics}
+        beats: list[tuple[float, str]] = []
+        send = local._send_control
+
+        def record(control_topic, payload, now):
+            if control_topic == HEARTBEAT_TOPIC:
+                (n,) = struct.unpack_from("<H", payload)
+                beats.append((now, payload[2 : 2 + n].decode()))
+            send(control_topic, payload, now)
+
+        monkeypatch.setattr(local, "_send_control", record)
+        # /b sends one tick before the others, then again beside them, so its
+        # first heap entry is stale by the time it would fall due
+        clock.advance(config.tick)
+        pubs["/b"].publish(b"0", clock.now)
+        clock.advance(config.tick)
+        for topic in ("/c", "/a", "/b"):
+            pubs[topic].publish(b"1", clock.now)
+        clock.advance(config.tick)
+        last_sent = local.tx_stats()["/a"].last_sent_at
+        clock.advance(0.3)
+        assert [topic for _, topic in beats] == ["/a", "/b", "/c"]
+        assert len({now for now, _ in beats}) == 1
+        assert beats[0][0] - last_sent >= config.heartbeat_interval
+        assert beats[0][0] - config.tick - last_sent < config.heartbeat_interval
+
+    def test_gap_re_requests_leave_at_the_same_times(self, monkeypatch):
+        # each request is re-sent on the first tick at or after its deadline,
+        # due topics in name order, until the attempt budget runs out
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
+        _, _, _, remote = make_pair(clock, fwd, rev, policy=policy)
+        requests: list[tuple[str, int, int, float]] = []
+        send = BridgeEndpoint._send_gap_request
+
+        def record(endpoint, topic, lo, hi, now):
+            requests.append((topic, lo, hi, now))
+            return send(endpoint, topic, lo, hi, now)
+
+        monkeypatch.setattr(BridgeEndpoint, "_send_gap_request", record)
+        clock.advance(0.05)
+        for topic in ("/cb", "/ca"):
+            remote._on_deliver(raw_frame(topic.encode(), b"x", seq=0), clock.now)
+            remote._on_deliver(raw_frame(topic.encode(), b"x", seq=3), clock.now)
+        clock.advance(0.1)
+        remote._on_deliver(raw_frame(b"/ca", b"x", seq=5), clock.now)
+        clock.advance(5.0)
+        assert requests[:9] == [
+            ("/cb", 1, 2, 0.05),
+            ("/ca", 1, 2, 0.05),
+            ("/ca", 1, 4, 0.15000000000000002),
+            ("/ca", 1, 2, 0.35000000000000014),
+            ("/cb", 1, 2, 0.35000000000000014),
+            ("/ca", 1, 4, 0.45000000000000023),
+            ("/ca", 1, 2, 0.6500000000000004),
+            ("/cb", 1, 2, 0.6500000000000004),
+            ("/ca", 1, 4, 0.7500000000000004),
+        ]
+        assert requests[-3:] == [
+            ("/ca", 1, 2, 3.3999999999999715),
+            ("/cb", 1, 2, 3.3999999999999715),
+            ("/ca", 1, 4, 3.4999999999999694),
+        ]
+        assert len(requests) == 3 * EndpointConfig.replay_attempts
+
+
 # CRC-valid frames that no endpoint can act on, and whether each one decodes
 # (a frame that decodes is dropped alone; one that does not loses its batch)
 BAD_PEER_FRAMES = {

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from twinbridge import engine
 from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
-from twinbridge.envelope import TIER_BULK, TIER_CRITICAL
+from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, encode_envelope
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
 from twinbridge.msgbus import MessageKind
 from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant
@@ -94,6 +95,64 @@ class TestRunTraffic:
             if res.tier == "critical":
                 seqs = sorted(seq for name, seq in republished if name == topic)
                 assert seqs == list(range(res.sent)), topic
+
+    def test_a_forged_critical_seq_beyond_sent_fails_the_audit(self, monkeypatch):
+        # the receiver holds the forged frame, gives up on the gap before it
+        # and republishes it: a delivery of a seq the sender never sent
+        forged = encode_envelope(
+            Envelope(TIER_CRITICAL, 0, 1000, 0, "/r1/pose", int(MessageKind.POSE), b"x")
+        )
+
+        class Forging(BridgeEndpoint):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if not self.config.topics:
+                    self.clock.schedule(1.0, lambda: self._on_deliver(forged, self.clock.now))
+
+        monkeypatch.setattr(engine, "BridgeEndpoint", Forging)
+        with pytest.raises(RuntimeError, match="/r1/pose: seq 1000 delivered, only 50 sent"):
+            run_traffic(simple_scenario())
+
+    @pytest.mark.parametrize(
+        "latency, link, topics",
+        [
+            (0.5, (224, 103, 178), {
+                "/r1/cmd": (60, 60, 0, 0, 81.0),
+                "/r1/pose": (30, 30, 0, 0, 39.5),
+                "/r1/scan": (120, 88, 32, 0, 49.75),
+            }),
+            (0.25, (210, 92, 125), {
+                "/r1/cmd": (60, 60, 0, 0, 61.0),
+                "/r1/pose": (30, 30, 0, 0, 24.75),
+                "/r1/scan": (120, 94, 26, 0, 29.625),
+            }),
+            (0.0, (188, 60, 79), {
+                "/r1/cmd": (60, 60, 0, 0, 27.75),
+                "/r1/pose": (30, 30, 0, 0, 11.75),
+                "/r1/scan": (120, 96, 24, 0, 6.25),
+            }),
+        ],
+    )
+    def test_deliveries_landing_on_tick_times_keep_their_order(self, latency, link, topics):
+        # tick, latency and publish times are exact in binary, so deliveries
+        # land exactly on tick times and the clock breaks each tie by the order
+        # its events were scheduled in; any change to that order moves these
+        cond = NetworkConditions(PiecewiseConstant(latency), PiecewiseConstant(0.3), None)
+        traffic = (
+            TopicTraffic("/r1/cmd", MessageKind.COMMAND, 4.0, 32),
+            TopicTraffic("/r1/pose", MessageKind.POSE, 2.0, 64),
+            TopicTraffic("/r1/scan", MessageKind.SCAN2D, 8.0, 200),
+        )
+        policy = PriorityPolicy(rules=(("/*/cmd", TIER_CRITICAL), ("/*/pose", TIER_CRITICAL)))
+        scenario = BridgeScenario(
+            "ties", 7, 20.0, cond, traffic, policy, endpoint=EndpointConfig(tick=0.25), drain=5.0
+        )
+        result = run_traffic(scenario)
+        assert (result.link_sends, result.replays_requested, result.replays_served) == link
+        assert {
+            topic: (res.sent, res.delivered, res.dropped, res.buffered, sum(res.latencies))
+            for topic, res in result.topics.items()
+        } == topics
 
     def test_percentile_nearest_rank(self):
         values = [float(i) for i in range(1, 101)]

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from twinbridge.cli import main
-from twinbridge.runner import compare, load_report, run, sweep_agents
+from twinbridge.runner import TOPICS_HEADER, compare, load_report, run, sweep_agents
 from twinbridge.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -196,6 +196,11 @@ class TestSweep:
             sweep_agents(sweep_scenario, [])
 
 
+def _drop_the_last_field_of_row_two(text: str) -> str:
+    header, row, rest = text.split("\n", 2)
+    return "\n".join([header, row.rsplit(",", 1)[0], rest])
+
+
 class TestCli:
     def test_run_command(self, tmp_path):
         runner = CliRunner()
@@ -350,7 +355,7 @@ class TestCli:
             run_dir = tmp_path / name
             run_dir.mkdir()
             (run_dir / "summary.csv").write_text(f"key,value\nname,{name}\nseed,1\n", encoding="utf-8")
-            (run_dir / "topics.csv").write_text("topic,tier\n", encoding="utf-8")
+            (run_dir / "topics.csv").write_text(",".join(TOPICS_HEADER) + "\n", encoding="utf-8")
         result = CliRunner().invoke(main, ["compare", str(tmp_path / "a"), str(tmp_path / "b")])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -367,6 +372,29 @@ class TestCli:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: cannot read ")
         assert "summary.csv" in lines[0]
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("topics.csv", lambda text: ""),
+            ("tiers.csv", lambda text: ""),
+            ("summary.csv", lambda text: text.split("\n", 1)[1]),
+            ("topics.csv", _drop_the_last_field_of_row_two),
+        ],
+        ids=["empty-topics", "empty-tiers", "summary-without-header", "short-topics-row"],
+    )
+    def test_compare_of_a_malformed_csv_is_an_error_line(self, tmp_path, name, damage):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        run(SCENARIOS / "bridge_sweep.yaml", out_dir=good)
+        run(SCENARIOS / "bridge_sweep.yaml", out_dir=bad)
+        path = bad / name
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        result = CliRunner().invoke(main, ["compare", str(good), str(bad)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]
 
     def test_sweep_checks_every_count_before_the_first_run(self, tmp_path, monkeypatch):
         scenario = tmp_path / "clash.yaml"
