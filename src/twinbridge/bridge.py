@@ -251,6 +251,8 @@ class EndpointConfig:
             raise ValueError("redundancy must be in 0..3")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.budget_per_tick is not None and not self.budget_per_tick > 0:  # NaN fails too
+            raise ValueError("budget_per_tick must be positive")
         check_shares(self.shares)
 
 

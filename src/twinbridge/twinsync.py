@@ -9,6 +9,10 @@ the next update or a short expiry, whichever comes first, so long blackouts
 fall back to pure dead reckoning. An analytic error envelope derived from
 Lipschitz dynamics runs alongside and the loop flags any sample exceeding it.
 
+A `Vec3` is a 3-tuple of Python floats, written out per component; every norm
+is `_norm3`, which fixes the evaluation order. No BLAS kernel fuses or reorders
+plain float arithmetic, so a run gives the same bits on any IEEE 754 host.
+
 Units: positions m, velocities m/s, forces N, angles rad, time simulated s.
 """
 
@@ -26,11 +30,24 @@ from .netsim import NetLink, PiecewiseConstant, SimClock
 
 GRAVITY = 9.81
 
-Vec3 = np.ndarray
+Vec3 = tuple[float, float, float]
 
 
 def vec3(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> Vec3:
-    return np.array([x, y, z], dtype=np.float64)
+    return (float(x), float(y), float(z))
+
+
+def _norm3(v: Vec3) -> float:
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _add(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 class InvalidStep(ValueError):
@@ -45,11 +62,7 @@ def wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class TwinState:
-    """Position/velocity plus heading of one agent at time t.
-
-    States share their arrays with each other and with the force script, so
-    nothing may change one in place.
-    """
+    """Position/velocity plus heading of one agent at time t."""
 
     p: Vec3
     v: Vec3
@@ -87,11 +100,12 @@ class PhysicalParams:
 
 def resistive_force(v: Vec3, params: PhysicalParams, terrain: str = "default") -> Vec3:
     """Coulomb + linear drag resistance; exactly zero at zero velocity."""
-    speed = float(np.linalg.norm(v))
+    speed = _norm3(v)
     if speed == 0.0:
         return vec3()
-    coulomb = params.mu(terrain) * params.mass * GRAVITY * (v / speed)
-    return coulomb + params.drag * v
+    c, d = params.mu(terrain) * params.mass * GRAVITY, params.drag
+    x, y, z = v
+    return (c * (x / speed) + d * x, c * (y / speed) + d * y, c * (z / speed) + d * z)
 
 
 def predict_step(
@@ -109,19 +123,16 @@ def predict_step(
     """
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
-    f_res = resistive_force(state.v, params, terrain)
-    a = (f_phys - f_res) / params.mass
-    v_next = state.v + a * dt
-    p_next = state.p + v_next * dt
-    return TwinState(p_next, v_next, state.heading, state.t + dt)
+    fx, fy, fz = f_phys
+    rx, ry, rz = resistive_force(state.v, params, terrain)
+    (vx, vy, vz), (px, py, pz), m = state.v, state.p, params.mass
+    vx, vy, vz = vx + (fx - rx) / m * dt, vy + (fy - ry) / m * dt, vz + (fz - rz) / m * dt
+    return TwinState((px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz), state.heading, state.t + dt)
 
 
 def sync_errors(phys: TwinState | StateUpdate, pred: TwinState) -> tuple[Vec3, Vec3, float]:
     """(position error, velocity error, wrapped heading error in (-pi, pi])."""
-    e_pos = phys.p - pred.p
-    e_vel = phys.v - pred.v
-    e_rot = wrap_angle(phys.heading - pred.heading)
-    return e_pos, e_vel, e_rot
+    return _sub(phys.p, pred.p), _sub(phys.v, pred.v), wrap_angle(phys.heading - pred.heading)
 
 
 @dataclass(frozen=True)
@@ -170,20 +181,26 @@ def pd_correct(
     e_vel: Vec3,
     ctrl: SyncController,
     thresholds: tuple[float, float] | None = None,
-) -> Vec3:
+) -> np.ndarray:
     """Gated PD correction force: Kp*e_pos + Kd*e_vel, or zero.
 
     The gate opens when either error norm exceeds its threshold (base
     thresholds unless the adaptive pair is supplied).
+
+    Computed on floats, but returned as an ndarray because the benchmark tracer
+    counts open gates with `(force != 0.0).any()`; the loop takes it back with
+    `.tolist()`. ROADMAP item 2 makes the tracer count on tuples and drops this.
     """
     eps_pos, eps_vel = thresholds if thresholds is not None else (ctrl.eps_pos, ctrl.eps_vel)
-    if np.linalg.norm(e_pos) <= eps_pos and np.linalg.norm(e_vel) <= eps_vel:
-        return vec3()
-    f = ctrl.kp * e_pos + ctrl.kd * e_vel
-    norm = float(np.linalg.norm(f))
+    if _norm3(e_pos) <= eps_pos and _norm3(e_vel) <= eps_vel:
+        return np.zeros(3)
+    kp, kd = ctrl.kp, ctrl.kd
+    f = (kp * e_pos[0] + kd * e_vel[0], kp * e_pos[1] + kd * e_vel[1], kp * e_pos[2] + kd * e_vel[2])
+    norm = _norm3(f)
     if norm > ctrl.f_corr_max:
-        f = f * (ctrl.f_corr_max / norm)
-    return f
+        s = ctrl.f_corr_max / norm
+        f = (f[0] * s, f[1] * s, f[2] * s)
+    return np.array(f)
 
 
 GainSample = tuple[float, Vec3, Vec3]  # (dt, e_pos, e_vel)
@@ -208,6 +225,7 @@ def _gain_candidate_cost(
     delay-induced ringing of over-stiff gains that a one-step model misses.
     """
     h = min(dt for dt, _, _ in window)
+    g = h / ctrl.response_mass
     acc = 0.0
     energy = 0.0
     for dt, e_pos, e_vel in window:
@@ -215,16 +233,17 @@ def _gain_candidate_cost(
         states = [(e_pos, e_vel)] * lag
         e, ev = e_pos, e_vel
         for _ in range(GAIN_ROLLOUT_STEPS):
-            e_old, ev_old = states[-lag]
-            f = kp * e_old + kd * ev_old
-            norm = float(np.linalg.norm(f))
+            (ex, ey, ez), (vx, vy, vz) = states[-lag]
+            f = (kp * ex + kd * vx, kp * ey + kd * vy, kp * ez + kd * vz)
+            norm = _norm3(f)
             if norm > ctrl.f_corr_max:
-                f = f * (ctrl.f_corr_max / norm)  # the plant saturates; model it
+                s = ctrl.f_corr_max / norm  # the plant saturates; model it
+                f = (f[0] * s, f[1] * s, f[2] * s)
                 norm = ctrl.f_corr_max
-            ev = ev - (h / ctrl.response_mass) * f
-            e = e + h * ev
+            ev = (ev[0] - g * f[0], ev[1] - g * f[1], ev[2] - g * f[2])
+            e = (e[0] + h * ev[0], e[1] + h * ev[1], e[2] + h * ev[2])
             states.append((e, ev))
-            acc += float(np.linalg.norm(e))
+            acc += _norm3(e)
             energy += norm
     n = len(window) * GAIN_ROLLOUT_STEPS
     acc_term = (acc / n) / ctrl.eps_pos
@@ -242,9 +261,11 @@ def _gain_force_scale(ctrl: SyncController, window: Sequence[GainSample]) -> flo
     kp_max = max(kp for kp, _ in ctrl.gain_grid)
     kd_max = max(kd for _, kd in ctrl.gain_grid)
     n = len(window)
-    mean_pos = sum(float(np.linalg.norm(e)) for _, e, _ in window) / n
-    mean_vel = sum(float(np.linalg.norm(ev)) for _, _, ev in window) / n
-    scale = kp_max * max(mean_pos, ctrl.eps_pos) + kd_max * max(mean_vel, ctrl.eps_vel)
+    pos = vel = 0.0
+    for _, e, ev in window:  # a loop, not sum(): Python 3.12's compensated sum() gives other bits
+        pos += _norm3(e)
+        vel += _norm3(ev)
+    scale = kp_max * max(pos / n, ctrl.eps_pos) + kd_max * max(vel / n, ctrl.eps_vel)
     return scale if scale > 0 else 1.0
 
 
@@ -329,10 +350,10 @@ class StateUpdate:
         vals = _UPDATE.unpack(data)
         return StateUpdate(
             t=vals[0],
-            p=vec3(*vals[1:4]),
-            v=vec3(*vals[4:7]),
+            p=vals[1:4],
+            v=vals[4:7],
             heading=vals[7],
-            force=vec3(*vals[8:11]),
+            force=vals[8:11],
             yaw_rate=vals[11],
             seq=vals[12],
         )
@@ -344,8 +365,7 @@ def _advance(
     """body's state one interval on, under force and yaw_rate; t_end pins the timestamp
     to the caller's tick grid so script breakpoints stay aligned across agent and twin."""
     new = predict_step(body.state, force, body.params, body.terrain, dt)
-    heading = wrap_angle(new.heading + yaw_rate * dt)
-    return replace(new, heading=heading, t=t_end if t_end is not None else new.t)
+    return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * dt), new.t if t_end is None else t_end)
 
 
 class PhysicalAgent:
@@ -403,17 +423,18 @@ class VirtualTwin:
         self.known_force = vec3()
         self.known_yaw_rate = 0.0
         self.correction = vec3()
+        self._tick = tick
         self._history: deque[TwinState] = deque(maxlen=max(2, int(HISTORY_WINDOW / tick) + 2))
         self._history.append(self.state)
 
     def step(self, dt: float, t_end: float | None = None) -> None:
-        self.state = _advance(self, self.known_force + self.correction, self.known_yaw_rate, dt, t_end)
+        self.state = _advance(self, _add(self.known_force, self.correction), self.known_yaw_rate, dt, t_end)
         self._history.append(self.state)
 
     def state_at(self, t: float) -> TwinState:
-        """Recorded state nearest to t; exact on the shared tick grid."""
-        best = min(self._history, key=lambda s: abs(s.t - t))
-        return best
+        """Recorded state nearest to t by tick offset from the newest, clamped to the ends."""
+        back = round((self._history[-1].t - t) / self._tick)
+        return self._history[-1 - min(max(back, 0), len(self._history) - 1)]
 
     def nudge_heading(self, delta: float) -> None:
         self.state = replace(self.state, heading=wrap_angle(self.state.heading + delta))
@@ -517,7 +538,7 @@ def run_sync_loop(
     correcting = False
 
     def record(now: float) -> None:
-        e_pos_true = float(np.linalg.norm(agent.state.p - twin.state.p))
+        e_pos_true = _norm3(_sub(agent.state.p, twin.state.p))
         if not math.isfinite(e_pos_true):
             raise ValueError(f"sync state is not finite at t={now}")
         e_rot_true = wrap_angle(agent.state.heading - twin.state.heading)
@@ -532,7 +553,7 @@ def run_sync_loop(
         report.bound.append(b if math.isfinite(b) else -1.0)
         report.kp.append(ctrl.kp)
         report.kd.append(ctrl.kd)
-        report.corrected.append(1 if np.any(twin.correction != 0.0) else 0)
+        report.corrected.append(1 if any(twin.correction) else 0)
         report.eps_pos.append(adaptive_thresholds(ctrl, loss_now, live_gap)[0])
 
     correction_expires = -math.inf
@@ -540,7 +561,7 @@ def run_sync_loop(
     record(0.0)
     for k in range(1, ticks + 1):
         now = k * config.tick
-        if now > correction_expires and np.any(twin.correction != 0.0):
+        if now > correction_expires and any(twin.correction):
             twin.correction = vec3()
         agent.step(config.tick, t_end=now)
         twin.step(config.tick, t_end=now)
@@ -575,7 +596,7 @@ def run_sync_loop(
             if (
                 config.adaptive_gains
                 and ctrl.gain_grid
-                and float(np.linalg.norm(e_pos)) > ctrl.cap_factor * ctrl.eps_pos
+                and _norm3(e_pos) > ctrl.cap_factor * ctrl.eps_pos
             ):
                 kp, kd = schedule_gains(ctrl, list(gain_samples))
                 ctrl = replace(ctrl, kp=kp, kd=kd)
@@ -586,8 +607,8 @@ def run_sync_loop(
             thresholds = adaptive_thresholds(ctrl, loss_rate, disconnect)
             if correcting:
                 thresholds = (thresholds[0] * GATE_HYSTERESIS, thresholds[1] * GATE_HYSTERESIS)
-            f_corr = pd_correct(e_pos, e_vel, ctrl, thresholds)
-            correcting = bool(np.any(f_corr != 0.0))
+            f_corr = tuple(pd_correct(e_pos, e_vel, ctrl, thresholds).tolist())
+            correcting = any(f_corr)
             twin.correction = f_corr
             correction_expires = now + CORRECTION_HOLD_PERIODS * config.update_period
             if correcting:
@@ -603,11 +624,8 @@ def run_sync_loop(
             last_reschedule = now
 
         if bound_model is not None:
-            mismatch = float(
-                np.linalg.norm(
-                    agent.force_script.value_at(now) - (twin.known_force + twin.correction)
-                )
-            ) / agent.params.mass
+            applied = _add(twin.known_force, twin.correction)
+            mismatch = _norm3(_sub(agent.force_script.value_at(now), applied)) / agent.params.mass
             report.max_input_mismatch = max(report.max_input_mismatch, mismatch)
 
         record(now)

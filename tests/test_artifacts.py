@@ -1,9 +1,8 @@
-"""Pinned SHA-256 digests of the traffic runs' CSV artifacts.
+"""Pinned SHA-256 digests of the CSV artifacts of every shipped run.
 
-Every CLI run whose scenario has no `sync:` section writes the same bytes on
-any host: a change to the simulator that moves one of these digests changes
-what a run reports. Sync outputs are not pinned, because `sync.csv` depends
-on the host's BLAS kernel.
+Every CLI run writes the same bytes on any IEEE 754 host, sync runs included
+(twin sync computes on plain floats, so no BLAS kernel is involved): a change
+to the simulator that moves one of these digests changes what a run reports.
 """
 
 import hashlib
@@ -49,6 +48,33 @@ RUNS = {
             "summary.csv": "b7f710b0778cd337826d8b3031d87424dcab7bb9db19389684006e439052420f",
             "tiers.csv": "2ac12a1b56a65b7afc14819324892277353bf80d67b657e3d2b12d209383ce6a",
             "topics.csv": "8fcfa29079f055b622affee3efd519ff962853c621549e4c2afe239c3c7c153c",
+        },
+    ),
+    "sync_default": (
+        ["run", "sync_default.yaml"],
+        {
+            "summary.csv": "73979ad5359914e7bf1484ca04fa96265356bc7280b1500b0d91e1eae0dc114e",
+            "sync.csv": "ec3dcca09a1db58be5d3e7f1576dafdd21b559de2baa133d296384cb2b8a9b55",
+            "tiers.csv": "fe43dc6cf31582aa9f6343072d7746fd7c63cfa71126fb793dfc8095920f831e",
+            "topics.csv": "233356234dc0d3ef45e360fa1a1b7e156960adc259fbb0036090247053481f29",
+        },
+    ),
+    "sync_disconnect": (
+        ["run", "sync_disconnect.yaml"],
+        {
+            "summary.csv": "c5a49f9305a0f4409737cdaf7ff8a0e5e8f8ba44d82b77116abe776229497e47",
+            "sync.csv": "3d6244de3846af8e0732e0688df82ccf0372b8ef14cd5b2c0823f6cde5b4b172",
+            "tiers.csv": "fe43dc6cf31582aa9f6343072d7746fd7c63cfa71126fb793dfc8095920f831e",
+            "topics.csv": "233356234dc0d3ef45e360fa1a1b7e156960adc259fbb0036090247053481f29",
+        },
+    ),
+    "sync_latency200": (
+        ["run", "sync_latency200.yaml"],
+        {
+            "summary.csv": "5eb75e286b2b53738212f4a683e3f70d9bc786d38d8154a28d8003d34f381bba",
+            "sync.csv": "1b09f8234f767855fd46ba80a332192aa41890a5d6e74acbad5a90fab2d9ea37",
+            "tiers.csv": "fe43dc6cf31582aa9f6343072d7746fd7c63cfa71126fb793dfc8095920f831e",
+            "topics.csv": "233356234dc0d3ef45e360fa1a1b7e156960adc259fbb0036090247053481f29",
         },
     ),
     "bridge_loss --baseline": (

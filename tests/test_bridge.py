@@ -179,6 +179,17 @@ def test_valid_shares_pass_the_rule():
         assert EndpointConfig(shares=shares).shares == shares
 
 
+@pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"), float("-inf")])
+def test_endpoint_config_rejects_a_budget_that_is_not_positive(budget):
+    with pytest.raises(ValueError, match="budget_per_tick"):
+        EndpointConfig(budget_per_tick=budget)
+
+
+def test_endpoint_config_keeps_a_positive_or_default_budget():
+    for budget in (None, 1.0, 1500):
+        assert EndpointConfig(budget_per_tick=budget).budget_per_tick == budget
+
+
 class TestReplayBuffer:
     def env(self, topic="/t", seq=0):
         return Envelope(TIER_CRITICAL, 0, seq, 0, topic, 0, b"x")

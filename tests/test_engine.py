@@ -188,9 +188,9 @@ class TestMeasureConfig:
         cond = NetworkConditions.ideal()
         bad = BridgeScenario(
             "bad", 1, 1.0, cond,
-            (TopicTraffic("/x", MessageKind.POSE, 1.0, 8),),
+            (TopicTraffic("x", MessageKind.POSE, 1.0, 8),),  # the bus rejects the name at run time
             PriorityPolicy(),
-            endpoint=EndpointConfig(tick=0.02, budget_per_tick=-5.0),
+            endpoint=EndpointConfig(tick=0.02),
         )
         with pytest.raises(ScenarioError):
             measure_config(BridgeConfig(), bad)

@@ -70,6 +70,25 @@ class TestRun:
         for name in names:
             assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name, shallow=False), name
 
+    @pytest.mark.parametrize("scenario", ["sync_default.yaml", "sync_disconnect.yaml", "sync_latency200.yaml"])
+    def test_sync_artifacts_independent_of_blas_kernel(self, tmp_path, scenario):
+        # OpenBLAS picks its kernel by CPU; Prescott, its oldest x86-64 kernel, has no
+        # fused multiply-add, so a result that went through BLAS differs on an FMA host
+        src = str(SCENARIOS.parent / "src")
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        for name, extra in (("host", {}), ("prescott", {"OPENBLAS_CORETYPE": "Prescott"})):
+            subprocess.run(
+                [sys.executable, "-m", "twinbridge.cli", "run", str(SCENARIOS / scenario),
+                 "--out-dir", str(tmp_path / name)],
+                env=dict(env, PYTHONPATH=src, **extra),
+                capture_output=True, check=True,
+            )
+        names = sorted(path.name for path in (tmp_path / "host").glob("*.csv"))
+        assert names == sorted(path.name for path in (tmp_path / "prescott").glob("*.csv"))
+        assert "sync.csv" in names
+        for name in names:
+            assert filecmp.cmp(tmp_path / "host" / name, tmp_path / "prescott" / name, shallow=False), name
+
     def test_sync_csv_written(self, tmp_path):
         report = run(SCENARIOS / "sync_default.yaml", out_dir=tmp_path)
         assert (tmp_path / "sync.csv").exists()

@@ -37,6 +37,15 @@ def params(mass=10.0, mu=0.0, drag=0.0):
     return PhysicalParams(mass=mass, friction={"default": mu}, drag=drag)
 
 
+def allclose(a, b, rtol=1e-5, atol=1e-8):
+    """np.allclose's element-wise test, |a - b| <= atol + rtol * |b|, on plain sequences."""
+    return len(a) == len(b) and all(abs(x - y) <= atol + rtol * abs(y) for x, y in zip(a, b))
+
+
+def rate(after, before, dt):
+    return [(x - y) / dt for x, y in zip(after, before)]
+
+
 class TestPredictStep:
     def test_equilibrium_only_time_moves(self):
         state = TwinState.at_rest()
@@ -49,14 +58,14 @@ class TestPredictStep:
         # net force 10 N on 10 kg: a=1, v'=0.1, p'=0.01 after dt=0.1
         state = TwinState.at_rest()
         out = predict_step(state, vec3(10.0), params(mass=10.0), dt=0.1)
-        assert (out.v - state.v) / 0.1 == pytest.approx([1.0, 0.0, 0.0])
+        assert rate(out.v, state.v, 0.1) == pytest.approx([1.0, 0.0, 0.0])
         assert out.v == pytest.approx([0.1, 0.0, 0.0])
         assert out.p == pytest.approx([0.01, 0.0, 0.0])
 
     def test_coulomb_friction_deceleration(self):
         state = TwinState(vec3(), vec3(1.0), 0.0, 0.0)
         out = predict_step(state, vec3(), params(mass=10.0, mu=0.3), dt=0.01)
-        assert (out.v - state.v) / 0.01 == pytest.approx([-2.943, 0.0, 0.0])
+        assert rate(out.v, state.v, 0.01) == pytest.approx([-2.943, 0.0, 0.0])
 
     def test_friction_zero_at_rest(self):
         assert np.array_equal(resistive_force(vec3(), params(mu=0.9)), vec3())
@@ -109,8 +118,8 @@ class TestSyncErrors:
         b = TwinState(vec3(-px), vec3(2.0), hq, 0.0)
         e1 = sync_errors(a, b)
         e2 = sync_errors(b, a)
-        assert np.allclose(e1[0], -e2[0])
-        assert np.allclose(e1[1], -e2[1])
+        assert allclose(e1[0], [-x for x in e2[0]])
+        assert allclose(e1[1], [-x for x in e2[1]])
 
 
 class TestWrapAngle:
@@ -177,7 +186,7 @@ class TestPdCorrect:
         ctrl = SyncController(kp=3.0, kd=2.0, eps_pos=1e-9, eps_vel=1e-9)
         f1 = pd_correct(vec3(ex), vec3(vx), ctrl)
         f2 = pd_correct(vec3(lam * ex), vec3(lam * vx), ctrl)
-        assert np.allclose(f2, lam * f1, atol=1e-9)
+        assert allclose(f2, [lam * x for x in f1], atol=1e-9)
 
 
 def oracle_schedule_gains(ctrl: SyncController, window) -> tuple[float, float]:
@@ -194,8 +203,8 @@ def oracle_schedule_gains(ctrl: SyncController, window) -> tuple[float, float]:
         acc, energy = 0.0, 0.0
         for dt, e_pos, e_vel in window:
             lag = max(1, int(round(dt / h)))
-            hist = [(e_pos.copy(), e_vel.copy())] * lag
-            e, ev = e_pos.copy(), e_vel.copy()
+            hist = [(np.array(e_pos), np.array(e_vel))] * lag
+            e, ev = np.array(e_pos), np.array(e_vel)
             for _ in range(steps):
                 e_old, ev_old = hist[-lag]
                 f = kp * e_old + kd * ev_old
@@ -320,6 +329,26 @@ class TestForceScript:
     def test_duplicate_times_last_wins(self):
         script = PiecewiseConstant([(1.0, vec3(9.0, 0.0, 0.0)), (1.0, vec3(3.0, 0.0, 0.0))])
         assert script.value_at(1.5) == pytest.approx([3.0, 0.0, 0.0])
+
+
+class TestVirtualTwin:
+    def test_state_at_is_the_nearest_kept_state(self):
+        twin = VirtualTwin(params(), tick=0.01)
+        twin.known_force = vec3(1.0, -0.5)
+        states = [twin.state]
+        for k in range(1, 1001):
+            twin.step(0.01, t_end=k * 0.01)
+            states.append(twin.state)
+        kept = states[-602:]  # the history holds HISTORY_WINDOW / tick + 2 states
+        for s in kept:
+            assert twin.state_at(s.t) is s
+        assert twin.state_at(0.0) is kept[0]
+        assert twin.state_at(-1.0) is kept[0]
+        assert twin.state_at(20.0) is kept[-1]
+        rng = random.Random(3)
+        for _ in range(200):
+            t = rng.uniform(3.0, 10.5)
+            assert twin.state_at(t) is min(kept, key=lambda s: abs(s.t - t))
 
 
 def ideal_loop(duration=5.0, **kwargs):
