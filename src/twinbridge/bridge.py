@@ -4,7 +4,8 @@ An endpoint runs three duties on the shared simulation clock:
 
 * egress: drain only the subscribed topics that received messages, classify
   each message into a priority tier, frame it, and feed per-tier send queues
-  emptied by the tier scheduler under a per-tick byte budget;
+  emptied by the tier scheduler under a per-tick byte budget, fixed at
+  construction from the link's bandwidth cap;
 * ingress: decode arriving frames, deduplicate by sequence number, republish
   on the local bus in per-topic sequence order, and detect gaps;
 * discovery: periodically subscribe to newly advertised topics that pass the
@@ -12,6 +13,8 @@ An endpoint runs three duties on the shared simulation clock:
 
 Critical-tier gaps trigger replay requests over the reverse link; requests
 are re-sent on a timer until the gap closes or the attempt budget runs out.
+Replay-request and heartbeat frames carry seq 0: the receiver acts on their
+payload alone.
 Heartbeat and gap-retry deadlines live in min-heaps, so an idle tick, with
 nothing ready, queued or due, costs O(1): it only reschedules itself.
 Every frame sent is retained in a per-topic replay ring that keeps the last
@@ -188,9 +191,7 @@ class TierScheduler:
         self._credit = {tier: 0.0 for tier in TIERS}
 
     def plan(self, queues: dict[int, deque[QueuedFrame]], budget: float) -> list[QueuedFrame]:
-        """Pop frames to send this tick, in transmit order."""
-        if budget <= 0:
-            raise ValueError("budget must be positive")
+        """Pop frames to send this tick, in transmit order; budget is positive."""
         out: list[QueuedFrame] = []
         bulk_waiting = bool(queues.get(TIER_BULK))
 
@@ -233,7 +234,6 @@ class EndpointConfig:
 
     prioritized: bool = True
     tick: float = 0.01
-    budget_per_tick: float | None = None  # default: bandwidth cap * tick
     batch_size: int = 4
     redundancy: int = 0
     shares: tuple[float, float, float] | None = None
@@ -245,14 +245,13 @@ class EndpointConfig:
     topics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.tick <= 0:
+        # each check is written so that NaN fails it
+        if not self.tick > 0:
             raise ValueError("tick must be positive")
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.budget_per_tick is not None and not self.budget_per_tick > 0:  # NaN fails too
-            raise ValueError("budget_per_tick must be positive")
         check_shares(self.shares)
 
 
@@ -295,6 +294,10 @@ class BridgeEndpoint:
         self.discovery = discovery
         self.clock = clock
         self.config = config
+        cap = tx_link.conditions.bandwidth_cap
+        # bytes per tick; 10% headroom keeps backlog in the prioritized tier
+        # queues instead of the link's FIFO serialization queue
+        self._budget = 0.9 * cap * config.tick if cap else 1_000_000.0
         self.origin_id = f"bridge-{next(self._ids)}"
 
         self.replay_buffer = ReplayBuffer(config.replay_capacity)
@@ -308,7 +311,6 @@ class BridgeEndpoint:
         self._rx: dict[str, _RxTopic] = {}
         self._queues: dict[int, deque[QueuedFrame]] = {t: deque() for t in TIERS}
         self._publishers: dict[str, Publisher] = {}
-        self._control_seq = {REPLAY_TOPIC: 0, HEARTBEAT_TOPIC: 0}
 
         # op counters feed the deterministic compute metric and reports
         self.encodes = 0
@@ -330,14 +332,6 @@ class BridgeEndpoint:
 
     def _schedule_tick(self) -> None:
         self.clock.schedule(self.clock.now + self.config.tick, self._tick)
-
-    def _budget(self) -> float:
-        if self.config.budget_per_tick is not None:
-            return self.config.budget_per_tick
-        cap = self.tx_link.conditions.bandwidth_cap
-        # 10% headroom keeps backlog in the prioritized tier queues instead
-        # of the link's FIFO serialization queue
-        return 0.9 * cap * self.config.tick if cap else 1_000_000.0
 
     # --- discovery duty -------------------------------------------------------
 
@@ -373,9 +367,9 @@ class BridgeEndpoint:
             if self.config.prioritized:
                 self._emit_heartbeats(now)
                 self._retry_gap_requests(now)
-                plan = self._scheduler.plan(self._queues, self._budget())
+                plan = self._scheduler.plan(self._queues, self._budget)
             else:
-                plan = self._plan_fifo(self._budget())
+                plan = self._plan_fifo(self._budget)
             self._transmit(plan)
         self._schedule_tick()
 
@@ -457,13 +451,12 @@ class BridgeEndpoint:
         env = Envelope(
             tier=TIER_CRITICAL,
             flags=0,
-            seq=self._control_seq[control_topic],
+            seq=0,
             sim_time_us=int(round(now * 1e6)),
             topic=control_topic,
             kind=int(MessageKind.COMMAND),
             payload=payload,
         )
-        self._control_seq[control_topic] += 1
         self.encodes += 1
         self._queues[TIER_CRITICAL].append(QueuedFrame(env, encode_envelope(env)))
 

@@ -24,13 +24,12 @@ from .netsim import NetLink, NetworkConditions, SimClock, link_pair
 
 @dataclass(frozen=True)
 class TopicTraffic:
-    """One periodic publisher: fixed-size payloads at a fixed rate."""
+    """One periodic publisher: fixed-size payloads at a fixed rate, from t = 0."""
 
     topic: str
     kind: MessageKind
     rate: float  # messages per simulated second
     size: int  # payload bytes
-    start: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rate <= 0:
@@ -166,11 +165,8 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     for t in topics:
         period = 1.0 / t.rate
         n = 0
-        while True:
-            at = t.start + n * period
-            if at >= stop_at:
-                break
-            schedule.append((at, t.topic))
+        while n * period < stop_at:
+            schedule.append((n * period, t.topic))
             n += 1
     schedule.sort()
 

@@ -1,4 +1,4 @@
-"""3D point cloud to 2D range-scan projection and obstacle flagging.
+"""3D point cloud to 2D range-scan projection.
 
 The projection takes, per azimuth bin, the minimum range among points whose
 height falls inside a band around the sensor plane; bins with no qualifying
@@ -53,7 +53,6 @@ class Scan2D:
     """Fixed-bin 2D scan over [-pi, pi); math.inf marks bins with no return."""
 
     ranges: np.ndarray
-    obstacle_threshold: float
 
     def __post_init__(self) -> None:
         ranges = np.asarray(self.ranges, dtype=np.float64)
@@ -78,7 +77,6 @@ def project(
     cloud: PointCloud3D,
     n_bins: int,
     z_band: tuple[float, float],
-    obstacle_threshold: float = 1.0,
 ) -> Scan2D:
     """Reduce a 3D cloud to a 2D scan: per-bin minimum range inside the band.
 
@@ -95,13 +93,7 @@ def project(
     if mask.any():
         bins = azimuth_bin(cloud.theta[mask], n_bins)
         np.minimum.at(ranges, bins, cloud.r[mask])
-    return Scan2D(ranges, obstacle_threshold)
-
-
-def flag_obstacles(scan: Scan2D) -> list[tuple[int, float]]:
-    """Bins whose range is strictly below the obstacle threshold, by index."""
-    hits = np.nonzero(scan.ranges < scan.obstacle_threshold)[0]
-    return [(int(i), float(scan.ranges[i])) for i in hits]
+    return Scan2D(ranges)
 
 
 def scan_payload_size(scan: Scan2D) -> int:

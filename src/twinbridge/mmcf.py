@@ -239,7 +239,6 @@ def optimize(
     bounds: MetricBounds,
     weights: MmcfWeights,
     evaluator: Evaluator = measure_config,
-    seed: int = 0,
     known: dict[BridgeConfig, MeasuredMetrics] | None = None,
 ) -> OptimizeResult:
     """Minimize the cost function over a finite configuration space.
@@ -254,17 +253,21 @@ def optimize(
         raise EmptySpace("configuration space is empty")
 
     cache: dict[BridgeConfig, MeasuredMetrics] = dict(known or {})
+    costs: dict[BridgeConfig, float] = {}
     counter = ClampCounter()
 
     def cost_of(cfg: BridgeConfig) -> float:
-        if cfg not in cache:
-            cache[cfg] = evaluator(cfg, scenario)
-        return mmcf(cache[cfg], bounds, weights, counter)
+        # memoized, so each configuration's clamps are counted once
+        if cfg not in costs:
+            if cfg not in cache:
+                cache[cfg] = evaluator(cfg, scenario)
+            costs[cfg] = mmcf(cache[cfg], bounds, weights, counter)
+        return costs[cfg]
 
     if len(space) <= EXHAUSTIVE_LIMIT:
         candidates = space
     else:
-        candidates = _local_search(space, cost_of, seed, SEARCH_BUDGET)
+        candidates = _local_search(space, cost_of, SEARCH_BUDGET)
 
     best = min(candidates, key=lambda c: (cost_of(c), c.sort_key()))
     tabulated = set(candidates) if len(space) > EXHAUSTIVE_LIMIT else set(cache)
@@ -285,11 +288,10 @@ def optimize(
 def _local_search(
     space: list[BridgeConfig],
     cost_of: Callable[[BridgeConfig], float],
-    seed: int,
     budget: int,
 ) -> list[BridgeConfig]:
-    """Seeded hill-climb over index neighborhoods with random restarts."""
-    rng = random.Random(seed)
+    """Hill-climb over index neighborhoods with random restarts, seeded with 0."""
+    rng = random.Random(0)
     visited: set[int] = set()
     n = len(space)
     restarts = max(1, budget // 20)

@@ -105,7 +105,7 @@ class NetworkConditions:
         for t, v in self.loss.breakpoints():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"loss {v} at t={t} must be in [0, 1]")
-        if self.bandwidth_cap is not None and self.bandwidth_cap <= 0:
+        if self.bandwidth_cap is not None and not self.bandwidth_cap > 0:  # NaN fails too
             raise ValueError("bandwidth_cap must be positive or None")
         prev_end = None
         for start, end in self.disconnects:

@@ -345,15 +345,7 @@ class Scenario:
                     raise ScenarioParseError(
                         [f"{tpl['at']}: agent {i} of {count} gets {topic!r}, which {at} names for agent {agent}"]
                     )
-                out.append(
-                    TopicTraffic(
-                        topic=topic,
-                        kind=tpl["kind"],
-                        rate=tpl["rate"],
-                        size=tpl["size"],
-                        start=tpl.get("start", 0.0),
-                    )
-                )
+                out.append(TopicTraffic(topic=topic, kind=tpl["kind"], rate=tpl["rate"], size=tpl["size"]))
         return tuple(out)
 
     def bridge_scenario(
@@ -438,7 +430,7 @@ def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
 def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfig, float]:
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
     ctx.known(br, "bridge", (
-        "tick", "budget_per_tick", "batch", "redundancy", "shares", "replay_capacity", "sub_capacity",
+        "tick", "batch", "redundancy", "shares", "replay_capacity", "sub_capacity",
         "heartbeat", "replay_retry", "replay_attempts", "drain", "discovery",
     ))
     disc_raw = ctx.get(br, "bridge", "discovery", dict, default={}) or {}
@@ -456,7 +448,6 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfi
         endpoint = EndpointConfig(
             prioritized=True,
             tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
-            budget_per_tick=ctx.number(br, "bridge", "budget_per_tick", positive=True),
             batch_size=ctx.number(br, "bridge", "batch", default=4, minimum=1, integer=True),
             redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, integer=True),
             shares=shares,
@@ -486,7 +477,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
         if not isinstance(raw, dict):
             ctx.fail(path, "expected a mapping")
             continue
-        ctx.known(raw, path, ("name", "kind", "rate", "size", "start"))
+        ctx.known(raw, path, ("name", "kind", "rate", "size"))
         name = ctx.get(raw, path, "name", str, required=True)
         kind_name = ctx.get(raw, path, "kind", str, required=True, default="blob")
         if kind_name not in KIND_NAMES:
@@ -508,7 +499,6 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
                 "kind": KIND_NAMES[kind_name],
                 "rate": rate,
                 "size": size,
-                "start": ctx.number(raw, path, "start", default=0.0, minimum=0.0),
             }
         )
     return count, tuple(templates)

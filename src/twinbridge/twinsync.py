@@ -180,18 +180,18 @@ def pd_correct(
     e_pos: Vec3,
     e_vel: Vec3,
     ctrl: SyncController,
-    thresholds: tuple[float, float] | None = None,
+    thresholds: tuple[float, float],
 ) -> np.ndarray:
     """Gated PD correction force: Kp*e_pos + Kd*e_vel, or zero.
 
-    The gate opens when either error norm exceeds its threshold (base
-    thresholds unless the adaptive pair is supplied).
+    The gate opens when either error norm exceeds its threshold in
+    `thresholds`, the (position, velocity) pair in force.
 
     Computed on floats, but returned as an ndarray because the benchmark tracer
     counts open gates with `(force != 0.0).any()`; the loop takes it back with
     `.tolist()`. ROADMAP item 2 makes the tracer count on tuples and drops this.
     """
-    eps_pos, eps_vel = thresholds if thresholds is not None else (ctrl.eps_pos, ctrl.eps_vel)
+    eps_pos, eps_vel = thresholds
     if _norm3(e_pos) <= eps_pos and _norm3(e_vel) <= eps_vel:
         return np.zeros(3)
     kp, kd = ctrl.kp, ctrl.kd
@@ -325,7 +325,8 @@ def gronwall_bound(model: SyncBoundModel, t: float) -> float:
 
 # --- state updates on the wire -------------------------------------------------
 
-_UPDATE = struct.Struct("<12dQ")  # t, p3, v3, heading, f3, yaw_rate, seq
+# the twin orders updates by t, so they carry no sequence number
+_UPDATE = struct.Struct("<12d")  # t, p3, v3, heading, f3, yaw_rate
 
 
 @dataclass(frozen=True)
@@ -338,12 +339,9 @@ class StateUpdate:
     heading: float
     force: Vec3
     yaw_rate: float
-    seq: int
 
     def pack(self) -> bytes:
-        return _UPDATE.pack(
-            self.t, *self.p, *self.v, self.heading, *self.force, self.yaw_rate, self.seq
-        )
+        return _UPDATE.pack(self.t, *self.p, *self.v, self.heading, *self.force, self.yaw_rate)
 
     @staticmethod
     def unpack(data: bytes) -> "StateUpdate":
@@ -355,17 +353,16 @@ class StateUpdate:
             heading=vals[7],
             force=vals[8:11],
             yaw_rate=vals[11],
-            seq=vals[12],
         )
 
 
 def _advance(
-    body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, dt: float, t_end: float | None
+    body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, dt: float, t_end: float
 ) -> TwinState:
     """body's state one interval on, under force and yaw_rate; t_end pins the timestamp
     to the caller's tick grid so script breakpoints stay aligned across agent and twin."""
     new = predict_step(body.state, force, body.params, body.terrain, dt)
-    return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * dt), new.t if t_end is None else t_end)
+    return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * dt), t_end)
 
 
 class PhysicalAgent:
@@ -383,25 +380,21 @@ class PhysicalAgent:
         self.yaw_script = yaw_script or PiecewiseConstant(0.0)
         self.terrain = terrain
         self.state = TwinState.at_rest()
-        self._seq = 0
 
-    def step(self, dt: float, t_end: float | None = None) -> None:
+    def step(self, dt: float, t_end: float) -> None:
         t = self.state.t
         self.state = _advance(self, self.force_script.value_at(t), self.yaw_script.value_at(t), dt, t_end)
 
     def sample(self) -> StateUpdate:
         t = self.state.t
-        update = StateUpdate(
+        return StateUpdate(
             t=t,
             p=self.state.p,
             v=self.state.v,
             heading=self.state.heading,
             force=self.force_script.value_at(t),
             yaw_rate=self.yaw_script.value_at(t),
-            seq=self._seq,
         )
-        self._seq += 1
-        return update
 
 
 # seconds of recorded twin states kept for lookups at an update's send instant
@@ -427,7 +420,7 @@ class VirtualTwin:
         self._history: deque[TwinState] = deque(maxlen=max(2, int(HISTORY_WINDOW / tick) + 2))
         self._history.append(self.state)
 
-    def step(self, dt: float, t_end: float | None = None) -> None:
+    def step(self, dt: float, t_end: float) -> None:
         self.state = _advance(self, _add(self.known_force, self.correction), self.known_yaw_rate, dt, t_end)
         self._history.append(self.state)
 

@@ -8,11 +8,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbridge import engine
 from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
-from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, encode_envelope
+from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
 from twinbridge.msgbus import MessageKind
 from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant
@@ -160,6 +162,71 @@ class TestRunTraffic:
         assert percentile(values, 95) == 95.0
         assert percentile(values, 100) == 100.0
         assert percentile([], 95) == 0.0
+
+
+# (index of the link send it rides on, kind, random bytes, byte position, xor mask)
+INJECTIONS = st.lists(
+    st.tuples(
+        st.integers(0, 80),  # the run makes 90 link sends
+        st.sampled_from(["random", "corrupt", "duplicate"]),
+        st.binary(max_size=64),
+        st.integers(0, 2**16),
+        st.integers(1, 255),
+    ),
+    max_size=12,
+)
+
+
+@given(injections=INJECTIONS)
+@settings(max_examples=40, deadline=None)
+def test_injected_peer_bytes_never_break_a_lossy_run_property(injections):
+    """Random bytes, single-byte corruptions and duplicates of real batches fed
+    to both endpoints during a prioritized bridge_loss run, shortened to 6 s."""
+    bridge = replace(load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario(), duration=6.0, drain=3.0)
+    send, republish = NetLink.send, BridgeEndpoint._republish
+    sends = 0
+    republished: list[tuple[str, int]] = []
+
+    def inject(link, data):
+        endpoint = link.on_deliver.__self__
+        before = endpoint.decode_errors
+        link.on_deliver(data, link.clock.now)
+        try:
+            decode_stream(data)
+            failed = 0
+        except FrameError:
+            failed = 1
+        # a batch that fails to decode counts once; a real batch's frames act cleanly
+        assert endpoint.decode_errors == before + failed
+
+    def injecting_send(link, payload):
+        nonlocal sends
+        event = send(link, payload)
+        for at, kind, noise, pos, mask in injections:
+            if at != sends:
+                continue
+            data = bytearray(payload)
+            if kind == "random":
+                data = noise
+            elif kind == "corrupt":
+                data[pos % len(data)] ^= mask
+            link.clock.schedule(link.clock.now, lambda data=bytes(data): inject(link, data))
+        sends += 1
+        return event
+
+    def record_republish(endpoint, rx, env, at):
+        republished.append((env.topic, env.seq))
+        republish(endpoint, rx, env, at)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NetLink, "send", injecting_send)
+        mp.setattr(BridgeEndpoint, "_republish", record_republish)
+        result = run_traffic(bridge)
+    for topic, res in result.topics.items():
+        assert res.sent == res.delivered + res.dropped + res.buffered, topic
+        if res.tier == "critical":
+            seqs = sorted(seq for name, seq in republished if name == topic)
+            assert seqs == list(range(res.sent)), topic
 
 
 class TestMeasureConfig:

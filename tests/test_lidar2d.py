@@ -12,7 +12,6 @@ from twinbridge.lidar2d import (
     PointCloud3D,
     Scan2D,
     cloud_payload_size,
-    flag_obstacles,
     payload_comparison,
     project,
     scan_payload_size,
@@ -95,32 +94,9 @@ class TestProject:
             PointCloud3D(np.array([-1.0]), np.array([0.0]), np.array([0.0]))
 
 
-class TestFlagObstacles:
-    def test_all_no_return_empty(self):
-        scan = Scan2D(np.full(16, math.inf), obstacle_threshold=0.5)
-        assert flag_obstacles(scan) == []
-
-    def test_single_hit(self):
-        ranges = np.full(16, math.inf)
-        ranges[3] = 0.4
-        scan = Scan2D(ranges, obstacle_threshold=0.5)
-        assert flag_obstacles(scan) == [(3, 0.4)]
-
-    def test_exactly_at_threshold_not_flagged(self):
-        ranges = np.full(4, math.inf)
-        ranges[0] = 0.5
-        scan = Scan2D(ranges, obstacle_threshold=0.5)
-        assert flag_obstacles(scan) == []
-
-    def test_ordered_by_bin_index(self):
-        ranges = np.array([math.inf, 0.2, math.inf, 0.1])
-        scan = Scan2D(ranges, obstacle_threshold=0.3)
-        assert flag_obstacles(scan) == [(1, 0.2), (3, 0.1)]
-
-
 class TestPayloads:
     def test_default_comparison(self):
-        scan = Scan2D(np.full(360, math.inf), obstacle_threshold=1.0)
+        scan = Scan2D(np.full(360, math.inf))
         rng = random.Random(1)
         cloud = random_cloud(rng, 10_000)
         cmp = payload_comparison(scan, cloud)
@@ -129,14 +105,14 @@ class TestPayloads:
         assert cmp.reduction == pytest.approx(0.988)
 
     def test_empty_cloud_no_reduction(self):
-        scan = Scan2D(np.full(8, math.inf), obstacle_threshold=1.0)
+        scan = Scan2D(np.full(8, math.inf))
         cloud = PointCloud3D(np.array([]), np.array([]), np.array([]))
         cmp = payload_comparison(scan, cloud)
         assert cmp.cloud_bytes == 0
         assert cmp.reduction is None
 
     def test_360_points_vs_360_bins(self):
-        scan = Scan2D(np.full(360, math.inf), obstacle_threshold=1.0)
+        scan = Scan2D(np.full(360, math.inf))
         rng = random.Random(2)
         cloud = random_cloud(rng, 360)
         assert scan_payload_size(scan) == 1440

@@ -183,13 +183,35 @@ class TestOptimize:
             for p in (0.25, 0.5, 0.75)
         ]
         assert len(space) > 10_000
-        result = optimize(
-            space, None, BOUNDS, self.weights, evaluator=synthetic_evaluator, seed=3
-        )
+        evaluated = []
+
+        def recording(cfg, scenario):
+            evaluated.append(cfg)
+            return synthetic_evaluator(cfg, scenario)
+
+        result = optimize(space, None, BOUNDS, self.weights, evaluator=recording)
         assert 0 < result.evaluated_fraction < 1.0
         # the search result must at least beat the lexicographic first config
         first_cost = mmcf(synthetic_evaluator(space[0], None), BOUNDS, self.weights)
         assert result.cost <= first_cost
+        # each evaluated config's clamps count once, however often the search compares it
+        expected = ClampCounter()
+        for cfg in evaluated:
+            normalize(synthetic_evaluator(cfg, None), BOUNDS, expected)
+        assert result.clamps == expected.clamps > 0
+
+    def test_the_winners_clamps_count_once(self):
+        fast = BridgeConfig(batch_size=1)
+        slow = BridgeConfig(batch_size=2)
+
+        def evaluator(cfg, scenario):
+            # fast's latency is below latency_min: its one clamp is the only one
+            latency = 0.005 if cfg == fast else 0.2
+            return MeasuredMetrics(latency, 0.1, 0.5, 50_000.0)
+
+        result = optimize([slow, fast], None, BOUNDS, self.weights, evaluator=evaluator)
+        assert result.best == fast
+        assert result.clamps == 1
 
 
 class TestInvariants:

@@ -236,3 +236,9 @@ def test_conditions_validation():
         NetworkConditions(
             PiecewiseConstant(0.0), PiecewiseConstant(0.0), disconnects=((0.0, 5.0), (4.0, 6.0))
         )
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan"), float("-inf")])
+def test_conditions_reject_a_bandwidth_cap_that_is_not_positive(cap):
+    with pytest.raises(ValueError, match="bandwidth_cap"):
+        NetworkConditions(PiecewiseConstant(0.0), PiecewiseConstant(0.0), bandwidth_cap=cap)

@@ -45,6 +45,11 @@ UNKNOWN_KEYS = [
     ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  probe: 4\n", "mmcf.probe", 6),
     ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {batches: [1, 2]}\n", "mmcf.space.batches", 6),
     ("geo:\n  reference: [0.0, 0.0, 0.0]\n  scael: 2.0\n", "geo.scael", 6),
+    # keys of settings the simulator no longer has: the link fixes the byte
+    # budget, and every topic publishes from t = 0
+    ("bridge:\n  budget_per_tick: 1500\n", "bridge.budget_per_tick", 5),
+    ("agents:\n  count: 1\n  topics:\n    - {name: /a, kind: pose, rate: 1.0, size: 8, start: 0.5}\n",
+     "agents.topics[0].start", 7),
 ]
 
 

@@ -164,16 +164,16 @@ class TestAdaptiveThresholds:
 class TestPdCorrect:
     def test_direct_substitution(self):
         ctrl = SyncController(kp=2.0, kd=1.0, eps_pos=0.01, eps_vel=0.01)
-        f = pd_correct(vec3(0.1), vec3(0.05), ctrl)
+        f = pd_correct(vec3(0.1), vec3(0.05), ctrl, (ctrl.eps_pos, ctrl.eps_vel))
         assert f == pytest.approx([0.25, 0.0, 0.0])
 
     def test_gate_closed_below_thresholds(self):
         ctrl = SyncController(kp=2.0, kd=1.0, eps_pos=0.5, eps_vel=0.5)
-        assert np.array_equal(pd_correct(vec3(0.1), vec3(0.05), ctrl), vec3())
+        assert np.array_equal(pd_correct(vec3(0.1), vec3(0.05), ctrl, (ctrl.eps_pos, ctrl.eps_vel)), vec3())
 
     def test_zero_gains(self):
         ctrl = SyncController(kp=0.0, kd=0.0, eps_pos=0.01, eps_vel=0.01)
-        assert np.array_equal(pd_correct(vec3(1.0), vec3(1.0), ctrl), vec3())
+        assert np.array_equal(pd_correct(vec3(1.0), vec3(1.0), ctrl, (ctrl.eps_pos, ctrl.eps_vel)), vec3())
 
     def test_adaptive_thresholds_override(self):
         ctrl = SyncController(kp=1.0, kd=0.0, eps_pos=0.01, eps_vel=0.01)
@@ -184,8 +184,9 @@ class TestPdCorrect:
     def test_linearity_when_gate_open(self, lam, ex, vx):
         assume(abs(ex) > 1e-6)  # gate must be open for both scalings
         ctrl = SyncController(kp=3.0, kd=2.0, eps_pos=1e-9, eps_vel=1e-9)
-        f1 = pd_correct(vec3(ex), vec3(vx), ctrl)
-        f2 = pd_correct(vec3(lam * ex), vec3(lam * vx), ctrl)
+        thresholds = (ctrl.eps_pos, ctrl.eps_vel)
+        f1 = pd_correct(vec3(ex), vec3(vx), ctrl, thresholds)
+        f2 = pd_correct(vec3(lam * ex), vec3(lam * vx), ctrl, thresholds)
         assert allclose(f2, [lam * x for x in f1], atol=1e-9)
 
 
@@ -312,12 +313,12 @@ class TestGronwallBound:
 
 class TestStateUpdateWire:
     def test_roundtrip(self):
-        u = StateUpdate(1.5, vec3(1, 2, 3), vec3(0.1, 0.2, 0.3), 0.7, vec3(5, 0, 0), 0.05, 42)
+        u = StateUpdate(1.5, vec3(1, 2, 3), vec3(0.1, 0.2, 0.3), 0.7, vec3(5, 0, 0), 0.05)
         back = StateUpdate.unpack(u.pack())
         assert back.t == u.t
         assert np.array_equal(back.p, u.p)
         assert np.array_equal(back.force, u.force)
-        assert back.seq == 42
+        assert back == u
 
 
 class TestForceScript:
