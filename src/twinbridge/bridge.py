@@ -13,6 +13,9 @@ An endpoint runs three duties on the shared simulation clock:
 
 Critical-tier gaps trigger replay requests over the reverse link; requests
 are re-sent on a timer until the gap closes or the attempt budget runs out.
+A replay request never queues a second copy of a frame already waiting to be
+sent: a seq whose replay copy is queued is skipped until that copy goes on
+the link.
 Replay-request and heartbeat frames carry seq 0: the receiver acts on their
 payload alone.
 Heartbeat and gap-retry deadlines live in min-heaps, so an idle tick, with
@@ -37,8 +40,10 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
+from typing import NamedTuple
 
 from .envelope import (
+    FLAG_REPLAY,
     TIER_BULK,
     TIER_CRITICAL,
     TIER_STANDARD,
@@ -155,8 +160,7 @@ class DiscoveryConfig:
 # --- tier scheduling --------------------------------------------------------------
 
 
-@dataclass
-class QueuedFrame:
+class QueuedFrame(NamedTuple):
     env: Envelope
     frame: bytes
 
@@ -310,6 +314,7 @@ class BridgeEndpoint:
         self._retries: list[tuple[float, str]] = []
         self._rx: dict[str, _RxTopic] = {}
         self._queues: dict[int, deque[QueuedFrame]] = {t: deque() for t in TIERS}
+        self._queued_replays: set[tuple[str, int]] = set()  # (topic, seq) of replay copies not yet sent
         self._publishers: dict[str, Publisher] = {}
 
         # op counters feed the deterministic compute metric and reports
@@ -418,10 +423,13 @@ class BridgeEndpoint:
         batch: list[bytes] = []
         batch_tier: int | None = None
         for item in plan:
-            if batch and (item.env.tier != batch_tier or len(batch) >= self.config.batch_size):
+            env = item.env
+            if env.flags & FLAG_REPLAY:
+                self._queued_replays.discard((env.topic, env.seq))
+            if batch and (env.tier != batch_tier or len(batch) >= self.config.batch_size):
                 self._send_batch(batch)
                 batch = []
-            batch_tier = item.env.tier
+            batch_tier = env.tier
             batch.append(item.frame)
         if batch:
             self._send_batch(batch)
@@ -573,13 +581,16 @@ class BridgeEndpoint:
     # --- replay -------------------------------------------------------------------
 
     def request_replay(self, topic: str, from_seq: int, to_seq: int) -> None:
-        """Re-enqueue buffered envelopes in [from_seq, to_seq]."""
-        found = self.replay_buffer.get_range(topic, from_seq, to_seq)
-        for env in found:
+        """Re-enqueue buffered envelopes in [from_seq, to_seq] whose replay copy is not already queued."""
+        queued = self._queued_replays
+        for env in self.replay_buffer.get_range(topic, from_seq, to_seq):
+            if (topic, env.seq) in queued:
+                continue
+            queued.add((topic, env.seq))
             flagged = with_replay_flag(env)
             self._queues[flagged.tier].append(QueuedFrame(flagged, encode_envelope(flagged)))
             self.encodes += 1
-        self.replays_served += len(found)
+            self.replays_served += 1
 
     # --- audits ---------------------------------------------------------------------
 

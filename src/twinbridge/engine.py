@@ -13,6 +13,7 @@ delivered but never sent, which only a forged frame can bring about, raises.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -32,8 +33,8 @@ class TopicTraffic:
     size: int  # payload bytes
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate < math.inf:  # NaN fails too
+            raise ValueError("rate must be positive and finite")
         if self.size < 0:
             raise ValueError("size must be >= 0")
 
@@ -123,8 +124,6 @@ def percentile(values: list[float], q: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
-    import math
-
     rank = max(1, math.ceil(q / 100.0 * len(ordered)))
     return ordered[rank - 1]
 

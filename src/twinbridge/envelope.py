@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MAGIC = b"SERN"
 VERSION = 1
@@ -80,9 +80,8 @@ class BadTopic(FrameError):
     """Topic bytes that do not name a topic, such as invalid UTF-8."""
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """One decoded wire frame."""
+class Envelope(NamedTuple):
+    """One decoded wire frame, as an immutable tuple of its fields."""
 
     tier: int
     flags: int

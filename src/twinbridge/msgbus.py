@@ -13,8 +13,8 @@ Timestamps are simulated seconds supplied by the caller, never wall clock.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .envelope import MAX_PAYLOAD
 
@@ -44,23 +44,28 @@ def validate_topic(name: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Message:
-    """One payload on one topic at one simulated instant.
-
-    `origin` identifies the publishing endpoint for bridge loop suppression;
-    it never crosses the wire.
-    """
-
+class _MessageFields(NamedTuple):
     topic: str
     payload: bytes
     publish_time: float
     kind: MessageKind
     origin: str | None = None
 
-    def __post_init__(self) -> None:
-        if len(self.payload) > MAX_PAYLOAD:
-            raise ValueError(f"payload of {len(self.payload)} bytes exceeds 16 MiB")
+
+class Message(_MessageFields):
+    """One payload on one topic at one simulated instant, as an immutable tuple.
+
+    `origin` identifies the publishing endpoint for bridge loop suppression;
+    it never crosses the wire. A payload over 16 MiB is refused when the
+    message is built.
+    """
+
+    __slots__ = ()  # no instance dict, so no attribute can be added either
+
+    def __new__(cls, topic: str, payload: bytes, publish_time: float, kind: MessageKind, origin: str | None = None):
+        if len(payload) > MAX_PAYLOAD:
+            raise ValueError(f"payload of {len(payload)} bytes exceeds 16 MiB")
+        return tuple.__new__(cls, (topic, payload, publish_time, kind, origin))
 
 
 class Subscription:

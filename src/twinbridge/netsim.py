@@ -17,7 +17,7 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 
 class PiecewiseConstant:
@@ -128,9 +128,8 @@ class NetworkConditions:
         return NetworkConditions(PiecewiseConstant(0.0), PiecewiseConstant(0.0))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One send and its outcome: when it was sent, its size, and when it lands."""
+class TraceEvent(NamedTuple):
+    """One send and its outcome, as an immutable tuple: send time, size, landing time."""
 
     t_send: float
     size: int

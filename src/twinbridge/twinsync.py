@@ -22,7 +22,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,9 +60,8 @@ def wrap_angle(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-@dataclass(frozen=True)
-class TwinState:
-    """Position/velocity plus heading of one agent at time t."""
+class TwinState(NamedTuple):
+    """Position/velocity plus heading of one agent at time t, as an immutable tuple."""
 
     p: Vec3
     v: Vec3
@@ -430,7 +429,7 @@ class VirtualTwin:
         return self._history[-1 - min(max(back, 0), len(self._history) - 1)]
 
     def nudge_heading(self, delta: float) -> None:
-        self.state = replace(self.state, heading=wrap_angle(self.state.heading + delta))
+        self.state = self.state._replace(heading=wrap_angle(self.state.heading + delta))
         self._history[-1] = self.state
 
 

@@ -20,17 +20,17 @@ RUNS = {
     "bridge_loss": (
         ["run", "bridge_loss.yaml"],
         {
-            "summary.csv": "a49e0e3f0a24b7111cf62a581b2b1c67874a7c2c7921a15cf0fa1f50922f87c6",
-            "tiers.csv": "c8de678f8eb4738d098bfa23db0b21b3891e0a27576c0991f28a988b2e13fbfb",
-            "topics.csv": "8d4e847004a05b78f6944a69664aa6d645048d70a4449834155d217a09b65d37",
+            "summary.csv": "c257ebe931f6b39878e2ee0c0c871773ad260aa5c3b28120f267819f5f8a73ef",
+            "tiers.csv": "9e3ed0e387d4d65959bb625d997acaf03108ad8ed5f0a5f731c3fca7d87ba498",
+            "topics.csv": "285e64f3954e08318505623ddabf12d15b0a04b5c5082380e103381df4427863",
         },
     ),
     "bridge_sweep": (
         ["run", "bridge_sweep.yaml"],
         {
-            "summary.csv": "217a1c736d56f691fe9b48bfe2c19bc6e7e589257377a331e065121e5307d2e7",
-            "tiers.csv": "ee6ed85db79bec83db93070099ba0fe0ea2e4c3c9fb7ae1ca4bd99e0c2db45ec",
-            "topics.csv": "341ed6936b281c9a17357fd28b96276f11864823ff0da520092dca727e272bd9",
+            "summary.csv": "77874cfd44872b4121a35834cc580e2d110212675d9259a3faff504e70b11b4c",
+            "tiers.csv": "adb1ecaa0a9986ad216dc1bb8821c62ff049ead48b216feb313b6600e3b3114c",
+            "topics.csv": "d528e7dc035a2a9156215a1e9605e2c823b17ac0e57c8643d7b9e4b3355fbd35",
         },
     ),
     "agents20": (
@@ -44,8 +44,8 @@ RUNS = {
     "mmcf_default": (
         ["run", "mmcf_default.yaml"],
         {
-            "mmcf.csv": "b1510cef9463ba11dbe784e7a82d28be47d82446fa2a6ca82a0c0679e7f5651d",
-            "summary.csv": "b7f710b0778cd337826d8b3031d87424dcab7bb9db19389684006e439052420f",
+            "mmcf.csv": "7dd82f6b0c7d8139fc523d1ca09592848cc055cfead7dc825da6c30f837b85d4",
+            "summary.csv": "8e067e5629b1ec35a52639cdc8a5e5dfcd8c533d6f03c721c4ec216d735c3d36",
             "tiers.csv": "2ac12a1b56a65b7afc14819324892277353bf80d67b657e3d2b12d209383ce6a",
             "topics.csv": "8fcfa29079f055b622affee3efd519ff962853c621549e4c2afe239c3c7c153c",
         },
@@ -104,28 +104,28 @@ RUNS = {
     "sweep bridge_sweep": (
         ["sweep", "bridge_sweep.yaml", "--counts", "2,3,5"],
         {
-            "agents_2/summary.csv": "3ea24147f1adba74eebba834c3fa35e7449c4ff6a0fab45e0f5d955a085bb9f7",
-            "agents_2/tiers.csv": "afcf1ecf99bb5d6e4ea02a2ba6662e246567517b13309997b0037187bc07cf3d",
-            "agents_2/topics.csv": "d64a5d8f67a07ceaea73b8a65aa9fb17305b3a506820e787fcc3d0fc2ad11da9",
-            "agents_3/summary.csv": "6f872131841ab27ca9ad6c408ae6f922aaa7ad3a30c078678e9f4597e5356372",
-            "agents_3/tiers.csv": "ee6ed85db79bec83db93070099ba0fe0ea2e4c3c9fb7ae1ca4bd99e0c2db45ec",
-            "agents_3/topics.csv": "341ed6936b281c9a17357fd28b96276f11864823ff0da520092dca727e272bd9",
+            "agents_2/summary.csv": "3a0bd17a7861fa7f580ee08d1654cec53d2fd355279770ba0f85b2f3b79e8b98",
+            "agents_2/tiers.csv": "825649f7bcee6b7a30fcf0fba643b56d5271f3eb31b06eb3d1cc1e44365e3777",
+            "agents_2/topics.csv": "3bcef8a5a7eca445cee044d8a6733d72f1a0fdaadba54c6417cc9dfb2c4d65df",
+            "agents_3/summary.csv": "27b55895fa2c1c531b0b97dd1830fcc368ca72e661f5fa04e276784aa69dd84c",
+            "agents_3/tiers.csv": "adb1ecaa0a9986ad216dc1bb8821c62ff049ead48b216feb313b6600e3b3114c",
+            "agents_3/topics.csv": "d528e7dc035a2a9156215a1e9605e2c823b17ac0e57c8643d7b9e4b3355fbd35",
             "agents_5/summary.csv": "d02660004f704a4f48c635a696f10ae618f2d415ab44e7aad0a27d3a26d987ec",
             "agents_5/tiers.csv": "49a1af9cd505bcb8389525e849b92a5b2abbdb563a56d33e0f3cb4e9388ce433",
             "agents_5/topics.csv": "6786820d10a3458e9f0964c8f37d2b94746a6e32416d0950a40e682d081ac9a8",
-            "sweep.csv": "228fe3a147fad7f1af7fd66e0f593c6c15266c0e20cc78aee5752f35942d4f00",
+            "sweep.csv": "a3fbdb04ea5769a9444ddc2473b6b53f8cf8d443f355905218bee750662c7166",
         },
     ),
     "sweep agents20": (
         ["sweep", "agents20.yaml", "--counts", "50,100"],
         {
-            "agents_100/summary.csv": "09aa7925abae45dcb8af77cfe5a665a48527c9cae9718319fff4e8df26299e68",
-            "agents_100/tiers.csv": "28b32d67825e212ad9e08a7919d5790437930ee3cf1a3f9b83294cb43401f6a4",
-            "agents_100/topics.csv": "693a7b9b9c05ce5f5018357dc7e82b12a10b86f8a01db6645f765ef41b6f8d53",
+            "agents_100/summary.csv": "7ec3d89ea7b25b10ba80c5e13598480dc4ed2329766d8c9f958a4f21133d3119",
+            "agents_100/tiers.csv": "8452cd641f2395bf65ebb73e1e8fa68aea7efc3c11c88869b5a102cf9bcc7bf2",
+            "agents_100/topics.csv": "543f216aff4c0fbf9cc6a8a7ae6ae3f188a3d100c01af839bf35c0b92f23c69c",
             "agents_50/summary.csv": "005f8d2e441220101e7373ddd8cdf872e9c580c42b8fc2fc21f083ce634a9c5f",
             "agents_50/tiers.csv": "765af071b890d66effec0146815b116e7e34bdf682268a53cef243645eb34182",
             "agents_50/topics.csv": "3276e1f111a2ec834ca2ec4e91351c81983a66a6c960a11d47fec2ac85848775",
-            "sweep.csv": "23fc12499549626afeb0f3bfae0ee927156b15e6ec8e12d35a1ca665de8c4393",
+            "sweep.csv": "a74b1ecd43c42403afc8e35c458adee6e19f1de6c36fc25a84bf63dc71b761e8",
         },
     ),
 }

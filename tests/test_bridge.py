@@ -20,6 +20,7 @@ from twinbridge.bridge import (
     TierScheduler,
     check_shares,
 )
+from twinbridge.engine import BridgeScenario, TopicTraffic, _audit
 from twinbridge.envelope import (
     FLAG_REPLAY,
     TIER_BULK,
@@ -393,6 +394,58 @@ class TestEndpoint:
         flagged = [item.env for q in local._queues.values() for item in q]
         assert flagged and all(env.flags & FLAG_REPLAY for env in flagged)
         assert [env.seq for env in flagged] == [1, 2]
+
+    def critical_sent(self, n):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
+        bus_a, _, local, _ = make_pair(clock, fwd, rev, policy=policy)
+        pub = bus_a.advertise("/data", MessageKind.COMMAND)
+        for i in range(n):
+            pub.publish(bytes([i]), clock.now)
+            clock.advance(0.05)
+        clock.advance(0.5)
+        return clock, local
+
+    def test_overlapping_requests_queue_one_copy_per_seq(self):
+        _, local = self.critical_sent(6)
+        local.request_replay("/data", 1, 3)
+        local.request_replay("/data", 2, 4)  # a second NACK before the copies leave
+        pending = local.pending_frames()
+        assert [env.seq for env in pending] == [1, 2, 3, 4]
+        assert all(env.flags & FLAG_REPLAY for env in pending)
+        assert local.replays_served == 4
+
+    def test_a_sent_replay_copy_can_be_queued_again(self):
+        clock, local = self.critical_sent(4)
+        local.request_replay("/data", 0, 3)
+        local.request_replay("/data", 0, 3)
+        assert [env.seq for env in local.pending_frames()] == [0, 1, 2, 3]
+        sends = local.link_sends
+        clock.advance(0.05)  # one tick puts every copy on the link
+        assert local.pending_frames() == [] and local.link_sends > sends
+        local.request_replay("/data", 0, 3)
+        assert [env.seq for env in local.pending_frames()] == [0, 1, 2, 3]
+        assert local.replays_served == 8
+
+    def test_a_seq_whose_replay_copy_is_queued_is_buffered_in_the_audit(self):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock, loss=1.0)  # every original is lost
+        bus_a, _, local, remote = make_pair(clock, fwd, rev)
+        pub = bus_a.advertise("/data", MessageKind.BLOB)
+        for i in range(6):
+            pub.publish(bytes([i]), clock.now)
+            clock.advance(0.05)
+        clock.advance(0.5)
+        local.request_replay("/data", 1, 3)
+        local.request_replay("/data", 2, 4)
+        assert [env.seq for env in local.pending_frames()] == [1, 2, 3, 4]
+        # a standard topic: the receiver asks for no replay of it, so its ring
+        # copies do not count, and only a queued copy keeps a seq buffered
+        traffic = (TopicTraffic("/data", MessageKind.BLOB, 1.0, 1),)
+        scenario = BridgeScenario("audit", 1, 1.0, fwd.conditions, traffic, PriorityPolicy())
+        res = _audit(scenario, list(traffic), bus_a, local, remote, fwd, rev).topics["/data"]
+        assert (res.sent, res.delivered, res.buffered, res.dropped) == (6, 0, 4, 2)
 
     def test_batching_reduces_link_sends(self):
         def sends_with(batch_size):

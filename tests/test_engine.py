@@ -39,6 +39,13 @@ def simple_scenario(loss=0.0, cap=None, seed=5, duration=6.0, drain=1.0):
     )
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_topic_traffic_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    # construction only: at an infinite rate run_traffic's schedule never ends
+    with pytest.raises(ValueError, match="rate"):
+        TopicTraffic("/t", MessageKind.BLOB, rate, 8)
+
+
 class TestRunTraffic:
     def test_conservation_under_loss(self):
         result = run_traffic(simple_scenario(loss=0.2))
@@ -118,20 +125,20 @@ class TestRunTraffic:
     @pytest.mark.parametrize(
         "latency, link, topics",
         [
-            (0.5, (224, 103, 178), {
-                "/r1/cmd": (60, 60, 0, 0, 81.0),
-                "/r1/pose": (30, 30, 0, 0, 39.5),
-                "/r1/scan": (120, 88, 32, 0, 49.75),
+            (0.5, (207, 92, 116), {
+                "/r1/cmd": (60, 60, 0, 0, 81.5),
+                "/r1/pose": (30, 30, 0, 0, 33.5),
+                "/r1/scan": (120, 86, 34, 0, 48.625),
             }),
-            (0.25, (210, 92, 125), {
-                "/r1/cmd": (60, 60, 0, 0, 61.0),
-                "/r1/pose": (30, 30, 0, 0, 24.75),
-                "/r1/scan": (120, 94, 26, 0, 29.625),
+            (0.25, (182, 61, 65), {
+                "/r1/cmd": (60, 60, 0, 0, 44.5),
+                "/r1/pose": (30, 30, 0, 0, 20.75),
+                "/r1/scan": (120, 82, 38, 0, 25.875),
             }),
-            (0.0, (188, 60, 79), {
-                "/r1/cmd": (60, 60, 0, 0, 27.75),
-                "/r1/pose": (30, 30, 0, 0, 11.75),
-                "/r1/scan": (120, 96, 24, 0, 6.25),
+            (0.0, (178, 58, 53), {
+                "/r1/cmd": (60, 60, 0, 0, 22.75),
+                "/r1/pose": (30, 30, 0, 0, 11.5),
+                "/r1/scan": (120, 90, 30, 0, 5.875),
             }),
         ],
     )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbridge.bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
+from twinbridge.bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy, QueuedFrame
 from twinbridge.envelope import (
     MIN_FRAME,
     MAX_PAYLOAD,
@@ -26,8 +26,9 @@ from twinbridge.envelope import (
     encode_envelope,
     with_replay_flag,
 )
-from twinbridge.msgbus import MessageKind, TopicBus
-from twinbridge.netsim import NetworkConditions, PiecewiseConstant, SimClock, link_pair
+from twinbridge.msgbus import Message, MessageKind, TopicBus
+from twinbridge.netsim import NetworkConditions, PiecewiseConstant, SimClock, TraceEvent, link_pair
+from twinbridge.twinsync import TwinState
 
 
 def make_env(topic="/a", payload=b"", tier=0, flags=0, seq=0, sim_time_us=0, kind=0):
@@ -204,3 +205,24 @@ def test_roundtrip_property(topic, payload, tier, flags, seq, sim_time_us, kind)
 def test_frame_error_is_value_error():
     assert issubclass(FrameError, ValueError)
     assert issubclass(BadTopic, FrameError)
+
+
+def _records():
+    env = make_env()
+    return [
+        (env, "seq"),
+        (Message("/a", b"", 0.0, MessageKind.BLOB), "payload"),
+        (TraceEvent(0.0, 36, None), "deliver_at"),
+        (TwinState.at_rest(), "heading"),
+        (QueuedFrame(env, encode_envelope(env)), "frame"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "record, field", _records(), ids=["Envelope", "Message", "TraceEvent", "TwinState", "QueuedFrame"]
+)
+def test_records_refuse_attribute_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.note = 1
