@@ -11,8 +11,16 @@ An endpoint runs three duties on the shared simulation clock:
 * discovery: periodically subscribe to newly advertised topics that pass the
   allow/deny lists.
 
-Critical-tier gaps trigger replay requests over the reverse link; requests
-are re-sent on a timer until the gap closes or the attempt budget runs out.
+The receiver keeps each critical topic's missing seqs as disjoint runs, and
+asks the peer over the reverse link to replay them; a request never names a
+seq the receiver holds. New evidence (a critical frame that arrives out of
+order, or a heartbeat that announces a seq not yet delivered) asks once for
+the seqs no earlier evidence announced, and re-asks each open run that was
+not already asked at that instant. The `replay_retry` timer re-asks a run no
+request has named for that long; its deadlines alone use up
+`replay_attempts`, after which the run is given up. A held seq splits the run
+it lands in, so a run is never walked by the range a peer announced: a
+re-ask sends at most one request per held seq, plus one.
 A replay request never queues a second copy of a frame already waiting to be
 sent: a seq whose replay copy is queued is skipped until that copy goes on
 the link.
@@ -259,12 +267,25 @@ class EndpointConfig:
         check_shares(self.shares)
 
 
+@dataclass(slots=True)
+class _Gap:
+    """A run of missing seqs, from its key in `_RxTopic.gaps` to `hi`."""
+
+    hi: int
+    retry_at: float  # the next deadline, `replay_retry` after a request named the run
+    attempts: int  # the first request plus each deadline passed since
+    asked_at: float  # when a request last named the run, on evidence or on a deadline
+
+
 @dataclass
 class _RxTopic:
     # every seq below `expected` was delivered or given up; it never decreases
     expected: int = 0
+    # the highest seq that arrived out of order or that a heartbeat announced:
+    # each seq in [expected, known] is held in `ahead` or inside one gap
+    known: int = -1
     ahead: dict[int, Envelope] = field(default_factory=dict)
-    gaps: dict[tuple[int, int], tuple[float, int]] = field(default_factory=dict)
+    gaps: dict[int, _Gap] = field(default_factory=dict)  # disjoint runs, keyed by first seq
     delivered: dict[int, float] = field(default_factory=dict)  # seq -> latency, in republish order
 
 
@@ -497,7 +518,7 @@ class BridgeEndpoint:
             topic, last_seq = _unpack_control(env.payload, _BEAT_SEQ)
             rx = self._rx.setdefault(topic, _RxTopic())
             if self.config.prioritized and last_seq >= rx.expected:
-                self._note_gap(rx, topic, rx.expected, last_seq, at)
+                self._note_evidence(rx, topic, last_seq, at)
 
     def _handle_data(self, env: Envelope, at: float) -> None:
         # a topic is advertised with its first frame, so one the local bus
@@ -516,58 +537,72 @@ class BridgeEndpoint:
             rx.expected = env.seq + 1
 
     def _handle_critical(self, rx: _RxTopic, env: Envelope, at: float) -> None:
-        if env.seq < rx.expected or env.seq in rx.ahead:
+        seq = env.seq
+        if seq < rx.expected or seq in rx.ahead:
             return  # delivered, given up or already held
-        if env.seq == rx.expected:
+        if seq == rx.expected:
             self._republish(rx, env, at)
             rx.expected += 1
             self._flush_ahead(rx, at)
-        else:
-            rx.ahead[env.seq] = env
-            self._note_gap(rx, env.topic, rx.expected, env.seq - 1, at)
+            return
+        rx.ahead[seq] = env
+        if seq <= rx.known:
+            _split_gap(rx.gaps, seq)
+        self._note_evidence(rx, env.topic, seq - 1, at)
+        rx.known = max(rx.known, seq)
 
     def _flush_ahead(self, rx: _RxTopic, at: float) -> None:
-        # a gap this closes is dropped by the next _retry_gap_requests
+        # a gap this closes is dropped when its topic's gaps are next walked
         while rx.expected in rx.ahead:
             self._republish(rx, rx.ahead.pop(rx.expected), at)
             rx.expected += 1
 
-    def _note_gap(self, rx: _RxTopic, topic: str, lo: int, hi: int, at: float) -> None:
-        for (glo, ghi) in rx.gaps:
-            if glo <= lo and hi <= ghi:
-                return
-        rx.gaps[(lo, hi)] = (self._send_gap_request(topic, lo, hi, at), 1)
+    def _note_evidence(self, rx: _RxTopic, topic: str, last: int, at: float) -> None:
+        """Every seq up to `last` was sent: re-ask the open gaps, then open the new one."""
+        for lo, gap in sorted(rx.gaps.items()):
+            live_lo = max(lo, rx.expected)
+            if gap.hi < live_lo:
+                del rx.gaps[lo]
+            elif gap.asked_at != at:
+                gap.asked_at = at
+                self._send_gap_request(topic, live_lo, gap.hi, at)
+        lo = max(rx.expected, rx.known + 1)
+        if lo <= last:
+            retry_at = at + self.config.replay_retry
+            rx.gaps[lo] = _Gap(last, retry_at, 1, at)
+            heapq.heappush(self._retries, (retry_at, topic))
+            self._send_gap_request(topic, lo, last, at)
+            rx.known = last
 
-    def _send_gap_request(self, topic: str, lo: int, hi: int, now: float) -> float:
-        """Ask the peer to replay [lo, hi] of topic; returns the retry deadline."""
-        payload = _pack_topic(topic) + _REQ_RANGE.pack(lo, hi)
-        self._send_control(REPLAY_TOPIC, payload, now)
+    def _send_gap_request(self, topic: str, lo: int, hi: int, now: float) -> None:
+        """Ask the peer to replay [lo, hi] of topic."""
+        self._send_control(REPLAY_TOPIC, _pack_topic(topic) + _REQ_RANGE.pack(lo, hi), now)
         self.replays_requested += 1
-        retry_at = now + self.config.replay_retry
-        heapq.heappush(self._retries, (retry_at, topic))
-        return retry_at
 
     def _retry_gap_requests(self, now: float) -> None:
-        # a gap closed before its deadline stays in rx.gaps until then; it lies
-        # below `expected`, where no later gap starts, so _note_gap skips it
         retries, due = self._retries, set()
         while retries and retries[0][0] <= now:
             due.add(heapq.heappop(retries)[1])
         for topic in sorted(due):
             rx = self._rx[topic]
-            updated: dict[tuple[int, int], tuple[float, int]] = {}
-            for (lo, hi), (retry_at, attempts) in sorted(rx.gaps.items()):
+            for lo, gap in sorted(rx.gaps.items()):
                 live_lo = max(lo, rx.expected)
-                if hi < live_lo:
+                if gap.hi < live_lo:
+                    del rx.gaps[lo]
+                elif gap.retry_at > now:
                     continue
-                if now < retry_at:
-                    updated[(lo, hi)] = (retry_at, attempts)
-                    continue
-                if attempts >= self.config.replay_attempts:
-                    self._give_up_gap(rx, hi, now)
-                    continue
-                updated[(lo, hi)] = (self._send_gap_request(topic, live_lo, hi, now), attempts + 1)
-            rx.gaps = updated
+                elif gap.attempts >= self.config.replay_attempts:
+                    del rx.gaps[lo]
+                    self._give_up_gap(rx, gap.hi, now)
+                else:
+                    gap.attempts += 1
+                    # a re-ask on evidence within `replay_retry` stands in for this
+                    # one, and the next deadline falls `replay_retry` after it
+                    if gap.asked_at + self.config.replay_retry <= now:
+                        gap.asked_at = now
+                        self._send_gap_request(topic, live_lo, gap.hi, now)
+                    gap.retry_at = gap.asked_at + self.config.replay_retry
+                    heapq.heappush(retries, (gap.retry_at, topic))
 
     def _give_up_gap(self, rx: _RxTopic, hi: int, now: float) -> None:
         rx.expected = max(rx.expected, hi + 1)
@@ -606,6 +641,20 @@ class BridgeEndpoint:
 
     def tx_stats(self) -> dict[str, _TxTopic]:
         return dict(self._tx)
+
+
+def _split_gap(gaps: dict[int, _Gap], seq: int) -> None:
+    """Take a seq that arrived out of order out of the gap that holds it."""
+    for lo, gap in gaps.items():
+        if lo <= seq <= gap.hi:
+            break
+    else:
+        return
+    if seq < gap.hi:
+        gaps[seq + 1] = _Gap(gap.hi, gap.retry_at, gap.attempts, gap.asked_at)
+    gap.hi = seq - 1
+    if gap.hi < lo:
+        del gaps[lo]
 
 
 def _pack_topic(topic: str) -> bytes:

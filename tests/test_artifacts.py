@@ -20,32 +20,32 @@ RUNS = {
     "bridge_loss": (
         ["run", "bridge_loss.yaml"],
         {
-            "summary.csv": "c257ebe931f6b39878e2ee0c0c871773ad260aa5c3b28120f267819f5f8a73ef",
-            "tiers.csv": "9e3ed0e387d4d65959bb625d997acaf03108ad8ed5f0a5f731c3fca7d87ba498",
-            "topics.csv": "285e64f3954e08318505623ddabf12d15b0a04b5c5082380e103381df4427863",
+            "summary.csv": "cff61f5844ab9d593b30fe454c52ac8600b9ffc23e4292ccb144501d1c2a0ee6",
+            "tiers.csv": "55ca7eaee0c94dd72ad8f9252d7cdce6b5d4bdc5aa5ddd272db49c424678792d",
+            "topics.csv": "6be0b7428455d1463c287ebb1e4d953a993cf82e67e63c4afcfa164d5041e4aa",
         },
     ),
     "bridge_sweep": (
         ["run", "bridge_sweep.yaml"],
         {
-            "summary.csv": "77874cfd44872b4121a35834cc580e2d110212675d9259a3faff504e70b11b4c",
-            "tiers.csv": "adb1ecaa0a9986ad216dc1bb8821c62ff049ead48b216feb313b6600e3b3114c",
-            "topics.csv": "d528e7dc035a2a9156215a1e9605e2c823b17ac0e57c8643d7b9e4b3355fbd35",
+            "summary.csv": "956a9f0a42b7a0187eb9e1d59e1e9edf91156196dbc8e3eddb1f37cceeca54b0",
+            "tiers.csv": "5dd4a69ddeb1050f3b0fd8eab56a4297083e501fe1b9094b6a038bcf899b8eb5",
+            "topics.csv": "fc77905c232786e2e9723967b6b2818cf2d9faaf14739e71e955320fad0dc49e",
         },
     ),
     "agents20": (
         ["run", "agents20.yaml"],
         {
-            "summary.csv": "827c7ac43bf98c17e69ca1b302f83f7f70397f7986c324bce224b95a632517da",
-            "tiers.csv": "21a162dad228806cf81d077214e0842425c9ed9022e1e825ac8bcb72cbfd7a3f",
-            "topics.csv": "3f8a1f136269dbdb1057ff2f9e3363ba7ce442d9fb05a2437936ca27750e333d",
+            "summary.csv": "2fdf19d25f8c036b024b82fc715603c7c3795091ac5c7770e70576cb6feb7f81",
+            "tiers.csv": "2a13e0db96973f8cfef2cc0fc06b3fcd4a573fec7f521618ced46f2dae65403a",
+            "topics.csv": "18df68498997679acfff71b3335e32eb05229bdbd4d25625f6e4232bef1069c7",
         },
     ),
     "mmcf_default": (
         ["run", "mmcf_default.yaml"],
         {
-            "mmcf.csv": "7dd82f6b0c7d8139fc523d1ca09592848cc055cfead7dc825da6c30f837b85d4",
-            "summary.csv": "8e067e5629b1ec35a52639cdc8a5e5dfcd8c533d6f03c721c4ec216d735c3d36",
+            "mmcf.csv": "569160e5bbf5eaf1d1f9bcb466cb4490317b4ead2da7ecbea15e77da9b116f6e",
+            "summary.csv": "1169c95899b3a2cf6bcfdeb17e1ab50f375df27a1fee5db91bbcb01043c951ed",
             "tiers.csv": "2ac12a1b56a65b7afc14819324892277353bf80d67b657e3d2b12d209383ce6a",
             "topics.csv": "8fcfa29079f055b622affee3efd519ff962853c621549e4c2afe239c3c7c153c",
         },
@@ -104,28 +104,28 @@ RUNS = {
     "sweep bridge_sweep": (
         ["sweep", "bridge_sweep.yaml", "--counts", "2,3,5"],
         {
-            "agents_2/summary.csv": "3a0bd17a7861fa7f580ee08d1654cec53d2fd355279770ba0f85b2f3b79e8b98",
-            "agents_2/tiers.csv": "825649f7bcee6b7a30fcf0fba643b56d5271f3eb31b06eb3d1cc1e44365e3777",
-            "agents_2/topics.csv": "3bcef8a5a7eca445cee044d8a6733d72f1a0fdaadba54c6417cc9dfb2c4d65df",
-            "agents_3/summary.csv": "27b55895fa2c1c531b0b97dd1830fcc368ca72e661f5fa04e276784aa69dd84c",
-            "agents_3/tiers.csv": "adb1ecaa0a9986ad216dc1bb8821c62ff049ead48b216feb313b6600e3b3114c",
-            "agents_3/topics.csv": "d528e7dc035a2a9156215a1e9605e2c823b17ac0e57c8643d7b9e4b3355fbd35",
+            "agents_2/summary.csv": "0655158725d99bbb4ccd7d4c9981c7e707ce36d3fd06bab8af98db3b88e285f1",
+            "agents_2/tiers.csv": "e8e5b50e9fd590295e2bc93e8596a5453f811d0307b7306c1ff2ee45bb7dbf05",
+            "agents_2/topics.csv": "abc097fbec2d20f15f521c61c41efdf3ae5ac39e5af4cd45b9bb89d8ddf85c8e",
+            "agents_3/summary.csv": "462b7fdc051886e0f321b2ec89f652a327e730f3a9f2622184e965dcf3e99ef7",
+            "agents_3/tiers.csv": "5dd4a69ddeb1050f3b0fd8eab56a4297083e501fe1b9094b6a038bcf899b8eb5",
+            "agents_3/topics.csv": "fc77905c232786e2e9723967b6b2818cf2d9faaf14739e71e955320fad0dc49e",
             "agents_5/summary.csv": "d02660004f704a4f48c635a696f10ae618f2d415ab44e7aad0a27d3a26d987ec",
             "agents_5/tiers.csv": "49a1af9cd505bcb8389525e849b92a5b2abbdb563a56d33e0f3cb4e9388ce433",
             "agents_5/topics.csv": "6786820d10a3458e9f0964c8f37d2b94746a6e32416d0950a40e682d081ac9a8",
-            "sweep.csv": "a3fbdb04ea5769a9444ddc2473b6b53f8cf8d443f355905218bee750662c7166",
+            "sweep.csv": "dbcadf36413036b7cd2fa080e41ac2ecedfe611ed17a68f67a4c0b7d6d5869ba",
         },
     ),
     "sweep agents20": (
         ["sweep", "agents20.yaml", "--counts", "50,100"],
         {
-            "agents_100/summary.csv": "7ec3d89ea7b25b10ba80c5e13598480dc4ed2329766d8c9f958a4f21133d3119",
-            "agents_100/tiers.csv": "8452cd641f2395bf65ebb73e1e8fa68aea7efc3c11c88869b5a102cf9bcc7bf2",
-            "agents_100/topics.csv": "543f216aff4c0fbf9cc6a8a7ae6ae3f188a3d100c01af839bf35c0b92f23c69c",
-            "agents_50/summary.csv": "005f8d2e441220101e7373ddd8cdf872e9c580c42b8fc2fc21f083ce634a9c5f",
-            "agents_50/tiers.csv": "765af071b890d66effec0146815b116e7e34bdf682268a53cef243645eb34182",
-            "agents_50/topics.csv": "3276e1f111a2ec834ca2ec4e91351c81983a66a6c960a11d47fec2ac85848775",
-            "sweep.csv": "a74b1ecd43c42403afc8e35c458adee6e19f1de6c36fc25a84bf63dc71b761e8",
+            "agents_100/summary.csv": "10b89275af21f91340fbbf2b34c55ca2639e0efd943fdf3f70ee0ea08ed376eb",
+            "agents_100/tiers.csv": "1534e9bfa08b0a4324a8127b78218e9646fe722bf27808497bd4e43aacdbda23",
+            "agents_100/topics.csv": "05d2ef4ac9ebe1a075515f9e55c276ff7844424b3998b6d9f23ab06fa62c6d90",
+            "agents_50/summary.csv": "839abb6c8f74489e0d7b4fd25e098cf32b80e8b31c6dbe832485af6825ff776f",
+            "agents_50/tiers.csv": "9b5e9fe5463335038e83b102f116d664a4fe734bc27381f595e2e431b24f15e9",
+            "agents_50/topics.csv": "fe99ff12f04aecab684e1748b1fee981c41c96a352ddc763c0309929871f6238",
+            "sweep.csv": "5ddb0c9570634db781972bc00c8dccd307e89d9d3ded89538e9ae34cacfaa138",
         },
     ),
 }

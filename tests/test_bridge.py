@@ -589,7 +589,8 @@ class TestDeadlineHeaps:
 
     def test_gap_re_requests_leave_at_the_same_times(self, monkeypatch):
         # each request is re-sent on the first tick at or after its deadline,
-        # due topics in name order, until the attempt budget runs out
+        # due topics in name order, until the attempt budget runs out; a
+        # re-ask on new evidence stands in for the timer's next re-ask
         clock = SimClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
@@ -612,20 +613,140 @@ class TestDeadlineHeaps:
         assert requests[:9] == [
             ("/cb", 1, 2, 0.05),
             ("/ca", 1, 2, 0.05),
-            ("/ca", 1, 4, 0.15000000000000002),
-            ("/ca", 1, 2, 0.35000000000000014),
+            ("/ca", 1, 2, 0.15000000000000002),
+            ("/ca", 4, 4, 0.15000000000000002),
             ("/cb", 1, 2, 0.35000000000000014),
-            ("/ca", 1, 4, 0.45000000000000023),
-            ("/ca", 1, 2, 0.6500000000000004),
+            ("/ca", 1, 2, 0.45000000000000023),
+            ("/ca", 4, 4, 0.45000000000000023),
             ("/cb", 1, 2, 0.6500000000000004),
-            ("/ca", 1, 4, 0.7500000000000004),
+            ("/ca", 1, 2, 0.7500000000000004),
         ]
         assert requests[-3:] == [
-            ("/ca", 1, 2, 3.3999999999999715),
+            ("/ca", 4, 4, 3.189999999999976),
             ("/cb", 1, 2, 3.3999999999999715),
-            ("/ca", 1, 4, 3.4999999999999694),
+            ("/ca", 4, 4, 3.4999999999999694),
         ]
+        # no run goes unasked for longer than replay_retry (plus the tick that finds its deadline)
+        for run in {request[:3] for request in requests}:
+            times = [now for *named, now in requests if tuple(named) == run]
+            assert max(b - a for a, b in zip(times, times[1:])) < EndpointConfig.replay_retry + EndpointConfig.tick
         assert len(requests) == 3 * EndpointConfig.replay_attempts
+
+
+class TestGapRequests:
+    """A replay request names only missing seqs; new evidence re-asks the open runs."""
+
+    @staticmethod
+    def receiver(monkeypatch):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock, latency=0.05)
+        policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
+        config = EndpointConfig(topics=("/c",))
+        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config)
+        log: list[tuple[float, int, int, set[int], int]] = []
+        send = BridgeEndpoint._send_gap_request
+
+        def record(endpoint, name, lo, hi, now):
+            rx = endpoint.rx_stats()[name]
+            log.append((now, lo, hi, set(rx.ahead), rx.expected))
+            return send(endpoint, name, lo, hi, now)
+
+        monkeypatch.setattr(BridgeEndpoint, "_send_gap_request", record)
+        return clock, (fwd, rev), bus_a, bus_b, local, remote, log
+
+    def test_scripted_arrivals_ask_only_for_missing_seqs(self, monkeypatch):
+        clock, _, _, bus_b, _, remote, log = self.receiver(monkeypatch)
+        sub = bus_b.subscribe("/c", 64)
+
+        def deliver(*seqs):
+            for seq in seqs:
+                remote._on_deliver(raw_frame(b"/c", bytes([seq]), seq=seq), clock.now)
+
+        clock.advance(0.05)
+        deliver(0, 3)
+        clock.advance(0.05)
+        deliver(5)  # asking for 1..4 would name the held 3
+        clock.advance(0.05)
+        deliver(2)  # a replay lands inside the open run 1..2
+        clock.advance(0.05)
+        deliver(9)
+        beat = control_payload(b"/c", struct.pack("<Q", 11))
+        remote._on_deliver(raw_frame(HEARTBEAT_TOPIC.encode(), beat), clock.now)
+        assert [(round(now, 2), lo, hi) for now, lo, hi, _, _ in log] == [
+            (0.05, 1, 2),
+            (0.1, 1, 2), (0.1, 4, 4),
+            (0.15, 1, 1), (0.15, 4, 4),
+            (0.2, 1, 1), (0.2, 4, 4), (0.2, 6, 8),
+            (0.2, 10, 11),  # asked at 0.2 already, so the heartbeat re-asks nothing
+        ]
+        asked: set[int] = set()
+        for _, lo, hi, ahead, expected in log:
+            named = set(range(lo, hi + 1))
+            assert expected <= lo and not named & ahead
+            assert named <= asked or not named & asked  # a re-ask, or a first request
+            asked |= named
+        deliver(1, 4, 6, 7, 8, 10, 11)
+        clock.advance(1.0)
+        assert len(log) == 9  # every run closed before its retry deadline
+        assert [m.payload[0] for m in sub.drain()] == list(range(12))
+
+    @given(
+        n=st.integers(2, 24),
+        order=st.randoms(use_true_random=False),
+        keep=st.lists(st.booleans(), min_size=24, max_size=24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dropped_and_reordered_frames_are_delivered_once_in_order_property(self, n, order, keep):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            clock, (fwd, _), bus_a, bus_b, _, remote, log = self.receiver(monkeypatch)
+            pub = bus_a.advertise("/c", MessageKind.COMMAND)
+            sub = bus_b.subscribe("/c", 64)
+            captured: list[bytes] = []
+            fwd.on_deliver = lambda payload, at: captured.append(payload)
+            for i in range(n):
+                pub.publish(bytes([i]), clock.now)
+                clock.advance(0.02)
+            clock.advance(0.1)
+            fwd.on_deliver = remote._on_deliver
+            frames = [env for payload in captured for env in decode_stream(payload)]
+            frames = [env for env, kept in zip(frames, keep) if kept]
+            order.shuffle(frames)
+            for env in frames:
+                remote._on_deliver(encode_envelope(env), clock.now)
+                clock.advance(0.01)
+            clock.advance(3.0)
+        for _, lo, hi, ahead, expected in log:
+            assert expected <= lo <= hi and not any(lo <= seq <= hi for seq in ahead)
+        assert [m.payload[0] for m in sub.drain()] == list(range(n))
+
+    def test_a_forged_heartbeat_for_the_last_u64_seq_never_raises(self, monkeypatch):
+        clock, (fwd, rev), bus_a, bus_b, local, remote, log = self.receiver(monkeypatch)
+        pub = bus_a.advertise("/c", MessageKind.COMMAND)
+        sub = bus_b.subscribe("/c", 64)
+        beat = control_payload(b"/c", struct.pack("<Q", 2**64 - 1))
+        remote._on_deliver(raw_frame(HEARTBEAT_TOPIC.encode(), beat), clock.now)
+        captured: list[bytes] = []
+        fwd.on_deliver = lambda payload, at: captured.append(payload)
+        for i in range(10):
+            pub.publish(bytes([i]), clock.now)
+            clock.advance(0.02)
+        fwd.on_deliver = remote._on_deliver
+        frames = [env for payload in captured for env in decode_stream(payload)]
+        for env in sorted(frames, key=lambda env: -env.seq)[:6:2]:  # seqs 9, 7 and 5
+            remote._on_deliver(encode_envelope(env), clock.now)
+        clock.advance(10.0)  # past the last retry of the run
+        assert remote.decode_errors == 0
+        assert log[0][1:3] == (0, 2**64 - 1)
+        per_instant: dict[float, list[int]] = {}
+        for now, _, _, ahead, _ in log:
+            per_instant.setdefault(now, []).append(len(ahead))
+        assert all(len(held) <= max(held) + 1 for held in per_instant.values())
+        assert [m.payload[0] for m in sub.drain()] == list(range(10))
+        traffic = (TopicTraffic("/c", MessageKind.COMMAND, 1.0, 1),)
+        policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
+        scenario = BridgeScenario("forged", 1, 1.0, fwd.conditions, traffic, policy)
+        res = _audit(scenario, list(traffic), bus_a, local, remote, fwd, rev).topics["/c"]
+        assert res.sent == res.delivered + res.dropped + res.buffered == 10
 
 
 # CRC-valid frames that no endpoint can act on, and whether each one decodes
