@@ -18,9 +18,12 @@ order, or a heartbeat that announces a seq not yet delivered) asks once for
 the seqs no earlier evidence announced, and re-asks each open run that was
 not already asked at that instant. The `replay_retry` timer re-asks a run no
 request has named for that long; its deadlines alone use up
-`replay_attempts`, after which the run is given up. A held seq splits the run
-it lands in, so a run is never walked by the range a peer announced: a
-re-ask sends at most one request per held seq, plus one.
+`replay_attempts`, after which the run is given up, but never past the
+highest seq that arrived: the runs beyond it rest on a heartbeat's word alone,
+which a forged heartbeat can inflate, so they are forgotten until new evidence
+reopens them. A held seq splits the run it lands in, so a run is never walked
+by the range a peer announced: a re-ask sends at most one request per held
+seq, plus one.
 A replay request never queues a second copy of a frame already waiting to be
 sent: a seq whose replay copy is queued is skipped until that copy goes on
 the link.
@@ -281,7 +284,8 @@ class _Gap:
 class _RxTopic:
     # every seq below `expected` was delivered or given up; it never decreases
     expected: int = 0
-    # the highest seq that arrived out of order or that a heartbeat announced:
+    # the highest seq that arrived out of order or that a heartbeat announced,
+    # cut back to the highest that arrived when a run beyond it is given up:
     # each seq in [expected, known] is held in `ahead` or inside one gap
     known: int = -1
     ahead: dict[int, Envelope] = field(default_factory=dict)
@@ -346,6 +350,9 @@ class BridgeEndpoint:
         self.decode_errors = 0
         self.replays_served = 0
         self.replays_requested = 0
+        # the least batch limit that cuts no batch of the plans sent: the largest
+        # batch, or at least `batch_size + 1` once a batch was cut at `batch_size`
+        self.batch_need = 0
 
         rx_link.on_deliver = self._on_deliver
         for topic in config.topics:
@@ -448,6 +455,8 @@ class BridgeEndpoint:
             if env.flags & FLAG_REPLAY:
                 self._queued_replays.discard((env.topic, env.seq))
             if batch and (env.tier != batch_tier or len(batch) >= self.config.batch_size):
+                if env.tier == batch_tier:
+                    self.batch_need = self.config.batch_size + 1
                 self._send_batch(batch)
                 batch = []
             batch_tier = env.tier
@@ -460,6 +469,8 @@ class BridgeEndpoint:
         self.tx_link.send(payload)
         self.link_sends += 1
         self.bytes_sent += len(payload)
+        if len(frames) > self.batch_need:
+            self.batch_need = len(frames)
 
     def _emit_heartbeats(self, now: float) -> None:
         beats, due = self._beats, []
@@ -586,6 +597,8 @@ class BridgeEndpoint:
         for topic in sorted(due):
             rx = self._rx[topic]
             for lo, gap in sorted(rx.gaps.items()):
+                if rx.gaps.get(lo) is not gap:
+                    continue  # dropped when a run below it was given up
                 live_lo = max(lo, rx.expected)
                 if gap.hi < live_lo:
                     del rx.gaps[lo]
@@ -605,6 +618,13 @@ class BridgeEndpoint:
                     heapq.heappush(retries, (gap.retry_at, topic))
 
     def _give_up_gap(self, rx: _RxTopic, hi: int, now: float) -> None:
+        # give up no further than the highest seq that arrived: past it, the run
+        # rests on an announcement alone, which a forged heartbeat can inflate
+        top = max(rx.ahead, default=rx.expected - 1)
+        if top < hi:
+            for lo in [lo for lo in rx.gaps if lo > top]:
+                del rx.gaps[lo]
+            rx.known = hi = top
         rx.expected = max(rx.expected, hi + 1)
         self._flush_ahead(rx, now)
 

@@ -85,6 +85,7 @@ class TrafficResult:
     replays_served: int
     replay_evictions: int = 0
     sub_queue_drops: int = 0
+    batch_need: int = 0  # the largest batch sent, or batch_size + 1 if the limit cut one
 
     def tier_latencies(self) -> dict[str, list[float]]:
         out: dict[str, list[float]] = {name: [] for name in TIER_NAMES.values()}
@@ -262,4 +263,5 @@ def _audit(
         replays_served=local.replays_served,
         replay_evictions=local.replay_buffer.dropped,
         sub_queue_drops=sum(t.sub.drops for t in tx_stats.values()),
+        batch_need=max(local.batch_need, remote.batch_need),
     )

@@ -5,6 +5,17 @@ against empirically calibrated bounds, combined under mission weights that
 sum to one, and minimized over a finite configuration space. Spaces up to
 10 000 configurations are searched exhaustively; larger spaces fall back to a
 seeded local search that reports the fraction of the space it evaluated.
+
+A search simulates each distinct run once (`reusing_evaluator`). A
+configuration reuses an earlier simulation when it binds to the same
+scenario on every field but `replay_capacity` and `batch_size` (so
+`discovery_period` is ignored with discovery off), and on each of those two
+fields its value equals the earlier run's, or both values are at least what
+that run needed: its busiest topic's sent count for the replay ring, if no
+ring evicted, and its largest batch for the batch limit, if no batch was cut
+at the limit. Neither limit then binds, so the runs are the same event for
+event. A reused measurement is an exact copy, so it counts as evaluated and
+`evaluated_fraction` keeps its meaning.
 """
 
 from __future__ import annotations
@@ -177,10 +188,17 @@ def measure_config(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMe
     Deterministic: the scenario seed is fixed, the compute metric is an
     operation-count proxy, so repeated calls return identical values.
     """
+    return _metrics(_simulate(config, scenario))
+
+
+def _simulate(config: BridgeConfig, scenario: BridgeScenario) -> TrafficResult:
     try:
-        result: TrafficResult = run_traffic(apply_config(scenario, config))
+        return run_traffic(apply_config(scenario, config))
     except Exception as exc:  # re-raised with measurement context
         raise ScenarioError(f"scenario {scenario.name!r} failed under {config}: {exc}") from exc
+
+
+def _metrics(result: TrafficResult) -> MeasuredMetrics:
     return MeasuredMetrics(
         latency=result.mean_latency,
         loss=result.loss_rate,
@@ -190,6 +208,36 @@ def measure_config(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMe
 
 
 Evaluator = Callable[[BridgeConfig, BridgeScenario], MeasuredMetrics]
+
+
+def reusing_evaluator() -> Evaluator:
+    """An evaluator returning what `measure_config` does, simulating each distinct run once.
+
+    A run's need on a limit is the least value at which that limit never
+    binds in it: the busiest topic's sent count for the ring,
+    `TrafficResult.batch_need` for batches. A limit that did bind is recorded
+    as needing one more than it had, so only an equal value reuses that run.
+    """
+    # (replay_capacity, batch_size, ring need, batch need, metrics) per run,
+    # keyed by the scenario bound with both limits at 1
+    runs: dict[BridgeScenario, list[tuple[int, int, int, int, MeasuredMetrics]]] = {}
+
+    def evaluate(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMetrics:
+        key = apply_config(scenario, replace(config, replay_capacity=1, batch_size=1))
+        cap, batch = config.replay_capacity, config.batch_size
+        done = runs.setdefault(key, [])
+        for run_cap, run_batch, ring_need, batch_need, metrics in done:
+            if (cap == run_cap or min(cap, run_cap) >= ring_need) and (
+                batch == run_batch or min(batch, run_batch) >= batch_need
+            ):
+                return metrics
+        result = _simulate(config, scenario)
+        ring_need = cap + 1 if result.replay_evictions else max((r.sent for r in result.topics.values()), default=0)
+        metrics = _metrics(result)
+        done.append((cap, batch, ring_need, result.batch_need, metrics))
+        return metrics
+
+    return evaluate
 
 
 def calibrate_bounds(

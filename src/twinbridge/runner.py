@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .engine import TrafficResult, percentile, run_traffic
 from .geo import gps_to_scene
-from .mmcf import calibrate_bounds, optimize
+from .mmcf import calibrate_bounds, optimize, reusing_evaluator
 from .netsim import NetLink, PiecewiseConstant, SimClock
 from .scenario import Scenario, load_scenario
 from .twinsync import PhysicalAgent, SyncReport, VirtualTwin, run_sync_loop, vec3
@@ -198,8 +198,9 @@ def run_mmcf_section(scenario: Scenario, seed: int) -> tuple[list[tuple], dict]:
     assert spec is not None
     base = scenario.bridge_scenario(seed=seed)
     space = spec.configs()
-    bounds, probed = calibrate_bounds(spec.probe_configs(), base)
-    result = optimize(space, base, bounds, spec.weights, known=probed)
+    evaluate = reusing_evaluator()
+    bounds, probed = calibrate_bounds(spec.probe_configs(), base, evaluate)
+    result = optimize(space, base, bounds, spec.weights, evaluate, known=probed)
     rows = []
     for cfg, metrics, norm, cost in result.table:
         rows.append(

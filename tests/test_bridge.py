@@ -447,19 +447,23 @@ class TestEndpoint:
         res = _audit(scenario, list(traffic), bus_a, local, remote, fwd, rev).topics["/data"]
         assert (res.sent, res.delivered, res.buffered, res.dropped) == (6, 0, 4, 2)
 
-    def test_batching_reduces_link_sends(self):
-        def sends_with(batch_size):
-            clock = SimClock()
-            fwd, rev = ideal_pair(clock)
-            config = EndpointConfig(topics=("/data",), batch_size=batch_size)
-            bus_a, _, local, _ = make_pair(clock, fwd, rev, config=config)
-            pub = bus_a.advertise("/data", MessageKind.BLOB)
-            for i in range(8):  # all in one tick: batchable burst
-                pub.publish(bytes([i]), clock.now)
-            clock.advance(0.5)
-            return local.link_sends
+    @staticmethod
+    def burst_sender(batch_size):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        config = EndpointConfig(topics=("/data",), batch_size=batch_size)
+        bus_a, _, local, _ = make_pair(clock, fwd, rev, config=config)
+        pub = bus_a.advertise("/data", MessageKind.BLOB)
+        for i in range(8):  # all in one tick: batchable burst
+            pub.publish(bytes([i]), clock.now)
+        clock.advance(0.5)
+        return local
 
-        assert sends_with(8) < sends_with(1)
+    def test_batching_reduces_link_sends(self):
+        assert self.burst_sender(8).link_sends < self.burst_sender(1).link_sends
+
+    def test_batch_need_is_the_largest_batch_or_one_past_a_limit_that_cut(self):
+        assert [self.burst_sender(b).batch_need for b in (1, 3, 8, 64)] == [2, 4, 8, 8]
 
     def test_fifo_baseline_no_replay(self):
         clock = SimClock()
@@ -747,6 +751,27 @@ class TestGapRequests:
         scenario = BridgeScenario("forged", 1, 1.0, fwd.conditions, traffic, policy)
         res = _audit(scenario, list(traffic), bus_a, local, remote, fwd, rev).topics["/c"]
         assert res.sent == res.delivered + res.dropped + res.buffered == 10
+
+    def test_a_run_a_forged_heartbeat_announced_is_given_up_only_to_the_last_seq_that_arrived(
+        self, monkeypatch
+    ):
+        clock, _, bus_a, bus_b, _, remote, _ = self.receiver(monkeypatch)
+        pub = bus_a.advertise("/c", MessageKind.COMMAND)
+        sub = bus_b.subscribe("/c", 64)
+        for i in range(5):
+            pub.publish(bytes([i]), clock.now)
+            clock.advance(0.02)
+        clock.advance(0.2)
+        beat = control_payload(b"/c", struct.pack("<Q", 2**64 - 1))
+        remote._on_deliver(raw_frame(HEARTBEAT_TOPIC.encode(), beat), clock.now)
+        clock.advance(6.0)  # past the last retry of the forged run
+        rx = remote.rx_stats()["/c"]
+        assert (rx.expected, rx.known, rx.gaps) == (5, 4, {})
+        for i in range(5, 10):
+            pub.publish(bytes([i]), clock.now)
+            clock.advance(0.02)
+        clock.advance(1.0)
+        assert [m.payload[0] for m in sub.drain()] == list(range(10))
 
 
 # CRC-valid frames that no endpoint can act on, and whether each one decodes

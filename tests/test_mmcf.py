@@ -1,11 +1,14 @@
 """Cost-function normalization, weighting, and optimization."""
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinbridge import mmcf as mmcf_module
 from twinbridge.mmcf import (
     BridgeConfig,
     ClampCounter,
@@ -15,10 +18,16 @@ from twinbridge.mmcf import (
     MetricBounds,
     MmcfWeights,
     calibrate_bounds,
+    measure_config,
     mmcf,
     normalize,
     optimize,
+    reusing_evaluator,
 )
+from twinbridge.runner import run_mmcf_section
+from twinbridge.scenario import load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 BOUNDS = MetricBounds(
     latency_min=0.01, latency_max=0.5,
@@ -279,3 +288,57 @@ class TestCalibrateBounds:
     def test_empty_probes(self):
         with pytest.raises(EmptySpace):
             calibrate_bounds([], None, evaluator=synthetic_evaluator)
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """The (scenario, result) of each run `mmcf` simulates, in order."""
+    run = mmcf_module.run_traffic
+    seen = []
+
+    def counted(scenario):
+        seen.append((scenario, run(scenario)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(mmcf_module, "run_traffic", counted)
+    return seen
+
+
+class TestReusingEvaluator:
+    def test_every_config_of_mmcf_default_reads_as_a_fresh_run(self):
+        scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
+        spec, base = scenario.mmcf, scenario.bridge_scenario()
+        space = spec.configs()
+        evaluate = reusing_evaluator()
+        assert [evaluate(cfg, base) for cfg in space] == [measure_config(cfg, base) for cfg in space]
+
+        def search(*evaluator):
+            bounds, probed = calibrate_bounds(spec.probe_configs(), base, *evaluator)
+            return optimize(space, base, bounds, spec.weights, *evaluator, known=probed)
+
+        fresh, reused = search(), search(reusing_evaluator())
+        assert (reused.best, reused.cost, reused.clamps, reused.evaluated_fraction) == (
+            fresh.best, fresh.cost, fresh.clamps, fresh.evaluated_fraction,
+        )
+        assert reused.table == fresh.table
+
+    def test_limits_that_bind_are_simulated_apart(self, simulations):
+        base = load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario()
+        base = replace(base, duration=6.0, drain=2.0)
+        space = [
+            BridgeConfig(replay_capacity=cap, batch_size=batch)
+            for cap, batch in itertools.product((8, 512), (1, 4))
+        ]
+        evaluate = reusing_evaluator()
+        reused = [evaluate(cfg, base) for cfg in space]
+        assert len(simulations) == len(space)
+        for cfg, (_, result) in zip(space, simulations):
+            assert (result.replay_evictions > 0) == (cfg.replay_capacity == 8)
+            assert (result.batch_need > cfg.batch_size) == (cfg.batch_size == 1)
+        assert reused == [measure_config(cfg, base) for cfg in space]
+
+    def test_the_mmcf_default_search_runs_ten_simulations_for_24_configs(self, simulations):
+        scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
+        rows, info = run_mmcf_section(scenario, scenario.seed)
+        assert (len(rows), info["mmcf_evaluated_fraction"]) == (24, 1.0)
+        assert len(simulations) == 10
