@@ -3,9 +3,9 @@
 An endpoint runs three duties on the shared simulation clock:
 
 * egress: drain only the subscribed topics that received messages, classify
-  each message into a priority tier, frame it, and feed per-tier send queues
-  emptied by the tier scheduler under a per-tick byte budget, fixed at
-  construction from the link's bandwidth cap;
+  each message into a priority tier, and queue its envelope per tier; the tier
+  scheduler empties the queues under a per-tick byte budget fixed from the
+  link's bandwidth cap, and each frame is encoded as it goes on the link;
 * ingress: decode arriving frames, deduplicate by sequence number, republish
   on the local bus in per-topic sequence order, and detect gaps;
 * discovery: periodically subscribe to newly advertised topics that pass the
@@ -51,7 +51,6 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import NamedTuple
 
 from .envelope import (
     FLAG_REPLAY,
@@ -64,6 +63,7 @@ from .envelope import (
     FrameError,
     decode_stream,
     encode_envelope,
+    frame_size,
     with_replay_flag,
 )
 from .msgbus import InvalidTopic, KindMismatch, MessageKind, Publisher, Subscription, TopicBus
@@ -93,6 +93,10 @@ class PriorityPolicy:
 
     rules: tuple[tuple[str, int], ...] = ()
     default_tier: int = TIER_STANDARD
+
+    def __post_init__(self) -> None:
+        if any(tier not in TIERS for tier in (self.default_tier, *(t for _, t in self.rules))):
+            raise ValueError(f"every tier must be one of {TIERS}")
 
     def classify(self, topic: str) -> int:
         for pattern, tier in self.rules:
@@ -157,7 +161,7 @@ class DiscoveryConfig:
     deny: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.enabled and self.period <= 0:
+        if self.enabled and not self.period > 0:  # NaN fails too
             raise ValueError("discovery period must be positive when enabled")
 
     def permits(self, topic: str) -> bool:
@@ -169,15 +173,6 @@ class DiscoveryConfig:
 
 
 # --- tier scheduling --------------------------------------------------------------
-
-
-class QueuedFrame(NamedTuple):
-    env: Envelope
-    frame: bytes
-
-    @property
-    def size(self) -> int:
-        return len(self.frame)
 
 
 def check_shares(shares: tuple[float, float, float] | None) -> None:
@@ -197,7 +192,7 @@ class TierScheduler:
     allowance cascades down. A tier sends whole frames while its credit is
     positive and may borrow ahead (credit goes negative), which keeps the
     long-run byte rate at the allowance while letting frames larger than one
-    tick's budget through instead of stalling.
+    tick's budget through instead of stalling. Credit counts `frame_size` bytes.
     """
 
     def __init__(self, shares: tuple[float, float, float] | None = None) -> None:
@@ -205,9 +200,9 @@ class TierScheduler:
         self.shares = shares
         self._credit = {tier: 0.0 for tier in TIERS}
 
-    def plan(self, queues: dict[int, deque[QueuedFrame]], budget: float) -> list[QueuedFrame]:
+    def plan(self, queues: dict[int, deque[Envelope]], budget: float) -> list[Envelope]:
         """Pop frames to send this tick, in transmit order; budget is positive."""
-        out: list[QueuedFrame] = []
+        out: list[Envelope] = []
         bulk_waiting = bool(queues.get(TIER_BULK))
 
         if self.shares is None:
@@ -230,9 +225,9 @@ class TierScheduler:
             self._credit[tier] += quanta[tier] + carry
             carry = 0.0
             while queue and self._credit[tier] > 0:
-                item = queue.popleft()
-                self._credit[tier] -= item.size
-                out.append(item)
+                env = queue.popleft()
+                self._credit[tier] -= frame_size(env)
+                out.append(env)
             if not queue:
                 # an idle tier neither banks nor owes; surplus cascades down
                 carry = max(self._credit[tier], 0.0)
@@ -338,7 +333,7 @@ class BridgeEndpoint:
         self._beats: list[tuple[float, str]] = []
         self._retries: list[tuple[float, str]] = []
         self._rx: dict[str, _RxTopic] = {}
-        self._queues: dict[int, deque[QueuedFrame]] = {t: deque() for t in TIERS}
+        self._queues: dict[int, deque[Envelope]] = {t: deque() for t in TIERS}
         self._queued_replays: set[tuple[str, int]] = set()  # (topic, seq) of replay copies not yet sent
         self._publishers: dict[str, Publisher] = {}
 
@@ -427,31 +422,27 @@ class BridgeEndpoint:
                     heapq.heappush(self._beats, (now, topic))
                 tx.next_seq += 1
                 tx.last_sent_at = now
-                frame = encode_envelope(env)
                 self.encodes += 1
                 if self.config.prioritized:
                     self.replay_buffer.insert(env)
-                for _ in range(1 + self.config.redundancy):
-                    self._queues[tx.tier].append(QueuedFrame(env, frame))
+                self._queues[tx.tier].extend([env] * (1 + self.config.redundancy))
 
-    def _plan_fifo(self, budget: float) -> list[QueuedFrame]:
+    def _plan_fifo(self, budget: float) -> list[Envelope]:
         # baseline mode classifies every topic as standard: one FIFO queue
         fifo = self._queues[TIER_STANDARD]
-        out: list[QueuedFrame] = []
+        out: list[Envelope] = []
         spent = 0.0
-        while fifo and (not out or spent + fifo[0].size <= budget):
-            item = fifo.popleft()
-            spent += item.size
-            out.append(item)
+        while fifo and (not out or spent + frame_size(fifo[0]) <= budget):
+            spent += frame_size(fifo[0])
+            out.append(fifo.popleft())
         return out
 
-    def _transmit(self, plan: list[QueuedFrame]) -> None:
+    def _transmit(self, plan: list[Envelope]) -> None:
         # one transport packet never mixes tiers, so a small critical packet
         # is not serialized behind bulk bytes sharing its batch
         batch: list[bytes] = []
         batch_tier: int | None = None
-        for item in plan:
-            env = item.env
+        for env in plan:
             if env.flags & FLAG_REPLAY:
                 self._queued_replays.discard((env.topic, env.seq))
             if batch and (env.tier != batch_tier or len(batch) >= self.config.batch_size):
@@ -460,7 +451,7 @@ class BridgeEndpoint:
                 self._send_batch(batch)
                 batch = []
             batch_tier = env.tier
-            batch.append(item.frame)
+            batch.append(encode_envelope(env))
         if batch:
             self._send_batch(batch)
 
@@ -498,7 +489,7 @@ class BridgeEndpoint:
             payload=payload,
         )
         self.encodes += 1
-        self._queues[TIER_CRITICAL].append(QueuedFrame(env, encode_envelope(env)))
+        self._queues[TIER_CRITICAL].append(env)
 
     # --- ingress duty -----------------------------------------------------------
 
@@ -642,8 +633,7 @@ class BridgeEndpoint:
             if (topic, env.seq) in queued:
                 continue
             queued.add((topic, env.seq))
-            flagged = with_replay_flag(env)
-            self._queues[flagged.tier].append(QueuedFrame(flagged, encode_envelope(flagged)))
+            self._queues[env.tier].append(with_replay_flag(env))
             self.encodes += 1
             self.replays_served += 1
 
@@ -651,7 +641,7 @@ class BridgeEndpoint:
 
     def pending_frames(self) -> list[Envelope]:
         """Frames waiting in send queues (for end-of-run audits)."""
-        return [item.env for q in self._queues.values() for item in q]
+        return [env for q in self._queues.values() for env in q]
 
     def held_for_reassembly(self) -> list[Envelope]:
         return [env for rx in self._rx.values() for env in rx.ahead.values()]

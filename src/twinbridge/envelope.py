@@ -96,6 +96,11 @@ class Envelope(NamedTuple):
         return self.sim_time_us / 1e6
 
 
+def frame_size(env: Envelope) -> int:
+    """The length of `encode_envelope(env)`, without building the frame."""
+    return MIN_FRAME + len(env.topic.encode("utf-8")) + len(env.payload)
+
+
 def encode_envelope(env: Envelope) -> bytes:
     """Serialize one envelope to its bit-exact frame."""
     if len(env.payload) > MAX_PAYLOAD:
@@ -105,15 +110,13 @@ def encode_envelope(env: Envelope) -> bytes:
         raise ValueError("topic longer than 65535 bytes")
     if env.tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
-    body = bytearray()
-    body += _HEAD.pack(
-        MAGIC, VERSION, env.tier, env.flags & 0xFF, env.seq, env.sim_time_us, len(topic_bytes)
-    )
-    body += topic_bytes
-    body += _MID.pack(env.kind & 0xFF, len(env.payload))
-    body += env.payload
-    body += _CRC.pack(zlib.crc32(bytes(body)))
-    return bytes(body)
+    body = b"".join((
+        _HEAD.pack(MAGIC, VERSION, env.tier, env.flags & 0xFF, env.seq, env.sim_time_us, len(topic_bytes)),
+        topic_bytes,
+        _MID.pack(env.kind & 0xFF, len(env.payload)),
+        env.payload,
+    ))
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def _parse_one(buf: bytes, offset: int) -> tuple[Envelope, int]:

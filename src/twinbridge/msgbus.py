@@ -41,6 +41,11 @@ def validate_topic(name: str) -> str:
         raise InvalidTopic(f"topic {name!r} must be non-empty and start with '/'")
     if any(ch.isspace() for ch in name):
         raise InvalidTopic(f"topic {name!r} must not contain whitespace")
+    try:
+        if len(name.encode("utf-8")) > 0xFFFF:
+            raise InvalidTopic("topic is over the wire's limit of 65535 UTF-8 bytes")
+    except UnicodeEncodeError:
+        raise InvalidTopic(f"topic {name!r} has no UTF-8 form") from None
     return name
 
 

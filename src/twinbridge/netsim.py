@@ -61,7 +61,7 @@ class SimClock:
         self._seq = itertools.count()
 
     def schedule(self, at: float, callback: Callable[[], None]) -> None:
-        if at < self.now:
+        if not at >= self.now:  # NaN fails too: it would stall the heap
             raise ValueError(f"cannot schedule at {at} before now={self.now}")
         heapq.heappush(self._heap, (at, next(self._seq), callback))
 
@@ -100,7 +100,7 @@ class NetworkConditions:
 
     def __post_init__(self) -> None:
         for t, v in self.latency.breakpoints():
-            if v < 0:
+            if not v >= 0:  # NaN fails too
                 raise ValueError(f"latency {v} at t={t} must be >= 0")
         for t, v in self.loss.breakpoints():
             if not 0.0 <= v <= 1.0:

@@ -15,7 +15,6 @@ from twinbridge.bridge import (
     DiscoveryConfig,
     EndpointConfig,
     PriorityPolicy,
-    QueuedFrame,
     ReplayBuffer,
     TierScheduler,
     check_shares,
@@ -29,6 +28,7 @@ from twinbridge.envelope import (
     Envelope,
     decode_stream,
     encode_envelope,
+    frame_size,
 )
 from twinbridge.mmcf import BridgeConfig
 from twinbridge.msgbus import MessageKind, Subscription, TopicBus
@@ -42,8 +42,7 @@ from twinbridge.netsim import (
 
 
 def frame(topic="/t", tier=TIER_STANDARD, seq=0, size=100):
-    env = Envelope(tier, 0, seq, 0, topic, 0, bytes(size))
-    return QueuedFrame(env, encode_envelope(env))
+    return Envelope(tier, 0, seq, 0, topic, 0, bytes(size))
 
 
 def raw_frame(topic: bytes, payload: bytes, tier=TIER_CRITICAL, seq=0, kind=4) -> bytes:
@@ -80,9 +79,9 @@ class TestTierScheduler:
     def test_only_bulk_uses_full_budget(self):
         q = queues(bulk=[frame(tier=TIER_BULK, size=900) for _ in range(10)])
         plan = TierScheduler().plan(q, budget=5000)
-        sent = sum(item.size for item in plan)
+        sent = sum(frame_size(item) for item in plan)
         assert sent >= 4 * 930  # frames are ~934 bytes; most of the budget used
-        assert all(item.env.tier == TIER_BULK for item in plan)
+        assert all(item.tier == TIER_BULK for item in plan)
 
     def test_strict_priority_critical_saturates(self):
         q = queues(
@@ -91,7 +90,7 @@ class TestTierScheduler:
         )
         plan = TierScheduler().plan(q, budget=1000)
         assert plan  # some critical sent
-        assert all(item.env.tier == TIER_CRITICAL for item in plan)
+        assert all(item.tier == TIER_CRITICAL for item in plan)
 
     def test_bulk_floor_under_saturation(self):
         q = queues(
@@ -100,7 +99,7 @@ class TestTierScheduler:
             bulk=[frame(tier=TIER_BULK, size=1000) for _ in range(200)],
         )
         plan = TierScheduler().plan(q, budget=100 * 1024)
-        bulk_bytes = sum(item.size for item in plan if item.env.tier == TIER_BULK)
+        bulk_bytes = sum(frame_size(item) for item in plan if item.tier == TIER_BULK)
         assert bulk_bytes >= 5 * 1024
 
     def test_deficit_lets_oversized_frame_send_eventually(self):
@@ -129,7 +128,7 @@ class TestTierScheduler:
         plan = sched.plan(q, budget=1000)
         by_tier = {}
         for item in plan:
-            by_tier[item.env.tier] = by_tier.get(item.env.tier, 0) + item.size
+            by_tier[item.tier] = by_tier.get(item.tier, 0) + frame_size(item)
         assert by_tier.get(TIER_STANDARD, 0) > 0
         assert by_tier.get(TIER_BULK, 0) > 0
 
@@ -146,15 +145,15 @@ class TestTierScheduler:
             standard=[frame(tier=TIER_STANDARD, size=s) for s in std_sizes],
             bulk=[frame(tier=TIER_BULK, size=s) for s in bulk_sizes],
         )
-        bulk_available = sum(item.size for item in q[TIER_BULK])
+        bulk_available = sum(frame_size(item) for item in q[TIER_BULK])
         plan = TierScheduler().plan(q, budget=budget)
         # transmit order is strictly by tier
-        tiers_in_plan = [item.env.tier for item in plan]
+        tiers_in_plan = [item.tier for item in plan]
         assert tiers_in_plan == sorted(tiers_in_plan)
         # bulk gets its floor whenever it has traffic: at least 5% of the
         # budget worth of bulk bytes, or everything it had queued
         if bulk_available:
-            bulk_sent = sum(item.size for item in plan if item.env.tier == TIER_BULK)
+            bulk_sent = sum(frame_size(item) for item in plan if item.tier == TIER_BULK)
             assert bulk_sent >= min(0.05 * budget, bulk_available)
 
 
@@ -180,6 +179,21 @@ def test_valid_shares_pass_the_rule():
 def test_endpoint_config_rejects_a_tick_that_is_not_positive(tick):
     with pytest.raises(ValueError, match="tick"):
         EndpointConfig(tick=tick)
+
+
+@pytest.mark.parametrize("period", [0.0, -0.5, float("nan")])
+def test_enabled_discovery_rejects_a_period_that_is_not_positive(period):
+    with pytest.raises(ValueError, match="period"):
+        DiscoveryConfig(enabled=True, period=period)
+    assert DiscoveryConfig(enabled=False, period=period).period is period
+
+
+@pytest.mark.parametrize(
+    "rules, default", [((("/a", 7),), TIER_STANDARD), ((("/a", TIER_BULK),), 3), ((), -1)]
+)
+def test_policy_rejects_a_tier_that_is_not_one_of_the_tiers(rules, default):
+    with pytest.raises(ValueError, match="tier"):
+        PriorityPolicy(rules, default)
 
 
 class TestReplayBuffer:
@@ -391,7 +405,7 @@ class TestEndpoint:
             clock.advance(0.05)
         clock.advance(0.5)
         local.request_replay("/data", 1, 2)
-        flagged = [item.env for q in local._queues.values() for item in q]
+        flagged = local.pending_frames()
         assert flagged and all(env.flags & FLAG_REPLAY for env in flagged)
         assert [env.seq for env in flagged] == [1, 2]
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbridge import engine
+from twinbridge import bridge, engine
 from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
@@ -170,6 +170,35 @@ class TestRunTraffic:
         assert result.replays_served <= 700
         assert result.replays_requested <= 2000
         assert result.totals()[1] >= 7532
+
+    @pytest.mark.parametrize("redundancy", [0, 2])
+    def test_each_frame_is_encoded_once_when_it_goes_on_the_link(self, monkeypatch, redundancy):
+        # agents20 at 50 agents overloads its link, so frames are left queued
+        scenario = load_scenario(SCENARIOS / "agents20.yaml").bridge_scenario(count=50)
+        scenario = replace(scenario, endpoint=replace(scenario.endpoint, redundancy=redundancy))
+        counts = {"encoded": 0, "on_link": 0, "control": 0}
+        encode, send, send_control = bridge.encode_envelope, NetLink.send, BridgeEndpoint._send_control
+
+        def counted_encode(env):
+            counts["encoded"] += 1
+            return encode(env)
+
+        def counted_send(link, payload):
+            counts["on_link"] += len(decode_stream(payload))
+            return send(link, payload)
+
+        def counted_control(endpoint, *args):
+            counts["control"] += 1
+            return send_control(endpoint, *args)
+
+        monkeypatch.setattr(bridge, "encode_envelope", counted_encode)
+        monkeypatch.setattr(NetLink, "send", counted_send)
+        monkeypatch.setattr(BridgeEndpoint, "_send_control", counted_control)
+        result = run_traffic(scenario)
+        assert sum(res.buffered for res in result.topics.values()) > 0
+        assert counts["encoded"] == counts["on_link"]
+        # `encodes` counts each frame built once, whatever its redundant copies
+        assert result.encodes == result.totals()[0] + result.replays_served + counts["control"]
 
     def test_percentile_nearest_rank(self):
         values = [float(i) for i in range(1, 101)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbridge.bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy, QueuedFrame
+from twinbridge.bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
 from twinbridge.envelope import (
     MIN_FRAME,
     MAX_PAYLOAD,
@@ -19,11 +19,13 @@ from twinbridge.envelope import (
     FLAG_REPLAY,
     FrameError,
     TIER_CRITICAL,
+    TIERS,
     PayloadTooLarge,
     Truncated,
     decode_envelope,
     decode_stream,
     encode_envelope,
+    frame_size,
     with_replay_flag,
 )
 from twinbridge.msgbus import Message, MessageKind, TopicBus
@@ -202,6 +204,19 @@ def test_roundtrip_property(topic, payload, tier, flags, seq, sim_time_us, kind)
     assert decode_envelope(encode_envelope(env)) == env
 
 
+@given(
+    topic=st.text(st.characters(codec="utf-8"), max_size=40).map(lambda s: "/" + s),
+    payload=st.binary(),
+    tier=st.sampled_from(TIERS),
+    flags=st.integers(0, 255),
+    seq=st.integers(0, 2**64 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_frame_size_is_the_encoded_length(topic, payload, tier, flags, seq):
+    env = Envelope(tier, flags, seq, 0, topic, 0, payload)
+    assert frame_size(env) == len(encode_envelope(env))
+
+
 def test_frame_error_is_value_error():
     assert issubclass(FrameError, ValueError)
     assert issubclass(BadTopic, FrameError)
@@ -214,12 +229,11 @@ def _records():
         (Message("/a", b"", 0.0, MessageKind.BLOB), "payload"),
         (TraceEvent(0.0, 36, None), "deliver_at"),
         (TwinState.at_rest(), "heading"),
-        (QueuedFrame(env, encode_envelope(env)), "frame"),
     ]
 
 
 @pytest.mark.parametrize(
-    "record, field", _records(), ids=["Envelope", "Message", "TraceEvent", "TwinState", "QueuedFrame"]
+    "record, field", _records(), ids=["Envelope", "Message", "TraceEvent", "TwinState"]
 )
 def test_records_refuse_attribute_assignment(record, field):
     with pytest.raises(AttributeError):

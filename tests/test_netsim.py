@@ -242,3 +242,23 @@ def test_conditions_validation():
 def test_conditions_reject_a_bandwidth_cap_that_is_not_positive(cap):
     with pytest.raises(ValueError, match="bandwidth_cap"):
         NetworkConditions(PiecewiseConstant(0.0), PiecewiseConstant(0.0), bandwidth_cap=cap)
+
+
+@pytest.mark.parametrize("latency", [-0.1, float("nan"), [(0.0, 0.1), (1.0, float("nan"))]])
+def test_conditions_reject_a_latency_that_is_not_at_least_zero(latency):
+    with pytest.raises(ValueError, match="latency"):
+        NetworkConditions(PiecewiseConstant(latency), PiecewiseConstant(0.0))
+
+
+@pytest.mark.parametrize("at", [0.5, float("nan"), float("-inf")])
+def test_clock_refuses_an_event_that_is_not_at_or_after_now(at):
+    # a NaN at the top of the heap would stop every later event from firing
+    clock = SimClock()
+    clock.advance(1.0)
+    with pytest.raises(ValueError, match="cannot schedule"):
+        clock.schedule(at, lambda: None)
+    fired = []
+    clock.schedule(1.2, lambda: fired.append(1.2))
+    clock.schedule(1.5, lambda: fired.append(1.5))
+    clock.advance(1.0)
+    assert fired == [1.2, 1.5]

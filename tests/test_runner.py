@@ -369,6 +369,22 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert result.output.splitlines() == [expected]
 
+    @pytest.mark.parametrize(
+        "name", ["/" + "a" * 70000, "/robot\\ud800"], ids=["over-65535-utf-8-bytes", "no-utf-8-form"]
+    )
+    def test_a_topic_the_wire_cannot_carry_is_one_error_line(self, tmp_path, name):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "name: bad\nseed: 1\nduration: 2.0\nagents:\n  count: 1\n  topics:\n"
+            f"    - {{name: \"{name}\", kind: pose, rate: 5.0, size: 8}}\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output[:500]
+        assert isinstance(result.exception, SystemExit)
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: agents.topics[0].name (line 7): ")
+
     def test_compare_of_different_scenarios_is_an_error_line(self, tmp_path):
         for name in ("a", "b"):
             run_dir = tmp_path / name
