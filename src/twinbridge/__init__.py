@@ -7,20 +7,3 @@ to build the virtual environment and a multi-metric configuration optimizer.
 """
 
 __version__ = "0.1.0"
-
-from . import bridge, engine, envelope, geo, lidar2d, mmcf, msgbus, netsim, runner, scenario, twinsync
-
-__all__ = [
-    "bridge",
-    "engine",
-    "envelope",
-    "geo",
-    "lidar2d",
-    "mmcf",
-    "msgbus",
-    "netsim",
-    "runner",
-    "scenario",
-    "twinsync",
-    "__version__",
-]

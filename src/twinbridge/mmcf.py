@@ -2,9 +2,8 @@
 
 Latency, loss, compute, and bandwidth measurements are normalized into [0, 1]
 against empirically calibrated bounds, combined under mission weights that
-sum to one, and minimized over a finite configuration space. Spaces up to
-10 000 configurations are searched exhaustively; larger spaces fall back to a
-seeded local search that reports the fraction of the space it evaluated.
+sum to one, and minimized over a finite configuration space in one
+exhaustive pass that evaluates and tabulates every configuration.
 
 A search simulates each distinct run once (`reusing_evaluator`). A
 configuration reuses an earlier simulation when it binds to the same
@@ -14,15 +13,14 @@ fields its value equals the earlier run's, or both values are at least what
 that run needed: its busiest topic's sent count for the replay ring, if no
 ring evicted, and its largest batch for the batch limit, if no batch was cut
 at the limit. Neither limit then binds, so the runs are the same event for
-event. A reused measurement is an exact copy, so it counts as evaluated and
-`evaluated_fraction` keeps its meaning.
+event. A reused measurement is an exact copy, so the table reads as if
+every configuration had been simulated afresh.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .bridge import check_shares
@@ -244,41 +242,34 @@ def calibrate_bounds(
     probes: Sequence[BridgeConfig],
     scenario: BridgeScenario,
     evaluator: Evaluator = measure_config,
-) -> tuple[MetricBounds, dict[BridgeConfig, MeasuredMetrics]]:
+) -> MetricBounds:
     """Determine normalization bounds from a probe subset of the space.
 
-    Returns the bounds and the probe measurements (reusable by the optimizer).
     Degenerate spreads are widened by a tiny epsilon so bounds stay valid.
+    Pass the optimizer the same `reusing_evaluator()` to serve the probes
+    again from memory.
     """
     if not probes:
         raise EmptySpace("no probe configurations")
-    measured = {cfg: evaluator(cfg, scenario) for cfg in probes}
-    lats = [m.latency for m in measured.values()]
-    losses = [m.loss for m in measured.values()]
-    bounds = MetricBounds(
+    measured = [evaluator(cfg, scenario) for cfg in probes]
+    lats = [m.latency for m in measured]
+    losses = [m.loss for m in measured]
+    return MetricBounds(
         latency_min=min(lats),
         latency_max=max(max(lats), min(lats) + 1e-9),
         loss_min=min(losses),
         loss_max=max(max(losses), min(losses) + 1e-9),
-        compute_max=max(max(m.compute for m in measured.values()), 1e-9),
-        bandwidth_max=max(max(m.bandwidth for m in measured.values()), 1e-9),
+        compute_max=max(max(m.compute for m in measured), 1e-9),
+        bandwidth_max=max(max(m.bandwidth for m in measured), 1e-9),
     )
-    return bounds, measured
 
 
 @dataclass
 class OptimizeResult:
     best: BridgeConfig
     cost: float
-    evaluated_fraction: float
-    clamps: int = 0
-    table: list[tuple[BridgeConfig, MeasuredMetrics, tuple[float, float, float, float], float]] = field(
-        default_factory=list
-    )
-
-
-EXHAUSTIVE_LIMIT = 10_000
-SEARCH_BUDGET = 200
+    clamps: int
+    table: list[tuple[BridgeConfig, MeasuredMetrics, tuple[float, float, float, float], float]]
 
 
 def optimize(
@@ -287,75 +278,21 @@ def optimize(
     bounds: MetricBounds,
     weights: MmcfWeights,
     evaluator: Evaluator = measure_config,
-    known: dict[BridgeConfig, MeasuredMetrics] | None = None,
 ) -> OptimizeResult:
-    """Minimize the cost function over a finite configuration space.
+    """Minimize the cost function over a finite configuration space, exhaustively.
 
-    Exhaustive for spaces up to 10 000 candidates (exact argmin); larger
-    spaces use a seeded hill-climb over single-field neighbors with random
-    restarts, reporting the evaluated fraction. Cost ties break to the
-    lexicographically smallest configuration regardless of evaluation order.
+    Every distinct configuration is evaluated once, in `sort_key` order, and
+    tabulated. Cost ties break to the lexicographically smallest
+    configuration, the first minimum in that order. `clamps` counts each
+    configuration's clamps once.
     """
     space = sorted(set(config_space), key=BridgeConfig.sort_key)
     if not space:
         raise EmptySpace("configuration space is empty")
-
-    cache: dict[BridgeConfig, MeasuredMetrics] = dict(known or {})
-    costs: dict[BridgeConfig, float] = {}
     counter = ClampCounter()
-
-    def cost_of(cfg: BridgeConfig) -> float:
-        # memoized, so each configuration's clamps are counted once
-        if cfg not in costs:
-            if cfg not in cache:
-                cache[cfg] = evaluator(cfg, scenario)
-            costs[cfg] = mmcf(cache[cfg], bounds, weights, counter)
-        return costs[cfg]
-
-    if len(space) <= EXHAUSTIVE_LIMIT:
-        candidates = space
-    else:
-        candidates = _local_search(space, cost_of, SEARCH_BUDGET)
-
-    best = min(candidates, key=lambda c: (cost_of(c), c.sort_key()))
-    tabulated = set(candidates) if len(space) > EXHAUSTIVE_LIMIT else set(cache)
-    table = [
-        (cfg, cache[cfg], normalize(cache[cfg], bounds), mmcf(cache[cfg], bounds, weights))
-        for cfg in sorted(cache, key=BridgeConfig.sort_key)
-        if cfg in tabulated
-    ]
-    return OptimizeResult(
-        best=best,
-        cost=cost_of(best),
-        evaluated_fraction=len(cache) / len(space),
-        clamps=counter.clamps,
-        table=table,
-    )
-
-
-def _local_search(
-    space: list[BridgeConfig],
-    cost_of: Callable[[BridgeConfig], float],
-    budget: int,
-) -> list[BridgeConfig]:
-    """Hill-climb over index neighborhoods with random restarts, seeded with 0."""
-    rng = random.Random(0)
-    visited: set[int] = set()
-    n = len(space)
-    restarts = max(1, budget // 20)
-    for _ in range(restarts):
-        idx = rng.randrange(n)
-        improved = True
-        while improved and len(visited) < budget:
-            visited.add(idx)
-            improved = False
-            neighborhood = [max(0, idx - 1), min(n - 1, idx + 1), rng.randrange(n)]
-            for j in neighborhood:
-                if j not in visited and len(visited) < budget:
-                    visited.add(j)
-                if (cost_of(space[j]), space[j].sort_key()) < (cost_of(space[idx]), space[idx].sort_key()):
-                    idx = j
-                    improved = True
-        if len(visited) >= budget:
-            break
-    return [space[i] for i in sorted(visited)]
+    table = []
+    for cfg in space:
+        metrics = evaluator(cfg, scenario)
+        table.append((cfg, metrics, normalize(metrics, bounds), mmcf(metrics, bounds, weights, counter)))
+    best = min(table, key=lambda row: row[3])
+    return OptimizeResult(best=best[0], cost=best[3], clamps=counter.clamps, table=table)

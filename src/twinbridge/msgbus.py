@@ -38,14 +38,14 @@ class KindMismatch(ValueError):
 
 def validate_topic(name: str) -> str:
     if not name or not name.startswith("/"):
-        raise InvalidTopic(f"topic {name!r} must be non-empty and start with '/'")
+        raise InvalidTopic(f"topic {name!r:.40} must be non-empty and start with '/'")
     if any(ch.isspace() for ch in name):
-        raise InvalidTopic(f"topic {name!r} must not contain whitespace")
+        raise InvalidTopic(f"topic {name!r:.40} must not contain whitespace")
     try:
         if len(name.encode("utf-8")) > 0xFFFF:
             raise InvalidTopic("topic is over the wire's limit of 65535 UTF-8 bytes")
     except UnicodeEncodeError:
-        raise InvalidTopic(f"topic {name!r} has no UTF-8 form") from None
+        raise InvalidTopic(f"topic {name!r:.40} has no UTF-8 form") from None
     return name
 
 

@@ -199,8 +199,8 @@ def run_mmcf_section(scenario: Scenario, seed: int) -> tuple[list[tuple], dict]:
     base = scenario.bridge_scenario(seed=seed)
     space = spec.configs()
     evaluate = reusing_evaluator()
-    bounds, probed = calibrate_bounds(spec.probe_configs(), base, evaluate)
-    result = optimize(space, base, bounds, spec.weights, evaluate, known=probed)
+    bounds = calibrate_bounds(spec.probe_configs(), base, evaluate)
+    result = optimize(space, base, bounds, spec.weights, evaluate)
     rows = []
     for cfg, metrics, norm, cost in result.table:
         rows.append(
@@ -221,7 +221,7 @@ def run_mmcf_section(scenario: Scenario, seed: int) -> tuple[list[tuple], dict]:
     info = {
         "mmcf_best": repr(result.best.sort_key()),
         "mmcf_best_cost": result.cost,
-        "mmcf_evaluated_fraction": result.evaluated_fraction,
+        "mmcf_evaluated_fraction": 1.0,  # optimize evaluates every configuration
         "mmcf_clamp_events": result.clamps,
     }
     return rows, info

@@ -333,13 +333,20 @@ class Scenario:
     geo: GeoSpec | None = None
 
     def traffic_for(self, count: int | None = None) -> tuple[TopicTraffic, ...]:
-        """Every template expanded for agents 1..count; ScenarioParseError if two name one topic."""
+        """Every template expanded for agents 1..count.
+
+        ScenarioParseError if an expansion is not a valid topic or two name one topic.
+        """
         count = self.agent_count if count is None else count
         out = []
         named_by: dict[str, tuple[str, int]] = {}  # topic -> (template location, agent)
         for i in range(1, count + 1):
             for tpl in self.topic_templates:
                 topic = tpl["name"].replace("{i}", str(i))
+                try:
+                    validate_topic(topic)
+                except InvalidTopic as exc:
+                    raise ScenarioParseError([f"{tpl['at']}: agent {i} of {count}: {exc}"]) from None
                 at, agent = named_by.setdefault(topic, (tpl["at"], i))
                 if (at, agent) != (tpl["at"], i):
                     raise ScenarioParseError(
@@ -490,7 +497,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
         try:
             validate_topic(name.replace("{i}", "1"))
         except InvalidTopic as exc:
-            ctx.fail(f"{path}.name", f"template {name!r}: {exc}")
+            ctx.fail(f"{path}.name", f"template {name!r:.40}: {exc}")
             continue
         templates.append(
             {

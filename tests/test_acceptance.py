@@ -176,8 +176,8 @@ def test_criterion_6_mmcf_optimality():
     spec = scenario.mmcf
     space = spec.configs()
     assert len(space) == 24
-    bounds, probed = calibrate_bounds(spec.probe_configs(), bridge)
-    result = optimize(space, bridge, bounds, spec.weights, known=probed)
+    bounds = calibrate_bounds(spec.probe_configs(), bridge)
+    result = optimize(space, bridge, bounds, spec.weights)
 
     # independent oracle: plain loop, fresh measurements, literal argmin
     oracle_best = None

@@ -370,12 +370,19 @@ class TestCli:
         assert result.output.splitlines() == [expected]
 
     @pytest.mark.parametrize(
-        "name", ["/" + "a" * 70000, "/robot\\ud800"], ids=["over-65535-utf-8-bytes", "no-utf-8-form"]
+        "name, count",
+        [
+            ("/" + "a" * 70000, 1),
+            ("/robot\\ud800", 1),
+            ("/" + "a" * 65533 + "{i}", 10),
+            ("/" + "a" * 65500 + " {i}", 1),
+        ],
+        ids=["over-65535-utf-8-bytes", "no-utf-8-form", "over-65535-utf-8-bytes-at-agent-10", "whitespace"],
     )
-    def test_a_topic_the_wire_cannot_carry_is_one_error_line(self, tmp_path, name):
+    def test_a_topic_the_wire_cannot_carry_is_one_error_line(self, tmp_path, name, count):
         bad = tmp_path / "bad.yaml"
         bad.write_text(
-            "name: bad\nseed: 1\nduration: 2.0\nagents:\n  count: 1\n  topics:\n"
+            f"name: bad\nseed: 1\nduration: 2.0\nagents:\n  count: {count}\n  topics:\n"
             f"    - {{name: \"{name}\", kind: pose, rate: 5.0, size: 8}}\n",
             encoding="utf-8",
         )
@@ -384,6 +391,24 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: agents.topics[0].name (line 7): ")
+        assert len(lines[0]) < 200
+
+    def test_sweep_checks_every_expansion_of_a_template_before_the_first_run(self, tmp_path, monkeypatch):
+        scenario = tmp_path / "long.yaml"
+        scenario.write_text(
+            "name: long\nseed: 1\nduration: 2.0\nagents:\n  count: 1\n  topics:\n"
+            f"    - {{name: \"/{'a' * 65533}{{i}}\", kind: pose, rate: 5.0, size: 8}}\n",
+            encoding="utf-8",
+        )
+        runs = []
+        monkeypatch.setattr("twinbridge.runner.run_traffic", runs.append)
+        result = CliRunner().invoke(main, ["sweep", str(scenario), "--counts", "2,10"])
+        assert result.exit_code == 2, result.output[:500]
+        assert result.output.splitlines() == [
+            "error: agents.topics[0].name (line 7): agent 10 of 10: "
+            "topic is over the wire's limit of 65535 UTF-8 bytes"
+        ]
+        assert runs == []
 
     def test_compare_of_different_scenarios_is_an_error_line(self, tmp_path):
         for name in ("a", "b"):
