@@ -16,7 +16,7 @@ asks the peer over the reverse link to replay them; a request never names a
 seq the receiver holds. New evidence (a critical frame that arrives out of
 order, or a heartbeat that announces a seq not yet delivered) asks once for
 the seqs no earlier evidence announced, and re-asks each open run that was
-not already asked at that instant. The `replay_retry` timer re-asks a run no
+not already asked at that instant. The `REPLAY_RETRY` timer re-asks a run no
 request has named for that long; its deadlines alone use up
 `replay_attempts`, after which the run is given up, but never past the
 highest seq that arrived: the runs beyond it rest on a heartbeat's word alone,
@@ -78,6 +78,10 @@ _REQ_RANGE = struct.Struct("<QQ")
 _BEAT_SEQ = struct.Struct("<Q")
 
 BULK_BUDGET_FRACTION = 0.05
+# messages a bridged topic's bus subscription holds before the oldest is dropped
+SUB_CAPACITY = 4096
+# seconds after a request named a gap run before the run is asked for again
+REPLAY_RETRY = 0.3
 
 
 class BadControl(FrameError):
@@ -248,9 +252,7 @@ class EndpointConfig:
     redundancy: int = 0
     shares: tuple[float, float, float] | None = None
     replay_capacity: int = 256
-    sub_capacity: int = 4096
     heartbeat_interval: float = 0.25
-    replay_retry: float = 0.3
     replay_attempts: int = 12
     topics: tuple[str, ...] = ()
 
@@ -270,7 +272,7 @@ class _Gap:
     """A run of missing seqs, from its key in `_RxTopic.gaps` to `hi`."""
 
     hi: int
-    retry_at: float  # the next deadline, `replay_retry` after a request named the run
+    retry_at: float  # the next deadline, `REPLAY_RETRY` after a request named the run
     attempts: int  # the first request plus each deadline passed since
     asked_at: float  # when a request last named the run, on evidence or on a deadline
 
@@ -375,7 +377,7 @@ class BridgeEndpoint:
         if topic in self._tx:
             return
         kind = self.bus.kind_of(topic)
-        sub = self.bus.subscribe(topic, self.config.sub_capacity)
+        sub = self.bus.subscribe(topic, SUB_CAPACITY)
         sub.ready = self._ready
         tier = self.policy.classify(topic) if self.config.prioritized else TIER_STANDARD
         self._tx[topic] = _TxTopic(
@@ -570,7 +572,7 @@ class BridgeEndpoint:
                 self._send_gap_request(topic, live_lo, gap.hi, at)
         lo = max(rx.expected, rx.known + 1)
         if lo <= last:
-            retry_at = at + self.config.replay_retry
+            retry_at = at + REPLAY_RETRY
             rx.gaps[lo] = _Gap(last, retry_at, 1, at)
             heapq.heappush(self._retries, (retry_at, topic))
             self._send_gap_request(topic, lo, last, at)
@@ -600,12 +602,12 @@ class BridgeEndpoint:
                     self._give_up_gap(rx, gap.hi, now)
                 else:
                     gap.attempts += 1
-                    # a re-ask on evidence within `replay_retry` stands in for this
-                    # one, and the next deadline falls `replay_retry` after it
-                    if gap.asked_at + self.config.replay_retry <= now:
+                    # a re-ask on evidence within REPLAY_RETRY stands in for this
+                    # one, and the next deadline falls REPLAY_RETRY after it
+                    if gap.asked_at + REPLAY_RETRY <= now:
                         gap.asked_at = now
                         self._send_gap_request(topic, live_lo, gap.hi, now)
-                    gap.retry_at = gap.asked_at + self.config.replay_retry
+                    gap.retry_at = gap.asked_at + REPLAY_RETRY
                     heapq.heappush(retries, (gap.retry_at, topic))
 
     def _give_up_gap(self, rx: _RxTopic, hi: int, now: float) -> None:

@@ -166,8 +166,8 @@ def run_sync_section(
     clock = SimClock()
     link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED)
     force = PiecewiseConstant((t, vec3(x, y, z)) for t, x, y, z in spec.force_script)
-    agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script), spec.terrain)
-    twin = VirtualTwin(spec.params, spec.terrain, tick=spec.loop.tick)
+    agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script))
+    twin = VirtualTwin(spec.params, tick=spec.loop.tick)
     ctrl = spec.controller
     if kp is not None or kd is not None:
         ctrl = replace(ctrl, kp=ctrl.kp if kp is None else kp, kd=ctrl.kd if kd is None else kd)

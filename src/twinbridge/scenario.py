@@ -20,7 +20,6 @@ duration are required):
       shares: [0.6, 0.3, 0.1]      # optional per-tier budget fractions
       replay_capacity: 256         # per-topic replay ring depth
       heartbeat: 0.25              # idle-topic heartbeat period
-      replay_retry: 0.3            # gap re-request interval
       replay_attempts: 12          # re-requests before giving up
       drain: 0.0                   # quiet tail after traffic stops
       discovery: {enabled: false, period: 0.5, allow: [], deny: []}
@@ -57,7 +56,7 @@ A key that counts (seed, count, size, batch, capacities, attempts, probes,
 integer mmcf axes) takes a whole number: 2.0 reads as 2, 2.5 is an error. Two
 expansions of the topic templates may not name one topic, which is checked at
 the agent count of each run and of each sweep step. A key the parser does not
-read is an error, in every mapping but sync.friction's terrain names.
+read is an error.
 Validation failures raise ScenarioParseError carrying one "path (line N):
 message" entry per problem; the line of a key's problem is the key's line.
 """
@@ -72,7 +71,7 @@ from typing import Any
 
 import yaml
 
-from .bridge import DiscoveryConfig, EndpointConfig, PriorityPolicy
+from .bridge import DiscoveryConfig, EndpointConfig, PriorityPolicy, check_shares
 from .engine import BridgeScenario, TopicTraffic
 from .envelope import TIER_BY_NAME, TIER_STANDARD
 from .geo import GeoPoint
@@ -181,7 +180,8 @@ class _Ctx:
                 self.fail(f"{path}.{key}" if path else key, f"unknown key; expected one of {sorted(keys)}")
 
     def number(
-        self, data, path, key, required=False, default=None, minimum=None, positive=False, integer=False
+        self, data, path, key, required=False, default=None, minimum=None, maximum=None, positive=False,
+        integer=False,
     ):
         """data[key] as a finite float (an int if `integer`); default if it is missing or fails a check."""
         if key not in data:
@@ -196,6 +196,8 @@ class _Ctx:
             self.fail(full, f"must be positive, got {value}")
         elif minimum is not None and value < minimum:
             self.fail(full, f"must be >= {minimum}, got {value}")
+        elif maximum is not None and value > maximum:
+            self.fail(full, f"must be <= {maximum}, got {value}")
         else:
             return value
         return default
@@ -264,7 +266,6 @@ class SyncSpec:
     bound: SyncBoundModel | None
     force_script: tuple[tuple[float, float, float, float], ...]
     yaw_script: tuple[tuple[float, float], ...]
-    terrain: str
 
 
 # mmcf.space axes, in BridgeConfig's field order
@@ -437,8 +438,8 @@ def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
 def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfig, float]:
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
     ctx.known(br, "bridge", (
-        "tick", "batch", "redundancy", "shares", "replay_capacity", "sub_capacity",
-        "heartbeat", "replay_retry", "replay_attempts", "drain", "discovery",
+        "tick", "batch", "redundancy", "shares", "replay_capacity", "heartbeat", "replay_attempts", "drain",
+        "discovery",
     ))
     disc_raw = ctx.get(br, "bridge", "discovery", dict, default={}) or {}
     ctx.known(disc_raw, "bridge.discovery", ("enabled", "period", "allow", "deny"))
@@ -451,22 +452,22 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfi
     shares = br.get("shares")
     if shares is not None:
         shares = _vector(ctx, shares, "bridge.shares", 3, "[critical, standard, bulk] fractions")
-    try:
-        endpoint = EndpointConfig(
-            prioritized=True,
-            tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
-            batch_size=ctx.number(br, "bridge", "batch", default=4, minimum=1, integer=True),
-            redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, integer=True),
-            shares=shares,
-            replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1, integer=True),
-            sub_capacity=ctx.number(br, "bridge", "sub_capacity", default=4096, minimum=1, integer=True),
-            heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
-            replay_retry=ctx.number(br, "bridge", "replay_retry", default=0.3, positive=True),
-            replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0, integer=True),
-        )
-    except ValueError as exc:
-        ctx.fail("bridge", str(exc))
-        endpoint = EndpointConfig()
+        try:
+            check_shares(shares)
+        except ValueError as exc:
+            ctx.fail("bridge.shares", str(exc))
+            shares = None
+    # each value is checked here at its own key, so EndpointConfig has nothing left to reject
+    endpoint = EndpointConfig(
+        prioritized=True,
+        tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
+        batch_size=ctx.number(br, "bridge", "batch", default=4, minimum=1, integer=True),
+        redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, maximum=3, integer=True),
+        shares=shares,
+        replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1, integer=True),
+        heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
+        replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0, integer=True),
+    )
     drain = ctx.number(br, "bridge", "drain", default=0.0, minimum=0.0)
     return endpoint, discovery, drain
 
@@ -513,13 +514,10 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
 
 # numeric sync keys, each named after the field of PhysicalParams, SyncController or
 # SyncLoopConfig that it sets; the first group must be positive, the second >= 0
-_SYNC_POSITIVE = (
-    "mass", "eps_pos", "eps_vel", "t_ref", "cap_factor", "response_mass", "f_corr_max",
-    "tick", "gain_window",
-)
-_SYNC_NON_NEGATIVE = ("drag", "kp", "kd", "heading_gain", "accuracy_weight", "energy_weight")
+_SYNC_POSITIVE = ("mass", "eps_pos", "eps_vel", "response_mass", "f_corr_max", "tick", "gain_window")
+_SYNC_NON_NEGATIVE = ("friction", "drag", "kp", "kd")
 _SYNC_KEYS = _SYNC_POSITIVE + _SYNC_NON_NEGATIVE + (
-    "friction", "gain_grid", "update_rate", "adaptive_gains", "force_script", "yaw_script", "bound", "terrain",
+    "gain_grid", "update_rate", "adaptive_gains", "force_script", "yaw_script", "bound",
 )
 
 
@@ -537,14 +535,6 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
         {key: value for key, value in numbers.items() if key in {f.name for f in fields(config)}}
         for config in (PhysicalParams, SyncController, SyncLoopConfig)
     )
-    friction = sy.get("friction")
-    if friction is not None:
-        by_terrain = friction if isinstance(friction, dict) else {"default": friction}
-        coefficients = {str(terrain): _finite(mu) for terrain, mu in by_terrain.items()}
-        if None in coefficients.values():
-            ctx.fail("sync.friction", "expected a coefficient or a mapping of terrain to coefficient")
-        else:
-            params["friction"] = coefficients
     controller["gain_grid"] = tuple(_rows(ctx, sy.get("gain_grid"), "sync.gain_grid", 2, "[kp, kd]"))
     update_rate = ctx.number(sy, "sync", "update_rate", positive=True)
     if update_rate is not None:
@@ -571,7 +561,6 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
             bound=bound,
             force_script=tuple(force) or ((0.0, 0.0, 0.0, 0.0),),
             yaw_script=tuple(yaw) or ((0.0, 0.0),),
-            terrain=str(sy.get("terrain", "default")),
         )
     except ValueError as exc:
         ctx.fail("sync", str(exc))

@@ -22,7 +22,7 @@ import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,43 +77,31 @@ class TwinState(NamedTuple):
 class PhysicalParams:
     """Plant parameters for the predictive model.
 
-    friction maps terrain class to a Coulomb coefficient; "default" is the
-    fallback. drag is a linear coefficient in N*s/m.
+    friction is a Coulomb coefficient; drag is a linear coefficient in N*s/m.
     """
 
     mass: float = 10.0
-    friction: Mapping[str, float] = field(default_factory=lambda: {"default": 0.0})
+    friction: float = 0.0
     drag: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if any(mu < 0 for mu in self.friction.values()):
-            raise ValueError("friction coefficients must be >= 0")
-
-    def mu(self, terrain: str) -> float:
-        if terrain in self.friction:
-            return self.friction[terrain]
-        return self.friction.get("default", 0.0)
+        if self.friction < 0:
+            raise ValueError("friction coefficient must be >= 0")
 
 
-def resistive_force(v: Vec3, params: PhysicalParams, terrain: str = "default") -> Vec3:
+def resistive_force(v: Vec3, params: PhysicalParams) -> Vec3:
     """Coulomb + linear drag resistance; exactly zero at zero velocity."""
     speed = _norm3(v)
     if speed == 0.0:
         return vec3()
-    c, d = params.mu(terrain) * params.mass * GRAVITY, params.drag
+    c, d = params.friction * params.mass * GRAVITY, params.drag
     x, y, z = v
     return (c * (x / speed) + d * x, c * (y / speed) + d * y, c * (z / speed) + d * z)
 
 
-def predict_step(
-    state: TwinState,
-    f_phys: Vec3,
-    params: PhysicalParams,
-    terrain: str = "default",
-    dt: float = 0.01,
-) -> TwinState:
+def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams, dt: float = 0.01) -> TwinState:
     """One semi-implicit integrator step of the predictive model.
 
     a = (f_phys - f_res) / m, v' = v + a*dt, p' = p + v'*dt. The velocity is
@@ -123,7 +111,7 @@ def predict_step(
     if dt <= 0:
         raise InvalidStep(f"dt must be positive, got {dt}")
     fx, fy, fz = f_phys
-    rx, ry, rz = resistive_force(state.v, params, terrain)
+    rx, ry, rz = resistive_force(state.v, params)
     (vx, vy, vz), (px, py, pz), m = state.v, state.p, params.mass
     vx, vy, vz = vx + (fx - rx) / m * dt, vy + (fy - ry) / m * dt, vz + (fz - rz) / m * dt
     return TwinState((px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz), state.heading, state.t + dt)
@@ -138,8 +126,7 @@ def sync_errors(phys: TwinState | StateUpdate, pred: TwinState) -> tuple[Vec3, V
 class SyncController:
     """PD gains, base gate thresholds, and the candidate gain grid.
 
-    t_ref and cap_factor shape the adaptive threshold law; response_mass,
-    accuracy_weight and energy_weight parameterize the gain-scheduling cost.
+    response_mass is the plant mass the gain-scheduling rollout assumes.
     """
 
     kp: float = 40.0
@@ -147,12 +134,7 @@ class SyncController:
     eps_pos: float = 0.05
     eps_vel: float = 0.1
     gain_grid: tuple[tuple[float, float], ...] = ()
-    t_ref: float = 10.0
-    cap_factor: float = 4.0
     response_mass: float = 10.0
-    accuracy_weight: float = 0.8
-    energy_weight: float = 0.2
-    heading_gain: float = 1.0
     f_corr_max: float = math.inf  # actuator saturation for the correction force
 
     def __post_init__(self) -> None:
@@ -167,11 +149,11 @@ def adaptive_thresholds(
 ) -> tuple[float, float]:
     """Relax gate thresholds with link degradation.
 
-    eps = eps_base * (1 + disconnect/t_ref) * (1 + loss), capped at
-    cap_factor times the base. Healthy links give the base thresholds back.
+    eps = eps_base * (1 + disconnect/THRESHOLD_T_REF) * (1 + loss), capped at
+    THRESHOLD_CAP times the base. Healthy links give the base thresholds back.
     """
-    factor = (1.0 + max(disconnect_duration, 0.0) / ctrl.t_ref) * (1.0 + max(loss_rate, 0.0))
-    factor = min(factor, ctrl.cap_factor)
+    factor = (1.0 + max(disconnect_duration, 0.0) / THRESHOLD_T_REF) * (1.0 + max(loss_rate, 0.0))
+    factor = min(factor, THRESHOLD_CAP)
     return ctrl.eps_pos * factor, ctrl.eps_vel * factor
 
 
@@ -247,7 +229,7 @@ def _gain_candidate_cost(
     n = len(window) * GAIN_ROLLOUT_STEPS
     acc_term = (acc / n) / ctrl.eps_pos
     energy_term = (energy / n) / force_scale
-    return ctrl.accuracy_weight * acc_term + ctrl.energy_weight * energy_term
+    return ACCURACY_WEIGHT * acc_term + ENERGY_WEIGHT * energy_term
 
 
 def _gain_force_scale(ctrl: SyncController, window: Sequence[GainSample]) -> float:
@@ -314,12 +296,15 @@ def gronwall_bound(model: SyncBoundModel, t: float) -> float:
     """Analytic error envelope at time t >= 0.
 
     Gronwall's inequality under a constant mismatch bound delta:
-    e0*exp(K*t) + delta*(exp(K*t) - 1).
+    e0*exp(K*t) + delta*(exp(K*t) - 1); inf once exp(K*t) overflows a float.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    k = model.lipschitz
-    return model.e0 * math.exp(k * t) + model.delta_bound * (math.exp(k * t) - 1.0)
+    try:
+        growth = math.exp(model.lipschitz * t)
+    except OverflowError:  # K*t > 709.78: no error can exceed the envelope
+        return math.inf
+    return model.e0 * growth + model.delta_bound * (growth - 1.0)
 
 
 # --- state updates on the wire -------------------------------------------------
@@ -360,7 +345,7 @@ def _advance(
 ) -> TwinState:
     """body's state one interval on, under force and yaw_rate; t_end pins the timestamp
     to the caller's tick grid so script breakpoints stay aligned across agent and twin."""
-    new = predict_step(body.state, force, body.params, body.terrain, dt)
+    new = predict_step(body.state, force, body.params, dt)
     return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * dt), t_end)
 
 
@@ -372,12 +357,10 @@ class PhysicalAgent:
         params: PhysicalParams,
         force_script: PiecewiseConstant,
         yaw_script: PiecewiseConstant | None = None,
-        terrain: str = "default",
     ) -> None:
         self.params = params
         self.force_script = force_script
         self.yaw_script = yaw_script or PiecewiseConstant(0.0)
-        self.terrain = terrain
         self.state = TwinState.at_rest()
 
     def step(self, dt: float, t_end: float) -> None:
@@ -403,14 +386,8 @@ HISTORY_WINDOW = 6.0
 class VirtualTwin:
     """Dead-reckoning twin with a bounded state history for staleness lookups."""
 
-    def __init__(
-        self,
-        params: PhysicalParams,
-        terrain: str = "default",
-        tick: float = 0.01,
-    ) -> None:
+    def __init__(self, params: PhysicalParams, tick: float = 0.01) -> None:
         self.params = params
-        self.terrain = terrain
         self.state = TwinState.at_rest()
         self.known_force = vec3()
         self.known_yaw_rate = 0.0
@@ -481,6 +458,14 @@ class SyncLoopConfig:
 
 # arrivals within this many seconds feed the loss estimate behind the adaptive thresholds
 LOSS_WINDOW = 5.0
+# a disconnect this many seconds long doubles the gate thresholds
+THRESHOLD_T_REF = 10.0
+# the thresholds relax to at most this multiple of the base; a position error
+# beyond it reschedules the gains at once
+THRESHOLD_CAP = 4.0
+# weights of the normalized residual error and of the correction energy in a gain candidate's cost
+ACCURACY_WEIGHT = 0.8
+ENERGY_WEIGHT = 0.2
 # corrections expire this many update periods after the arrival that set
 # them; during longer gaps the twin reverts to pure dead reckoning
 CORRECTION_HOLD_PERIODS = 2.0
@@ -588,7 +573,7 @@ def run_sync_loop(
             if (
                 config.adaptive_gains
                 and ctrl.gain_grid
-                and _norm3(e_pos) > ctrl.cap_factor * ctrl.eps_pos
+                and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos
             ):
                 kp, kd = schedule_gains(ctrl, list(gain_samples))
                 ctrl = replace(ctrl, kp=kp, kd=kd)
@@ -605,7 +590,7 @@ def run_sync_loop(
             correction_expires = now + CORRECTION_HOLD_PERIODS * config.update_period
             if correcting:
                 report.corrections_applied += 1
-            twin.nudge_heading(ctrl.heading_gain * e_rot)
+            twin.nudge_heading(e_rot)
             twin.known_force = update.force
             twin.known_yaw_rate = update.yaw_rate
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinbridge import bridge
 from twinbridge.bridge import (
     HEARTBEAT_TOPIC,
     REPLAY_TOPIC,
@@ -644,10 +645,10 @@ class TestDeadlineHeaps:
             ("/cb", 1, 2, 3.3999999999999715),
             ("/ca", 4, 4, 3.4999999999999694),
         ]
-        # no run goes unasked for longer than replay_retry (plus the tick that finds its deadline)
+        # no run goes unasked for longer than REPLAY_RETRY (plus the tick that finds its deadline)
         for run in {request[:3] for request in requests}:
             times = [now for *named, now in requests if tuple(named) == run]
-            assert max(b - a for a, b in zip(times, times[1:])) < EndpointConfig.replay_retry + EndpointConfig.tick
+            assert max(b - a for a, b in zip(times, times[1:])) < bridge.REPLAY_RETRY + EndpointConfig.tick
         assert len(requests) == 3 * EndpointConfig.replay_attempts
 
 

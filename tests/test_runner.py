@@ -16,6 +16,20 @@ from twinbridge.scenario import load_scenario
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+# (path, default) of each tuning value that is a module constant, not a scenario key:
+# no scenario set one to anything but its default
+CONSTANT_KEYS = [
+    ("sync.terrain", "default"),
+    ("sync.t_ref", 10.0),
+    ("sync.cap_factor", 4.0),
+    ("sync.heading_gain", 1.0),
+    ("sync.accuracy_weight", 0.8),
+    ("sync.energy_weight", 0.2),
+    ("bridge.sub_capacity", 4096),
+    ("bridge.replay_retry", 0.3),
+]
+
+
 @pytest.fixture(scope="module")
 def sweep_scenario():
     return load_scenario(SCENARIOS / "bridge_sweep.yaml")
@@ -309,6 +323,7 @@ class TestCli:
             "duration: 5.0\nsync:\n  force_script: [[0.0, x, 0.0, 0.0]]\n",
             "duration: 5.0\nsync:\n  friction: [1, 2]\n",
             "duration: 5.0\nsync:\n  friction: {default: -0.5}\n",
+            "duration: 5.0\nsync:\n  friction: -0.5\n",
             "duration: 5.0\nsync:\n  bound: 5\n",
             "duration: 5.0\nnetwork:\n  latency: [[0.0, abc]]\n",
             "duration: 5.0\nnetwork:\n  disconnects: [[a, 1.0]]\n",
@@ -353,6 +368,55 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         lines = result.output.splitlines()
         assert lines and all(line.startswith("error: ") and "(line " in line for line in lines)
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            ("sync:\n  friction: -0.5\n", ["sync.friction (line 5): must be >= 0.0, got -0.5"]),
+            (
+                "sync:\n  friction: {default: 0.0}\n",
+                ["sync.friction (line 5): expected a finite number, got {'default': 0.0}"],
+            ),
+            (
+                "bridge:\n  redundancy: 5\n  shares: [0.9, 0.9, 0.1]\n",
+                [
+                    "bridge.redundancy (line 5): must be <= 3, got 5",
+                    "bridge.shares (line 6): shares must be 3 non-negative fractions summing to <= 1",
+                ],
+            ),
+        ],
+        ids=["negative-friction", "friction-by-terrain", "redundancy-and-shares"],
+    )
+    def test_each_problem_is_reported_at_its_own_key(self, tmp_path, body, expected):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: bad\nseed: 1\nduration: 5.0\n" + body, encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert sorted(result.output.splitlines()) == [f"error: {line}" for line in expected]
+
+    @pytest.mark.parametrize("path, value", CONSTANT_KEYS, ids=[path for path, _ in CONSTANT_KEYS])
+    def test_a_constant_tuning_value_is_not_a_key(self, tmp_path, path, value):
+        section, key = path.split(".")
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(f"name: bad\nseed: 1\nduration: 1.0\n{section}:\n  {key}: {value}\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {path} (line 5): unknown key; expected one of ["), line
+
+    def test_an_envelope_past_float_range_is_no_bound_not_a_traceback(self, tmp_path):
+        # K*t passes 709.78 at t = 7.1 s, where exp(K*t) overflows a float
+        text = (SCENARIOS / "sync_default.yaml").read_text(encoding="utf-8")
+        scenario = tmp_path / "k100.yaml"
+        scenario.write_text(
+            text.replace("duration: 40.0", "duration: 8.0").replace("lipschitz: 0.8", "lipschitz: 100.0"),
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["run", str(scenario), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert "sync_bound_violations: 0" in result.output.splitlines()
+        last = (tmp_path / "out" / "sync.csv").read_text(encoding="utf-8").splitlines()[-1]
+        assert last.split(",")[3] == "-1.0"  # sync.csv writes a non-finite bound as -1.0
 
     @pytest.mark.parametrize(
         "policy, expected",

@@ -107,7 +107,7 @@ geo:
     def test_empty_sync_section_takes_the_twinsync_defaults(self, tmp_path):
         spec = load_scenario(write(tmp_path, MINIMAL + "sync: {}\n")).sync
         assert spec.controller == SyncController()
-        assert spec.params == PhysicalParams(friction={"default": 0.0})
+        assert spec.params == PhysicalParams(friction=0.0)
         assert spec.loop == SyncLoopConfig()
         assert spec.bound is None
         assert spec.force_script == ((0.0, 0.0, 0.0, 0.0),)

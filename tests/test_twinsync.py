@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant, SimClock
 from twinbridge.twinsync import (
+    ACCURACY_WEIGHT,
+    ENERGY_WEIGHT,
     GainSample,
     InvalidStep,
     PhysicalAgent,
@@ -34,7 +36,7 @@ from twinbridge.twinsync import (
 
 
 def params(mass=10.0, mu=0.0, drag=0.0):
-    return PhysicalParams(mass=mass, friction={"default": mu}, drag=drag)
+    return PhysicalParams(mass=mass, friction=mu, drag=drag)
 
 
 def allclose(a, b, rtol=1e-5, atol=1e-8):
@@ -220,8 +222,8 @@ def oracle_schedule_gains(ctrl: SyncController, window) -> tuple[float, float]:
                 energy += norm
         n = len(window) * steps
         costs.append(
-            ctrl.accuracy_weight * (acc / n) / ctrl.eps_pos
-            + ctrl.energy_weight * (energy / n) / scale
+            ACCURACY_WEIGHT * (acc / n) / ctrl.eps_pos
+            + ENERGY_WEIGHT * (energy / n) / scale
         )
     best = min(range(len(costs)), key=lambda i: costs[i])
     return ctrl.gain_grid[best]
@@ -298,6 +300,10 @@ class TestGronwallBound:
         model = SyncBoundModel(lipschitz=0.8, delta_bound=0.3, e0=0.05)
         expected = quadrature_oracle(0.8, lambda _t: 0.3, 0.05, 2.5)
         assert gronwall_bound(model, 2.5) == pytest.approx(expected, rel=1e-4)
+
+    def test_overflowing_growth_is_an_infinite_envelope(self):
+        # exp(K*t) overflows a float once K*t > 709.78; no error can exceed the envelope there
+        assert gronwall_bound(SyncBoundModel(1.0, 0.5), 710.0) == math.inf
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
