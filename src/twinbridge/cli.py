@@ -76,7 +76,7 @@ def sweep_cmd(scenario_path: str, counts: str, seed: int | None, out_dir: str | 
     result = sweep_agents(scenario_path, count_list, seed=seed, baseline=baseline)
     click.echo(",".join(SWEEP_HEADER))
     for row in result.rows:
-        click.echo(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        click.echo(",".join(map(str, row)))
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

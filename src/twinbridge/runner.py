@@ -40,12 +40,6 @@ SWEEP_HEADER = (
 SYNC_LINK_SEED = 0x517CC1B7
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass
 class RunReport:
     """Aggregated outcome of one scenario run."""
@@ -79,8 +73,7 @@ class RunReport:
         written = []
         written.append(_write_csv(out / "topics.csv", TOPICS_HEADER, self.topic_rows))
         written.append(_write_csv(out / "tiers.csv", TIERS_HEADER, self.tier_rows))
-        summary_rows = sorted((k, _fmt(v)) for k, v in self.summary.items())
-        written.append(_write_csv(out / "summary.csv", SUMMARY_HEADER, summary_rows))
+        written.append(_write_csv(out / "summary.csv", SUMMARY_HEADER, sorted(self.summary.items())))
         if self.sync is not None:
             written.append(_write_csv(out / "sync.csv", SYNC_HEADER, self.sync.rows()))
         if self.mmcf_rows:
@@ -94,8 +87,7 @@ def _write_csv(path: Path, header: tuple, rows) -> Path:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
     return path
 
 
@@ -149,17 +141,10 @@ def _traffic_report(report: RunReport, result: TrafficResult) -> None:
     )
 
 
-def run_sync_section(
-    scenario: Scenario,
-    seed: int,
-    kp: float | None = None,
-    kd: float | None = None,
-    adaptive: bool | None = None,
-) -> SyncReport:
+def run_sync_section(scenario: Scenario, seed: int) -> SyncReport:
     """Execute the twin-synchronization section over its own impaired link.
 
-    kp/kd/adaptive override the scenario values, which is how fixed-gain
-    comparison runs share one scenario definition.
+    The gains are scheduled over the controller's gain grid if it has one.
     """
     spec = scenario.sync
     assert spec is not None
@@ -168,27 +153,26 @@ def run_sync_section(
     force = PiecewiseConstant((t, vec3(x, y, z)) for t, x, y, z in spec.force_script)
     agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script))
     twin = VirtualTwin(spec.params, tick=spec.loop.tick)
-    ctrl = spec.controller
-    if kp is not None or kd is not None:
-        ctrl = replace(ctrl, kp=ctrl.kp if kp is None else kp, kd=ctrl.kd if kd is None else kd)
     loop = replace(spec.loop, duration=scenario.duration)
-    if adaptive is not None:
-        loop = replace(loop, adaptive_gains=adaptive)
-    return run_sync_loop(agent, twin, ctrl, link, clock, loop, spec.bound)
+    return run_sync_loop(agent, twin, spec.controller, link, clock, loop, spec.bound)
 
 
 def sync_gain_comparison(
     scenario: Scenario,
 ) -> tuple[SyncReport, dict[tuple[float, float], SyncReport]]:
-    """Adaptive run plus one fixed-gain run per grid candidate."""
+    """The scenario's gain-scheduled run plus one fixed-gain run per grid candidate.
+
+    A fixed-gain run is the same scenario with the candidate's kp/kd and an
+    empty gain grid.
+    """
     spec = scenario.sync
     if spec is None or not spec.controller.gain_grid:
         raise ValueError("scenario has no sync section with a gain grid")
-    adaptive_report = run_sync_section(scenario, scenario.seed, adaptive=True)
-    fixed = {
-        (kp, kd): run_sync_section(scenario, scenario.seed, kp=kp, kd=kd, adaptive=False)
-        for kp, kd in spec.controller.gain_grid
-    }
+    adaptive_report = run_sync_section(scenario, scenario.seed)
+    fixed = {}
+    for kp, kd in spec.controller.gain_grid:
+        ctrl = replace(spec.controller, kp=kp, kd=kd, gain_grid=())
+        fixed[kp, kd] = run_sync_section(replace(scenario, sync=replace(spec, controller=ctrl)), scenario.seed)
     return adaptive_report, fixed
 
 

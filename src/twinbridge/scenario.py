@@ -220,25 +220,36 @@ def _whole(value) -> int | None:
     return int(number) if number is not None and number.is_integer() else None
 
 
-def _vector(ctx: _Ctx, raw, path: str, width: int, what: str) -> tuple[float, ...] | None:
-    """raw as a list of `width` finite numbers, each as a float; None after a diagnostic."""
+def _vector(ctx: _Ctx, raw, path: str, width: int, what: str, minimum=-math.inf) -> tuple[float, ...] | None:
+    """raw as a list of `width` finite numbers >= minimum, each as a float; None after a diagnostic."""
     if isinstance(raw, list) and len(raw) == width:
         row = tuple(_finite(x) for x in raw)
-        if None not in row:
+        if None not in row and min(row) >= minimum:
             return row
     ctx.fail(path, f"expected {what}")
     return None
 
 
-def _rows(ctx: _Ctx, raw, path: str, width: int, what: str) -> list[tuple[float, ...]]:
+def _rows(ctx: _Ctx, raw, path: str, width: int, what: str, minimum=-math.inf) -> list[tuple[float, ...]]:
     """A list of `width`-number rows (null is none); each bad row is reported and skipped."""
     if raw is None:
         return []
     if not isinstance(raw, list):
         ctx.fail(path, f"expected a list of {what} rows")
         return []
-    rows = [_vector(ctx, row, f"{path}[{i}]", width, what) for i, row in enumerate(raw)]
+    rows = [_vector(ctx, row, f"{path}[{i}]", width, what, minimum) for i, row in enumerate(raw)]
     return [row for row in rows if row is not None]
+
+
+def _shares(ctx: _Ctx, raw, path: str) -> tuple[float, ...] | None:
+    """raw as [critical, standard, bulk] budget fractions; None for null or after a diagnostic."""
+    shares = None if raw is None else _vector(ctx, raw, path, 3, "[critical, standard, bulk] fractions")
+    try:
+        check_shares(shares)
+    except ValueError as exc:
+        ctx.fail(path, str(exc))
+        return None
+    return shares
 
 
 def _strings(ctx: _Ctx, raw, path: str) -> tuple[str, ...]:
@@ -270,8 +281,13 @@ class SyncSpec:
 
 # mmcf.space axes, in BridgeConfig's field order
 _MMCF_AXES = ("redundancy", "shares", "replay_capacity", "discovery_period", "batch")
-# each scalar axis's reading of one value: None for a value it rejects
-_MMCF_SCALAR_AXES = {"redundancy": _whole, "replay_capacity": _whole, "discovery_period": _finite, "batch": _whole}
+# each scalar axis's reading of one value (None for a value it rejects) and the range of its bridge: key
+_MMCF_SCALAR_AXES = {
+    "redundancy": (_whole, {"minimum": 0, "maximum": 3}),
+    "replay_capacity": (_whole, {"minimum": 1}),
+    "discovery_period": (_finite, {"positive": True}),
+    "batch": (_whole, {"minimum": 1}),
+}
 
 
 @dataclass(frozen=True)
@@ -286,11 +302,10 @@ class MmcfSpec:
         out = []
         axes = (self.space[axis] for axis in _MMCF_AXES)
         for red, shares, cap, period, batch in itertools.product(*axes):
-            shares_t = tuple(shares) if shares is not None else None
             out.append(
                 BridgeConfig(
                     redundancy=red,
-                    shares=shares_t,
+                    shares=shares,
                     replay_capacity=cap,
                     discovery_period=period,
                     batch_size=batch,
@@ -449,14 +464,7 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfi
         allow=_strings(ctx, disc_raw.get("allow"), "bridge.discovery.allow"),
         deny=_strings(ctx, disc_raw.get("deny"), "bridge.discovery.deny"),
     )
-    shares = br.get("shares")
-    if shares is not None:
-        shares = _vector(ctx, shares, "bridge.shares", 3, "[critical, standard, bulk] fractions")
-        try:
-            check_shares(shares)
-        except ValueError as exc:
-            ctx.fail("bridge.shares", str(exc))
-            shares = None
+    shares = _shares(ctx, br.get("shares"), "bridge.shares")
     # each value is checked here at its own key, so EndpointConfig has nothing left to reject
     endpoint = EndpointConfig(
         prioritized=True,
@@ -514,10 +522,10 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
 
 # numeric sync keys, each named after the field of PhysicalParams, SyncController or
 # SyncLoopConfig that it sets; the first group must be positive, the second >= 0
-_SYNC_POSITIVE = ("mass", "eps_pos", "eps_vel", "response_mass", "f_corr_max", "tick", "gain_window")
+_SYNC_POSITIVE = ("mass", "eps_pos", "eps_vel", "f_corr_max", "tick", "gain_window")
 _SYNC_NON_NEGATIVE = ("friction", "drag", "kp", "kd")
 _SYNC_KEYS = _SYNC_POSITIVE + _SYNC_NON_NEGATIVE + (
-    "gain_grid", "update_rate", "adaptive_gains", "force_script", "yaw_script", "bound",
+    "gain_grid", "update_rate", "force_script", "yaw_script", "bound",
 )
 
 
@@ -535,36 +543,30 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
         {key: value for key, value in numbers.items() if key in {f.name for f in fields(config)}}
         for config in (PhysicalParams, SyncController, SyncLoopConfig)
     )
-    controller["gain_grid"] = tuple(_rows(ctx, sy.get("gain_grid"), "sync.gain_grid", 2, "[kp, kd]"))
+    controller["gain_grid"] = tuple(_rows(ctx, sy.get("gain_grid"), "sync.gain_grid", 2, "[kp, kd], each >= 0", 0.0))
     update_rate = ctx.number(sy, "sync", "update_rate", positive=True)
     if update_rate is not None:
         loop["update_period"] = 1.0 / update_rate
-    adaptive = ctx.get(sy, "sync", "adaptive_gains", bool)
-    if adaptive is not None:
-        loop["adaptive_gains"] = adaptive
     force = _rows(ctx, sy.get("force_script"), "sync.force_script", 4, "[t, fx, fy, fz]")
     yaw = _rows(ctx, sy.get("yaw_script"), "sync.yaw_script", 2, "[t, yaw_rate]")
     bound_raw = ctx.get(sy, "sync", "bound", dict) if sy.get("bound") is not None else None
-    try:
-        bound = None
-        if bound_raw is not None:
-            ctx.known(bound_raw, "sync.bound", ("lipschitz", "delta", "e0"))
-            k = ctx.number(bound_raw, "sync.bound", "lipschitz", required=True, positive=True)
-            delta = ctx.number(bound_raw, "sync.bound", "delta", required=True, minimum=0.0)
-            e0 = ctx.number(bound_raw, "sync.bound", "e0", minimum=0.0)
-            if k is not None and delta is not None:
-                bound = SyncBoundModel(k, delta) if e0 is None else SyncBoundModel(k, delta, e0)
-        return SyncSpec(
-            params=PhysicalParams(**params),
-            controller=SyncController(**controller),
-            loop=SyncLoopConfig(**loop),
-            bound=bound,
-            force_script=tuple(force) or ((0.0, 0.0, 0.0, 0.0),),
-            yaw_script=tuple(yaw) or ((0.0, 0.0),),
-        )
-    except ValueError as exc:
-        ctx.fail("sync", str(exc))
-        return None
+    bound = None
+    if bound_raw is not None:
+        ctx.known(bound_raw, "sync.bound", ("lipschitz", "delta", "e0"))
+        k = ctx.number(bound_raw, "sync.bound", "lipschitz", required=True, positive=True)
+        delta = ctx.number(bound_raw, "sync.bound", "delta", required=True, minimum=0.0)
+        e0 = ctx.number(bound_raw, "sync.bound", "e0", minimum=0.0)
+        if k is not None and delta is not None:
+            bound = SyncBoundModel(k, delta) if e0 is None else SyncBoundModel(k, delta, e0)
+    # each value is checked here at its own key, so these configs have nothing left to reject
+    return SyncSpec(
+        params=PhysicalParams(**params),
+        controller=SyncController(**controller),
+        loop=SyncLoopConfig(**loop),
+        bound=bound,
+        force_script=tuple(force) or ((0.0, 0.0, 0.0, 0.0),),
+        yaw_script=tuple(yaw) or ((0.0, 0.0),),
+    )
 
 
 def _parse_mmcf(
@@ -597,21 +599,18 @@ def _parse_mmcf(
         if not isinstance(values, list) or not values:
             ctx.fail(f"mmcf.space.{key}", "expected a non-empty list of values")
             continue
-        read = _MMCF_SCALAR_AXES.get(key)
-        if read is not None:
+        if key == "shares":
+            values = [_shares(ctx, row, f"mmcf.space.shares[{i}]") for i, row in enumerate(values)]
+        else:
+            read, limits = _MMCF_SCALAR_AXES[key]
             if None in [read(v) for v in values]:
                 what = "integers" if read is _whole else "finite numbers"
                 ctx.fail(f"mmcf.space.{key}", f"expected a list of {what}, got {values!r:.40}")
                 continue
-            values = [read(v) for v in values]
-        space[key] = tuple(tuple(v) if isinstance(v, list) else v for v in values)
+            values = [ctx.number({key: v}, "mmcf.space", key, integer=read is _whole, **limits) for v in values]
+        space[key] = tuple(values)
     probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, integer=True)
-    spec = MmcfSpec(weights=weights, space=space, probes=probes)
-    try:
-        spec.configs()  # each value converts, and each configuration is in range
-    except (ValueError, TypeError, OverflowError) as exc:
-        ctx.fail("mmcf.space", str(exc))
-    return spec
+    return MmcfSpec(weights=weights, space=space, probes=probes)
 
 
 def _parse_geo(ctx: _Ctx, data: dict) -> GeoSpec | None:

@@ -126,7 +126,8 @@ def sync_errors(phys: TwinState | StateUpdate, pred: TwinState) -> tuple[Vec3, V
 class SyncController:
     """PD gains, base gate thresholds, and the candidate gain grid.
 
-    response_mass is the plant mass the gain-scheduling rollout assumes.
+    A non-empty gain_grid turns gain scheduling on: run_sync_loop then
+    switches kp/kd among its candidates. An empty one keeps kp/kd fixed.
     """
 
     kp: float = 40.0
@@ -134,7 +135,6 @@ class SyncController:
     eps_pos: float = 0.05
     eps_vel: float = 0.1
     gain_grid: tuple[tuple[float, float], ...] = ()
-    response_mass: float = 10.0
     f_corr_max: float = math.inf  # actuator saturation for the correction force
 
     def __post_init__(self) -> None:
@@ -196,6 +196,7 @@ def _gain_candidate_cost(
     window: Sequence[GainSample],
     ctrl: SyncController,
     force_scale: float,
+    mass: float,
 ) -> float:
     """Simulated window-ahead cost of one gain candidate.
 
@@ -204,9 +205,10 @@ def _gain_candidate_cost(
     of the information the correction acts on, so the force at each step is
     computed from the state `lag` steps back. The rollout exposes the
     delay-induced ringing of over-stiff gains that a one-step model misses.
+    mass is the plant mass the correction force accelerates.
     """
     h = min(dt for dt, _, _ in window)
-    g = h / ctrl.response_mass
+    g = h / mass
     acc = 0.0
     energy = 0.0
     for dt, e_pos, e_vel in window:
@@ -250,9 +252,10 @@ def _gain_force_scale(ctrl: SyncController, window: Sequence[GainSample]) -> flo
     return scale if scale > 0 else 1.0
 
 
-def schedule_gains(ctrl: SyncController, window: Sequence[GainSample]) -> tuple[float, float]:
-    """Pick the grid candidate minimizing the one-step-ahead weighted cost.
+def schedule_gains(ctrl: SyncController, window: Sequence[GainSample], mass: float) -> tuple[float, float]:
+    """Pick the grid candidate minimizing the window-ahead weighted cost.
 
+    Each candidate is rolled out on a plant of the given mass (the twin's).
     The cost trades predicted residual position error (normalized by the
     base position threshold) against correction energy (normalized by the
     largest grid response to the window's own error scale). Ties break to
@@ -266,7 +269,7 @@ def schedule_gains(ctrl: SyncController, window: Sequence[GainSample]) -> tuple[
     best_idx = 0
     best_cost = math.inf
     for idx, (kp, kd) in enumerate(ctrl.gain_grid):
-        cost = _gain_candidate_cost(kp, kd, window, ctrl, force_scale)
+        cost = _gain_candidate_cost(kp, kd, window, ctrl, force_scale, mass)
         if cost < best_cost:
             best_cost = cost
             best_idx = idx
@@ -452,7 +455,6 @@ class SyncLoopConfig:
     duration: float = 30.0
     tick: float = 0.01
     update_period: float = 0.1
-    adaptive_gains: bool = False
     gain_window: float = 2.0
 
 
@@ -489,8 +491,10 @@ def run_sync_loop(
     last known force plus any held correction, due updates cross the link,
     and arrivals gate PD corrections through the adaptive thresholds. The
     report records the true instantaneous error every tick alongside the
-    analytic envelope and flags any sample exceeding it. Gain switches rebind
-    a local controller; the caller's ctrl is left as passed.
+    analytic envelope and flags any sample exceeding it. A non-empty
+    ctrl.gain_grid reschedules the gains every config.gain_window, and at once
+    on a grossly out-of-band error, rolling candidates out on the twin's mass.
+    Gain switches rebind a local controller; the caller's ctrl is left as passed.
     """
     report = SyncReport()
     ticks = int(round(config.duration / config.tick))
@@ -570,12 +574,8 @@ def run_sync_loop(
 
             # escalation: a grossly out-of-band error reschedules immediately
             # so the transient is handled with freshly chosen gains
-            if (
-                config.adaptive_gains
-                and ctrl.gain_grid
-                and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos
-            ):
-                kp, kd = schedule_gains(ctrl, list(gain_samples))
+            if ctrl.gain_grid and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos:
+                kp, kd = schedule_gains(ctrl, list(gain_samples), twin.params.mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 last_reschedule = now
 
@@ -594,9 +594,9 @@ def run_sync_loop(
             twin.known_force = update.force
             twin.known_yaw_rate = update.yaw_rate
 
-        if config.adaptive_gains and ctrl.gain_grid and now - last_reschedule >= config.gain_window:
+        if ctrl.gain_grid and now - last_reschedule >= config.gain_window:
             if gain_samples:
-                kp, kd = schedule_gains(ctrl, list(gain_samples))
+                kp, kd = schedule_gains(ctrl, list(gain_samples), twin.params.mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
             last_reschedule = now
 

@@ -10,14 +10,15 @@ import pytest
 from click.testing import CliRunner
 
 from twinbridge.cli import main
-from twinbridge.runner import TOPICS_HEADER, compare, load_report, run, sweep_agents
+from twinbridge.runner import TOPICS_HEADER, compare, load_report, run, sweep_agents, sync_gain_comparison
 from twinbridge.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-# (path, default) of each tuning value that is a module constant, not a scenario key:
-# no scenario set one to anything but its default
+# (path, value) of each former key that is now a module constant, because no scenario set
+# it to anything but its default, or that other keys decide: a non-empty gain_grid turns
+# gain scheduling on, and its rollout uses the twin's mass
 CONSTANT_KEYS = [
     ("sync.terrain", "default"),
     ("sync.t_ref", 10.0),
@@ -27,6 +28,8 @@ CONSTANT_KEYS = [
     ("sync.energy_weight", 0.2),
     ("bridge.sub_capacity", 4096),
     ("bridge.replay_retry", 0.3),
+    ("sync.adaptive_gains", "true"),
+    ("sync.response_mass", 10.0),
 ]
 
 
@@ -131,6 +134,15 @@ class TestRun:
         assert x > 0 and z > 0 and y == pytest.approx(2.0)
         _, _, _, x2, y2, z2 = report.geo_rows[1]
         assert x2 < 0 and z2 < 0 and y2 == pytest.approx(-2.0)
+
+    def test_gain_comparison_holds_each_fixed_run_at_its_candidate(self):
+        scenario = load_scenario(SCENARIOS / "sync_disconnect.yaml")
+        grid = scenario.sync.controller.gain_grid
+        adaptive, fixed = sync_gain_comparison(scenario)
+        assert sorted(fixed) == sorted(grid)
+        for gains, report in fixed.items():
+            assert set(zip(report.kp, report.kd)) == {gains}
+        assert set(zip(adaptive.kp, adaptive.kd)) == set(grid)
 
 
 class TestCompare:
@@ -384,8 +396,28 @@ class TestCli:
                     "bridge.shares (line 6): shares must be 3 non-negative fractions summing to <= 1",
                 ],
             ),
+            (
+                "sync:\n  gain_grid: [[-1.0, 2.0], [3.0, 4.0]]\n",
+                ["sync.gain_grid[0] (line 5): expected [kp, kd], each >= 0"],
+            ),
+            (
+                "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n"
+                "  space: {redundancy: [0, 5], batch: [0, 2], shares: [[0.9, 0.9, 0.9]]}\n",
+                [
+                    "mmcf.space.batch (line 6): must be >= 1, got 0",
+                    "mmcf.space.redundancy (line 6): must be <= 3, got 5",
+                    "mmcf.space.shares[0] (line 6): shares must be 3 non-negative fractions summing to <= 1",
+                ],
+            ),
+            (
+                "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {shares: [[0.5, \"x\", 0.1]]}\n",
+                ["mmcf.space.shares[0] (line 6): expected [critical, standard, bulk] fractions"],
+            ),
         ],
-        ids=["negative-friction", "friction-by-terrain", "redundancy-and-shares"],
+        ids=[
+            "negative-friction", "friction-by-terrain", "redundancy-and-shares", "negative-gain",
+            "mmcf-space-axes", "mmcf-space-share-not-a-number",
+        ],
     )
     def test_each_problem_is_reported_at_its_own_key(self, tmp_path, body, expected):
         bad = tmp_path / "bad.yaml"

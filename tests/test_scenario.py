@@ -1,6 +1,7 @@
 """Scenario file parsing, validation diagnostics, and shipped-file sanity."""
 
 import copy
+import re
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, TIER_STANDARD
 from twinbridge.msgbus import MessageKind
-from twinbridge.scenario import ScenarioParseError, load_scenario
+from twinbridge.scenario import _SYNC_KEYS, ScenarioParseError, load_scenario
 from twinbridge.twinsync import PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -313,6 +314,16 @@ class TestShippedScenarios:
         probes = scenario.mmcf.probe_configs()
         assert len(probes) == 6
         assert set(probes) <= set(scenario.mmcf.configs())
+
+
+def test_readme_sync_key_table_names_every_sync_key():
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("The `sync:` section sets fields", 1)[1].split("\n\n", 2)[1]
+    named = set()
+    for row in table.splitlines()[2:]:  # after the header and the rule
+        keys = re.sub(r"\([^)]*\)", "", row.split("|")[1])  # drop notes such as (`[kp, kd]` rows)
+        named.update(re.findall(r"`(\w+)", keys))
+    assert named == set(_SYNC_KEYS)
 
 
 def _leaf_paths(node, path=()):

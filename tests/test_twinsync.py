@@ -192,7 +192,7 @@ class TestPdCorrect:
         assert allclose(f2, [lam * x for x in f1], atol=1e-9)
 
 
-def oracle_schedule_gains(ctrl: SyncController, window) -> tuple[float, float]:
+def oracle_schedule_gains(ctrl: SyncController, window, mass: float) -> tuple[float, float]:
     """Independent reimplementation: exhaustive delayed-feedback rollouts."""
     kp_max = max(kp for kp, _ in ctrl.gain_grid)
     kd_max = max(kd for _, kd in ctrl.gain_grid)
@@ -215,7 +215,7 @@ def oracle_schedule_gains(ctrl: SyncController, window) -> tuple[float, float]:
                 if norm > ctrl.f_corr_max:
                     f = f * (ctrl.f_corr_max / norm)
                     norm = ctrl.f_corr_max
-                ev = ev - (h / ctrl.response_mass) * f
+                ev = ev - (h / mass) * f
                 e = e + h * ev
                 hist.append((e, ev))
                 acc += float(np.linalg.norm(e))
@@ -239,34 +239,35 @@ class TestScheduleGains:
 
     def test_single_candidate(self):
         ctrl = SyncController(gain_grid=((5.0, 1.0),))
-        assert schedule_gains(ctrl, self.window(random.Random(1))) == (5.0, 1.0)
+        assert schedule_gains(ctrl, self.window(random.Random(1)), 10.0) == (5.0, 1.0)
 
     def test_dominating_candidate_wins(self):
         # zero velocity errors: (1, 0) beats (400, 0) on both accuracy and energy
-        ctrl = SyncController(gain_grid=((400.0, 0.0), (1.0, 0.0)), response_mass=1.0)
+        ctrl = SyncController(gain_grid=((400.0, 0.0), (1.0, 0.0)))
         window = [(0.1, vec3(1.0), vec3())]
-        assert schedule_gains(ctrl, window) == (1.0, 0.0)
+        assert schedule_gains(ctrl, window, 1.0) == (1.0, 0.0)
 
     def test_empty_window_keeps_current(self):
         ctrl = SyncController(kp=7.0, kd=3.0, gain_grid=((1.0, 1.0), (2.0, 2.0)))
-        assert schedule_gains(ctrl, []) == (7.0, 3.0)
+        assert schedule_gains(ctrl, [], 10.0) == (7.0, 3.0)
 
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(77)
         grid = tuple((kp, kd) for kp in (10.0, 40.0, 160.0) for kd in (5.0, 20.0, 80.0))
         for _ in range(25):
-            ctrl = SyncController(gain_grid=grid, response_mass=rng.choice([1.0, 10.0]))
+            ctrl = SyncController(gain_grid=grid)
+            mass = rng.choice([1.0, 10.0])
             window = self.window(rng, n=rng.randint(1, 8))
-            assert schedule_gains(ctrl, window) == oracle_schedule_gains(ctrl, window)
+            assert schedule_gains(ctrl, window, mass) == oracle_schedule_gains(ctrl, window, mass)
 
     def test_tie_breaks_to_lowest_index(self):
         ctrl = SyncController(gain_grid=((3.0, 1.0), (3.0, 1.0)))
         window = [(0.1, vec3(0.5), vec3(0.1))]
-        assert schedule_gains(ctrl, window) == ctrl.gain_grid[0]
+        assert schedule_gains(ctrl, window, 10.0) == ctrl.gain_grid[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            schedule_gains(SyncController(gain_grid=()), [])
+            schedule_gains(SyncController(gain_grid=()), [], 10.0)
 
 
 def quadrature_oracle(k, delta_fn, e0, t, n=200_000):
@@ -390,7 +391,7 @@ class TestRunSyncLoop:
         p = params(mass=10.0, drag=1.5)
         agent = PhysicalAgent(p, PiecewiseConstant([(0.0, vec3(2.0))]))
         ctrl = SyncController(kp=40.0, kd=30.0, gain_grid=((12.0, 10.0), (110.0, 40.0)))
-        config = SyncLoopConfig(duration=3.0, adaptive_gains=True, gain_window=1.0)
+        config = SyncLoopConfig(duration=3.0, gain_window=1.0)
         report = run_sync_loop(agent, VirtualTwin(p), ctrl, link, clock, config)
         assert (ctrl.kp, ctrl.kd) == (40.0, 30.0)
         assert (report.kp[0], report.kd[0]) == (40.0, 30.0)
