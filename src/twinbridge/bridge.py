@@ -1,15 +1,15 @@
 """Prioritized, fault-tolerant topic bridging between two buses over a link.
 
-An endpoint runs three duties on the shared simulation clock:
+An endpoint bridges the fixed list of topics in its config, and runs two
+duties on the shared simulation clock:
 
 * egress: drain only the subscribed topics that received messages, classify
   each message into a priority tier, and queue its envelope per tier; the tier
-  scheduler empties the queues under a per-tick byte budget fixed from the
-  link's bandwidth cap, and each frame is encoded as it goes on the link;
+  scheduler empties the queues in strict priority under a per-tick byte budget
+  fixed from the link's bandwidth cap, and each frame is encoded as it goes on
+  the link;
 * ingress: decode arriving frames, deduplicate by sequence number, republish
-  on the local bus in per-topic sequence order, and detect gaps;
-* discovery: periodically subscribe to newly advertised topics that pass the
-  allow/deny lists.
+  on the local bus in per-topic sequence order, and detect gaps.
 
 The receiver keeps each critical topic's missing seqs as disjoint runs, and
 asks the peer over the reverse link to replay them; a request never names a
@@ -34,9 +34,9 @@ nothing ready, queued or due, costs O(1): it only reschedules itself.
 Every frame sent is retained in a per-topic replay ring that keeps the last
 `replay_capacity` frames of each topic.
 
-A baseline mode (prioritization, replay, and discovery all off, every topic
-in the standard queue sent FIFO) stands in for a conventional unprioritized
-setup in comparisons.
+A baseline mode (prioritization and replay off, every topic in the standard
+queue sent FIFO) stands in for a conventional unprioritized setup in
+comparisons.
 
 Nothing that arrives from the peer raises out of an endpoint: a batch that
 does not decode, and a decoded frame the endpoint cannot act on, are counted
@@ -152,40 +152,7 @@ class ReplayBuffer:
         return bool(ring) and ring[0].seq <= seq <= ring[-1].seq
 
 
-# --- discovery ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscoveryConfig:
-    """Dynamic topic discovery, off unless enabled: period and allow/deny glob lists."""
-
-    enabled: bool = False
-    period: float = 0.5
-    allow: tuple[str, ...] = ()
-    deny: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.enabled and not self.period > 0:  # NaN fails too
-            raise ValueError("discovery period must be positive when enabled")
-
-    def permits(self, topic: str) -> bool:
-        if topic.startswith(CONTROL_PREFIX):
-            return False
-        if self.allow and not any(fnmatchcase(topic, pat) for pat in self.allow):
-            return False
-        return not any(fnmatchcase(topic, pat) for pat in self.deny)
-
-
 # --- tier scheduling --------------------------------------------------------------
-
-
-def check_shares(shares: tuple[float, float, float] | None) -> None:
-    """Raise ValueError unless shares is None or 3 non-negative fractions summing to <= 1."""
-    # written so that NaN fails each check
-    if shares is not None and (
-        len(shares) != 3 or not all(0 <= s for s in shares) or not sum(shares) <= 1.0 + 1e-9
-    ):
-        raise ValueError("shares must be 3 non-negative fractions summing to <= 1")
 
 
 class TierScheduler:
@@ -199,30 +166,14 @@ class TierScheduler:
     tick's budget through instead of stalling. Credit counts `frame_size` bytes.
     """
 
-    def __init__(self, shares: tuple[float, float, float] | None = None) -> None:
-        check_shares(shares)
-        self.shares = shares
+    def __init__(self) -> None:
         self._credit = {tier: 0.0 for tier in TIERS}
 
     def plan(self, queues: dict[int, deque[Envelope]], budget: float) -> list[Envelope]:
         """Pop frames to send this tick, in transmit order; budget is positive."""
         out: list[Envelope] = []
-        bulk_waiting = bool(queues.get(TIER_BULK))
-
-        if self.shares is None:
-            reserve = BULK_BUDGET_FRACTION * budget if bulk_waiting else 0.0
-            quanta = {TIER_CRITICAL: budget - reserve, TIER_STANDARD: 0.0, TIER_BULK: reserve}
-        else:
-            sc, ss, sb = self.shares
-            spare = max(0.0, 1.0 - (sc + ss + sb))
-            if bulk_waiting:
-                sb = max(sb, BULK_BUDGET_FRACTION)
-            quanta = {
-                TIER_CRITICAL: (sc + spare) * budget,
-                TIER_STANDARD: ss * budget,
-                TIER_BULK: sb * budget,
-            }
-
+        reserve = BULK_BUDGET_FRACTION * budget if queues.get(TIER_BULK) else 0.0
+        quanta = {TIER_CRITICAL: budget - reserve, TIER_STANDARD: 0.0, TIER_BULK: reserve}
         carry = 0.0
         for tier in (TIER_CRITICAL, TIER_STANDARD, TIER_BULK):
             queue = queues.get(tier) or deque()
@@ -250,7 +201,6 @@ class EndpointConfig:
     tick: float = 0.01
     batch_size: int = 4
     redundancy: int = 0
-    shares: tuple[float, float, float] | None = None
     replay_capacity: int = 256
     heartbeat_interval: float = 0.25
     replay_attempts: int = 12
@@ -264,7 +214,6 @@ class EndpointConfig:
             raise ValueError("redundancy must be in 0..3")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        check_shares(self.shares)
 
 
 @dataclass(slots=True)
@@ -310,14 +259,12 @@ class BridgeEndpoint:
         tx_link: NetLink,
         rx_link: NetLink,
         policy: PriorityPolicy,
-        discovery: DiscoveryConfig,
         clock: SimClock,
         config: EndpointConfig = EndpointConfig(),
     ) -> None:
         self.bus = bus
         self.tx_link = tx_link
         self.policy = policy
-        self.discovery = discovery
         self.clock = clock
         self.config = config
         cap = tx_link.conditions.bandwidth_cap
@@ -327,7 +274,7 @@ class BridgeEndpoint:
         self.origin_id = f"bridge-{next(self._ids)}"
 
         self.replay_buffer = ReplayBuffer(config.replay_capacity)
-        self._scheduler = TierScheduler(config.shares)
+        self._scheduler = TierScheduler()
         self._tx: dict[str, _TxTopic] = {}
         self._ready: set[str] = set()  # subscribed topics with queued messages
         # lazy deadline heaps: (last_sent_at, topic) per critical topic that has
@@ -355,23 +302,11 @@ class BridgeEndpoint:
         for topic in config.topics:
             self._ensure_subscription(topic)
         self._schedule_tick()
-        if discovery.enabled and config.prioritized:
-            self._run_discovery()
 
     # --- wiring -------------------------------------------------------------
 
     def _schedule_tick(self) -> None:
         self.clock.schedule(self.clock.now + self.config.tick, self._tick)
-
-    # --- discovery duty -------------------------------------------------------
-
-    def _run_discovery(self) -> None:
-        for topic, _kind in sorted(self.bus.list_topics()):
-            if topic in self._tx or topic in self._publishers:
-                continue
-            if self.discovery.permits(topic):
-                self._ensure_subscription(topic)
-        self.clock.schedule(self.clock.now + self.discovery.period, self._run_discovery)
 
     def _ensure_subscription(self, topic: str) -> None:
         if topic in self._tx:

@@ -31,7 +31,7 @@ def main() -> None:
 @click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=None, help="Write CSV artifacts here.")
-@click.option("--baseline", is_flag=True, help="FIFO mode: no prioritization, replay, or discovery.")
+@click.option("--baseline", is_flag=True, help="FIFO mode: no prioritization or replay.")
 def run_cmd(scenario_path: str, seed: int | None, out_dir: str | None, baseline: bool) -> None:
     """Run one scenario and print its summary."""
     report = run(scenario_path, seed=seed, out_dir=out_dir, baseline=baseline)

@@ -17,7 +17,7 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 
-from .bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
+from .bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
 from .envelope import TIER_CRITICAL, TIER_NAMES
 from .msgbus import MessageKind, TopicBus
 from .netsim import NetLink, NetworkConditions, SimClock, link_pair
@@ -50,7 +50,6 @@ class BridgeScenario:
     traffic: tuple[TopicTraffic, ...]
     policy: PriorityPolicy
     endpoint: EndpointConfig = EndpointConfig()
-    discovery: DiscoveryConfig = DiscoveryConfig()
     drain: float = 0.0  # quiet tail after traffic stops, still simulated
 
     def __post_init__(self) -> None:
@@ -139,25 +138,14 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
 
     topics = sorted(scenario.traffic, key=lambda t: t.topic)
     endpoint_cfg = scenario.endpoint
-    if not scenario.discovery.enabled and not endpoint_cfg.topics:
+    if not endpoint_cfg.topics:
         endpoint_cfg = replace(endpoint_cfg, topics=tuple(t.topic for t in topics))
 
     publishers = {t.topic: bus_local.advertise(t.topic, t.kind) for t in topics}
     payloads = {t.topic: _payload(t, scenario.seed) for t in topics}
 
-    local = BridgeEndpoint(
-        bus_local, fwd, rev, scenario.policy, scenario.discovery, clock, endpoint_cfg
-    )
-    remote_cfg = replace(endpoint_cfg, topics=())
-    remote = BridgeEndpoint(
-        bus_remote,
-        rev,
-        fwd,
-        scenario.policy,
-        DiscoveryConfig(),
-        clock,
-        remote_cfg,
-    )
+    local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, clock, endpoint_cfg)
+    remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, clock, replace(endpoint_cfg, topics=()))
 
     # precomputed publish schedule keeps event ordering independent of float
     # accumulation quirks

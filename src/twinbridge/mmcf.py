@@ -7,10 +7,9 @@ exhaustive pass that evaluates and tabulates every configuration.
 
 A search simulates each distinct run once (`reusing_evaluator`). A
 configuration reuses an earlier simulation when it binds to the same
-scenario on every field but `replay_capacity` and `batch_size` (so
-`discovery_period` is ignored with discovery off), and on each of those two
-fields its value equals the earlier run's, or both values are at least what
-that run needed: its busiest topic's sent count for the replay ring, if no
+scenario on every field but `replay_capacity` and `batch_size`, and on each
+of those two fields its value equals the earlier run's, or both values are at
+least what that run needed: its busiest topic's sent count for the replay ring, if no
 ring evicted, and its largest batch for the batch limit, if no batch was cut
 at the limit. Neither limit then binds, so the runs are the same event for
 event. A reused measurement is an exact copy, so the table reads as if
@@ -23,7 +22,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from .bridge import check_shares
 from .engine import BridgeScenario, TrafficResult, run_traffic
 
 
@@ -43,30 +41,22 @@ class ScenarioError(RuntimeError):
 class BridgeConfig:
     """Candidate configuration vector for the bridge.
 
-    Field order defines the lexicographic tie-break used by the optimizer.
+    Field order defines the order the optimizer evaluates configurations in,
+    and so its lexicographic tie-break.
     """
 
     redundancy: int = 0
-    shares: tuple[float, float, float] | None = None
     replay_capacity: int = 256
-    discovery_period: float = 0.5
     batch_size: int = 4
 
     def __post_init__(self) -> None:
         # each range check is written so that NaN fails it
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
-        check_shares(self.shares)
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be >= 1")
-        if not self.discovery_period > 0:
-            raise ValueError("discovery_period must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-
-    def sort_key(self) -> tuple:
-        shares = self.shares if self.shares is not None else (-1.0, -1.0, -1.0)
-        return (self.redundancy, shares, self.replay_capacity, self.discovery_period, self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -172,12 +162,10 @@ def apply_config(scenario: BridgeScenario, config: BridgeConfig) -> BridgeScenar
     endpoint = replace(
         scenario.endpoint,
         redundancy=config.redundancy,
-        shares=config.shares,
         replay_capacity=config.replay_capacity,
         batch_size=config.batch_size,
     )
-    discovery = replace(scenario.discovery, period=config.discovery_period) if scenario.discovery.enabled else scenario.discovery
-    return replace(scenario, endpoint=endpoint, discovery=discovery)
+    return replace(scenario, endpoint=endpoint)
 
 
 def measure_config(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMetrics:
@@ -281,12 +269,12 @@ def optimize(
 ) -> OptimizeResult:
     """Minimize the cost function over a finite configuration space, exhaustively.
 
-    Every distinct configuration is evaluated once, in `sort_key` order, and
-    tabulated. Cost ties break to the lexicographically smallest
+    Every distinct configuration is evaluated once, in `BridgeConfig` order,
+    and tabulated. Cost ties break to the lexicographically smallest
     configuration, the first minimum in that order. `clamps` counts each
     configuration's clamps once.
     """
-    space = sorted(set(config_space), key=BridgeConfig.sort_key)
+    space = sorted(set(config_space))
     if not space:
         raise EmptySpace("configuration space is empty")
     counter = ClampCounter()

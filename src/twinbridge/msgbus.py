@@ -4,8 +4,9 @@ The bus is the substrate agents and bridge endpoints attach to. Topics are
 path-like names ("/robot1/odom"). Each subscriber owns a bounded FIFO queue;
 on overflow the oldest message is dropped and counted. Subscribing to a topic
 that has not been advertised yet is allowed (delivery starts when it appears),
-which dynamic discovery relies on. A topic name is validated once, at
-`advertise` or `subscribe`; the messages published on it are not re-checked.
+so a bridge can subscribe to its whole topic list up front. A topic name is
+validated once, at `advertise` or `subscribe`; the messages published on it
+are not re-checked.
 
 Timestamps are simulated seconds supplied by the caller, never wall clock.
 """
@@ -142,9 +143,6 @@ class TopicBus:
         sub = Subscription(topic, queue_capacity)
         self._subs.setdefault(topic, []).append(sub)
         return sub
-
-    def list_topics(self) -> set[tuple[str, MessageKind]]:
-        return {(name, kind) for name, kind in self._kinds.items()}
 
     def kind_of(self, topic: str) -> MessageKind | None:
         return self._kinds.get(topic)

@@ -2,8 +2,8 @@
 
 Every run is fully deterministic for a fixed (scenario, seed): the same
 inputs produce byte-identical CSV artifacts. Baseline mode reruns the same
-scenario with prioritization, replay, and discovery disabled behind a single
-FIFO queue, which is the stand-in for a conventional unprioritized setup.
+scenario with prioritization and replay disabled behind a single FIFO queue,
+which is the stand-in for a conventional unprioritized setup.
 """
 
 from __future__ import annotations
@@ -185,14 +185,19 @@ def run_mmcf_section(scenario: Scenario, seed: int) -> tuple[list[tuple], dict]:
     evaluate = reusing_evaluator()
     bounds = calibrate_bounds(spec.probe_configs(), base, evaluate)
     result = optimize(space, base, bounds, spec.weights, evaluate)
+    # bench/worker.py::_check_mmcf reads mmcf.csv by column position and
+    # mmcf_best as a 5-tuple, so the retired shares and discovery_period
+    # columns keep the constants every run wrote for them: no shares ("" in
+    # the table, (-1.0, -1.0, -1.0) in mmcf_best) and a 0.5 s period
+    no_shares, period = (-1.0, -1.0, -1.0), 0.5
     rows = []
     for cfg, metrics, norm, cost in result.table:
         rows.append(
             (
                 cfg.redundancy,
-                "|".join(repr(s) for s in cfg.shares) if cfg.shares else "",
+                "",
                 cfg.replay_capacity,
-                cfg.discovery_period,
+                period,
                 cfg.batch_size,
                 metrics.latency,
                 metrics.loss,
@@ -202,8 +207,9 @@ def run_mmcf_section(scenario: Scenario, seed: int) -> tuple[list[tuple], dict]:
                 cost,
             )
         )
+    best = result.best
     info = {
-        "mmcf_best": repr(result.best.sort_key()),
+        "mmcf_best": repr((best.redundancy, no_shares, best.replay_capacity, period, best.batch_size)),
         "mmcf_best_cost": result.cost,
         "mmcf_evaluated_fraction": 1.0,  # optimize evaluates every configuration
         "mmcf_clamp_events": result.clamps,

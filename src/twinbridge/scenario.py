@@ -17,12 +17,10 @@ duration are required):
       tick: 0.02                   # scheduler tick, seconds
       batch: 4                     # max frames per link packet
       redundancy: 0                # duplicate copies per frame, 0..3
-      shares: [0.6, 0.3, 0.1]      # optional per-tier budget fractions
       replay_capacity: 256         # per-topic replay ring depth
       heartbeat: 0.25              # idle-topic heartbeat period
       replay_attempts: 12          # re-requests before giving up
       drain: 0.0                   # quiet tail after traffic stops
-      discovery: {enabled: false, period: 0.5, allow: [], deny: []}
 
     policy:                        # topic -> tier, first match wins
       default: standard            # a tier: critical, standard or bulk
@@ -53,7 +51,8 @@ duration are required):
       waypoints: [[39.2505, -76.7095, 10.0]]
 
 A key that counts (seed, count, size, batch, capacities, attempts, probes,
-integer mmcf axes) takes a whole number: 2.0 reads as 2, 2.5 is an error. Two
+mmcf axes) takes a whole number: 2.0 reads as 2, 2.5 is an error. A size
+takes at most MAX_PAYLOAD, and a replay_capacity at most sys.maxsize. Two
 expansions of the topic templates may not name one topic, which is checked at
 the agent count of each run and of each sweep step. A key the parser does not
 read is an error.
@@ -65,15 +64,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .bridge import DiscoveryConfig, EndpointConfig, PriorityPolicy, check_shares
+from .bridge import EndpointConfig, PriorityPolicy
 from .engine import BridgeScenario, TopicTraffic
-from .envelope import TIER_BY_NAME, TIER_STANDARD
+from .envelope import MAX_PAYLOAD, TIER_BY_NAME, TIER_STANDARD
 from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
 from .msgbus import InvalidTopic, MessageKind, validate_topic
@@ -241,26 +241,6 @@ def _rows(ctx: _Ctx, raw, path: str, width: int, what: str, minimum=-math.inf) -
     return [row for row in rows if row is not None]
 
 
-def _shares(ctx: _Ctx, raw, path: str) -> tuple[float, ...] | None:
-    """raw as [critical, standard, bulk] budget fractions; None for null or after a diagnostic."""
-    shares = None if raw is None else _vector(ctx, raw, path, 3, "[critical, standard, bulk] fractions")
-    try:
-        check_shares(shares)
-    except ValueError as exc:
-        ctx.fail(path, str(exc))
-        return None
-    return shares
-
-
-def _strings(ctx: _Ctx, raw, path: str) -> tuple[str, ...]:
-    if raw is None:
-        return ()
-    if isinstance(raw, list) and all(isinstance(x, str) for x in raw):
-        return tuple(raw)
-    ctx.fail(path, "expected a list of strings")
-    return ()
-
-
 # --- typed sections ---------------------------------------------------------------
 
 
@@ -279,14 +259,13 @@ class SyncSpec:
     yaw_script: tuple[tuple[float, float], ...]
 
 
-# mmcf.space axes, in BridgeConfig's field order
-_MMCF_AXES = ("redundancy", "shares", "replay_capacity", "discovery_period", "batch")
-# each scalar axis's reading of one value (None for a value it rejects) and the range of its bridge: key
-_MMCF_SCALAR_AXES = {
-    "redundancy": (_whole, {"minimum": 0, "maximum": 3}),
-    "replay_capacity": (_whole, {"minimum": 1}),
-    "discovery_period": (_finite, {"positive": True}),
-    "batch": (_whole, {"minimum": 1}),
+# a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize
+_REPLAY_CAPACITY = {"minimum": 1, "maximum": sys.maxsize}
+# mmcf.space axes, in BridgeConfig's field order, each with the range of its bridge: key
+_MMCF_AXES = {
+    "redundancy": {"minimum": 0, "maximum": 3},
+    "replay_capacity": _REPLAY_CAPACITY,
+    "batch": {"minimum": 1},
 }
 
 
@@ -299,19 +278,8 @@ class MmcfSpec:
     probes: int
 
     def configs(self) -> list[BridgeConfig]:
-        out = []
         axes = (self.space[axis] for axis in _MMCF_AXES)
-        for red, shares, cap, period, batch in itertools.product(*axes):
-            out.append(
-                BridgeConfig(
-                    redundancy=red,
-                    shares=shares,
-                    replay_capacity=cap,
-                    discovery_period=period,
-                    batch_size=batch,
-                )
-            )
-        return sorted(set(out), key=BridgeConfig.sort_key)
+        return sorted({BridgeConfig(*values) for values in itertools.product(*axes)})
 
     def probe_configs(self) -> list[BridgeConfig]:
         space = self.configs()
@@ -340,7 +308,6 @@ class Scenario:
     conditions: NetworkConditions
     policy: PriorityPolicy
     endpoint: EndpointConfig
-    discovery: DiscoveryConfig
     drain: float = 0.0
     agent_count: int = 0
     topic_templates: tuple[dict, ...] = ()
@@ -376,8 +343,7 @@ class Scenario:
     ) -> BridgeScenario:
         endpoint = self.endpoint
         if baseline:
-            endpoint = replace(endpoint, prioritized=False, redundancy=0, shares=None)
-        discovery = self.discovery if not baseline else DiscoveryConfig()
+            endpoint = replace(endpoint, prioritized=False, redundancy=0)
         return BridgeScenario(
             name=self.name,
             seed=self.seed if seed is None else seed,
@@ -386,7 +352,6 @@ class Scenario:
             traffic=self.traffic_for(count),
             policy=self.policy,
             endpoint=endpoint,
-            discovery=discovery,
             drain=self.drain,
         )
 
@@ -450,34 +415,21 @@ def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
     return PriorityPolicy(tuple(rules), TIER_STANDARD if default is None else default)
 
 
-def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, DiscoveryConfig, float]:
+def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, float]:
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
-    ctx.known(br, "bridge", (
-        "tick", "batch", "redundancy", "shares", "replay_capacity", "heartbeat", "replay_attempts", "drain",
-        "discovery",
-    ))
-    disc_raw = ctx.get(br, "bridge", "discovery", dict, default={}) or {}
-    ctx.known(disc_raw, "bridge.discovery", ("enabled", "period", "allow", "deny"))
-    discovery = DiscoveryConfig(
-        enabled=ctx.get(disc_raw, "bridge.discovery", "enabled", bool, default=False),
-        period=ctx.number(disc_raw, "bridge.discovery", "period", default=0.5, positive=True),
-        allow=_strings(ctx, disc_raw.get("allow"), "bridge.discovery.allow"),
-        deny=_strings(ctx, disc_raw.get("deny"), "bridge.discovery.deny"),
-    )
-    shares = _shares(ctx, br.get("shares"), "bridge.shares")
+    ctx.known(br, "bridge", ("tick", "batch", "redundancy", "replay_capacity", "heartbeat", "replay_attempts", "drain"))
     # each value is checked here at its own key, so EndpointConfig has nothing left to reject
     endpoint = EndpointConfig(
         prioritized=True,
         tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
         batch_size=ctx.number(br, "bridge", "batch", default=4, minimum=1, integer=True),
         redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, maximum=3, integer=True),
-        shares=shares,
-        replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, minimum=1, integer=True),
+        replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, integer=True, **_REPLAY_CAPACITY),
         heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
         replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0, integer=True),
     )
     drain = ctx.number(br, "bridge", "drain", default=0.0, minimum=0.0)
-    return endpoint, discovery, drain
+    return endpoint, drain
 
 
 def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
@@ -500,7 +452,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
             ctx.fail(f"{path}.kind", f"unknown kind {kind_name!r}; expected one of {sorted(KIND_NAMES)}")
             continue
         rate = ctx.number(raw, path, "rate", required=True, positive=True)
-        size = ctx.number(raw, path, "size", required=True, minimum=0, integer=True)
+        size = ctx.number(raw, path, "size", required=True, minimum=0, maximum=MAX_PAYLOAD, integer=True)
         if name is None or rate is None or size is None:
             continue
         try:
@@ -569,9 +521,7 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     )
 
 
-def _parse_mmcf(
-    ctx: _Ctx, data: dict, endpoint: EndpointConfig, discovery: DiscoveryConfig
-) -> MmcfSpec | None:
+def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | None:
     mm = ctx.get(data, "", "mmcf", dict, default=None)
     if mm is None:
         return None
@@ -588,9 +538,7 @@ def _parse_mmcf(
     ctx.known(space_raw, "mmcf.space", _MMCF_AXES)
     space: dict[str, tuple] = {
         "redundancy": (endpoint.redundancy,),
-        "shares": (endpoint.shares,),
         "replay_capacity": (endpoint.replay_capacity,),
-        "discovery_period": (discovery.period,),
         "batch": (endpoint.batch_size,),
     }
     for key, values in space_raw.items():
@@ -598,17 +546,10 @@ def _parse_mmcf(
             continue
         if not isinstance(values, list) or not values:
             ctx.fail(f"mmcf.space.{key}", "expected a non-empty list of values")
-            continue
-        if key == "shares":
-            values = [_shares(ctx, row, f"mmcf.space.shares[{i}]") for i, row in enumerate(values)]
+        elif None in [_whole(v) for v in values]:
+            ctx.fail(f"mmcf.space.{key}", f"expected a list of integers, got {values!r:.40}")
         else:
-            read, limits = _MMCF_SCALAR_AXES[key]
-            if None in [read(v) for v in values]:
-                what = "integers" if read is _whole else "finite numbers"
-                ctx.fail(f"mmcf.space.{key}", f"expected a list of {what}, got {values!r:.40}")
-                continue
-            values = [ctx.number({key: v}, "mmcf.space", key, integer=read is _whole, **limits) for v in values]
-        space[key] = tuple(values)
+            space[key] = tuple(ctx.number({key: v}, "mmcf.space", key, integer=True, **_MMCF_AXES[key]) for v in values)
     probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, integer=True)
     return MmcfSpec(weights=weights, space=space, probes=probes)
 
@@ -652,10 +593,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
     conditions = _parse_network(ctx, data)
     policy = _parse_policy(ctx, data)
-    endpoint, discovery, drain = _parse_bridge(ctx, data)
+    endpoint, drain = _parse_bridge(ctx, data)
     agent_count, templates = _parse_agents(ctx, data)
     sync = _parse_sync(ctx, data)
-    mmcf_spec = _parse_mmcf(ctx, data, endpoint, discovery)
+    mmcf_spec = _parse_mmcf(ctx, data, endpoint)
     geo_spec = _parse_geo(ctx, data)
 
     if drain >= duration:
@@ -671,7 +612,6 @@ def load_scenario(path: str | Path) -> Scenario:
         conditions=conditions,
         policy=policy,
         endpoint=endpoint,
-        discovery=discovery,
         drain=drain,
         agent_count=agent_count,
         topic_templates=templates,

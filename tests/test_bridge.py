@@ -1,4 +1,4 @@
-"""Prioritization, replay, discovery, and endpoint integration."""
+"""Prioritization, replay, and endpoint integration."""
 
 import struct
 import zlib
@@ -13,12 +13,10 @@ from twinbridge.bridge import (
     HEARTBEAT_TOPIC,
     REPLAY_TOPIC,
     BridgeEndpoint,
-    DiscoveryConfig,
     EndpointConfig,
     PriorityPolicy,
     ReplayBuffer,
     TierScheduler,
-    check_shares,
 )
 from twinbridge.engine import BridgeScenario, TopicTraffic, _audit
 from twinbridge.envelope import (
@@ -32,7 +30,7 @@ from twinbridge.envelope import (
     frame_size,
 )
 from twinbridge.mmcf import BridgeConfig
-from twinbridge.msgbus import MessageKind, Subscription, TopicBus
+from twinbridge.msgbus import MessageKind, Publisher, Subscription, TopicBus
 from twinbridge.netsim import (
     NetLink,
     NetworkConditions,
@@ -103,6 +101,22 @@ class TestTierScheduler:
         bulk_bytes = sum(frame_size(item) for item in plan if item.tier == TIER_BULK)
         assert bulk_bytes >= 5 * 1024
 
+    def test_standard_gets_only_what_critical_leaves(self):
+        # all three tiers backlogged: bulk takes its 5% floor, critical the
+        # rest, and standard, below critical in strict priority, nothing
+        q = queues(
+            critical=[frame(tier=TIER_CRITICAL, size=100) for _ in range(100)],
+            standard=[frame(tier=TIER_STANDARD, size=100) for _ in range(100)],
+            bulk=[frame(tier=TIER_BULK, size=100) for _ in range(100)],
+        )
+        plan = TierScheduler().plan(q, budget=1000)
+        by_tier = {}
+        for item in plan:
+            by_tier[item.tier] = by_tier.get(item.tier, 0) + frame_size(item)
+        assert by_tier.get(TIER_STANDARD, 0) == 0
+        assert by_tier[TIER_CRITICAL] >= 0.95 * 1000
+        assert 0 < by_tier[TIER_BULK] <= 0.05 * 1000 + max(frame_size(item) for item in plan)
+
     def test_deficit_lets_oversized_frame_send_eventually(self):
         sched = TierScheduler()
         q = queues(critical=[frame(tier=TIER_CRITICAL, size=5000)])
@@ -118,20 +132,6 @@ class TestTierScheduler:
         )
         plan = TierScheduler().plan(q, budget=10_000)
         assert len(plan) == 4
-
-    def test_shares_override(self):
-        sched = TierScheduler(shares=(0.5, 0.3, 0.2))
-        q = queues(
-            critical=[frame(tier=TIER_CRITICAL, size=100) for _ in range(100)],
-            standard=[frame(tier=TIER_STANDARD, size=100) for _ in range(100)],
-            bulk=[frame(tier=TIER_BULK, size=100) for _ in range(100)],
-        )
-        plan = sched.plan(q, budget=1000)
-        by_tier = {}
-        for item in plan:
-            by_tier[item.tier] = by_tier.get(item.tier, 0) + frame_size(item)
-        assert by_tier.get(TIER_STANDARD, 0) > 0
-        assert by_tier.get(TIER_BULK, 0) > 0
 
     @given(
         crit_sizes=st.lists(st.integers(1, 400), max_size=12),
@@ -158,35 +158,19 @@ class TestTierScheduler:
             assert bulk_sent >= min(0.05 * budget, bulk_available)
 
 
-@pytest.mark.parametrize(
-    "shares", [(0.9, 0.9, 0.9), (0.5, 0.5), (-0.1, 0.5, 0.5), (float("nan"), 0.3, 0.1)]
-)
-def test_one_shares_rule_for_scheduler_and_both_configs(shares):
-    for build in (
-        check_shares, TierScheduler, lambda s: EndpointConfig(shares=s), lambda s: BridgeConfig(shares=s)
-    ):
-        with pytest.raises(ValueError, match="shares"):
-            build(shares)
-
-
-def test_valid_shares_pass_the_rule():
-    for shares in (None, (0.6, 0.3, 0.1), (0.0, 0.0, 0.0)):
-        check_shares(shares)
-        assert TierScheduler(shares).shares == shares
-        assert EndpointConfig(shares=shares).shares == shares
-
-
 @pytest.mark.parametrize("tick", [0.0, -1.0, float("nan"), float("-inf")])
 def test_endpoint_config_rejects_a_tick_that_is_not_positive(tick):
     with pytest.raises(ValueError, match="tick"):
         EndpointConfig(tick=tick)
 
 
-@pytest.mark.parametrize("period", [0.0, -0.5, float("nan")])
-def test_enabled_discovery_rejects_a_period_that_is_not_positive(period):
-    with pytest.raises(ValueError, match="period"):
-        DiscoveryConfig(enabled=True, period=period)
-    assert DiscoveryConfig(enabled=False, period=period).period is period
+@pytest.mark.parametrize(
+    "field, value", [("redundancy", 4), ("redundancy", -1), ("redundancy", float("nan")), ("batch_size", 0)]
+)
+def test_one_range_rule_for_endpoint_and_bridge_configs(field, value):
+    for build in (EndpointConfig, BridgeConfig):
+        with pytest.raises(ValueError, match=field):
+            build(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -252,18 +236,33 @@ def ideal_pair(clock, seed=1, **kwargs):
     return link_pair(clock, cond, seed)
 
 
-def make_pair(clock, fwd, rev, policy=None, config=None, discovery=None, remote_config=None):
+def make_pair(clock, fwd, rev, policy=None, config=None, remote_config=None):
     policy = policy or PriorityPolicy()
     config = config or EndpointConfig(topics=("/data",))
     bus_a, bus_b = TopicBus(), TopicBus()
-    local = BridgeEndpoint(
-        bus_a, fwd, rev, policy, discovery or DiscoveryConfig(enabled=False), clock, config
-    )
-    remote = BridgeEndpoint(
-        bus_b, rev, fwd, policy, DiscoveryConfig(enabled=False), clock,
-        remote_config or EndpointConfig(topics=()),
-    )
+    local = BridgeEndpoint(bus_a, fwd, rev, policy, clock, config)
+    remote = BridgeEndpoint(bus_b, rev, fwd, policy, clock, remote_config or EndpointConfig(topics=()))
     return bus_a, bus_b, local, remote
+
+
+def ping_both_ways():
+    """20 pings published on /ping at A, with both endpoints bridging /ping.
+
+    Returns (pings received at B, seqs the remote endpoint delivered, seqs
+    the local endpoint delivered back to A).
+    """
+    clock = SimClock()
+    fwd, rev = ideal_pair(clock)
+    config = EndpointConfig(topics=("/ping",))
+    bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, config=config, remote_config=config)
+    pub = bus_a.advertise("/ping", MessageKind.POSE)
+    sub = bus_b.subscribe("/ping", 64)
+    for i in range(20):
+        pub.publish(bytes([i]), clock.now)
+        clock.advance(0.1)
+    clock.advance(2.0)
+    rx_back = local.rx_stats().get("/ping")
+    return len(sub.drain()), len(remote.rx_stats()["/ping"].delivered), len(rx_back.delivered) if rx_back else 0
 
 
 class TestEndpoint:
@@ -280,6 +279,23 @@ class TestEndpoint:
         got = sub.drain()
         assert [m.payload[0] for m in got] == [0, 1, 2, 3, 4]
         assert bus_b.kind_of("/data") == MessageKind.POSE
+
+    def test_a_topic_off_the_list_is_not_bridged(self):
+        clock = SimClock()
+        fwd, rev = ideal_pair(clock)
+        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
+        listed = bus_a.advertise("/data", MessageKind.POSE)
+        unlisted = bus_a.advertise("/other", MessageKind.POSE)
+        sub = bus_b.subscribe("/other", 64)
+        for i in range(10):
+            listed.publish(bytes([i]), clock.now)
+            unlisted.publish(bytes([i]), clock.now)
+            clock.advance(0.05)
+        clock.advance(1.0)
+        assert sub.drain() == []
+        assert "/other" not in local.tx_stats()
+        assert bus_b.kind_of("/other") is None
+        assert len(remote.rx_stats()["/data"].delivered) == 10
 
     def test_order_preserved_under_loss_standard_tier(self):
         clock = SimClock()
@@ -325,52 +341,17 @@ class TestEndpoint:
         got = [int.from_bytes(m.payload, "little") for m in sub.drain()]
         assert got == list(range(80))
 
-    def test_discovery_picks_up_new_topic_within_two_periods(self):
-        clock = SimClock()
-        fwd, rev = ideal_pair(clock)
-        discovery = DiscoveryConfig(enabled=True, period=0.5, deny=("/skip*",))
-        config = EndpointConfig()
-        bus_a, bus_b, local, remote = make_pair(
-            clock, fwd, rev, config=config, discovery=discovery
-        )
-        clock.advance(0.2)
-        pub = bus_a.advertise("/fresh", MessageKind.POSE)
-        deny_pub = bus_a.advertise("/skip/this", MessageKind.POSE)
-        sub = bus_b.subscribe("/fresh", 16)
-        t_advertised = clock.now
-        # publish continuously; first delivery must happen within 2 periods
-        delivered_at = None
-        while clock.now < t_advertised + 2.0:
-            pub.publish(b"x", clock.now)
-            deny_pub.publish(b"y", clock.now)
-            clock.advance(0.05)
-            if delivered_at is None and sub.drain():
-                delivered_at = clock.now
-        assert delivered_at is not None
-        assert delivered_at - t_advertised <= 2 * discovery.period
-        assert "/skip/this" not in local.tx_stats()
-        assert bus_b.kind_of("/skip/this") is None
-
-    def test_no_echo_loop_with_bidirectional_discovery(self):
-        clock = SimClock()
-        fwd, rev = ideal_pair(clock)
-        policy = PriorityPolicy()
-        discovery = DiscoveryConfig(enabled=True, period=0.3)
-        bus_a, bus_b = TopicBus(), TopicBus()
-        local = BridgeEndpoint(bus_a, fwd, rev, policy, discovery, clock, EndpointConfig())
-        remote = BridgeEndpoint(bus_b, rev, fwd, policy, discovery, clock, EndpointConfig())
-        pub = bus_a.advertise("/ping", MessageKind.POSE)
-        sub = bus_b.subscribe("/ping", 64)
-        clock.advance(0.4)  # let discovery subscribe before traffic starts
-        for i in range(20):
-            pub.publish(bytes([i]), clock.now)
-            clock.advance(0.1)
-        clock.advance(2.0)
+    def test_no_echo_loop_with_bidirectional_topic_lists(self):
         # each message crosses exactly once; nothing bounces back
-        assert len(sub.drain()) == 20
-        assert len(remote.rx_stats()["/ping"].delivered) == 20
-        rx_back = local.rx_stats().get("/ping")
-        assert rx_back is None or rx_back.delivered == {}
+        assert ping_both_ways() == (20, 20, 0)
+
+    def test_the_origin_guard_is_what_stops_the_echo(self, monkeypatch):
+        # republished messages lose their origin mark, so `_drain_bus` cannot
+        # tell an endpoint's own republish from local traffic
+        publish = Publisher.publish
+        monkeypatch.setattr(Publisher, "publish", lambda self, payload, at, origin=None: publish(self, payload, at))
+        received, _, echoed = ping_both_ways()
+        assert received > 20 and echoed > 0
 
     def test_request_replay_counts(self):
         clock = SimClock()

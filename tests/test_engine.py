@@ -1,6 +1,8 @@
 """Engine-level traffic runs and configuration measurement behavior."""
 
 import os
+import pickle
+import shutil
 import subprocess
 import sys
 import zlib
@@ -339,3 +341,53 @@ def test_payload_filler_matches_the_per_byte_formula():
         for size in (0, 1, 255, 256, 257, 1440, 12000):
             expected = bytes((b + i) % 256 for i in range(size))
             assert _payload(TopicTraffic("/t", MessageKind.BLOB, 1.0, size), seed) == expected, (b, size)
+
+
+def other_interpreters():
+    """CPython 3.10+ interpreters found on this host, other than the one running the tests.
+
+    A candidate that does not start or reports an older version (a broken
+    version-manager shim, say) is skipped; one reporting a `sys.version`
+    already found is the same build again.
+    """
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 15)]
+    candidates += ["/usr/bin/python3", *map(str, sorted(Path.home().glob(".pyenv/versions/*/bin/python3")))]
+    probe = "import sys; print(sys.version_info >= (3, 10)); print(sys.version)"
+    found = {sys.version: sys.executable}
+    for exe in filter(None, candidates):
+        try:
+            out = subprocess.run([exe, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        ok, _, version = out.stdout.partition("\n")
+        if out.returncode == 0 and ok == "True":
+            found.setdefault(version.strip(), exe)
+    del found[sys.version]
+    return found
+
+
+def test_traffic_results_are_identical_on_every_interpreter_installed():
+    # the traffic core imports only the standard library, so a pickled
+    # scenario runs under -I -S with nothing but src on the path
+    scenarios = [
+        load_scenario(SCENARIOS / name).bridge_scenario(baseline=baseline)
+        for name in ("agents20.yaml", "bridge_loss.yaml", "bridge_sweep.yaml", "mmcf_default.yaml")
+        for baseline in (False, True)
+    ]
+    expected = "".join(f"{run_traffic(scenario)!r}\n" for scenario in scenarios)
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ interpreter found")
+    script = (
+        "import pickle, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from twinbridge.engine import run_traffic\n"
+        "for scenario in pickle.load(sys.stdin.buffer):\n"
+        "    print(repr(run_traffic(scenario)))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    blob = pickle.dumps(scenarios, protocol=4)
+    for version, exe in sorted(interpreters.items()):
+        out = subprocess.run([exe, "-I", "-S", "-c", script, src], input=blob, capture_output=True, timeout=300)
+        assert out.returncode == 0, (version, out.stderr.decode(errors="replace"))
+        assert out.stdout.decode() == expected, f"{exe} ({version}) ran the scenarios differently"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbridge.bridge import BridgeEndpoint, DiscoveryConfig, EndpointConfig, PriorityPolicy
+from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
 from twinbridge.envelope import (
     MIN_FRAME,
     MAX_PAYLOAD,
@@ -52,8 +52,7 @@ def bridge_frames(publishes):
     fwd, rev = link_pair(clock, ideal, 1)
     bus = TopicBus()
     endpoint = BridgeEndpoint(
-        bus, fwd, rev, PriorityPolicy(rules=(("/odom", TIER_CRITICAL),)),
-        DiscoveryConfig(enabled=False), clock, EndpointConfig(topics=("/odom",)),
+        bus, fwd, rev, PriorityPolicy(rules=(("/odom", TIER_CRITICAL),)), clock, EndpointConfig(topics=("/odom",))
     )
     pub = bus.advertise("/odom", MessageKind.POSE)
     for payload, t in publishes:

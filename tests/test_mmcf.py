@@ -3,7 +3,7 @@
 import itertools
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -113,16 +113,18 @@ class TestBridgeConfig:
         with pytest.raises(ValueError):
             BridgeConfig(redundancy=4)
         with pytest.raises(ValueError):
-            BridgeConfig(shares=(0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
             BridgeConfig(replay_capacity=0)
         with pytest.raises(ValueError):
             BridgeConfig(batch_size=0)
 
-    def test_sort_key_orders_lexicographically(self):
-        a = BridgeConfig(redundancy=0, batch_size=8)
-        b = BridgeConfig(redundancy=1, batch_size=1)
-        assert a.sort_key() < b.sort_key()
+    def test_configs_order_lexicographically_in_field_order(self):
+        assert [f.name for f in fields(BridgeConfig)] == ["redundancy", "replay_capacity", "batch_size"]
+        a = BridgeConfig(redundancy=0, replay_capacity=512, batch_size=8)
+        b = BridgeConfig(redundancy=1, replay_capacity=64, batch_size=8)
+        c = BridgeConfig(redundancy=1, replay_capacity=256, batch_size=1)
+        d = BridgeConfig(redundancy=1, replay_capacity=256, batch_size=2)
+        assert a < b < c < d
+        assert sorted([d, c, b, a]) == [a, b, c, d]
 
 
 def synthetic_space():
@@ -167,10 +169,10 @@ class TestOptimize:
         result = optimize(space, None, BOUNDS, self.weights, evaluator=synthetic_evaluator)
         brute = min(
             space,
-            key=lambda c: (mmcf(synthetic_evaluator(c, None), BOUNDS, self.weights), c.sort_key()),
+            key=lambda c: (mmcf(synthetic_evaluator(c, None), BOUNDS, self.weights), c),
         )
         assert result.best == brute
-        assert [row[0] for row in result.table] == sorted(set(space), key=BridgeConfig.sort_key)
+        assert [row[0] for row in result.table] == sorted(set(space))
 
     def test_empty_space(self):
         with pytest.raises(EmptySpace):
@@ -182,15 +184,14 @@ class TestOptimize:
 
         space = synthetic_space()
         result = optimize(space, None, BOUNDS, self.weights, evaluator=constant)
-        assert result.best == min(space, key=BridgeConfig.sort_key)
+        assert result.best == min(space)
 
     def test_a_space_over_ten_thousand_configs_is_searched_exhaustively(self):
         space = [
-            BridgeConfig(redundancy=r, replay_capacity=c, batch_size=b, discovery_period=p)
+            BridgeConfig(redundancy=r, replay_capacity=c, batch_size=b)
             for r in (0, 1, 2, 3)
-            for c in range(1, 108)
+            for c in range(1, 322)
             for b in (1, 2, 4, 8, 16, 32, 64, 128)
-            for p in (0.25, 0.5, 0.75)
         ]
         assert len(space) == 10_272
         evaluated = []
@@ -200,10 +201,10 @@ class TestOptimize:
             return synthetic_evaluator(cfg, scenario)
 
         result = optimize(space, None, BOUNDS, self.weights, evaluator=recording)
-        assert evaluated == sorted(space, key=BridgeConfig.sort_key)
+        assert evaluated == sorted(space)
         brute = min(
             space,
-            key=lambda c: (mmcf(synthetic_evaluator(c, None), BOUNDS, self.weights), c.sort_key()),
+            key=lambda c: (mmcf(synthetic_evaluator(c, None), BOUNDS, self.weights), c),
         )
         assert result.best == brute
         # each config's clamps count once

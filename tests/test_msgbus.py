@@ -20,7 +20,13 @@ class TestAdvertise:
     def test_idempotent_same_kind(self, bus):
         bus.advertise("/a", MessageKind.POSE)
         bus.advertise("/a", MessageKind.POSE)
-        assert bus.list_topics() == {("/a", MessageKind.POSE)}
+        assert bus.kind_of("/a") == MessageKind.POSE
+
+    def test_kind_is_unknown_until_advertised(self, bus):
+        bus.subscribe("/a", 4)
+        assert bus.kind_of("/a") is None
+        bus.advertise("/a", MessageKind.BLOB)
+        assert bus.kind_of("/a") == MessageKind.BLOB
 
     def test_kind_conflict(self, bus):
         bus.advertise("/a", MessageKind.POSE)
@@ -31,16 +37,6 @@ class TestAdvertise:
     def test_invalid_topics(self, bus, name):
         with pytest.raises(InvalidTopic):
             bus.advertise(name, MessageKind.POSE)
-
-
-class TestListTopics:
-    def test_empty(self, bus):
-        assert bus.list_topics() == set()
-
-    def test_two_advertises(self, bus):
-        bus.advertise("/a", MessageKind.POSE)
-        bus.advertise("/b", MessageKind.BLOB)
-        assert bus.list_topics() == {("/a", MessageKind.POSE), ("/b", MessageKind.BLOB)}
 
 
 class TestSubscribe:

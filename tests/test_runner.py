@@ -370,6 +370,17 @@ class TestCli:
             "duration: 5.0\nmmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {discovery_period: [\"0.5\", \"0.25\"]}\n",
             "duration: 5.0\nsycn:\n  mass: 10.0\n",  # a misspelt section runs nothing
             "duration: 5.0\nbridge:\n  replay_capacty: 8\n",  # a misspelt knob keeps its default
+            # a count past what its consumer takes: one byte over a frame's
+            # payload, past a bytes repeat, past a deque's maxlen
+            "duration: 5.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 16777217}\n",
+            "duration: 5.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 9223372036854775808}\n",
+            "duration: 5.0\nbridge:\n  replay_capacity: 9223372036854775808\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n",
+            "duration: 2.0\nagents:\n  count: 1\n  topics:\n"
+            "    - {name: \"/robot{i}/pose\", kind: pose, rate: 5.0, size: 8}\n"
+            "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {replay_capacity: [8, 9223372036854775808]}\n",
         ],
     )
     def test_bad_value_is_an_error_line_not_a_traceback(self, tmp_path, body):
@@ -390,10 +401,10 @@ class TestCli:
                 ["sync.friction (line 5): expected a finite number, got {'default': 0.0}"],
             ),
             (
-                "bridge:\n  redundancy: 5\n  shares: [0.9, 0.9, 0.1]\n",
+                "bridge:\n  redundancy: 5\n  replay_capacity: 9223372036854775808\n",
                 [
                     "bridge.redundancy (line 5): must be <= 3, got 5",
-                    "bridge.shares (line 6): shares must be 3 non-negative fractions summing to <= 1",
+                    "bridge.replay_capacity (line 6): must be <= 9223372036854775807, got 9223372036854775808",
                 ],
             ),
             (
@@ -402,21 +413,25 @@ class TestCli:
             ),
             (
                 "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n"
-                "  space: {redundancy: [0, 5], batch: [0, 2], shares: [[0.9, 0.9, 0.9]]}\n",
+                "  space: {redundancy: [0, 5], batch: [0, 2], replay_capacity: [9223372036854775808]}\n",
                 [
                     "mmcf.space.batch (line 6): must be >= 1, got 0",
                     "mmcf.space.redundancy (line 6): must be <= 3, got 5",
-                    "mmcf.space.shares[0] (line 6): shares must be 3 non-negative fractions summing to <= 1",
+                    "mmcf.space.replay_capacity (line 6): must be <= 9223372036854775807, got 9223372036854775808",
                 ],
             ),
             (
-                "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {shares: [[0.5, \"x\", 0.1]]}\n",
-                ["mmcf.space.shares[0] (line 6): expected [critical, standard, bulk] fractions"],
+                "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {batch: [1, \"x\"]}\n",
+                ["mmcf.space.batch (line 6): expected a list of integers, got [1, 'x']"],
+            ),
+            (
+                "agents:\n  count: 1\n  topics:\n    - {name: /a, kind: pose, rate: 1.0, size: 16777217}\n",
+                ["agents.topics[0].size (line 7): must be <= 16777216, got 16777217"],
             ),
         ],
         ids=[
-            "negative-friction", "friction-by-terrain", "redundancy-and-shares", "negative-gain",
-            "mmcf-space-axes", "mmcf-space-share-not-a-number",
+            "negative-friction", "friction-by-terrain", "redundancy-and-replay-capacity", "negative-gain",
+            "mmcf-space-axes", "mmcf-space-value-not-a-number", "size-over-max-payload",
         ],
     )
     def test_each_problem_is_reported_at_its_own_key(self, tmp_path, body, expected):

@@ -35,7 +35,6 @@ UNKNOWN_KEYS = [
     ("sycn:\n  mass: 10.0\n", "sycn", 4),
     ("network:\n  latncy: 0.1\n", "network.latncy", 5),
     ("bridge:\n  replay_capacty: 8\n", "bridge.replay_capacty", 5),
-    ("bridge:\n  discovery: {enabeld: true}\n", "bridge.discovery.enabeld", 5),
     ("policy:\n  defualt: bulk\n", "policy.defualt", 5),
     ("policy:\n  rules:\n    - {pattern: /a, tier: critical, prio: 1}\n", "policy.rules[0].prio", 6),
     ("agents:\n  count: 1\n  topic: []\n  topics: []\n", "agents.topic", 6),
@@ -51,6 +50,12 @@ UNKNOWN_KEYS = [
     ("bridge:\n  budget_per_tick: 1500\n", "bridge.budget_per_tick", 5),
     ("agents:\n  count: 1\n  topics:\n    - {name: /a, kind: pose, rate: 1.0, size: 8, start: 0.5}\n",
      "agents.topics[0].start", 7),
+    # the bridge bridges its topic list in strict priority: no discovery, no per-tier shares
+    ("bridge:\n  discovery: {enabled: true}\n", "bridge.discovery", 5),
+    ("bridge:\n  shares: [0.6, 0.3, 0.1]\n", "bridge.shares", 5),
+    ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {shares: [[0.6, 0.3, 0.1]]}\n", "mmcf.space.shares", 6),
+    ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {discovery_period: [0.5]}\n",
+     "mmcf.space.discovery_period", 6),
 ]
 
 
@@ -122,8 +127,6 @@ geo:
 bridge:
   batch: 8
   replay_capacity: 512
-  shares: [0.6, 0.3, 0.1]
-  discovery: {enabled: true, period: 0.8}
 mmcf:
   weights: [0.4, 0.3, 0.2, 0.1]
   space: {redundancy: [0, 1]}
@@ -133,8 +136,6 @@ mmcf:
         for config in configs:
             assert config.batch_size == 8
             assert config.replay_capacity == 512
-            assert config.shares == (0.6, 0.3, 0.1)
-            assert config.discovery_period == 0.8
 
     def test_traffic_for_overrides_count(self, tmp_path):
         text = MINIMAL + """\
@@ -178,7 +179,6 @@ agents:
         text = MINIMAL + """\
 bridge:
   redundancy: 2
-  discovery: {enabled: true, period: 0.5}
 agents:
   count: 1
   topics:
@@ -188,7 +188,6 @@ agents:
         baseline = scenario.bridge_scenario(baseline=True)
         assert baseline.endpoint.prioritized is False
         assert baseline.endpoint.redundancy == 0
-        assert baseline.discovery.enabled is False
 
 
 class TestPolicy:
@@ -260,14 +259,6 @@ agents:
         with pytest.raises(ScenarioParseError) as err:
             load_scenario(write(tmp_path, text))
         assert [p for p in err.value.problems if p.startswith(path)], err.value.problems
-
-    def test_a_quoted_discovery_period_is_an_error_not_converted(self, tmp_path):
-        text = MINIMAL + "mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  space: {discovery_period: [\"0.5\", 0.25]}\n"
-        with pytest.raises(ScenarioParseError) as err:
-            load_scenario(write(tmp_path, text))
-        assert err.value.problems == [
-            "mmcf.space.discovery_period (line 6): expected a list of finite numbers, got ['0.5', 0.25]"
-        ]
 
     @pytest.mark.parametrize("section, path, line", UNKNOWN_KEYS, ids=[path for _, path, _ in UNKNOWN_KEYS])
     def test_an_unknown_key_is_an_error_not_ignored(self, tmp_path, section, path, line):
