@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import struct
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
@@ -172,21 +172,21 @@ class TierScheduler:
     def plan(self, queues: dict[int, deque[Envelope]], budget: float) -> list[Envelope]:
         """Pop frames to send this tick, in transmit order; budget is positive."""
         out: list[Envelope] = []
+        credit = self._credit
         reserve = BULK_BUDGET_FRACTION * budget if queues.get(TIER_BULK) else 0.0
-        quanta = {TIER_CRITICAL: budget - reserve, TIER_STANDARD: 0.0, TIER_BULK: reserve}
-        carry = 0.0
+        carry = budget - reserve  # critical's quantum; standard gets what cascades, bulk its floor too
         for tier in (TIER_CRITICAL, TIER_STANDARD, TIER_BULK):
-            queue = queues.get(tier) or deque()
-            self._credit[tier] += quanta[tier] + carry
+            queue = queues.get(tier)
+            credit[tier] += reserve + carry if tier == TIER_BULK else carry
             carry = 0.0
-            while queue and self._credit[tier] > 0:
+            while queue and credit[tier] > 0:
                 env = queue.popleft()
-                self._credit[tier] -= frame_size(env)
+                credit[tier] -= frame_size(env)
                 out.append(env)
             if not queue:
                 # an idle tier neither banks nor owes; surplus cascades down
-                carry = max(self._credit[tier], 0.0)
-                self._credit[tier] = 0.0
+                carry = max(credit[tier], 0.0)
+                credit[tier] = 0.0
         return out
 
 
@@ -281,7 +281,7 @@ class BridgeEndpoint:
         # sent, stale after a later send; (retry_at, topic) per gap request
         self._beats: list[tuple[float, str]] = []
         self._retries: list[tuple[float, str]] = []
-        self._rx: dict[str, _RxTopic] = {}
+        self._rx: defaultdict[str, _RxTopic] = defaultdict(_RxTopic)  # a topic's state is made on first use
         self._queues: dict[int, deque[Envelope]] = {t: deque() for t in TIERS}
         self._queued_replays: set[tuple[str, int]] = set()  # (topic, seq) of replay copies not yet sent
         self._publishers: dict[str, Publisher] = {}
@@ -322,16 +322,18 @@ class BridgeEndpoint:
     # --- egress duty ----------------------------------------------------------
 
     def _tick(self) -> None:
-        now, beats, retries = self.clock.now, self._beats, self._retries
+        now, beats, retries, queues = self.clock.now, self._beats, self._retries, self._queues
+        beat_due = beats and now - beats[0][0] >= self.config.heartbeat_interval
+        retry_due = retries and retries[0][0] <= now
         # an idle tick (nothing ready, queued or due) would send nothing and
         # leave every scheduler credit at 0, as the last full tick did
-        if self._ready or any(self._queues.values()) or (retries and retries[0][0] <= now) or (
-            beats and now - beats[0][0] >= self.config.heartbeat_interval
-        ):
+        if self._ready or queues[TIER_CRITICAL] or queues[TIER_STANDARD] or queues[TIER_BULK] or beat_due or retry_due:
             self._drain_bus(now)
             if self.config.prioritized:
-                self._emit_heartbeats(now)
-                self._retry_gap_requests(now)
+                if beat_due:
+                    self._emit_heartbeats(now)
+                if retry_due:
+                    self._retry_gap_requests(now)
                 plan = self._scheduler.plan(self._queues, self._budget)
             else:
                 plan = self._plan_fifo(self._budget)
@@ -341,28 +343,25 @@ class BridgeEndpoint:
     def _drain_bus(self, now: float) -> None:
         ready = sorted(self._ready)
         self._ready.clear()
+        origin, copies = self.origin_id, range(1 + self.config.redundancy)
+        insert = self.replay_buffer.insert if self.config.prioritized else None
         for topic in ready:
             tx = self._tx[topic]
+            tier, append = tx.tier, self._queues[tx.tier].append
             for msg in tx.sub.drain():
-                if msg.origin == self.origin_id:
+                if msg.origin == origin:
                     continue
-                env = Envelope(
-                    tier=tx.tier,
-                    flags=0,
-                    seq=tx.next_seq,
-                    sim_time_us=int(round(msg.publish_time * 1e6)),
-                    topic=topic,
-                    kind=int(msg.kind),
-                    payload=msg.payload,
-                )
-                if tx.next_seq == 0 and tx.tier == TIER_CRITICAL:
+                sim_time_us = int(round(msg.publish_time * 1e6))
+                env = Envelope(tier, 0, tx.next_seq, sim_time_us, topic, int(msg.kind), msg.payload)
+                if tx.next_seq == 0 and tier == TIER_CRITICAL:
                     heapq.heappush(self._beats, (now, topic))
                 tx.next_seq += 1
                 tx.last_sent_at = now
                 self.encodes += 1
-                if self.config.prioritized:
-                    self.replay_buffer.insert(env)
-                self._queues[tx.tier].extend([env] * (1 + self.config.redundancy))
+                if insert is not None:
+                    insert(env)
+                for _ in copies:
+                    append(env)
 
     def _plan_fifo(self, budget: float) -> list[Envelope]:
         # baseline mode classifies every topic as standard: one FIFO queue
@@ -436,8 +435,8 @@ class BridgeEndpoint:
         except FrameError:
             self.decode_errors += 1
             return
+        self.decodes += len(frames)
         for env in frames:
-            self.decodes += 1
             try:
                 if env.topic.startswith(CONTROL_PREFIX):
                     self._handle_control(env, at)
@@ -455,7 +454,7 @@ class BridgeEndpoint:
             self.request_replay(topic, from_seq, to_seq)
         elif env.topic == HEARTBEAT_TOPIC:
             topic, last_seq = _unpack_control(env.payload, _BEAT_SEQ)
-            rx = self._rx.setdefault(topic, _RxTopic())
+            rx = self._rx[topic]
             if self.config.prioritized and last_seq >= rx.expected:
                 self._note_evidence(rx, topic, last_seq, at)
 
@@ -468,7 +467,7 @@ class BridgeEndpoint:
                 self._publishers[env.topic] = self.bus.advertise(env.topic, kind)
             except (InvalidTopic, KindMismatch) as exc:
                 raise BadTopic(str(exc)) from None
-        rx = self._rx.setdefault(env.topic, _RxTopic())
+        rx = self._rx[env.topic]
         if self.config.prioritized and env.tier == TIER_CRITICAL:
             self._handle_critical(rx, env, at)
         elif env.seq >= rx.expected:
@@ -559,7 +558,7 @@ class BridgeEndpoint:
     def _republish(self, rx: _RxTopic, env: Envelope, at: float) -> None:
         # callers advance `expected` past env.seq, so each seq lands here once
         self._publishers[env.topic].publish(env.payload, at, origin=self.origin_id)
-        rx.delivered[env.seq] = at - env.sim_time
+        rx.delivered[env.seq] = at - env.sim_time_us / 1e6
 
     # --- replay -------------------------------------------------------------------
 

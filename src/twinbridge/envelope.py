@@ -49,7 +49,8 @@ MAX_PAYLOAD = 16 * 1024 * 1024
 _HEAD = struct.Struct("<4sBBBQQH")   # magic, version, tier, flags, seq, sim_time_us, topic_len
 _MID = struct.Struct("<BI")          # kind, payload_len
 _CRC = struct.Struct("<I")
-MIN_FRAME = _HEAD.size + _MID.size + _CRC.size  # 34 bytes, zero-length topic and payload
+_HEAD_SIZE, _MID_SIZE, _CRC_SIZE = _HEAD.size, _MID.size, _CRC.size
+MIN_FRAME = _HEAD_SIZE + _MID_SIZE + _CRC_SIZE  # 34 bytes, zero-length topic and payload
 
 
 class FrameError(ValueError):
@@ -102,41 +103,41 @@ def frame_size(env: Envelope) -> int:
 
 
 def encode_envelope(env: Envelope) -> bytes:
-    """Serialize one envelope to its bit-exact frame."""
-    if len(env.payload) > MAX_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {len(env.payload)} bytes exceeds 16 MiB")
-    topic_bytes = env.topic.encode("utf-8")
+    """Serialize one envelope to its bit-exact frame; the CRC chains over the payload, copied once."""
+    tier, flags, seq, sim_time_us, topic, kind, payload = env
+    if len(payload) > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds 16 MiB")
+    topic_bytes = topic.encode("utf-8")
     if len(topic_bytes) > 0xFFFF:
         raise ValueError("topic longer than 65535 bytes")
-    if env.tier not in TIERS:
+    if tier not in TIERS:
         raise ValueError(f"tier must be one of {TIERS}")
-    body = b"".join((
-        _HEAD.pack(MAGIC, VERSION, env.tier, env.flags & 0xFF, env.seq, env.sim_time_us, len(topic_bytes)),
+    head = b"".join((
+        _HEAD.pack(MAGIC, VERSION, tier, flags & 0xFF, seq, sim_time_us, len(topic_bytes)),
         topic_bytes,
-        _MID.pack(env.kind & 0xFF, len(env.payload)),
-        env.payload,
+        _MID.pack(kind & 0xFF, len(payload)),
     ))
-    return body + _CRC.pack(zlib.crc32(body))
+    return b"".join((head, payload, _CRC.pack(zlib.crc32(payload, zlib.crc32(head)))))
 
 
 def _parse_one(buf: bytes, offset: int) -> tuple[Envelope, int]:
-    """Parse one frame starting at offset; returns (envelope, next offset)."""
-    remaining = len(buf) - offset
-    if remaining < MIN_FRAME:
-        raise Truncated(f"{remaining} bytes < minimum frame of {MIN_FRAME}")
+    """Parse one frame at offset into (envelope, next offset); the CRC check reads a memoryview, copying nothing."""
+    size = len(buf)
+    if size - offset < MIN_FRAME:
+        raise Truncated(f"{size - offset} bytes < minimum frame of {MIN_FRAME}")
     magic, version, tier, flags, seq, sim_time_us, topic_len = _HEAD.unpack_from(buf, offset)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
-    mid_at = offset + _HEAD.size + topic_len
-    if mid_at + _MID.size + _CRC.size > len(buf):
+    mid_at = offset + _HEAD_SIZE + topic_len
+    if mid_at + _MID_SIZE + _CRC_SIZE > size:
         raise Truncated("frame ends inside topic or fixed fields")
     kind, payload_len = _MID.unpack_from(buf, mid_at)
-    end = mid_at + _MID.size + payload_len + _CRC.size
-    if end > len(buf):
+    crc_at = mid_at + _MID_SIZE + payload_len
+    end = crc_at + _CRC_SIZE
+    if end > size:
         raise Truncated("frame ends inside payload or checksum")
-    crc_at = end - _CRC.size
     (stated_crc,) = _CRC.unpack_from(buf, crc_at)
-    actual_crc = zlib.crc32(buf[offset:crc_at])
+    actual_crc = zlib.crc32(memoryview(buf)[offset:crc_at])
     if stated_crc != actual_crc:
         raise CrcMismatch(f"crc {stated_crc:#010x} != computed {actual_crc:#010x}")
     if version != VERSION:
@@ -144,12 +145,10 @@ def _parse_one(buf: bytes, offset: int) -> tuple[Envelope, int]:
     if payload_len > MAX_PAYLOAD:
         raise PayloadTooLarge(f"payload of {payload_len} bytes exceeds 16 MiB")
     try:
-        topic = buf[offset + _HEAD.size : mid_at].decode("utf-8")
+        topic = buf[mid_at - topic_len : mid_at].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadTopic(f"topic is not UTF-8: {exc.reason}") from None
-    payload = buf[mid_at + _MID.size : crc_at]
-    env = Envelope(tier, flags, seq, sim_time_us, topic, kind, payload)
-    return env, end
+    return Envelope(tier, flags, seq, sim_time_us, topic, kind, buf[crc_at - payload_len : crc_at]), end
 
 
 def decode_envelope(buf: bytes) -> Envelope:
@@ -163,8 +162,8 @@ def decode_envelope(buf: bytes) -> Envelope:
 def decode_stream(buf: bytes) -> list[Envelope]:
     """Decode a batch of back-to-back frames, consuming the whole buffer."""
     out: list[Envelope] = []
-    offset = 0
-    while offset < len(buf):
+    offset, size = 0, len(buf)
+    while offset < size:
         env, offset = _parse_one(buf, offset)
         out.append(env)
     return out

@@ -6,7 +6,8 @@ on overflow the oldest message is dropped and counted. Subscribing to a topic
 that has not been advertised yet is allowed (delivery starts when it appears),
 so a bridge can subscribe to its whole topic list up front. A topic name is
 validated once, at `advertise` or `subscribe`; the messages published on it
-are not re-checked.
+are not re-checked. A publish refuses a payload over 16 MiB whether or not
+the topic has a subscriber, and builds a `Message` only for a topic that has.
 
 Timestamps are simulated seconds supplied by the caller, never wall clock.
 """
@@ -37,6 +38,11 @@ class KindMismatch(ValueError):
     """Topic already advertised with a different message kind."""
 
 
+def _check_payload(payload: bytes) -> None:
+    if len(payload) > MAX_PAYLOAD:
+        raise ValueError(f"payload of {len(payload)} bytes exceeds 16 MiB")
+
+
 def validate_topic(name: str) -> str:
     if not name or not name.startswith("/"):
         raise InvalidTopic(f"topic {name!r:.40} must be non-empty and start with '/'")
@@ -63,14 +69,13 @@ class Message(_MessageFields):
 
     `origin` identifies the publishing endpoint for bridge loop suppression;
     it never crosses the wire. A payload over 16 MiB is refused when the
-    message is built.
+    message is built here; `Publisher.publish` refuses it before it builds one.
     """
 
     __slots__ = ()  # no instance dict, so no attribute can be added either
 
     def __new__(cls, topic: str, payload: bytes, publish_time: float, kind: MessageKind, origin: str | None = None):
-        if len(payload) > MAX_PAYLOAD:
-            raise ValueError(f"payload of {len(payload)} bytes exceeds 16 MiB")
+        _check_payload(payload)
         return tuple.__new__(cls, (topic, payload, publish_time, kind, origin))
 
 
@@ -106,19 +111,24 @@ class Publisher:
     Enforces monotone non-decreasing publish_time per handle.
     """
 
-    def __init__(self, bus: "TopicBus", topic: str, kind: MessageKind) -> None:
-        self._bus = bus
+    def __init__(self, subs: list[Subscription], topic: str, kind: MessageKind) -> None:
+        self._subs = subs  # the bus's live subscriber list for the topic
         self.topic = topic
         self.kind = kind
         self._last_time: float | None = None
 
     def publish(self, payload: bytes, publish_time: float, origin: str | None = None) -> None:
+        """Refuse a payload over 16 MiB or a regressing time, then queue a Message on each subscriber, if any."""
+        _check_payload(payload)
         if self._last_time is not None and publish_time < self._last_time:
             raise ValueError(
                 f"publish_time {publish_time} regresses below {self._last_time} on {self.topic}"
             )
         self._last_time = publish_time
-        self._bus._dispatch(Message(self.topic, payload, publish_time, self.kind, origin))
+        if self._subs:
+            msg = tuple.__new__(Message, (self.topic, payload, publish_time, self.kind, origin))  # checked above
+            for sub in self._subs:
+                sub._push(msg)
 
 
 class TopicBus:
@@ -136,7 +146,7 @@ class TopicBus:
                 f"topic {topic!r} already advertised as {existing.name}, not {kind.name}"
             )
         self._kinds[topic] = kind
-        return Publisher(self, topic, kind)
+        return Publisher(self._subs.setdefault(topic, []), topic, kind)
 
     def subscribe(self, topic: str, queue_capacity: int) -> Subscription:
         validate_topic(topic)
@@ -146,7 +156,3 @@ class TopicBus:
 
     def kind_of(self, topic: str) -> MessageKind | None:
         return self._kinds.get(topic)
-
-    def _dispatch(self, msg: Message) -> None:
-        for sub in self._subs.get(msg.topic, ()):
-            sub._push(msg)

@@ -335,7 +335,7 @@ def load_report(run_dir: str | Path) -> RunReport:
     summary: dict[str, object] = dict(_read_rows(run_dir / "summary.csv", SUMMARY_HEADER, 2))
     report = RunReport(
         name=str(summary.get("name", "")),
-        seed=int(float(str(summary.get("seed", 0)))),
+        seed=int(str(summary.get("seed", 0))),
         mode=str(summary.get("mode", "")),
         summary=summary,
     )

@@ -51,8 +51,9 @@ duration are required):
       waypoints: [[39.2505, -76.7095, 10.0]]
 
 A key that counts (seed, count, size, batch, capacities, attempts, probes,
-mmcf axes) takes a whole number: 2.0 reads as 2, 2.5 is an error. A size
-takes at most MAX_PAYLOAD, and a replay_capacity at most sys.maxsize. Two
+mmcf axes) takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is
+an error. A size takes at most MAX_PAYLOAD, any other count but the seed at
+most sys.maxsize, and sync.tick at least 2 * HISTORY_WINDOW / sys.maxsize. Two
 expansions of the topic templates may not name one topic, which is checked at
 the agent count of each run and of each sweep step. A key the parser does not
 read is an error.
@@ -78,7 +79,7 @@ from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
 from .msgbus import InvalidTopic, MessageKind, validate_topic
 from .netsim import NetworkConditions, PiecewiseConstant
-from .twinsync import PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
+from .twinsync import HISTORY_WINDOW, PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
 
 KIND_NAMES = {
     "pose": MessageKind.POSE,
@@ -216,6 +217,8 @@ def _finite(value) -> float | None:
 
 def _whole(value) -> int | None:
     """value as an int, or None when it is not a finite number without a fractional part."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact: a float would round it above 2**53
     number = _finite(value)
     return int(number) if number is not None and number.is_integer() else None
 
@@ -259,14 +262,17 @@ class SyncSpec:
     yaw_script: tuple[tuple[float, float], ...]
 
 
-# a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize
-_REPLAY_CAPACITY = {"minimum": 1, "maximum": sys.maxsize}
+# a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize; no count takes more
+_COUNT = {"minimum": 0, "maximum": sys.maxsize}
+_POSITIVE_COUNT = {"minimum": 1, "maximum": sys.maxsize}
 # mmcf.space axes, in BridgeConfig's field order, each with the range of its bridge: key
 _MMCF_AXES = {
     "redundancy": {"minimum": 0, "maximum": 3},
-    "replay_capacity": _REPLAY_CAPACITY,
-    "batch": {"minimum": 1},
+    "replay_capacity": _POSITIVE_COUNT,
+    "batch": _POSITIVE_COUNT,
 }
+# the twin keeps HISTORY_WINDOW / tick states in a deque, whose maxlen is at most sys.maxsize
+_SYNC_MINIMUM = {"tick": 2 * HISTORY_WINDOW / sys.maxsize}
 
 
 @dataclass(frozen=True)
@@ -422,11 +428,11 @@ def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, float]:
     endpoint = EndpointConfig(
         prioritized=True,
         tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
-        batch_size=ctx.number(br, "bridge", "batch", default=4, minimum=1, integer=True),
+        batch_size=ctx.number(br, "bridge", "batch", default=4, integer=True, **_POSITIVE_COUNT),
         redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, maximum=3, integer=True),
-        replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, integer=True, **_REPLAY_CAPACITY),
+        replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, integer=True, **_POSITIVE_COUNT),
         heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
-        replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, minimum=0, integer=True),
+        replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, integer=True, **_COUNT),
     )
     drain = ctx.number(br, "bridge", "drain", default=0.0, minimum=0.0)
     return endpoint, drain
@@ -437,7 +443,7 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
     if ag is None:
         return 0, ()
     ctx.known(ag, "agents", ("count", "topics"))
-    count = ctx.number(ag, "agents", "count", required=True, default=0, minimum=0, integer=True)
+    count = ctx.number(ag, "agents", "count", required=True, default=0, integer=True, **_COUNT)
     templates = []
     topics = ctx.get(ag, "agents", "topics", list, required=True, default=[]) or []
     for i, raw in enumerate(topics):
@@ -488,7 +494,7 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     ctx.known(sy, "sync", _SYNC_KEYS)
     numbers = {}
     for key in _SYNC_POSITIVE + _SYNC_NON_NEGATIVE:
-        value = ctx.number(sy, "sync", key, minimum=0.0, positive=key in _SYNC_POSITIVE)
+        value = ctx.number(sy, "sync", key, minimum=_SYNC_MINIMUM.get(key, 0.0), positive=key in _SYNC_POSITIVE)
         if value is not None:
             numbers[key] = value
     params, controller, loop = (
@@ -550,7 +556,7 @@ def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | N
             ctx.fail(f"mmcf.space.{key}", f"expected a list of integers, got {values!r:.40}")
         else:
             space[key] = tuple(ctx.number({key: v}, "mmcf.space", key, integer=True, **_MMCF_AXES[key]) for v in values)
-    probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, integer=True)
+    probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, maximum=sys.maxsize, integer=True)
     return MmcfSpec(weights=weights, space=space, probes=probes)
 
 

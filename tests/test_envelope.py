@@ -175,6 +175,17 @@ class TestStream:
         buf = b"".join(encode_envelope(e) for e in envs)
         assert decode_stream(buf) == envs
 
+    def test_any_single_byte_flip_in_a_later_frame_rejected(self):
+        # the CRC of a frame that does not start the buffer is taken at an offset
+        first = encode_envelope(make_env("/first", b"lead"))
+        frame = encode_envelope(make_env("/topic/x", b"some payload", tier=1, seq=9))
+        last = encode_envelope(make_env("/last", b"tail", seq=3))
+        for i in range(len(frame)):
+            corrupted = bytearray(frame)
+            corrupted[i] ^= 0xFF
+            with pytest.raises((BadMagic, Truncated, CrcMismatch)):
+                decode_stream(first + bytes(corrupted) + last)
+
     def test_stream_truncation(self):
         buf = encode_envelope(make_env()) + encode_envelope(make_env())[:-1]
         with pytest.raises(Truncated):
@@ -201,6 +212,24 @@ topics = st.text(
 def test_roundtrip_property(topic, payload, tier, flags, seq, sim_time_us, kind):
     env = Envelope(tier, flags, seq, sim_time_us, topic, kind, payload)
     assert decode_envelope(encode_envelope(env)) == env
+
+
+envelopes = st.builds(
+    Envelope,
+    tier=st.sampled_from(TIERS),
+    flags=st.integers(0, 255),
+    seq=st.integers(0, 2**64 - 1),
+    sim_time_us=st.integers(0, 2**64 - 1),
+    topic=st.text(st.characters(codec="utf-8"), max_size=40).map(lambda s: "/" + s),
+    kind=st.integers(0, 255),
+    payload=st.binary(max_size=256),
+)
+
+
+@given(envs=st.lists(envelopes, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_stream_roundtrip_property(envs):
+    assert decode_stream(b"".join(map(encode_envelope, envs))) == envs
 
 
 @given(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from twinbridge.envelope import MAX_PAYLOAD
 from twinbridge.msgbus import (
     InvalidTopic,
     KindMismatch,
@@ -96,6 +97,21 @@ class TestMessage:
         with pytest.raises(ValueError):
             pub.publish(b"y", 4.0)
         pub.publish(b"z", 5.0)  # equal is fine
+
+
+    @pytest.mark.parametrize("subscribed", [True, False], ids=["subscribed", "unsubscribed"])
+    def test_a_refused_publish_leaves_the_publishers_clock(self, bus, subscribed):
+        pub = bus.advertise("/a", MessageKind.BLOB)
+        sub = bus.subscribe("/a", queue_capacity=4) if subscribed else None
+        with pytest.raises(ValueError, match="exceeds 16 MiB"):
+            pub.publish(bytes(MAX_PAYLOAD + 1), 5.0)
+        pub.publish(b"x", 4.0)
+        with pytest.raises(ValueError, match="regresses below 4.0"):
+            pub.publish(b"y", 3.0)
+        if subscribed:
+            assert [(m.topic, m.payload, m.publish_time, m.kind) for m in sub.drain()] == [
+                ("/a", b"x", 4.0, MessageKind.BLOB)
+            ]
 
 
 def test_queue_depth_before_and_after_drain(bus):

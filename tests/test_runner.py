@@ -173,6 +173,14 @@ class TestCompare:
         rows = compare(report, loaded)
         assert all(abs(row.delta) < 1e-9 for row in rows)
 
+    def test_a_seed_past_float_precision_roundtrips_through_csv(self, tmp_path):
+        from twinbridge.runner import RunReport
+
+        seed = 2**60 + 1  # a float holds 2**60 at best
+        report = RunReport("x", seed, "prioritized", summary={"name": "x", "seed": seed, "mode": "prioritized"})
+        report.write_csvs(tmp_path)
+        assert load_report(tmp_path).seed == seed
+
     def test_dominating_report_gives_one_signed_deltas(self):
         from twinbridge.runner import RunReport
 
@@ -450,6 +458,18 @@ class TestCli:
         assert result.exit_code == 2, result.output
         [line] = result.output.splitlines()
         assert line.startswith(f"error: {path} (line 5): unknown key; expected one of ["), line
+
+    @pytest.mark.parametrize("tick", ["5.0e-324", "1.0e-300"])
+    def test_a_tick_past_the_twins_history_length_is_an_error_at_the_key(self, tmp_path, tick):
+        # HISTORY_WINDOW / tick overflows a float at 5e-324, and a deque's maxlen at 1e-300
+        text = (SCENARIOS / "sync_default.yaml").read_text(encoding="utf-8")
+        assert text.splitlines()[14] == "  tick: 0.01"
+        scenario = tmp_path / "tick.yaml"
+        scenario.write_text(text.replace("  tick: 0.01\n", f"  tick: {tick}\n"), encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", str(scenario), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        [line] = result.output.splitlines()
+        assert line == f"error: sync.tick (line 15): must be >= 1.3010426069826053e-18, got {float(tick)!r}"
 
     def test_an_envelope_past_float_range_is_no_bound_not_a_traceback(self, tmp_path):
         # K*t passes 709.78 at t = 7.1 s, where exp(K*t) overflows a float

@@ -260,6 +260,30 @@ agents:
             load_scenario(write(tmp_path, text))
         assert [p for p in err.value.problems if p.startswith(path)], err.value.problems
 
+    def test_an_integer_past_float_precision_loads_exactly(self, tmp_path):
+        # 2**60 + 1 and sys.maxsize both round to a neighbour through a float
+        text = "name: x\nseed: 1152921504606846977\nduration: 5.0\nbridge:\n  replay_capacity: 9223372036854775807\n"
+        scenario = load_scenario(write(tmp_path, text))
+        assert scenario.seed == 2**60 + 1
+        assert scenario.endpoint.replay_capacity == 2**63 - 1
+
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ("agents:\n  count: {n}\n  topics: []\n", "agents.count (line 5)"),
+            ("bridge:\n  batch: {n}\n", "bridge.batch (line 5)"),
+            ("bridge:\n  replay_attempts: {n}\n", "bridge.replay_attempts (line 5)"),
+            ("mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  probes: {n}\n", "mmcf.probes (line 6)"),
+            ("mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  space: {{batch: [1, {n}]}}\n", "mmcf.space.batch (line 6)"),
+        ],
+        ids=["agents.count", "bridge.batch", "bridge.replay_attempts", "mmcf.probes", "mmcf.space.batch"],
+    )
+    def test_a_401_digit_count_is_an_error_at_its_key(self, tmp_path, section, path):
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write(tmp_path, MINIMAL + section.format(n="9" * 401)))
+        [problem] = err.value.problems
+        assert problem == f"{path}: must be <= 9223372036854775807, got {'9' * 401}"
+
     @pytest.mark.parametrize("section, path, line", UNKNOWN_KEYS, ids=[path for _, path, _ in UNKNOWN_KEYS])
     def test_an_unknown_key_is_an_error_not_ignored(self, tmp_path, section, path, line):
         with pytest.raises(ScenarioParseError) as err:
