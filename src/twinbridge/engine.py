@@ -171,7 +171,7 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
         clock.advance(tick)
     clock.advance(0.0)
 
-    return _audit(scenario, topics, bus_local, local, remote, fwd, rev)
+    return _audit(scenario, topics, local, remote, fwd, rev)
 
 
 def _payload(t: TopicTraffic, seed: int) -> bytes:
@@ -185,7 +185,6 @@ def _payload(t: TopicTraffic, seed: int) -> bytes:
 def _audit(
     scenario: BridgeScenario,
     topics: list[TopicTraffic],
-    bus_local: TopicBus,
     local: BridgeEndpoint,
     remote: BridgeEndpoint,
     fwd: NetLink,

@@ -95,6 +95,11 @@ class MmcfWeights:
         if abs(sum(vals) - 1.0) > 1e-9:
             raise InvalidWeights(f"weights sum to {sum(vals)}, expected 1")
 
+    def weigh(self, normalized: tuple[float, float, float, float]) -> float:
+        """The MMCF cost: weighted sum of normalized (latency, loss, compute, bandwidth), in [0, 1]."""
+        lat, loss, compute, bandwidth = normalized
+        return self.alpha * lat + self.beta * loss + self.gamma * compute + self.delta * bandwidth
+
 
 @dataclass(frozen=True)
 class MeasuredMetrics:
@@ -142,19 +147,6 @@ def normalize(
     compute = _clamp01(metrics.compute / bounds.compute_max, counter)
     bandwidth = _clamp01(metrics.bandwidth / bounds.bandwidth_max, counter)
     return lat, loss, compute, bandwidth
-
-
-def mmcf(
-    metrics: MeasuredMetrics,
-    bounds: MetricBounds,
-    weights: MmcfWeights,
-    counter: ClampCounter | None = None,
-) -> float:
-    """Weighted sum of the normalized metrics; lies in [0, 1]."""
-    lat, loss, compute, bandwidth = normalize(metrics, bounds, counter)
-    return (
-        weights.alpha * lat + weights.beta * loss + weights.gamma * compute + weights.delta * bandwidth
-    )
 
 
 def apply_config(scenario: BridgeScenario, config: BridgeConfig) -> BridgeScenario:
@@ -281,6 +273,7 @@ def optimize(
     table = []
     for cfg in space:
         metrics = evaluator(cfg, scenario)
-        table.append((cfg, metrics, normalize(metrics, bounds), mmcf(metrics, bounds, weights, counter)))
+        normalized = normalize(metrics, bounds, counter)
+        table.append((cfg, metrics, normalized, weights.weigh(normalized)))
     best = min(table, key=lambda row: row[3])
     return OptimizeResult(best=best[0], cost=best[3], clamps=counter.clamps, table=table)

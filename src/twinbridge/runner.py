@@ -152,9 +152,8 @@ def run_sync_section(scenario: Scenario, seed: int) -> SyncReport:
     link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED)
     force = PiecewiseConstant((t, vec3(x, y, z)) for t, x, y, z in spec.force_script)
     agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script))
-    twin = VirtualTwin(spec.params, tick=spec.loop.tick)
-    loop = replace(spec.loop, duration=scenario.duration)
-    return run_sync_loop(agent, twin, spec.controller, link, clock, loop, spec.bound)
+    twin = VirtualTwin(spec.params)
+    return run_sync_loop(agent, twin, spec.controller, link, clock, scenario.duration, spec.bound)
 
 
 def sync_gain_comparison(

@@ -36,8 +36,8 @@ duration are required):
       mass: 10.0
       force_script: [[0.0, 2.0, 0.0, 0.0]]   # rows: t, fx, fy, fz
       bound: {lipschitz: 1.2, delta: 0.6, e0: 0.0}
-      ... (gains, thresholds, grid; an omitted key takes the default of
-      twinsync's PhysicalParams, SyncController or SyncLoopConfig)
+      ... (drag, gains, thresholds, grid; an omitted key takes the default
+      of twinsync's PhysicalParams or SyncController)
 
     mmcf:                          # configuration optimization (optional)
       weights: [0.4, 0.3, 0.2, 0.1]
@@ -53,7 +53,7 @@ duration are required):
 A key that counts (seed, count, size, batch, capacities, attempts, probes,
 mmcf axes) takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is
 an error. A size takes at most MAX_PAYLOAD, any other count but the seed at
-most sys.maxsize, and sync.tick at least 2 * HISTORY_WINDOW / sys.maxsize. Two
+most sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. Two
 expansions of the topic templates may not name one topic, which is checked at
 the agent count of each run and of each sweep step. A key the parser does not
 read is an error.
@@ -79,7 +79,7 @@ from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
 from .msgbus import InvalidTopic, MessageKind, validate_topic
 from .netsim import NetworkConditions, PiecewiseConstant
-from .twinsync import HISTORY_WINDOW, PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
+from .twinsync import TICK, PhysicalParams, SyncBoundModel, SyncController
 
 KIND_NAMES = {
     "pose": MessageKind.POSE,
@@ -249,14 +249,10 @@ def _rows(ctx: _Ctx, raw, path: str, width: int, what: str, minimum=-math.inf) -
 
 @dataclass(frozen=True)
 class SyncSpec:
-    """Twin-synchronization section of a scenario, parsed into twinsync's configs.
-
-    loop.duration is not read: a run lasts the scenario's duration.
-    """
+    """Twin-synchronization section of a scenario, parsed into twinsync's configs."""
 
     params: PhysicalParams
     controller: SyncController
-    loop: SyncLoopConfig
     bound: SyncBoundModel | None
     force_script: tuple[tuple[float, float, float, float], ...]
     yaw_script: tuple[tuple[float, float], ...]
@@ -271,8 +267,6 @@ _MMCF_AXES = {
     "replay_capacity": _POSITIVE_COUNT,
     "batch": _POSITIVE_COUNT,
 }
-# the twin keeps HISTORY_WINDOW / tick states in a deque, whose maxlen is at most sys.maxsize
-_SYNC_MINIMUM = {"tick": 2 * HISTORY_WINDOW / sys.maxsize}
 
 
 @dataclass(frozen=True)
@@ -478,13 +472,11 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
     return count, tuple(templates)
 
 
-# numeric sync keys, each named after the field of PhysicalParams, SyncController or
-# SyncLoopConfig that it sets; the first group must be positive, the second >= 0
-_SYNC_POSITIVE = ("mass", "eps_pos", "eps_vel", "f_corr_max", "tick", "gain_window")
-_SYNC_NON_NEGATIVE = ("friction", "drag", "kp", "kd")
-_SYNC_KEYS = _SYNC_POSITIVE + _SYNC_NON_NEGATIVE + (
-    "gain_grid", "update_rate", "force_script", "yaw_script", "bound",
-)
+# numeric sync keys, each named after the field of PhysicalParams or SyncController
+# that it sets; the first group must be positive, the second >= 0
+_SYNC_POSITIVE = ("mass", "eps_pos", "eps_vel", "f_corr_max")
+_SYNC_NON_NEGATIVE = ("drag", "kp", "kd")
+_SYNC_KEYS = _SYNC_POSITIVE + _SYNC_NON_NEGATIVE + ("gain_grid", "force_script", "yaw_script", "bound")
 
 
 def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
@@ -494,17 +486,18 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     ctx.known(sy, "sync", _SYNC_KEYS)
     numbers = {}
     for key in _SYNC_POSITIVE + _SYNC_NON_NEGATIVE:
-        value = ctx.number(sy, "sync", key, minimum=_SYNC_MINIMUM.get(key, 0.0), positive=key in _SYNC_POSITIVE)
+        value = ctx.number(sy, "sync", key, minimum=0.0, positive=key in _SYNC_POSITIVE)
         if value is not None:
             numbers[key] = value
-    params, controller, loop = (
+    params, controller = (
         {key: value for key, value in numbers.items() if key in {f.name for f in fields(config)}}
-        for config in (PhysicalParams, SyncController, SyncLoopConfig)
+        for config in (PhysicalParams, SyncController)
     )
+    plant = PhysicalParams(**params)
+    ratio = plant.drag * TICK / plant.mass  # each tick scales the velocity by 1 - ratio (see predict_step)
+    if ratio >= 2.0 and ("mass" in params or "mass" not in sy):  # a rejected mass is reported alone
+        ctx.fail("sync.drag", f"drag * TICK / mass is {ratio} with TICK = {TICK} s; it must be below 2")
     controller["gain_grid"] = tuple(_rows(ctx, sy.get("gain_grid"), "sync.gain_grid", 2, "[kp, kd], each >= 0", 0.0))
-    update_rate = ctx.number(sy, "sync", "update_rate", positive=True)
-    if update_rate is not None:
-        loop["update_period"] = 1.0 / update_rate
     force = _rows(ctx, sy.get("force_script"), "sync.force_script", 4, "[t, fx, fy, fz]")
     yaw = _rows(ctx, sy.get("yaw_script"), "sync.yaw_script", 2, "[t, yaw_rate]")
     bound_raw = ctx.get(sy, "sync", "bound", dict) if sy.get("bound") is not None else None
@@ -518,9 +511,8 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
             bound = SyncBoundModel(k, delta) if e0 is None else SyncBoundModel(k, delta, e0)
     # each value is checked here at its own key, so these configs have nothing left to reject
     return SyncSpec(
-        params=PhysicalParams(**params),
+        params=plant,
         controller=SyncController(**controller),
-        loop=SyncLoopConfig(**loop),
         bound=bound,
         force_script=tuple(force) or ((0.0, 0.0, 0.0, 0.0),),
         yaw_script=tuple(yaw) or ((0.0, 0.0),),

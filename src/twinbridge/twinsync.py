@@ -7,7 +7,8 @@ error at the update's send instant (ring history lookup) and, when the error
 exceeds the adaptive thresholds, applies a PD correction force held until
 the next update or a short expiry, whichever comes first, so long blackouts
 fall back to pure dead reckoning. An analytic error envelope derived from
-Lipschitz dynamics runs alongside and the loop flags any sample exceeding it.
+Lipschitz dynamics runs alongside and the loop flags any sample exceeding it;
+the plant is linear and drag-only (resistance drag * v), so it is Lipschitz.
 
 A `Vec3` is a 3-tuple of Python floats, written out per component; every norm
 is `_norm3`, which fixes the evaluation order. No BLAS kernel fuses or reorders
@@ -28,7 +29,12 @@ import numpy as np
 
 from .netsim import NetLink, PiecewiseConstant, SimClock
 
-GRAVITY = 9.81
+# the loop's one timing: an integrator step every TICK s, a state update every
+# UPDATE_TICKS ticks and, with a gain grid, a gain reschedule every GAIN_WINDOW s
+TICK = 0.01
+UPDATE_TICKS = 10
+UPDATE_PERIOD = UPDATE_TICKS * TICK  # 0.1 s, the same float as 0.1
+GAIN_WINDOW = 1.0
 
 Vec3 = tuple[float, float, float]
 
@@ -48,10 +54,6 @@ def _add(a: Vec3, b: Vec3) -> Vec3:
 
 def _sub(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-class InvalidStep(ValueError):
-    """Integration step with a non-positive dt."""
 
 
 def wrap_angle(angle: float) -> float:
@@ -75,41 +77,35 @@ class TwinState(NamedTuple):
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Plant parameters for the predictive model.
-
-    friction is a Coulomb coefficient; drag is a linear coefficient in N*s/m.
-    """
+    """Plant parameters for the predictive model; drag is a linear coefficient in N*s/m."""
 
     mass: float = 10.0
-    friction: float = 0.0
     drag: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        if self.friction < 0:
-            raise ValueError("friction coefficient must be >= 0")
 
 
 def resistive_force(v: Vec3, params: PhysicalParams) -> Vec3:
-    """Coulomb + linear drag resistance; exactly zero at zero velocity."""
-    speed = _norm3(v)
-    if speed == 0.0:
-        return vec3()
-    c, d = params.friction * params.mass * GRAVITY, params.drag
-    x, y, z = v
-    return (c * (x / speed) + d * x, c * (y / speed) + d * y, c * (z / speed) + d * z)
+    """Linear drag resistance, drag * v."""
+    d = params.drag
+    return (d * v[0], d * v[1], d * v[2])
 
 
-def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams, dt: float = 0.01) -> TwinState:
-    """One semi-implicit integrator step of the predictive model.
+def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams) -> TwinState:
+    """One semi-implicit integrator step of the predictive model, dt = TICK.
 
     a = (f_phys - f_res) / m, v' = v + a*dt, p' = p + v'*dt. The velocity is
     updated first and the new velocity moves the position, which is what
     keeps long dead-reckoning stretches stable.
+
+    With f_res = drag * v, v' = v * (1 - r) + f_phys * dt / m for r = drag * dt / m.
+    Unforced, v decays only while |1 - r| < 1, so r < 2: at r = 2 it flips sign
+    undamped, past 2 it grows (Hairer, Lubich and Wanner 2006), and p follows.
+    So the parser rejects drag * TICK / mass >= 2.
     """
-    if dt <= 0:
-        raise InvalidStep(f"dt must be positive, got {dt}")
+    dt = TICK
     fx, fy, fz = f_phys
     rx, ry, rz = resistive_force(state.v, params)
     (vx, vy, vz), (px, py, pz), m = state.v, state.p, params.mass
@@ -343,13 +339,11 @@ class StateUpdate:
         )
 
 
-def _advance(
-    body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, dt: float, t_end: float
-) -> TwinState:
-    """body's state one interval on, under force and yaw_rate; t_end pins the timestamp
+def _advance(body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, t_end: float) -> TwinState:
+    """body's state one tick on, under force and yaw_rate; t_end pins the timestamp
     to the caller's tick grid so script breakpoints stay aligned across agent and twin."""
-    new = predict_step(body.state, force, body.params, dt)
-    return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * dt), t_end)
+    new = predict_step(body.state, force, body.params)
+    return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * TICK), t_end)
 
 
 class PhysicalAgent:
@@ -366,9 +360,9 @@ class PhysicalAgent:
         self.yaw_script = yaw_script or PiecewiseConstant(0.0)
         self.state = TwinState.at_rest()
 
-    def step(self, dt: float, t_end: float) -> None:
+    def step(self, t_end: float) -> None:
         t = self.state.t
-        self.state = _advance(self, self.force_script.value_at(t), self.yaw_script.value_at(t), dt, t_end)
+        self.state = _advance(self, self.force_script.value_at(t), self.yaw_script.value_at(t), t_end)
 
     def sample(self) -> StateUpdate:
         t = self.state.t
@@ -389,23 +383,22 @@ HISTORY_WINDOW = 6.0
 class VirtualTwin:
     """Dead-reckoning twin with a bounded state history for staleness lookups."""
 
-    def __init__(self, params: PhysicalParams, tick: float = 0.01) -> None:
+    def __init__(self, params: PhysicalParams) -> None:
         self.params = params
         self.state = TwinState.at_rest()
         self.known_force = vec3()
         self.known_yaw_rate = 0.0
         self.correction = vec3()
-        self._tick = tick
-        self._history: deque[TwinState] = deque(maxlen=max(2, int(HISTORY_WINDOW / tick) + 2))
+        self._history: deque[TwinState] = deque(maxlen=int(HISTORY_WINDOW / TICK) + 2)
         self._history.append(self.state)
 
-    def step(self, dt: float, t_end: float) -> None:
-        self.state = _advance(self, _add(self.known_force, self.correction), self.known_yaw_rate, dt, t_end)
+    def step(self, t_end: float) -> None:
+        self.state = _advance(self, _add(self.known_force, self.correction), self.known_yaw_rate, t_end)
         self._history.append(self.state)
 
     def state_at(self, t: float) -> TwinState:
         """Recorded state nearest to t by tick offset from the newest, clamped to the ends."""
-        back = round((self._history[-1].t - t) / self._tick)
+        back = round((self._history[-1].t - t) / TICK)
         return self._history[-1 - min(max(back, 0), len(self._history) - 1)]
 
     def nudge_heading(self, delta: float) -> None:
@@ -448,16 +441,6 @@ class SyncReport:
         return list(zip(self.t, self.e_pos, self.e_rot, self.bound, self.kp, self.kd, self.corrected))
 
 
-@dataclass(frozen=True)
-class SyncLoopConfig:
-    """Timing and scheduling knobs of the synchronization loop."""
-
-    duration: float = 30.0
-    tick: float = 0.01
-    update_period: float = 0.1
-    gain_window: float = 2.0
-
-
 # arrivals within this many seconds feed the loss estimate behind the adaptive thresholds
 LOSS_WINDOW = 5.0
 # a disconnect this many seconds long doubles the gate thresholds
@@ -482,7 +465,7 @@ def run_sync_loop(
     ctrl: SyncController,
     link: NetLink,
     clock: SimClock,
-    config: SyncLoopConfig = SyncLoopConfig(),
+    duration: float,
     bound_model: SyncBoundModel | None = None,
 ) -> SyncReport:
     """Drive physical agent and twin over an impaired link; return the report.
@@ -492,13 +475,12 @@ def run_sync_loop(
     and arrivals gate PD corrections through the adaptive thresholds. The
     report records the true instantaneous error every tick alongside the
     analytic envelope and flags any sample exceeding it. A non-empty
-    ctrl.gain_grid reschedules the gains every config.gain_window, and at once
+    ctrl.gain_grid reschedules the gains every GAIN_WINDOW, and at once
     on a grossly out-of-band error, rolling candidates out on the twin's mass.
     Gain switches rebind a local controller; the caller's ctrl is left as passed.
     """
     report = SyncReport()
-    ticks = int(round(config.duration / config.tick))
-    updates_per = max(1, int(round(config.update_period / config.tick)))
+    ticks = int(round(duration / TICK))
     arrivals: deque[StateUpdate] = deque()
 
     # both sides share the mission plan at deployment: the twin starts with
@@ -511,7 +493,7 @@ def run_sync_loop(
 
     link.on_deliver = on_deliver
 
-    gain_samples: deque[GainSample] = deque(maxlen=max(1, int(config.gain_window / config.update_period)))
+    gain_samples: deque[GainSample] = deque(maxlen=int(GAIN_WINDOW / UPDATE_PERIOD))
     recent_updates: deque[float] = deque()  # arrival times for loss estimation
     last_arrival = 0.0
     last_reschedule = 0.0
@@ -526,8 +508,8 @@ def run_sync_loop(
         b = gronwall_bound(bound_model, now) if bound_model else math.inf
         if bound_model and e_pos_true > b + 1e-12:
             report.bound_violations += 1
-        live_gap = max(0.0, now - last_arrival - config.update_period)
-        loss_now = _estimate_loss(recent_updates, now, config.update_period) if now > 0 else 0.0
+        live_gap = max(0.0, now - last_arrival - UPDATE_PERIOD)
+        loss_now = _estimate_loss(recent_updates, now) if now > 0 else 0.0
         report.t.append(now)
         report.e_pos.append(e_pos_true)
         report.e_rot.append(e_rot_true)
@@ -541,18 +523,18 @@ def run_sync_loop(
 
     record(0.0)
     for k in range(1, ticks + 1):
-        now = k * config.tick
+        now = k * TICK
         if now > correction_expires and any(twin.correction):
             twin.correction = vec3()
-        agent.step(config.tick, t_end=now)
-        twin.step(config.tick, t_end=now)
+        agent.step(t_end=now)
+        twin.step(t_end=now)
 
-        if k % updates_per == 0:
+        if k % UPDATE_TICKS == 0:
             update = agent.sample()
             link.send(update.pack())
             report.updates_sent += 1
 
-        clock.advance(config.tick)
+        clock.advance(TICK)
         clock.advance(0.0)  # fire zero-latency deliveries sent this tick
 
         while arrivals:
@@ -569,7 +551,7 @@ def run_sync_loop(
             # the sample horizon is the staleness of the information the
             # correction will act on; long horizons penalize stiff gains in
             # the rollout evaluation
-            staleness = max(config.update_period, now - update.t)
+            staleness = max(UPDATE_PERIOD, now - update.t)
             gain_samples.append((staleness, e_pos, e_vel))
 
             # escalation: a grossly out-of-band error reschedules immediately
@@ -579,22 +561,22 @@ def run_sync_loop(
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 last_reschedule = now
 
-            loss_rate = _estimate_loss(recent_updates, now, config.update_period)
-            disconnect = max(0.0, gap - config.update_period)
+            loss_rate = _estimate_loss(recent_updates, now)
+            disconnect = max(0.0, gap - UPDATE_PERIOD)
             thresholds = adaptive_thresholds(ctrl, loss_rate, disconnect)
             if correcting:
                 thresholds = (thresholds[0] * GATE_HYSTERESIS, thresholds[1] * GATE_HYSTERESIS)
             f_corr = tuple(pd_correct(e_pos, e_vel, ctrl, thresholds).tolist())
             correcting = any(f_corr)
             twin.correction = f_corr
-            correction_expires = now + CORRECTION_HOLD_PERIODS * config.update_period
+            correction_expires = now + CORRECTION_HOLD_PERIODS * UPDATE_PERIOD
             if correcting:
                 report.corrections_applied += 1
             twin.nudge_heading(e_rot)
             twin.known_force = update.force
             twin.known_yaw_rate = update.yaw_rate
 
-        if ctrl.gain_grid and now - last_reschedule >= config.gain_window:
+        if ctrl.gain_grid and now - last_reschedule >= GAIN_WINDOW:
             if gain_samples:
                 kp, kd = schedule_gains(ctrl, list(gain_samples), twin.params.mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
@@ -610,10 +592,8 @@ def run_sync_loop(
     return report
 
 
-def _estimate_loss(recent: deque[float], now: float, update_period: float) -> float:
+def _estimate_loss(recent: deque[float], now: float) -> float:
     while recent and recent[0] < now - LOSS_WINDOW:
         recent.popleft()
-    expected = LOSS_WINDOW / update_period
-    if now < LOSS_WINDOW:
-        expected = max(1.0, now / update_period)
+    expected = max(1.0, min(now, LOSS_WINDOW) / UPDATE_PERIOD)
     return min(1.0, max(0.0, 1.0 - len(recent) / expected))

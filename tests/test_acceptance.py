@@ -29,7 +29,7 @@ from twinbridge.geo import (
     tangent_plane_offset,
 )
 from twinbridge.lidar2d import PointCloud3D, payload_comparison, project
-from twinbridge.mmcf import calibrate_bounds, measure_config, mmcf, optimize
+from twinbridge.mmcf import calibrate_bounds, measure_config, normalize, optimize
 from twinbridge.runner import run, run_sync_section, sync_gain_comparison
 from twinbridge.scenario import load_scenario
 
@@ -184,7 +184,7 @@ def test_criterion_6_mmcf_optimality():
     oracle_cost = math.inf
     costs = []
     for cfg in sorted(space):
-        cost = mmcf(measure_config(cfg, bridge), bounds, spec.weights)
+        cost = spec.weights.weigh(normalize(measure_config(cfg, bridge), bounds))
         costs.append(cost)
         if cost < oracle_cost:
             oracle_best, oracle_cost = cfg, cost

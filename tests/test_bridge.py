@@ -440,7 +440,7 @@ class TestEndpoint:
         # copies do not count, and only a queued copy keeps a seq buffered
         traffic = (TopicTraffic("/data", MessageKind.BLOB, 1.0, 1),)
         scenario = BridgeScenario("audit", 1, 1.0, fwd.conditions, traffic, PriorityPolicy())
-        res = _audit(scenario, list(traffic), bus_a, local, remote, fwd, rev).topics["/data"]
+        res = _audit(scenario, list(traffic), local, remote, fwd, rev).topics["/data"]
         assert (res.sent, res.delivered, res.buffered, res.dropped) == (6, 0, 4, 2)
 
     @staticmethod
@@ -745,7 +745,7 @@ class TestGapRequests:
         traffic = (TopicTraffic("/c", MessageKind.COMMAND, 1.0, 1),)
         policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
         scenario = BridgeScenario("forged", 1, 1.0, fwd.conditions, traffic, policy)
-        res = _audit(scenario, list(traffic), bus_a, local, remote, fwd, rev).topics["/c"]
+        res = _audit(scenario, list(traffic), local, remote, fwd, rev).topics["/c"]
         assert res.sent == res.delivered + res.dropped + res.buffered == 10
 
     def test_a_run_a_forged_heartbeat_announced_is_given_up_only_to_the_last_seq_that_arrived(

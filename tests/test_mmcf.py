@@ -21,7 +21,6 @@ from twinbridge.mmcf import (
     MmcfWeights,
     calibrate_bounds,
     measure_config,
-    mmcf,
     normalize,
     optimize,
     reusing_evaluator,
@@ -63,11 +62,11 @@ class TestMmcf:
     def test_equal_metrics_give_the_common_value(self):
         m = MeasuredMetrics(latency=0.255, loss=0.15, compute=0.5, bandwidth=50_000.0)
         weights = MmcfWeights(0.37, 0.23, 0.25, 0.15)
-        assert mmcf(m, BOUNDS, weights) == pytest.approx(0.5)
+        assert weights.weigh(normalize(m, BOUNDS)) == pytest.approx(0.5)
 
     def test_degenerate_weight_selects_one_metric(self):
         m = MeasuredMetrics(latency=0.255, loss=0.0, compute=0.0, bandwidth=0.0)
-        assert mmcf(m, BOUNDS, MmcfWeights(1.0, 0.0, 0.0, 0.0)) == pytest.approx(0.5)
+        assert MmcfWeights(1.0, 0.0, 0.0, 0.0).weigh(normalize(m, BOUNDS)) == pytest.approx(0.5)
 
     def test_hand_arithmetic(self):
         # normalized metrics (0.2, 0.5, 0.1, 0.8) under weights (.4, .3, .2, .1)
@@ -78,7 +77,7 @@ class TestMmcf:
             bandwidth=80_000.0,
         )
         weights = MmcfWeights(0.4, 0.3, 0.2, 0.1)
-        assert mmcf(m, BOUNDS, weights) == pytest.approx(0.33)
+        assert weights.weigh(normalize(m, BOUNDS)) == pytest.approx(0.33)
 
     def test_invalid_weights(self):
         with pytest.raises(InvalidWeights):
@@ -97,15 +96,15 @@ class TestMmcf:
         lo, hi = sorted((l1, l2))
         m_lo = MeasuredMetrics(latency=lo, loss=0.1, compute=0.2, bandwidth=1000.0)
         m_hi = MeasuredMetrics(latency=hi, loss=0.1, compute=0.2, bandwidth=1000.0)
-        assert mmcf(m_lo, BOUNDS, weights) <= mmcf(m_hi, BOUNDS, weights) + 1e-12
+        assert weights.weigh(normalize(m_lo, BOUNDS)) <= weights.weigh(normalize(m_hi, BOUNDS)) + 1e-12
 
     def test_linear_in_weights(self):
         m = MeasuredMetrics(latency=0.2, loss=0.1, compute=0.3, bandwidth=20_000.0)
         w1 = MmcfWeights(0.7, 0.1, 0.1, 0.1)
         w2 = MmcfWeights(0.1, 0.3, 0.3, 0.3)
         mid = MmcfWeights(0.4, 0.2, 0.2, 0.2)
-        blend = 0.5 * mmcf(m, BOUNDS, w1) + 0.5 * mmcf(m, BOUNDS, w2)
-        assert mmcf(m, BOUNDS, mid) == pytest.approx(blend)
+        n = normalize(m, BOUNDS)
+        assert mid.weigh(n) == pytest.approx(0.5 * w1.weigh(n) + 0.5 * w2.weigh(n))
 
 
 class TestBridgeConfig:
@@ -169,7 +168,7 @@ class TestOptimize:
         result = optimize(space, None, BOUNDS, self.weights, evaluator=synthetic_evaluator)
         brute = min(
             space,
-            key=lambda c: (mmcf(synthetic_evaluator(c, None), BOUNDS, self.weights), c),
+            key=lambda c: (self.weights.weigh(normalize(synthetic_evaluator(c, None), BOUNDS)), c),
         )
         assert result.best == brute
         assert [row[0] for row in result.table] == sorted(set(space))
@@ -204,7 +203,7 @@ class TestOptimize:
         assert evaluated == sorted(space)
         brute = min(
             space,
-            key=lambda c: (mmcf(synthetic_evaluator(c, None), BOUNDS, self.weights), c),
+            key=lambda c: (self.weights.weigh(normalize(synthetic_evaluator(c, None), BOUNDS)), c),
         )
         assert result.best == brute
         # each config's clamps count once
@@ -269,7 +268,7 @@ class TestInvariants:
             w = MmcfWeights(*(x / total for x in raw))
             vec = (w.alpha, w.beta, w.gamma, w.delta)
             linear = sum(wi * (a - b) for wi, a, b in zip(vec, n_a, n_b))
-            prefers_a = mmcf(m_a, BOUNDS, w) < mmcf(m_b, BOUNDS, w)
+            prefers_a = w.weigh(normalize(m_a, BOUNDS)) < w.weigh(normalize(m_b, BOUNDS))
             assert prefers_a == (linear < 0)
 
 

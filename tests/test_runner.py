@@ -30,6 +30,12 @@ CONSTANT_KEYS = [
     ("bridge.replay_retry", 0.3),
     ("sync.adaptive_gains", "true"),
     ("sync.response_mass", 10.0),
+    # the sync loop's timing is twinsync's TICK, UPDATE_PERIOD and GAIN_WINDOW, and its
+    # plant is drag-only; the values are ones that once overflowed or were shipped
+    ("sync.tick", "5.0e-324"),
+    ("sync.update_rate", "1.0e+300"),
+    ("sync.gain_window", "1.0e+300"),
+    ("sync.friction", 0.0),
 ]
 
 
@@ -341,9 +347,9 @@ class TestCli:
         [
             "duration: 5.0\nsync:\n  gain_grid: [[1.0, 2.0, 3.0]]\n",
             "duration: 5.0\nsync:\n  force_script: [[0.0, x, 0.0, 0.0]]\n",
-            "duration: 5.0\nsync:\n  friction: [1, 2]\n",
-            "duration: 5.0\nsync:\n  friction: {default: -0.5}\n",
-            "duration: 5.0\nsync:\n  friction: -0.5\n",
+            "duration: 5.0\nsync:\n  drag: [1, 2]\n",
+            "duration: 5.0\nsync:\n  drag: {default: -0.5}\n",
+            "duration: 5.0\nsync:\n  drag: -0.5\n",
             "duration: 5.0\nsync:\n  bound: 5\n",
             "duration: 5.0\nnetwork:\n  latency: [[0.0, abc]]\n",
             "duration: 5.0\nnetwork:\n  disconnects: [[a, 1.0]]\n",
@@ -403,10 +409,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "body, expected",
         [
-            ("sync:\n  friction: -0.5\n", ["sync.friction (line 5): must be >= 0.0, got -0.5"]),
+            ("sync:\n  drag: -0.5\n", ["sync.drag (line 5): must be >= 0.0, got -0.5"]),
             (
-                "sync:\n  friction: {default: 0.0}\n",
-                ["sync.friction (line 5): expected a finite number, got {'default': 0.0}"],
+                "sync:\n  drag: {default: 0.0}\n",
+                ["sync.drag (line 5): expected a finite number, got {'default': 0.0}"],
             ),
             (
                 "bridge:\n  redundancy: 5\n  replay_capacity: 9223372036854775808\n",
@@ -438,7 +444,7 @@ class TestCli:
             ),
         ],
         ids=[
-            "negative-friction", "friction-by-terrain", "redundancy-and-replay-capacity", "negative-gain",
+            "negative-drag", "drag-as-a-mapping", "redundancy-and-replay-capacity", "negative-gain",
             "mmcf-space-axes", "mmcf-space-value-not-a-number", "size-over-max-payload",
         ],
     )
@@ -459,17 +465,16 @@ class TestCli:
         [line] = result.output.splitlines()
         assert line.startswith(f"error: {path} (line 5): unknown key; expected one of ["), line
 
-    @pytest.mark.parametrize("tick", ["5.0e-324", "1.0e-300"])
-    def test_a_tick_past_the_twins_history_length_is_an_error_at_the_key(self, tmp_path, tick):
-        # HISTORY_WINDOW / tick overflows a float at 5e-324, and a deque's maxlen at 1e-300
-        text = (SCENARIOS / "sync_default.yaml").read_text(encoding="utf-8")
-        assert text.splitlines()[14] == "  tick: 0.01"
-        scenario = tmp_path / "tick.yaml"
-        scenario.write_text(text.replace("  tick: 0.01\n", f"  tick: {tick}\n"), encoding="utf-8")
+    def test_a_drag_the_integrator_cannot_take_is_an_error_at_the_key(self, tmp_path):
+        # drag * TICK / mass = 1e6 * 0.01 / 10 = 1000: each tick would scale the velocity by -999
+        text = (SCENARIOS / "sync_latency200.yaml").read_text(encoding="utf-8")
+        assert text.splitlines()[12] == "  drag: 1.5"
+        scenario = tmp_path / "drag.yaml"
+        scenario.write_text(text.replace("  drag: 1.5\n", "  drag: 1000000.0\n"), encoding="utf-8")
         result = CliRunner().invoke(main, ["run", str(scenario), "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2, result.output
         [line] = result.output.splitlines()
-        assert line == f"error: sync.tick (line 15): must be >= 1.3010426069826053e-18, got {float(tick)!r}"
+        assert line == "error: sync.drag (line 13): drag * TICK / mass is 1000.0 with TICK = 0.01 s; it must be below 2"
 
     def test_an_envelope_past_float_range_is_no_bound_not_a_traceback(self, tmp_path):
         # K*t passes 709.78 at t = 7.1 s, where exp(K*t) overflows a float

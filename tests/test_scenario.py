@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, TIER_STANDARD
 from twinbridge.msgbus import MessageKind
 from twinbridge.scenario import _SYNC_KEYS, ScenarioParseError, load_scenario
-from twinbridge.twinsync import PhysicalParams, SyncBoundModel, SyncController, SyncLoopConfig
+from twinbridge.twinsync import PhysicalParams, SyncBoundModel, SyncController
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -113,10 +113,29 @@ geo:
     def test_empty_sync_section_takes_the_twinsync_defaults(self, tmp_path):
         spec = load_scenario(write(tmp_path, MINIMAL + "sync: {}\n")).sync
         assert spec.controller == SyncController()
-        assert spec.params == PhysicalParams(friction=0.0)
-        assert spec.loop == SyncLoopConfig()
+        assert spec.params == PhysicalParams()
         assert spec.bound is None
         assert spec.force_script == ((0.0, 0.0, 0.0, 0.0),)
+
+    @pytest.mark.parametrize(
+        "sync, problems",
+        [
+            ("  mass: 10.0\n  drag: 1999.0\n", []),
+            ("  mass: 10.0\n  drag: 2000.0\n", ["sync.drag (line 6): drag * TICK / mass is 2.0"]),
+            ("  drag: 2000.0\n", ["sync.drag (line 5): drag * TICK / mass is 2.0"]),  # mass defaults to 10
+            ("  mass: 0.5\n  drag: 100.0\n", ["sync.drag (line 6): drag * TICK / mass is 2.0"]),
+            ("  mass: -1.0\n  drag: 2000.0\n", ["sync.mass (line 5): must be positive"]),
+        ],
+        ids=["below-2", "at-2", "default-mass", "light-agent", "bad-mass-alone"],
+    )
+    def test_a_drag_step_at_or_past_the_stability_limit_is_an_error(self, tmp_path, sync, problems):
+        # each tick scales the velocity by 1 - drag * TICK / mass, which no longer decays at 2
+        try:
+            load_scenario(write(tmp_path, MINIMAL + "sync:\n" + sync))
+            found = []
+        except ScenarioParseError as exc:
+            found = exc.problems
+        assert len(found) == len(problems) and all(f.startswith(p) for f, p in zip(found, problems)), found
 
     def test_zero_is_kept_not_replaced_by_the_default(self, tmp_path):
         scenario = load_scenario(write(tmp_path, MINIMAL + "bridge:\n  replay_attempts: 0\n"))

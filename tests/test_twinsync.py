@@ -13,13 +13,13 @@ from twinbridge.twinsync import (
     ACCURACY_WEIGHT,
     ENERGY_WEIGHT,
     GainSample,
-    InvalidStep,
     PhysicalAgent,
     PhysicalParams,
     StateUpdate,
     SyncBoundModel,
     SyncController,
-    SyncLoopConfig,
+    TICK,
+    UPDATE_PERIOD,
     TwinState,
     VirtualTwin,
     adaptive_thresholds,
@@ -35,8 +35,8 @@ from twinbridge.twinsync import (
 )
 
 
-def params(mass=10.0, mu=0.0, drag=0.0):
-    return PhysicalParams(mass=mass, friction=mu, drag=drag)
+def params(mass=10.0, drag=0.0):
+    return PhysicalParams(mass=mass, drag=drag)
 
 
 def allclose(a, b, rtol=1e-5, atol=1e-8):
@@ -51,42 +51,40 @@ def rate(after, before, dt):
 class TestPredictStep:
     def test_equilibrium_only_time_moves(self):
         state = TwinState.at_rest()
-        out = predict_step(state, vec3(), params(), dt=0.1)
+        out = predict_step(state, vec3(), params())
         assert np.array_equal(out.p, state.p)
         assert np.array_equal(out.v, state.v)
-        assert out.t == pytest.approx(0.1)
+        assert out.t == TICK
 
     def test_direct_substitution(self):
-        # net force 10 N on 10 kg: a=1, v'=0.1, p'=0.01 after dt=0.1
+        # net force 10 N on 10 kg: a=1, v'=0.01, p'=0.0001 after dt=TICK=0.01
         state = TwinState.at_rest()
-        out = predict_step(state, vec3(10.0), params(mass=10.0), dt=0.1)
-        assert rate(out.v, state.v, 0.1) == pytest.approx([1.0, 0.0, 0.0])
-        assert out.v == pytest.approx([0.1, 0.0, 0.0])
-        assert out.p == pytest.approx([0.01, 0.0, 0.0])
+        out = predict_step(state, vec3(10.0), params(mass=10.0))
+        assert rate(out.v, state.v, TICK) == pytest.approx([1.0, 0.0, 0.0])
+        assert out.v == pytest.approx([0.01, 0.0, 0.0])
+        assert out.p == pytest.approx([0.0001, 0.0, 0.0])
 
-    def test_coulomb_friction_deceleration(self):
+    def test_drag_deceleration(self):
+        # 3 N*s/m of drag at 1 m/s on 10 kg: a = -0.3
         state = TwinState(vec3(), vec3(1.0), 0.0, 0.0)
-        out = predict_step(state, vec3(), params(mass=10.0, mu=0.3), dt=0.01)
-        assert rate(out.v, state.v, 0.01) == pytest.approx([-2.943, 0.0, 0.0])
+        out = predict_step(state, vec3(), params(mass=10.0, drag=3.0))
+        assert rate(out.v, state.v, TICK) == pytest.approx([-0.3, 0.0, 0.0])
 
-    def test_friction_zero_at_rest(self):
-        assert np.array_equal(resistive_force(vec3(), params(mu=0.9)), vec3())
-
-    def test_invalid_step(self):
-        with pytest.raises(InvalidStep):
-            predict_step(TwinState.at_rest(), vec3(), params(), dt=0.0)
+    def test_drag_is_linear_in_velocity(self):
+        assert resistive_force(vec3(0.5, -2.0, 0.0), params(drag=1.5)) == (0.75, -3.0, 0.0)
+        assert resistive_force(vec3(), params(drag=1.5)) == vec3()
 
     def test_zero_force_zero_friction_conserves_momentum(self):
         state = TwinState(vec3(), vec3(0.7, -0.2, 0.1), 0.0, 0.0)
         for _ in range(500):
-            state = predict_step(state, vec3(), params(), dt=0.02)
+            state = predict_step(state, vec3(), params())
         assert state.v == pytest.approx([0.7, -0.2, 0.1])
 
     def test_semi_implicit_order(self):
         # position must advance with the *updated* velocity
         state = TwinState.at_rest()
-        out = predict_step(state, vec3(10.0), params(mass=1.0), dt=1.0)
-        assert out.p[0] == pytest.approx(10.0)  # v'=10, p'=0+10*1
+        out = predict_step(state, vec3(100.0), params(mass=1.0))
+        assert out.p[0] == pytest.approx(0.01)  # v'=100*0.01=1, p'=0+1*0.01; v*dt first would give 0
 
 
 class TestSyncErrors:
@@ -341,13 +339,13 @@ class TestForceScript:
 
 class TestVirtualTwin:
     def test_state_at_is_the_nearest_kept_state(self):
-        twin = VirtualTwin(params(), tick=0.01)
+        twin = VirtualTwin(params())
         twin.known_force = vec3(1.0, -0.5)
         states = [twin.state]
         for k in range(1, 1001):
-            twin.step(0.01, t_end=k * 0.01)
+            twin.step(t_end=k * 0.01)
             states.append(twin.state)
-        kept = states[-602:]  # the history holds HISTORY_WINDOW / tick + 2 states
+        kept = states[-602:]  # the history holds HISTORY_WINDOW / TICK + 2 states
         for s in kept:
             assert twin.state_at(s.t) is s
         assert twin.state_at(0.0) is kept[0]
@@ -359,7 +357,7 @@ class TestVirtualTwin:
             assert twin.state_at(t) is min(kept, key=lambda s: abs(s.t - t))
 
 
-def ideal_loop(duration=5.0, **kwargs):
+def ideal_loop(duration=5.0):
     clock = SimClock()
     link = NetLink(clock, NetworkConditions.ideal(), seed=1)
     p = params(mass=10.0, drag=1.5)
@@ -368,8 +366,7 @@ def ideal_loop(duration=5.0, **kwargs):
     agent = PhysicalAgent(p, script, yaw)
     twin = VirtualTwin(p)
     ctrl = SyncController(kp=40.0, kd=30.0, eps_pos=0.05, eps_vel=0.1)
-    config = SyncLoopConfig(duration=duration, tick=0.01, update_period=0.1, **kwargs)
-    return run_sync_loop(agent, twin, ctrl, link, clock, config)
+    return run_sync_loop(agent, twin, ctrl, link, clock, duration)
 
 
 class TestRunSyncLoop:
@@ -378,6 +375,12 @@ class TestRunSyncLoop:
         assert max(report.e_pos) < 1e-9
         assert max(abs(r) for r in report.e_rot) < 1e-9
         assert report.updates_received == report.updates_sent
+
+    @pytest.mark.parametrize("duration", [0.1, 2.0, 40.0])
+    def test_one_update_leaves_every_update_period(self, duration):
+        report = ideal_loop(duration=duration)
+        assert report.updates_sent == round(duration / UPDATE_PERIOD)
+        assert len(report.t) == round(duration / TICK) + 1  # a sample at 0 and one per tick
 
     def test_report_series_aligned(self):
         report = ideal_loop(duration=2.0)
@@ -391,8 +394,7 @@ class TestRunSyncLoop:
         p = params(mass=10.0, drag=1.5)
         agent = PhysicalAgent(p, PiecewiseConstant([(0.0, vec3(2.0))]))
         ctrl = SyncController(kp=40.0, kd=30.0, gain_grid=((12.0, 10.0), (110.0, 40.0)))
-        config = SyncLoopConfig(duration=3.0, gain_window=1.0)
-        report = run_sync_loop(agent, VirtualTwin(p), ctrl, link, clock, config)
+        report = run_sync_loop(agent, VirtualTwin(p), ctrl, link, clock, 3.0)
         assert (ctrl.kp, ctrl.kd) == (40.0, 30.0)
         assert (report.kp[0], report.kd[0]) == (40.0, 30.0)
         assert set(zip(report.kp, report.kd)) - {(40.0, 30.0)}
@@ -403,9 +405,8 @@ class TestRunSyncLoop:
         agent = PhysicalAgent(params(mass=10.0), PiecewiseConstant([(0.0, vec3(2.0))]))
         twin = VirtualTwin(params(mass=1.0))
         ctrl = SyncController(kp=1e300, kd=1e300)
-        config = SyncLoopConfig(duration=1.0)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-            run_sync_loop(agent, twin, ctrl, link, clock, config)
+            run_sync_loop(agent, twin, ctrl, link, clock, 1.0)
 
     def test_integrated_error_zero_on_perfect_channel(self):
         report = ideal_loop(duration=2.0)
