@@ -8,10 +8,11 @@ import click
 
 from .runner import SWEEP_HEADER, compare, load_report, run, sweep_agents
 from .scenario import ScenarioParseError, load_scenario
+from .twinsync import SyncStateError
 
 
 class _Group(click.Group):
-    """Reports scenario errors of every command as `error:` lines, exit code 2."""
+    """Reports scenario errors and a sync run that diverges as `error:` lines, exit code 2."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -19,6 +20,9 @@ class _Group(click.Group):
         except ScenarioParseError as exc:
             for problem in exc.problems:
                 click.echo(f"error: {problem}", err=True)
+            ctx.exit(2)
+        except SyncStateError as exc:
+            click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
 
 

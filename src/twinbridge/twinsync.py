@@ -9,10 +9,13 @@ the next update or a short expiry, whichever comes first, so long blackouts
 fall back to pure dead reckoning. An analytic error envelope derived from
 Lipschitz dynamics runs alongside and the loop flags any sample exceeding it;
 the plant is linear and drag-only (resistance drag * v), so it is Lipschitz.
+With a gain grid the gains are rescheduled every GAIN_WINDOW, but only when the
+window of gain samples differs from the one last scheduled: nothing else that
+changes enters the choice, so a repeat would pick the same gains.
 
 A `Vec3` is a 3-tuple of Python floats, written out per component; every norm
-is `_norm3`, which fixes the evaluation order. No BLAS kernel fuses or reorders
-plain float arithmetic, so a run gives the same bits on any IEEE 754 host.
+sums x*x + y*y + z*z in that order, as `_norm3` does. No BLAS kernel fuses or
+reorders plain float arithmetic, so a run gives the same bits on any IEEE 754 host.
 
 Units: positions m, velocities m/s, forces N, angles rad, time simulated s.
 """
@@ -87,18 +90,13 @@ class PhysicalParams:
             raise ValueError("mass must be positive")
 
 
-def resistive_force(v: Vec3, params: PhysicalParams) -> Vec3:
-    """Linear drag resistance, drag * v."""
-    d = params.drag
-    return (d * v[0], d * v[1], d * v[2])
-
-
 def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams) -> TwinState:
     """One semi-implicit integrator step of the predictive model, dt = TICK.
 
-    a = (f_phys - f_res) / m, v' = v + a*dt, p' = p + v'*dt. The velocity is
-    updated first and the new velocity moves the position, which is what
-    keeps long dead-reckoning stretches stable.
+    a = (f_phys - f_res) / m with the linear drag f_res = drag * v, then
+    v' = v + a*dt and p' = p + v'*dt. The velocity is updated first and the
+    new velocity moves the position, which is what keeps long dead-reckoning
+    stretches stable.
 
     With f_res = drag * v, v' = v * (1 - r) + f_phys * dt / m for r = drag * dt / m.
     Unforced, v decays only while |1 - r| < 1, so r < 2: at r = 2 it flips sign
@@ -107,9 +105,8 @@ def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams) -> Twin
     """
     dt = TICK
     fx, fy, fz = f_phys
-    rx, ry, rz = resistive_force(state.v, params)
-    (vx, vy, vz), (px, py, pz), m = state.v, state.p, params.mass
-    vx, vy, vz = vx + (fx - rx) / m * dt, vy + (fy - ry) / m * dt, vz + (fz - rz) / m * dt
+    (vx, vy, vz), (px, py, pz), m, d = state.v, state.p, params.mass, params.drag
+    vx, vy, vz = vx + (fx - d * vx) / m * dt, vy + (fy - d * vy) / m * dt, vz + (fz - d * vz) / m * dt
     return TwinState((px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz), state.heading, state.t + dt)
 
 
@@ -202,27 +199,33 @@ def _gain_candidate_cost(
     computed from the state `lag` steps back. The rollout exposes the
     delay-induced ringing of over-stiff gains that a one-step model misses.
     mass is the plant mass the correction force accelerates.
+    It runs on scalars in _norm3's order; past[i] is the state step i acts on.
     """
     h = min(dt for dt, _, _ in window)
     g = h / mass
+    f_max = ctrl.f_corr_max
+    sqrt = math.sqrt
     acc = 0.0
     energy = 0.0
-    for dt, e_pos, e_vel in window:
+    for dt, (ex, ey, ez), (vx, vy, vz) in window:
         lag = max(1, int(round(dt / h)))
-        states = [(e_pos, e_vel)] * lag
-        e, ev = e_pos, e_vel
-        for _ in range(GAIN_ROLLOUT_STEPS):
-            (ex, ey, ez), (vx, vy, vz) = states[-lag]
-            f = (kp * ex + kd * vx, kp * ey + kd * vy, kp * ez + kd * vz)
-            norm = _norm3(f)
-            if norm > ctrl.f_corr_max:
-                s = ctrl.f_corr_max / norm  # the plant saturates; model it
-                f = (f[0] * s, f[1] * s, f[2] * s)
-                norm = ctrl.f_corr_max
-            ev = (ev[0] - g * f[0], ev[1] - g * f[1], ev[2] - g * f[2])
-            e = (e[0] + h * ev[0], e[1] + h * ev[1], e[2] + h * ev[2])
-            states.append((e, ev))
-            acc += _norm3(e)
+        past = [(ex, ey, ez, vx, vy, vz)] * lag if lag > 1 else None
+        for i in range(GAIN_ROLLOUT_STEPS):
+            if past is None:
+                fx, fy, fz = kp * ex + kd * vx, kp * ey + kd * vy, kp * ez + kd * vz
+            else:
+                sx, sy, sz, svx, svy, svz = past[i]
+                fx, fy, fz = kp * sx + kd * svx, kp * sy + kd * svy, kp * sz + kd * svz
+            norm = sqrt(fx * fx + fy * fy + fz * fz)
+            if norm > f_max:
+                s = f_max / norm  # the plant saturates; model it
+                fx, fy, fz = fx * s, fy * s, fz * s
+                norm = f_max
+            vx, vy, vz = vx - g * fx, vy - g * fy, vz - g * fz
+            ex, ey, ez = ex + h * vx, ey + h * vy, ez + h * vz
+            if past is not None:
+                past.append((ex, ey, ez, vx, vy, vz))
+            acc += sqrt(ex * ex + ey * ey + ez * ez)
             energy += norm
     n = len(window) * GAIN_ROLLOUT_STEPS
     acc_term = (acc / n) / ctrl.eps_pos
@@ -339,13 +342,6 @@ class StateUpdate:
         )
 
 
-def _advance(body: PhysicalAgent | VirtualTwin, force: Vec3, yaw_rate: float, t_end: float) -> TwinState:
-    """body's state one tick on, under force and yaw_rate; t_end pins the timestamp
-    to the caller's tick grid so script breakpoints stay aligned across agent and twin."""
-    new = predict_step(body.state, force, body.params)
-    return TwinState(new.p, new.v, wrap_angle(new.heading + yaw_rate * TICK), t_end)
-
-
 class PhysicalAgent:
     """Ground-truth agent integrating its scripted force and yaw-rate profile."""
 
@@ -359,21 +355,6 @@ class PhysicalAgent:
         self.force_script = force_script
         self.yaw_script = yaw_script or PiecewiseConstant(0.0)
         self.state = TwinState.at_rest()
-
-    def step(self, t_end: float) -> None:
-        t = self.state.t
-        self.state = _advance(self, self.force_script.value_at(t), self.yaw_script.value_at(t), t_end)
-
-    def sample(self) -> StateUpdate:
-        t = self.state.t
-        return StateUpdate(
-            t=t,
-            p=self.state.p,
-            v=self.state.v,
-            heading=self.state.heading,
-            force=self.force_script.value_at(t),
-            yaw_rate=self.yaw_script.value_at(t),
-        )
 
 
 # seconds of recorded twin states kept for lookups at an update's send instant
@@ -390,10 +371,6 @@ class VirtualTwin:
         self.known_yaw_rate = 0.0
         self.correction = vec3()
         self._history: deque[TwinState] = deque(maxlen=int(HISTORY_WINDOW / TICK) + 2)
-        self._history.append(self.state)
-
-    def step(self, t_end: float) -> None:
-        self.state = _advance(self, _add(self.known_force, self.correction), self.known_yaw_rate, t_end)
         self._history.append(self.state)
 
     def state_at(self, t: float) -> TwinState:
@@ -459,6 +436,10 @@ CORRECTION_HOLD_PERIODS = 2.0
 GATE_HYSTERESIS = 0.4
 
 
+class SyncStateError(ValueError):
+    """A sync run's state stopped being finite; names the simulated time."""
+
+
 def run_sync_loop(
     agent: PhysicalAgent,
     twin: VirtualTwin,
@@ -475,9 +456,11 @@ def run_sync_loop(
     and arrivals gate PD corrections through the adaptive thresholds. The
     report records the true instantaneous error every tick alongside the
     analytic envelope and flags any sample exceeding it. A non-empty
-    ctrl.gain_grid reschedules the gains every GAIN_WINDOW, and at once
-    on a grossly out-of-band error, rolling candidates out on the twin's mass.
-    Gain switches rebind a local controller; the caller's ctrl is left as passed.
+    ctrl.gain_grid reschedules the gains every GAIN_WINDOW if the window of
+    gain samples differs from the one last scheduled, and at once on a grossly
+    out-of-band error, rolling candidates out on the twin's mass. Gain
+    switches rebind a local controller; the caller's ctrl is left as passed.
+    Raises SyncStateError once the agent or the twin leaves the finite floats.
     """
     report = SyncReport()
     ticks = int(round(duration / TICK))
@@ -485,8 +468,9 @@ def run_sync_loop(
 
     # both sides share the mission plan at deployment: the twin starts with
     # the scripted control inputs in effect at t0
-    twin.known_force = agent.force_script.value_at(agent.state.t)
-    twin.known_yaw_rate = agent.yaw_script.value_at(agent.state.t)
+    f_agent = twin.known_force = agent.force_script.value_at(agent.state.t)
+    yaw_agent = twin.known_yaw_rate = agent.yaw_script.value_at(agent.state.t)
+    applied = _add(twin.known_force, twin.correction)
 
     def on_deliver(payload: bytes, _at: float) -> None:
         arrivals.append(StateUpdate.unpack(payload))
@@ -498,44 +482,63 @@ def run_sync_loop(
     last_arrival = 0.0
     last_reschedule = 0.0
     latest_update_t = -math.inf
-    correcting = False
+    correcting = False  # the gate's hysteresis state, kept across expiries
+    held = any(twin.correction)  # a non-zero correction that has not expired
+    scheduled: list[GainSample] = []  # the window the gains were last scheduled on
 
     def record(now: float) -> None:
-        e_pos_true = _norm3(_sub(agent.state.p, twin.state.p))
+        (ax, ay, az), (tx, ty, tz) = agent.state.p, twin.state.p
+        dx, dy, dz = ax - tx, ay - ty, az - tz
+        e_pos_true = math.sqrt(dx * dx + dy * dy + dz * dz)
         if not math.isfinite(e_pos_true):
-            raise ValueError(f"sync state is not finite at t={now}")
-        e_rot_true = wrap_angle(agent.state.heading - twin.state.heading)
-        b = gronwall_bound(bound_model, now) if bound_model else math.inf
-        if bound_model and e_pos_true > b + 1e-12:
+            raise SyncStateError(f"sync: the state is not finite at t={now:.2f} s")
+        b = gronwall_bound(bound_model, now) if bound_model is not None else math.inf
+        if e_pos_true > b + 1e-12:
             report.bound_violations += 1
-        live_gap = max(0.0, now - last_arrival - UPDATE_PERIOD)
-        loss_now = _estimate_loss(recent_updates, now) if now > 0 else 0.0
+        # the gate threshold adaptive_thresholds gives for the live gap and loss estimate
+        live_gap = now - last_arrival - UPDATE_PERIOD
+        factor = 1.0 + live_gap / THRESHOLD_T_REF if live_gap > 0.0 else 1.0
+        if now > 0:
+            while recent_updates and recent_updates[0] < now - LOSS_WINDOW:
+                recent_updates.popleft()
+            loss = 1.0 - len(recent_updates) / max(1.0, min(now, LOSS_WINDOW) / UPDATE_PERIOD)
+            if loss > 0.0:
+                factor *= 1.0 + loss
         report.t.append(now)
         report.e_pos.append(e_pos_true)
-        report.e_rot.append(e_rot_true)
+        report.e_rot.append(wrap_angle(agent.state.heading - twin.state.heading))
         report.bound.append(b if math.isfinite(b) else -1.0)
         report.kp.append(ctrl.kp)
         report.kd.append(ctrl.kd)
-        report.corrected.append(1 if any(twin.correction) else 0)
-        report.eps_pos.append(adaptive_thresholds(ctrl, loss_now, live_gap)[0])
+        report.corrected.append(1 if held else 0)
+        report.eps_pos.append(ctrl.eps_pos * min(factor, THRESHOLD_CAP))
 
     correction_expires = -math.inf
 
     record(0.0)
     for k in range(1, ticks + 1):
         now = k * TICK
-        if now > correction_expires and any(twin.correction):
+        if held and now > correction_expires:
+            held = False
             twin.correction = vec3()
-        agent.step(t_end=now)
-        twin.step(t_end=now)
+            applied = _add(twin.known_force, twin.correction)
+        # t pins each state to the tick grid so script breakpoints stay
+        # aligned across agent and twin
+        a, tw = agent.state, twin.state
+        new = predict_step(a, f_agent, agent.params)
+        agent.state = TwinState(new.p, new.v, wrap_angle(a.heading + yaw_agent * TICK), now)
+        new = predict_step(tw, applied, twin.params)
+        twin.state = TwinState(new.p, new.v, wrap_angle(tw.heading + twin.known_yaw_rate * TICK), now)
+        twin._history.append(twin.state)
+        f_agent, yaw_agent = agent.force_script.value_at(now), agent.yaw_script.value_at(now)
 
         if k % UPDATE_TICKS == 0:
-            update = agent.sample()
-            link.send(update.pack())
+            a = agent.state
+            link.send(StateUpdate(now, a.p, a.v, a.heading, f_agent, yaw_agent).pack())
             report.updates_sent += 1
 
+        # fires every delivery due by the tick's end, a zero-latency send above included
         clock.advance(TICK)
-        clock.advance(0.0)  # fire zero-latency deliveries sent this tick
 
         while arrivals:
             update = arrivals.popleft()
@@ -557,7 +560,8 @@ def run_sync_loop(
             # escalation: a grossly out-of-band error reschedules immediately
             # so the transient is handled with freshly chosen gains
             if ctrl.gain_grid and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos:
-                kp, kd = schedule_gains(ctrl, list(gain_samples), twin.params.mass)
+                scheduled = list(gain_samples)
+                kp, kd = schedule_gains(ctrl, scheduled, twin.params.mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 last_reschedule = now
 
@@ -567,7 +571,7 @@ def run_sync_loop(
             if correcting:
                 thresholds = (thresholds[0] * GATE_HYSTERESIS, thresholds[1] * GATE_HYSTERESIS)
             f_corr = tuple(pd_correct(e_pos, e_vel, ctrl, thresholds).tolist())
-            correcting = any(f_corr)
+            held = correcting = any(f_corr)
             twin.correction = f_corr
             correction_expires = now + CORRECTION_HOLD_PERIODS * UPDATE_PERIOD
             if correcting:
@@ -575,17 +579,23 @@ def run_sync_loop(
             twin.nudge_heading(e_rot)
             twin.known_force = update.force
             twin.known_yaw_rate = update.yaw_rate
+            applied = _add(twin.known_force, twin.correction)
 
+        # schedule_gains picks from the window alone (the grid, mass and limits
+        # never change), so a window equal to the one last scheduled is skipped
         if ctrl.gain_grid and now - last_reschedule >= GAIN_WINDOW:
-            if gain_samples:
-                kp, kd = schedule_gains(ctrl, list(gain_samples), twin.params.mass)
+            window = list(gain_samples)
+            if window != scheduled:
+                kp, kd = schedule_gains(ctrl, window, twin.params.mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
+                scheduled = window
             last_reschedule = now
 
         if bound_model is not None:
-            applied = _add(twin.known_force, twin.correction)
-            mismatch = _norm3(_sub(agent.force_script.value_at(now), applied)) / agent.params.mass
-            report.max_input_mismatch = max(report.max_input_mismatch, mismatch)
+            dx, dy, dz = f_agent[0] - applied[0], f_agent[1] - applied[1], f_agent[2] - applied[2]
+            mismatch = math.sqrt(dx * dx + dy * dy + dz * dz) / agent.params.mass
+            if mismatch > report.max_input_mismatch:
+                report.max_input_mismatch = mismatch
 
         record(now)
 

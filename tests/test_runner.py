@@ -476,6 +476,17 @@ class TestCli:
         [line] = result.output.splitlines()
         assert line == "error: sync.drag (line 13): drag * TICK / mass is 1000.0 with TICK = 0.01 s; it must be below 2"
 
+    def test_a_sync_state_that_stops_being_finite_is_an_error_not_a_traceback(self, tmp_path):
+        # kp = 100000 on stale feedback drives the twin past float range 29.36 s into the run
+        text = (SCENARIOS / "sync_latency200.yaml").read_text(encoding="utf-8")
+        assert text.splitlines()[13] == "  kp: 40.0"
+        scenario = tmp_path / "kp.yaml"
+        scenario.write_text(text.replace("  kp: 40.0\n", "  kp: 100000.0\n"), encoding="utf-8")
+        result = CliRunner().invoke(main, ["run", str(scenario), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        [line] = result.output.splitlines()
+        assert line == "error: sync: the state is not finite at t=29.36 s"
+
     def test_an_envelope_past_float_range_is_no_bound_not_a_traceback(self, tmp_path):
         # K*t passes 709.78 at t = 7.1 s, where exp(K*t) overflows a float
         text = (SCENARIOS / "sync_default.yaml").read_text(encoding="utf-8")

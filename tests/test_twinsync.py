@@ -1,23 +1,30 @@
 """Predictive model, PD gating, gain scheduling, and the error envelope."""
 
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_artifacts import RUNS
 
+from twinbridge import runner, twinsync
 from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant, SimClock
+from twinbridge.scenario import load_scenario
 from twinbridge.twinsync import (
     ACCURACY_WEIGHT,
     ENERGY_WEIGHT,
+    GAIN_ROLLOUT_STEPS,
     GainSample,
     PhysicalAgent,
     PhysicalParams,
     StateUpdate,
     SyncBoundModel,
     SyncController,
+    SyncStateError,
     TICK,
     UPDATE_PERIOD,
     TwinState,
@@ -26,13 +33,15 @@ from twinbridge.twinsync import (
     gronwall_bound,
     pd_correct,
     predict_step,
-    resistive_force,
     run_sync_loop,
     schedule_gains,
     sync_errors,
     vec3,
     wrap_angle,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def params(mass=10.0, drag=0.0):
@@ -71,8 +80,11 @@ class TestPredictStep:
         assert rate(out.v, state.v, TICK) == pytest.approx([-0.3, 0.0, 0.0])
 
     def test_drag_is_linear_in_velocity(self):
-        assert resistive_force(vec3(0.5, -2.0, 0.0), params(drag=1.5)) == (0.75, -3.0, 0.0)
-        assert resistive_force(vec3(), params(drag=1.5)) == vec3()
+        # unforced, the velocity change is -drag * v * dt / m per component
+        state = TwinState(vec3(), vec3(0.5, -2.0, 0.0), 0.0, 0.0)
+        out = predict_step(state, vec3(), params(mass=10.0, drag=1.5))
+        assert rate(out.v, state.v, TICK) == pytest.approx([-0.075, 0.3, 0.0])
+        assert predict_step(TwinState.at_rest(), vec3(), params(drag=1.5)).v == vec3()
 
     def test_zero_force_zero_friction_conserves_momentum(self):
         state = TwinState(vec3(), vec3(0.7, -0.2, 0.1), 0.0, 0.0)
@@ -227,6 +239,61 @@ def oracle_schedule_gains(ctrl: SyncController, window, mass: float) -> tuple[fl
     return ctrl.gain_grid[best]
 
 
+def tuple_rollout_cost(kp, kd, window, ctrl, force_scale, mass):
+    """_gain_candidate_cost as written on 3-tuples, the reference its scalar rollout must match."""
+    h = min(dt for dt, _, _ in window)
+    g = h / mass
+    acc = 0.0
+    energy = 0.0
+    for dt, e_pos, e_vel in window:
+        lag = max(1, int(round(dt / h)))
+        states = [(e_pos, e_vel)] * lag
+        e, ev = e_pos, e_vel
+        for _ in range(GAIN_ROLLOUT_STEPS):
+            (ex, ey, ez), (vx, vy, vz) = states[-lag]
+            f = (kp * ex + kd * vx, kp * ey + kd * vy, kp * ez + kd * vz)
+            norm = math.sqrt(f[0] * f[0] + f[1] * f[1] + f[2] * f[2])
+            if norm > ctrl.f_corr_max:
+                s = ctrl.f_corr_max / norm
+                f = (f[0] * s, f[1] * s, f[2] * s)
+                norm = ctrl.f_corr_max
+            ev = (ev[0] - g * f[0], ev[1] - g * f[1], ev[2] - g * f[2])
+            e = (e[0] + h * ev[0], e[1] + h * ev[1], e[2] + h * ev[2])
+            states.append((e, ev))
+            acc += math.sqrt(e[0] * e[0] + e[1] * e[1] + e[2] * e[2])
+            energy += norm
+    n = len(window) * GAIN_ROLLOUT_STEPS
+    acc_term = (acc / n) / ctrl.eps_pos
+    energy_term = (energy / n) / force_scale
+    return ACCURACY_WEIGHT * acc_term + ENERGY_WEIGHT * energy_term
+
+
+# staleness from one update period to ten, so a window's lags run from 1 to 10
+GAIN_SAMPLES = st.tuples(
+    st.one_of(st.sampled_from([0.1, 0.2, 0.6]), st.floats(0.1, 1.0)),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+LAGGED_WINDOW = [(0.1, (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)), (0.6, (0.5, -0.2, 0.0), (0.1, 0.0, 0.0))]
+
+
+@given(
+    window=st.lists(GAIN_SAMPLES, min_size=1, max_size=10),
+    kp=st.floats(0.0, 400.0),
+    kd=st.floats(0.0, 100.0),
+    f_corr_max=st.one_of(st.just(math.inf), st.floats(0.5, 200.0)),
+    mass=st.floats(0.5, 50.0),
+    force_scale=st.floats(0.1, 1000.0),
+)
+@example(window=LAGGED_WINDOW, kp=110.0, kd=40.0, f_corr_max=math.inf, mass=10.0, force_scale=50.0)
+@example(window=LAGGED_WINDOW, kp=110.0, kd=40.0, f_corr_max=5.0, mass=10.0, force_scale=50.0)
+@settings(max_examples=300, deadline=None)
+def test_scalar_rollout_is_the_tuple_rollout_bit_for_bit(window, kp, kd, f_corr_max, mass, force_scale):
+    ctrl = SyncController(f_corr_max=f_corr_max)
+    got = twinsync._gain_candidate_cost(kp, kd, window, ctrl, force_scale, mass)
+    assert got.hex() == tuple_rollout_cost(kp, kd, window, ctrl, force_scale, mass).hex()
+
+
 class TestScheduleGains:
     def window(self, rng, n=5):
         return [
@@ -339,13 +406,14 @@ class TestForceScript:
 
 class TestVirtualTwin:
     def test_state_at_is_the_nearest_kept_state(self):
+        clock = SimClock()
+        link = NetLink(clock, NetworkConditions.ideal(), seed=1)
+        agent = PhysicalAgent(params(), PiecewiseConstant([(0.0, vec3(1.0, -0.5))]))
         twin = VirtualTwin(params())
-        twin.known_force = vec3(1.0, -0.5)
-        states = [twin.state]
-        for k in range(1, 1001):
-            twin.step(t_end=k * 0.01)
-            states.append(twin.state)
-        kept = states[-602:]  # the history holds HISTORY_WINDOW / TICK + 2 states
+        run_sync_loop(agent, twin, SyncController(), link, clock, 10.0)
+        kept = list(twin._history)
+        # the history holds the newest HISTORY_WINDOW / TICK + 2 states, one per tick
+        assert [round(s.t / TICK) for s in kept] == list(range(399, 1001))
         for s in kept:
             assert twin.state_at(s.t) is s
         assert twin.state_at(0.0) is kept[0]
@@ -405,9 +473,53 @@ class TestRunSyncLoop:
         agent = PhysicalAgent(params(mass=10.0), PiecewiseConstant([(0.0, vec3(2.0))]))
         twin = VirtualTwin(params(mass=1.0))
         ctrl = SyncController(kp=1e300, kd=1e300)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SyncStateError, match=r"t=0\.\d\d s"):
             run_sync_loop(agent, twin, ctrl, link, clock, 1.0)
 
     def test_integrated_error_zero_on_perfect_channel(self):
         report = ideal_loop(duration=2.0)
         assert report.integrated_error() < 1e-9
+
+
+def test_gains_are_rescheduled_only_for_a_new_window(monkeypatch, tmp_path):
+    events = []
+    schedule_gains, state_at = twinsync.schedule_gains, VirtualTwin.state_at
+
+    def counted_schedule(ctrl, window, mass):
+        events.append(("schedule", list(window)))
+        return schedule_gains(ctrl, window, mass)
+
+    def counted_state_at(twin, t):  # looked up once per fresh arrival, at its send instant
+        events.append(("arrival", t))
+        return state_at(twin, t)
+
+    monkeypatch.setattr(twinsync, "schedule_gains", counted_schedule)
+    monkeypatch.setattr(VirtualTwin, "state_at", counted_state_at)
+    runner.run(SCENARIOS / "sync_disconnect.yaml", out_dir=tmp_path)
+
+    digest = hashlib.sha256((tmp_path / "sync.csv").read_bytes()).hexdigest()
+    assert digest == RUNS["sync_disconnect"][1]["sync.csv"]
+    # nothing sent in the [10, 40) s blackout arrives: of the 30 periodic reschedules
+    # due in it, only the first sees the window the last arrival before it completed
+    arrivals = [i for i, (kind, t) in enumerate(events) if kind == "arrival" and t < 40.0]
+    first_after = next(i for i, (kind, t) in enumerate(events) if kind == "arrival" and t >= 40.0)
+    assert [kind for kind, _ in events[arrivals[-1] + 1:first_after]] == ["schedule"]
+    windows = [window for kind, window in events if kind == "schedule"]
+    assert len(windows) == 59
+    assert all(a != b for a, b in zip(windows, windows[1:]))
+
+
+def test_each_tick_steps_through_predict_step_and_each_sample_through_gronwall_bound(monkeypatch):
+    # bench/tracing.py wraps these module names to count the sync loop's work per layer
+    calls = dict.fromkeys(["predict_step", "gronwall_bound"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(twinsync, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(twinsync, name, counted)
+    scenario = load_scenario(SCENARIOS / "sync_default.yaml")
+    report = runner.run_sync_section(scenario, scenario.seed)
+    ticks = round(scenario.duration / TICK)
+    assert len(report.t) == ticks + 1
+    assert calls == {"predict_step": 2 * ticks, "gronwall_bound": ticks + 1}
