@@ -37,6 +37,8 @@ class PiecewiseConstant:
         pts = sorted({float(t): v for t, v in points}.items())
         if not pts:
             raise ValueError("profile needs at least one breakpoint")
+        if any(t != t for t, _ in pts):  # NaN: the breakpoints must be totally ordered
+            raise ValueError("breakpoint time must not be NaN")
         self._times = [t for t, _ in pts]
         self._values = [v for _, v in pts]
 

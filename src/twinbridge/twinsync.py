@@ -86,8 +86,8 @@ class PhysicalParams:
     drag: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
+        if not (self.mass > 0 and self.drag >= 0):  # written so that NaN fails, as below
+            raise ValueError("mass must be positive and drag >= 0")
 
 
 def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams) -> TwinState:
@@ -107,7 +107,8 @@ def predict_step(state: TwinState, f_phys: Vec3, params: PhysicalParams) -> Twin
     fx, fy, fz = f_phys
     (vx, vy, vz), (px, py, pz), m, d = state.v, state.p, params.mass, params.drag
     vx, vy, vz = vx + (fx - d * vx) / m * dt, vy + (fy - d * vy) / m * dt, vz + (fz - d * vz) / m * dt
-    return TwinState((px + vx * dt, py + vy * dt, pz + vz * dt), (vx, vy, vz), state.heading, state.t + dt)
+    p = (px + vx * dt, py + vy * dt, pz + vz * dt)
+    return tuple.__new__(TwinState, (p, (vx, vy, vz), state.heading, state.t + dt))
 
 
 def sync_errors(phys: TwinState | StateUpdate, pred: TwinState) -> tuple[Vec3, Vec3, float]:
@@ -131,10 +132,10 @@ class SyncController:
     f_corr_max: float = math.inf  # actuator saturation for the correction force
 
     def __post_init__(self) -> None:
-        if self.kp < 0 or self.kd < 0 or any(g < 0 for pair in self.gain_grid for g in pair):
+        if not (self.kp >= 0 and self.kd >= 0 and all(g >= 0 for pair in self.gain_grid for g in pair)):
             raise ValueError("gains must be >= 0")
-        if self.eps_pos <= 0 or self.eps_vel <= 0:
-            raise ValueError("thresholds must be positive")
+        if not (self.eps_pos > 0 and self.eps_vel > 0 and self.f_corr_max > 0):
+            raise ValueError("thresholds and f_corr_max must be positive")
 
 
 def adaptive_thresholds(
@@ -288,9 +289,9 @@ class SyncBoundModel:
     e0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lipschitz <= 0:
+        if not self.lipschitz > 0:
             raise ValueError("lipschitz constant must be positive")
-        if self.delta_bound < 0 or self.e0 < 0:
+        if not (self.delta_bound >= 0 and self.e0 >= 0):
             raise ValueError("delta_bound and e0 must be >= 0")
 
 
@@ -378,10 +379,6 @@ class VirtualTwin:
         back = round((self._history[-1].t - t) / TICK)
         return self._history[-1 - min(max(back, 0), len(self._history) - 1)]
 
-    def nudge_heading(self, delta: float) -> None:
-        self.state = self.state._replace(heading=wrap_angle(self.state.heading + delta))
-        self._history[-1] = self.state
-
 
 @dataclass
 class SyncReport:
@@ -413,9 +410,6 @@ class SyncReport:
         if not pairs:
             return 0.0, 0.0
         return max(p[0] for p in pairs), max(abs(p[1]) for p in pairs)
-
-    def rows(self) -> list[tuple]:
-        return list(zip(self.t, self.e_pos, self.e_rot, self.bound, self.kp, self.kd, self.corrected))
 
 
 # arrivals within this many seconds feed the loss estimate behind the adaptive thresholds
@@ -451,6 +445,7 @@ def run_sync_loop(
 ) -> SyncReport:
     """Drive physical agent and twin over an impaired link; return the report.
 
+    The agent starts at t = 0, and its scripts are read only at their breakpoints.
     Each tick the agent integrates its script, the twin dead-reckons with its
     last known force plus any held correction, due updates cross the link,
     and arrivals gate PD corrections through the adaptive thresholds. The
@@ -470,6 +465,8 @@ def run_sync_loop(
     # the scripted control inputs in effect at t0
     f_agent = twin.known_force = agent.force_script.value_at(agent.state.t)
     yaw_agent = twin.known_yaw_rate = agent.yaw_script.value_at(agent.state.t)
+    f_steps, yaw_steps = (iter(s.breakpoints() + [(math.inf, None)]) for s in (agent.force_script, agent.yaw_script))
+    f_next, yaw_next = next(f_steps), next(yaw_steps)
     applied = _add(twin.known_force, twin.correction)
 
     def on_deliver(payload: bytes, _at: float) -> None:
@@ -526,11 +523,14 @@ def run_sync_loop(
         # aligned across agent and twin
         a, tw = agent.state, twin.state
         new = predict_step(a, f_agent, agent.params)
-        agent.state = TwinState(new.p, new.v, wrap_angle(a.heading + yaw_agent * TICK), now)
+        agent.state = tuple.__new__(TwinState, (new.p, new.v, wrap_angle(a.heading + yaw_agent * TICK), now))
         new = predict_step(tw, applied, twin.params)
-        twin.state = TwinState(new.p, new.v, wrap_angle(tw.heading + twin.known_yaw_rate * TICK), now)
+        twin.state = tuple.__new__(TwinState, (new.p, new.v, wrap_angle(tw.heading + twin.known_yaw_rate * TICK), now))
         twin._history.append(twin.state)
-        f_agent, yaw_agent = agent.force_script.value_at(now), agent.yaw_script.value_at(now)
+        while now >= f_next[0]:
+            f_agent, f_next = f_next[1], next(f_steps)
+        while now >= yaw_next[0]:
+            yaw_agent, yaw_next = yaw_next[1], next(yaw_steps)
 
         if k % UPDATE_TICKS == 0:
             a = agent.state
@@ -576,7 +576,7 @@ def run_sync_loop(
             correction_expires = now + CORRECTION_HOLD_PERIODS * UPDATE_PERIOD
             if correcting:
                 report.corrections_applied += 1
-            twin.nudge_heading(e_rot)
+            twin.state = twin._history[-1] = twin.state._replace(heading=wrap_angle(twin.state.heading + e_rot))
             twin.known_force = update.force
             twin.known_yaw_rate = update.yaw_rate
             applied = _add(twin.known_force, twin.correction)

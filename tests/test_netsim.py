@@ -51,6 +51,19 @@ class TestPiecewiseConstant:
             held = max(earlier) if earlier else min(time for time, _ in rows)
             assert p.value_at(t) == [v for time, v in rows if time == held][-1]
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(0.0, 1.0), (float("nan"), 5.0), (2.0, 3.0)],  # once read 5.0 at t = 0.5
+            [(2.0, 3.0), (float("nan"), 5.0), (0.0, 1.0)],  # once read 1.0 at t = 2.5
+            [(float("nan"), 5.0)],
+        ],
+    )
+    def test_a_nan_breakpoint_time_is_rejected(self, rows):
+        # sorting and bisect need totally ordered times; NaN compares false with all
+        with pytest.raises(ValueError, match="NaN"):
+            PiecewiseConstant(rows)
+
 
 class TestSimClock:
     def test_zero_dt_fires_only_now_due(self):

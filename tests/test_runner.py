@@ -2,16 +2,22 @@
 
 import filecmp
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from twinbridge import runner
 from twinbridge.cli import main
 from twinbridge.runner import TOPICS_HEADER, compare, load_report, run, sweep_agents, sync_gain_comparison
 from twinbridge.scenario import load_scenario
+from twinbridge.twinsync import SyncReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -646,3 +652,37 @@ def test_twenty_agent_scenario_smoke():
         _, _, sent, delivered, dropped, buffered = row[:6]
         assert sent == delivered + dropped + buffered
     assert report.summary["delivered"] > 0
+
+
+# besides any float: a signed zero, the least subnormal, the switch to exponent form at 1e16,
+# a power of ten, a long mantissa, and -1.0, the sentinel sync.csv writes for an infinite bound
+SYNC_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 3.35e25, -1.0]))
+SYNC_ROWS = st.tuples(*[SYNC_FLOATS] * 6, st.sampled_from([0, 1]))
+EDGE_ROW = (-0.0, 5e-324, 1e16, 1e22, 3.35e25, -1.0, 1)
+
+
+def sync_report(rows) -> SyncReport:
+    return SyncReport(*([list(column) for column in zip(*rows)] or [[] for _ in runner.SYNC_HEADER]))
+
+
+@settings(deadline=None)
+@given(rows=st.lists(SYNC_ROWS, max_size=12), chunk_rows=st.integers(1, 5))
+@example(rows=[], chunk_rows=1024)
+@example(rows=[EDGE_ROW], chunk_rows=1024)
+@example(rows=[EDGE_ROW, (0.0, 0.01, -3.0, 1.5, 40.0, 30.0, 0)] * 4, chunk_rows=3)
+def test_sync_csv_is_what_csv_writer_writes(rows, chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(runner, "SYNC_CHUNK", chunk_rows)
+        expected = runner._write_csv(Path(tmp) / "csv_writer.csv", runner.SYNC_HEADER, rows).read_bytes()
+        written = runner._write_sync_csv(Path(tmp) / "sync.csv", sync_report(rows))
+        assert written.read_bytes() == expected
+
+
+def test_sync_csv_past_one_chunk_is_what_csv_writer_writes(tmp_path):
+    rng = random.Random(7)
+    count = 2 * runner.SYNC_CHUNK + 3
+    rows = [(k * 0.01, *(rng.uniform(-1e3, 1e3) for _ in range(5)), rng.randint(0, 1)) for k in range(count)]
+    report = runner.RunReport("x", 1, "prioritized", sync=sync_report(rows))
+    report.write_csvs(tmp_path)
+    expected = runner._write_csv(tmp_path / "csv_writer.csv", runner.SYNC_HEADER, rows).read_bytes()
+    assert (tmp_path / "sync.csv").read_bytes() == expected

@@ -383,6 +383,35 @@ class TestGronwallBound:
         assert gronwall_bound(model, lo) <= gronwall_bound(model, hi) + 1e-12
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "config, fields",
+    [
+        (PhysicalParams, {"mass": NAN}),
+        (PhysicalParams, {"drag": NAN}),
+        (PhysicalParams, {"drag": -1.0}),
+        (SyncController, {"kp": NAN}),
+        (SyncController, {"kd": NAN}),
+        (SyncController, {"gain_grid": ((NAN, 10.0),)}),
+        (SyncController, {"gain_grid": ((12.0, 10.0), (110.0, NAN))}),
+        (SyncController, {"eps_pos": NAN}),
+        (SyncController, {"eps_vel": NAN}),
+        (SyncController, {"f_corr_max": NAN}),
+        (SyncController, {"f_corr_max": 0.0}),
+        (SyncController, {"f_corr_max": -150.0}),  # would flip the correction's sign
+        (SyncBoundModel, {"lipschitz": NAN, "delta_bound": 0.6}),  # every bound NaN: nothing flagged
+        (SyncBoundModel, {"lipschitz": 1.2, "delta_bound": NAN}),
+        (SyncBoundModel, {"lipschitz": 1.2, "delta_bound": 0.6, "e0": NAN}),
+    ],
+    ids=lambda v: "-".join(f"{k}={v[k]}" for k in v) if isinstance(v, dict) else v.__name__,
+)
+def test_a_config_field_out_of_range_or_nan_is_rejected(config, fields):
+    with pytest.raises(ValueError):
+        config(**fields)
+
+
 class TestStateUpdateWire:
     def test_roundtrip(self):
         u = StateUpdate(1.5, vec3(1, 2, 3), vec3(0.1, 0.2, 0.3), 0.7, vec3(5, 0, 0), 0.05)
@@ -523,3 +552,81 @@ def test_each_tick_steps_through_predict_step_and_each_sample_through_gronwall_b
     ticks = round(scenario.duration / TICK)
     assert len(report.t) == ticks + 1
     assert calls == {"predict_step": 2 * ticks, "gronwall_bound": ticks + 1}
+
+
+def traced_loop(monkeypatch, force, yaw, duration):
+    """run_sync_loop over an ideal link; returns the agent's (state, force) per step and its updates."""
+    steps, updates = [], []
+    step = twinsync.predict_step
+    agent_params = params(mass=10.0, drag=1.5)
+    agent = PhysicalAgent(agent_params, force, yaw)
+
+    def traced_step(state, f_phys, p):
+        if p is agent_params:  # the twin steps with params of its own
+            steps.append((state, f_phys))
+        return step(state, f_phys, p)
+
+    monkeypatch.setattr(twinsync, "predict_step", traced_step)
+    clock = SimClock()
+    link = NetLink(clock, NetworkConditions.ideal(), seed=1)
+    send = link.send
+    link.send = lambda payload: updates.append(StateUpdate.unpack(payload)) or send(payload)
+    run_sync_loop(agent, VirtualTwin(params(mass=10.0, drag=1.5)), SyncController(), link, clock, duration)
+    return steps, updates
+
+
+# a breakpoint time: anywhere, on the tick grid, negative, past the run, or one of a few shared ones
+BREAK_TIMES = st.one_of(
+    st.floats(-1.0, 1.5),
+    st.integers(-3, 150).map(lambda k: k * TICK),
+    st.sampled_from([0.0, 0.05, 0.3, -0.2]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    force=st.lists(st.tuples(BREAK_TIMES, st.integers(-9, 9).map(float)), min_size=1, max_size=8),
+    yaw=st.lists(st.tuples(BREAK_TIMES, st.integers(-9, 9).map(lambda r: r / 10)), min_size=1, max_size=8),
+    ticks=st.integers(1, 120),
+)
+@example(force=[(0.02, 1.0), (0.01, 2.0), (0.01, 3.0), (-0.5, 4.0)], yaw=[(3 * TICK, 0.5)], ticks=10)
+def test_each_tick_reads_the_scripts_value_at_its_time(force, yaw, ticks):
+    force_script = PiecewiseConstant((t, vec3(x)) for t, x in force)
+    yaw_script = PiecewiseConstant(yaw)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        steps, updates = traced_loop(monkeypatch, force_script, yaw_script, ticks * TICK)
+    assert len(steps) == ticks
+    # step k + 1 integrates the force and yaw rate read at tick k
+    for k, (state, f_phys) in enumerate(steps):
+        assert round(state.t / TICK) == k
+        assert f_phys == force_script.value_at(k * TICK)
+        if k:
+            before = steps[k - 1][0].heading
+            assert state.heading == wrap_angle(before + yaw_script.value_at((k - 1) * TICK) * TICK)
+    assert [u.t for u in updates] == [k * TICK for k in range(10, ticks + 1, 10)]
+    for u in updates:
+        assert (u.force, u.yaw_rate) == (force_script.value_at(u.t), yaw_script.value_at(u.t))
+
+
+def test_the_scripts_are_read_only_at_their_breakpoints(monkeypatch, tmp_path):
+    scripts, reads = [], []
+    value_at, loop = PiecewiseConstant.value_at, runner.run_sync_loop
+
+    def counted_value_at(profile, t):
+        reads.append(profile)
+        return value_at(profile, t)
+
+    def loop_keeping_the_scripts(agent, *args):
+        scripts.extend((agent.force_script, agent.yaw_script))
+        return loop(agent, *args)
+
+    monkeypatch.setattr(PiecewiseConstant, "value_at", counted_value_at)
+    monkeypatch.setattr(runner, "run_sync_loop", loop_keeping_the_scripts)
+    runner.run(SCENARIOS / "sync_disconnect.yaml", out_dir=tmp_path)
+
+    digest = hashlib.sha256((tmp_path / "sync.csv").read_bytes()).hexdigest()
+    assert digest == RUNS["sync_disconnect"][1]["sync.csv"]
+    breakpoints = sum(len(script.breakpoints()) for script in scripts)
+    assert breakpoints == 12
+    # the 7 000-tick run once read both scripts every tick: 14 002 reads
+    assert sum(any(profile is script for script in scripts) for profile in reads) <= breakpoints + 2
