@@ -92,10 +92,6 @@ class Envelope(NamedTuple):
     kind: int
     payload: bytes
 
-    @property
-    def sim_time(self) -> float:
-        return self.sim_time_us / 1e6
-
 
 def frame_size(env: Envelope) -> int:
     """The length of `encode_envelope(env)`, without building the frame."""

@@ -40,10 +40,6 @@ class GeoPoint:
         if not math.isfinite(self.altitude):
             raise ValueError("altitude must be finite")
 
-    @staticmethod
-    def from_degrees(lat_deg: float, lon_deg: float, altitude: float = 0.0) -> "GeoPoint":
-        return GeoPoint(math.radians(lat_deg), math.radians(lon_deg), altitude)
-
 
 @dataclass(frozen=True)
 class LocalOffset:

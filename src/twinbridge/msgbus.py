@@ -56,27 +56,19 @@ def validate_topic(name: str) -> str:
     return name
 
 
-class _MessageFields(NamedTuple):
+class Message(NamedTuple):
+    """One payload on one topic at one simulated instant, as an immutable tuple.
+
+    `origin` identifies the publishing endpoint for bridge loop suppression;
+    it never crosses the wire. `Publisher.publish` refuses a payload over
+    16 MiB before it builds one.
+    """
+
     topic: str
     payload: bytes
     publish_time: float
     kind: MessageKind
     origin: str | None = None
-
-
-class Message(_MessageFields):
-    """One payload on one topic at one simulated instant, as an immutable tuple.
-
-    `origin` identifies the publishing endpoint for bridge loop suppression;
-    it never crosses the wire. A payload over 16 MiB is refused when the
-    message is built here; `Publisher.publish` refuses it before it builds one.
-    """
-
-    __slots__ = ()  # no instance dict, so no attribute can be added either
-
-    def __new__(cls, topic: str, payload: bytes, publish_time: float, kind: MessageKind, origin: str | None = None):
-        _check_payload(payload)
-        return tuple.__new__(cls, (topic, payload, publish_time, kind, origin))
 
 
 class Subscription:
@@ -126,7 +118,8 @@ class Publisher:
             )
         self._last_time = publish_time
         if self._subs:
-            msg = tuple.__new__(Message, (self.topic, payload, publish_time, self.kind, origin))  # checked above
+            # tuple.__new__ skips the NamedTuple's Python-level constructor
+            msg = tuple.__new__(Message, (self.topic, payload, publish_time, self.kind, origin))
             for sub in self._subs:
                 sub._push(msg)
 

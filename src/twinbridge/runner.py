@@ -15,7 +15,6 @@ from itertools import chain, islice
 from pathlib import Path
 
 from .engine import TrafficResult, percentile, run_traffic
-from .geo import gps_to_scene
 from .mmcf import calibrate_bounds, optimize, reusing_evaluator
 from .netsim import NetLink, PiecewiseConstant, SimClock
 from .scenario import Scenario, load_scenario
@@ -25,7 +24,6 @@ TOPICS_HEADER = (
     "topic", "tier", "sent", "delivered", "dropped", "buffered",
     "bytes", "lat_p50", "lat_p95", "lat_max",
 )
-GEO_HEADER = ("lat_deg", "lon_deg", "alt_m", "scene_x", "scene_y", "scene_z")
 TIERS_HEADER = ("tier", "sent", "delivered", "delivery_rate", "lat_p50", "lat_p95", "lat_max")
 SUMMARY_HEADER = ("key", "value")
 SYNC_HEADER = ("t", "e_pos", "e_rot", "bound", "kp", "kd", "corrected")
@@ -55,7 +53,6 @@ class RunReport:
     summary: dict[str, object] = field(default_factory=dict)
     sync: SyncReport | None = None
     mmcf_rows: list[tuple] = field(default_factory=list)
-    geo_rows: list[tuple] = field(default_factory=list)
     traffic: TrafficResult | None = None
 
     def tier_p95(self, tier: str) -> float:
@@ -81,8 +78,6 @@ class RunReport:
             written.append(_write_sync_csv(out / "sync.csv", self.sync))
         if self.mmcf_rows:
             written.append(_write_csv(out / "mmcf.csv", MMCF_HEADER, self.mmcf_rows))
-        if self.geo_rows:
-            written.append(_write_csv(out / "geo.csv", GEO_HEADER, self.geo_rows))
         return written
 
 
@@ -269,33 +264,9 @@ def run(
         report.mmcf_rows = rows
         report.summary.update(info)
 
-    if scenario.geo is not None:
-        report.geo_rows = geo_waypoint_rows(scenario)
-        report.summary["geo_waypoints"] = len(report.geo_rows)
-
     if out_dir is not None:
         report.write_csvs(out_dir)
     return report
-
-
-def geo_waypoint_rows(scenario: Scenario) -> list[tuple]:
-    """Convert the scenario's waypoints into scene coordinates."""
-    spec = scenario.geo
-    assert spec is not None
-    rows = []
-    for point in spec.waypoints:
-        coord = gps_to_scene(spec.reference, point, spec.scale, extent=spec.extent)
-        rows.append(
-            (
-                math.degrees(point.latitude),
-                math.degrees(point.longitude),
-                point.altitude,
-                coord.x,
-                coord.y,
-                coord.z,
-            )
-        )
-    return rows
 
 
 # --- comparison -----------------------------------------------------------------

@@ -44,12 +44,6 @@ duration are required):
       space: {redundancy: [0, 1], batch: [1, 4]}  # an omitted axis takes its bridge: value
       probes: 6
 
-    geo:                           # coordinate conversion inputs (optional)
-      reference: [39.25, -76.71, 10.0]       # degrees, degrees, meters
-      scale: 1.0
-      extent: 500000.0
-      waypoints: [[39.2505, -76.7095, 10.0]]
-
 A key that counts (seed, count, size, batch, capacities, attempts, probes,
 mmcf axes) takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is
 an error. A size takes at most MAX_PAYLOAD, any other count but the seed at
@@ -75,7 +69,6 @@ import yaml
 from .bridge import EndpointConfig, PriorityPolicy
 from .engine import BridgeScenario, TopicTraffic
 from .envelope import MAX_PAYLOAD, TIER_BY_NAME, TIER_STANDARD
-from .geo import GeoPoint
 from .mmcf import BridgeConfig, MmcfWeights
 from .msgbus import InvalidTopic, MessageKind, validate_topic
 from .netsim import NetworkConditions, PiecewiseConstant
@@ -291,14 +284,6 @@ class MmcfSpec:
 
 
 @dataclass(frozen=True)
-class GeoSpec:
-    reference: GeoPoint
-    scale: float = 1.0
-    extent: float = 0.0
-    waypoints: tuple[GeoPoint, ...] = ()
-
-
-@dataclass(frozen=True)
 class Scenario:
     """A parsed, validated scenario file."""
 
@@ -313,7 +298,6 @@ class Scenario:
     topic_templates: tuple[dict, ...] = ()
     sync: SyncSpec | None = None
     mmcf: MmcfSpec | None = None
-    geo: GeoSpec | None = None
 
     def traffic_for(self, count: int | None = None) -> tuple[TopicTraffic, ...]:
         """Every template expanded for agents 1..count.
@@ -552,38 +536,11 @@ def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | N
     return MmcfSpec(weights=weights, space=space, probes=probes)
 
 
-def _parse_geo(ctx: _Ctx, data: dict) -> GeoSpec | None:
-    ge = ctx.get(data, "", "geo", dict, default=None)
-    if ge is None:
-        return None
-    ctx.known(ge, "geo", ("reference", "scale", "extent", "waypoints"))
-    ref = GeoPoint(0.0, 0.0, 0.0)
-    ref_raw = ctx.get(ge, "geo", "reference", list, required=True, default=[0.0, 0.0, 0.0])
-    values = _vector(ctx, ref_raw, "geo.reference", 3, "[lat_deg, lon_deg, alt_m]")
-    if values is not None:
-        try:
-            ref = GeoPoint.from_degrees(*values)
-        except ValueError as exc:
-            ctx.fail("geo.reference", str(exc))
-    waypoints = []
-    for row in _rows(ctx, ge.get("waypoints"), "geo.waypoints", 3, "[lat_deg, lon_deg, alt_m]"):
-        try:
-            waypoints.append(GeoPoint.from_degrees(*row))
-        except ValueError as exc:
-            ctx.fail("geo.waypoints", f"{list(row)}: {exc}")
-    return GeoSpec(
-        reference=ref,
-        scale=ctx.number(ge, "geo", "scale", default=1.0, positive=True),
-        extent=ctx.number(ge, "geo", "extent", default=0.0, minimum=0.0),
-        waypoints=tuple(waypoints),
-    )
-
-
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file, or raise ScenarioParseError."""
     data, marks = load_yaml_with_lines(path)
     ctx = _Ctx(marks)
-    ctx.known(data, "", ("name", "seed", "duration", "network", "bridge", "policy", "agents", "sync", "mmcf", "geo"))
+    ctx.known(data, "", ("name", "seed", "duration", "network", "bridge", "policy", "agents", "sync", "mmcf"))
 
     name = ctx.get(data, "", "name", str, required=True, default="unnamed")
     seed = ctx.number(data, "", "seed", required=True, default=0, minimum=0, integer=True)
@@ -595,7 +552,6 @@ def load_scenario(path: str | Path) -> Scenario:
     agent_count, templates = _parse_agents(ctx, data)
     sync = _parse_sync(ctx, data)
     mmcf_spec = _parse_mmcf(ctx, data, endpoint)
-    geo_spec = _parse_geo(ctx, data)
 
     if drain >= duration:
         ctx.fail("bridge.drain", f"drain {drain} must be below duration {duration}")
@@ -615,5 +571,4 @@ def load_scenario(path: str | Path) -> Scenario:
         topic_templates=templates,
         sync=sync,
         mmcf=mmcf_spec,
-        geo=geo_spec,
     )

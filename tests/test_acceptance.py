@@ -256,10 +256,35 @@ def test_criterion_7_geodesy():
         )
         assert abs(back.latitude - target.latitude) < 1e-9
         assert abs(back.longitude - target.longitude) < 1e-9
+
+    # above AREA_THRESHOLD_M2 each horizontal axis is a signed great-circle arc
+    rng = random.Random(776007)
+    worst_axis_mm = 0.0
+    for _ in range(100):
+        ref = GeoPoint(rng.uniform(-1.2, 1.2), rng.uniform(-2.5, 2.5), rng.uniform(-40, 40))
+        target = GeoPoint(
+            ref.latitude + rng.uniform(-0.3, 0.3),
+            ref.longitude + rng.uniform(-0.5, 0.5),
+            ref.altitude + rng.uniform(-10, 10),
+        )
+        coord = gps_to_scene(ref, target, 1.5, extent=4.0e12)
+        east = math.copysign(
+            sphere_oracle(GeoPoint(ref.latitude, ref.longitude), GeoPoint(ref.latitude, target.longitude)),
+            target.longitude - ref.longitude,
+        )
+        north = math.copysign(
+            sphere_oracle(GeoPoint(ref.latitude, ref.longitude), GeoPoint(target.latitude, ref.longitude)),
+            target.latitude - ref.latitude,
+        )
+        for got, want in ((coord.x, 1.5 * east), (coord.z, 1.5 * north)):
+            worst_axis_mm = max(worst_axis_mm, abs(got - want) * 1000.0)
+            assert abs(got - want) < 1.5e-3
+        assert coord.y == pytest.approx(1.5 * (target.altitude - ref.altitude))
     verdict(
         7,
         f"haversine within {worst_mm:.4f} mm of oracle on 100 pairs; tangent-plane "
-        f"agreement {worst_rel:.2e} < 1e-5; roundtrip {worst_rad:.2e} rad < 1e-9",
+        f"agreement {worst_rel:.2e} < 1e-5; roundtrip {worst_rad:.2e} rad < 1e-9; "
+        f"large-extent axes within {worst_axis_mm:.4f} mm of oracle on 100 pairs",
     )
 
 

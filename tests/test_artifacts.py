@@ -25,6 +25,14 @@ RUNS = {
             "topics.csv": "6be0b7428455d1463c287ebb1e4d953a993cf82e67e63c4afcfa164d5041e4aa",
         },
     ),
+    "bridge_outage": (
+        ["run", "bridge_outage.yaml"],
+        {
+            "summary.csv": "55703132678454bf1d9803c112246a69283e26d1cc07afba3d03e0a91135eb78",
+            "tiers.csv": "f68ae6f75450ce280d2cb2ee7d36f753cd9e60c67b3fe9759ccab574c1b6988d",
+            "topics.csv": "7e2c356e2832977fdecaef7b2855d58c6a3258b456910100895ed29e99e19cd1",
+        },
+    ),
     "bridge_sweep": (
         ["run", "bridge_sweep.yaml"],
         {

@@ -78,6 +78,33 @@ class TestRunTraffic:
             assert res.dropped == res.sent - res.delivered
             assert res.buffered == 0
 
+    def test_the_outage_run_evicts_before_replay_gives_up_and_counts_the_ring(self, monkeypatch):
+        counts = {"give_up": 0, "evicted_before_replay": 0, "contains": 0}
+        give_up = BridgeEndpoint._give_up_gap
+        get_range, contains = bridge.ReplayBuffer.get_range, bridge.ReplayBuffer.contains
+
+        def counted_give_up(self, rx, hi, now):
+            counts["give_up"] += 1
+            return give_up(self, rx, hi, now)
+
+        def counted_get_range(self, topic, from_seq, to_seq):
+            # a request that names a seq below the ring's oldest asks for an evicted frame
+            counts["evicted_before_replay"] += from_seq < self._rings[topic][0].seq
+            return get_range(self, topic, from_seq, to_seq)
+
+        def counted_contains(self, topic, seq):
+            counts["contains"] += 1
+            return contains(self, topic, seq)
+
+        monkeypatch.setattr(BridgeEndpoint, "_give_up_gap", counted_give_up)
+        monkeypatch.setattr(bridge.ReplayBuffer, "get_range", counted_get_range)
+        monkeypatch.setattr(bridge.ReplayBuffer, "contains", counted_contains)
+        result = run_traffic(load_scenario(SCENARIOS / "bridge_outage.yaml").bridge_scenario())
+        assert all(counts.values()), counts
+        for topic, res in result.topics.items():
+            assert res.sent == res.delivered + res.dropped + res.buffered, topic
+            assert res.delivered <= res.sent, topic
+
     def test_critical_delivery_survives_reordering_latency_steps(self, monkeypatch):
         # each latency drop lets later packets overtake earlier ones
         bridge = load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario()
@@ -371,7 +398,9 @@ def test_traffic_results_are_identical_on_every_interpreter_installed():
     # scenario runs under -I -S with nothing but src on the path
     scenarios = [
         load_scenario(SCENARIOS / name).bridge_scenario(baseline=baseline)
-        for name in ("agents20.yaml", "bridge_loss.yaml", "bridge_sweep.yaml", "mmcf_default.yaml")
+        for name in (
+            "agents20.yaml", "bridge_loss.yaml", "bridge_outage.yaml", "bridge_sweep.yaml", "mmcf_default.yaml"
+        )
         for baseline in (False, True)
     ]
     expected = "".join(f"{run_traffic(scenario)!r}\n" for scenario in scenarios)

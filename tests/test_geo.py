@@ -45,7 +45,7 @@ class TestHaversine:
 
     def test_small_offset_matches_oracle_to_sub_mm(self):
         a = GeoPoint(0.0, 0.0)
-        b = GeoPoint.from_degrees(0.01, 0.01)
+        b = GeoPoint(math.radians(0.01), math.radians(0.01))
         expected = 1572.5337292863207  # frozen from the oracle above
         assert sphere_oracle(a, b) == pytest.approx(expected, abs=1e-9)
         assert haversine_distance(a, b) == pytest.approx(expected, abs=1e-3)
@@ -141,7 +141,7 @@ class TestGpsToScene:
 
     def test_large_extent_uses_per_axis_great_circle(self):
         ref = GeoPoint(0.0, 0.0, 0.0)
-        target = GeoPoint.from_degrees(0.01, 0.01, 10.0)
+        target = GeoPoint(math.radians(0.01), math.radians(0.01), 10.0)
         coord = gps_to_scene(ref, target, scale=1.0, extent=2_000_000.0)
         expected = 1111.9492664455875  # frozen equatorial arc per 0.01 degree
         assert coord.x == pytest.approx(expected, abs=1e-6)
@@ -149,12 +149,21 @@ class TestGpsToScene:
         assert coord.y == pytest.approx(10.0)
 
     def test_sign_correction_when_target_south_west(self):
-        ref = GeoPoint.from_degrees(10.0, 10.0)
-        target = GeoPoint.from_degrees(9.99, 9.99)
+        ref = GeoPoint(math.radians(10.0), math.radians(10.0))
+        target = GeoPoint(math.radians(9.99), math.radians(9.99))
         for extent in (10.0, 2_000_000.0):
             coord = gps_to_scene(ref, target, scale=1.0, extent=extent)
             assert coord.x < 0
             assert coord.z < 0
+
+    def test_a_waypoint_takes_the_signs_and_height_of_its_direction(self):
+        ref = GeoPoint(math.radians(39.25), math.radians(-76.71), 10.0)
+        north_east_above = GeoPoint(math.radians(39.2505), math.radians(-76.7095), 12.0)
+        coord = gps_to_scene(ref, north_east_above, scale=1.0, extent=100.0)
+        assert coord.x > 0 and coord.z > 0 and coord.y == pytest.approx(2.0)
+        south_west_below = GeoPoint(math.radians(39.2495), math.radians(-76.7105), 8.0)
+        coord = gps_to_scene(ref, south_west_below, scale=1.0, extent=100.0)
+        assert coord.x < 0 and coord.z < 0 and coord.y == pytest.approx(-2.0)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):

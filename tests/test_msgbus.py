@@ -6,7 +6,6 @@ from twinbridge.envelope import MAX_PAYLOAD
 from twinbridge.msgbus import (
     InvalidTopic,
     KindMismatch,
-    Message,
     MessageKind,
     TopicBus,
 )
@@ -87,10 +86,6 @@ class TestSubscribe:
 
 
 class TestMessage:
-    def test_payload_limit(self):
-        with pytest.raises(ValueError):
-            Message("/a", b"x" * (16 * 1024 * 1024 + 1), 0.0, MessageKind.BLOB)
-
     def test_monotone_publish_time_per_publisher(self, bus):
         pub = bus.advertise("/a", MessageKind.POSE)
         pub.publish(b"x", 5.0)

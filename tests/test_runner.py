@@ -125,28 +125,6 @@ class TestRun:
         assert header == "t,e_pos,e_rot,bound,kp,kd,corrected"
         assert report.sync is not None
 
-    def test_geo_section_emits_waypoint_csv(self, tmp_path):
-        path = tmp_path / "geo.yaml"
-        path.write_text(
-            "name: geo\nseed: 1\nduration: 1.0\n"
-            "geo:\n"
-            "  reference: [39.25, -76.71, 10.0]\n"
-            "  scale: 1.0\n"
-            "  extent: 100.0\n"
-            "  waypoints:\n"
-            "    - [39.2505, -76.7095, 12.0]\n"
-            "    - [39.2495, -76.7105, 8.0]\n",
-            encoding="utf-8",
-        )
-        report = run(path, out_dir=tmp_path / "out")
-        assert (tmp_path / "out" / "geo.csv").exists()
-        assert report.summary["geo_waypoints"] == 2
-        # first waypoint is north-east and above the reference
-        _, _, _, x, y, z = report.geo_rows[0]
-        assert x > 0 and z > 0 and y == pytest.approx(2.0)
-        _, _, _, x2, y2, z2 = report.geo_rows[1]
-        assert x2 < 0 and z2 < 0 and y2 == pytest.approx(-2.0)
-
     def test_gain_comparison_holds_each_fixed_run_at_its_candidate(self):
         scenario = load_scenario(SCENARIOS / "sync_disconnect.yaml")
         grid = scenario.sync.controller.gain_grid
@@ -448,10 +426,18 @@ class TestCli:
                 "agents:\n  count: 1\n  topics:\n    - {name: /a, kind: pose, rate: 1.0, size: 16777217}\n",
                 ["agents.topics[0].size (line 7): must be <= 16777216, got 16777217"],
             ),
+            (
+                # geodesy is a library that criterion 7 checks; no scenario key reaches it
+                "geo:\n  reference: [39.25, -76.71, 10.0]\n",
+                [
+                    "geo (line 4): unknown key; expected one of "
+                    "['agents', 'bridge', 'duration', 'mmcf', 'name', 'network', 'policy', 'seed', 'sync']"
+                ],
+            ),
         ],
         ids=[
             "negative-drag", "drag-as-a-mapping", "redundancy-and-replay-capacity", "negative-gain",
-            "mmcf-space-axes", "mmcf-space-value-not-a-number", "size-over-max-payload",
+            "mmcf-space-axes", "mmcf-space-value-not-a-number", "size-over-max-payload", "geo-section",
         ],
     )
     def test_each_problem_is_reported_at_its_own_key(self, tmp_path, body, expected):

@@ -2,13 +2,16 @@
 
 import copy
 import re
+import traceback
 from pathlib import Path
 
 import pytest
 import yaml
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twinbridge.cli import main
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, TIER_STANDARD
 from twinbridge.msgbus import MessageKind
 from twinbridge.scenario import _SYNC_KEYS, ScenarioParseError, load_scenario
@@ -44,7 +47,7 @@ UNKNOWN_KEYS = [
     ("sync:\n  bound: {lipschitz: 1.0, delta: 0.5, e_0: 0.1}\n", "sync.bound.e_0", 5),
     ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  probe: 4\n", "mmcf.probe", 6),
     ("mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n  space: {batches: [1, 2]}\n", "mmcf.space.batches", 6),
-    ("geo:\n  reference: [0.0, 0.0, 0.0]\n  scael: 2.0\n", "geo.scael", 6),
+    ("geo:\n  reference: [0.0, 0.0, 0.0]\n", "geo", 4),
     # keys of settings the simulator no longer has: the link fixes the byte
     # budget, and every topic publishes from t = 0
     ("bridge:\n  budget_per_tick: 1500\n", "bridge.budget_per_tick", 5),
@@ -91,10 +94,6 @@ mmcf:
   weights: [0.4, 0.3, 0.2, 0.1]
   space:
     redundancy: [0, 1]
-geo:
-  reference: [39.25, -76.71, 10.0]
-  scale: 2.0
-  waypoints: [[39.2505, -76.7095, 12.0]]
 """
         scenario = load_scenario(write(tmp_path, text))
         assert scenario.conditions.latency.value_at(4.0) == 0.2
@@ -108,7 +107,6 @@ geo:
         assert scenario.sync.params.mass == 5.0
         assert scenario.sync.bound == SyncBoundModel(1.0, 0.5, 0.0)
         assert len(scenario.mmcf.configs()) == 2
-        assert scenario.geo.scale == 2.0
 
     def test_empty_sync_section_takes_the_twinsync_defaults(self, tmp_path):
         spec = load_scenario(write(tmp_path, MINIMAL + "sync: {}\n")).sync
@@ -334,6 +332,7 @@ class TestShippedScenarios:
             "sync_latency200.yaml",
             "bridge_sweep.yaml",
             "bridge_loss.yaml",
+            "bridge_outage.yaml",
             "mmcf_default.yaml",
             "agents20.yaml",
         ],
@@ -378,9 +377,38 @@ ANY_VALUE = st.recursive(
 )
 
 
+# Caps on what one run may cost. Each lowers a value that loaded to one that
+# still loads, so it bounds the work of a run, never which keys are checked.
+# A value past a cap, such as `duration: 1.0e+300` or `tick: 1.0e-300`, runs
+# at the cap: a run that long is out of scope here.
+MAX_DURATION = 5.0  # simulated seconds; a drain that would reach it is halved below it
+MAX_AGENTS = 20
+MIN_TICK = 0.001  # seconds, at most 5 000 bridge ticks
+MAX_RATE = 100.0  # messages per second per topic
+MAX_SIZE = 1 << 20  # bytes per message, so the payloads of 20 agents stay small
+
+
+def _capped(doc: dict) -> dict:
+    """doc, which loads, with the caps above applied."""
+    doc["duration"] = min(doc["duration"], MAX_DURATION)
+    bridge = doc.get("bridge") or {}
+    if bridge.get("drain") is not None and bridge["drain"] >= doc["duration"]:
+        bridge["drain"] = doc["duration"] / 2
+    if bridge.get("tick") is not None:
+        bridge["tick"] = max(bridge["tick"], MIN_TICK)
+    agents = doc.get("agents")
+    if agents is not None:
+        agents["count"] = min(agents["count"], MAX_AGENTS)
+        for topic in agents["topics"]:
+            topic["rate"] = min(topic["rate"], MAX_RATE)
+            topic["size"] = min(topic["size"], MAX_SIZE)
+    return doc
+
+
 @given(leaf=st.sampled_from(LEAVES), value=ANY_VALUE)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_any_single_leaf_replacement_loads_or_reports(tmp_path, leaf, value):
+    # a case that loads must also run: exit 0, or exit 2 with error: lines only
     name, path = leaf
     doc = copy.deepcopy(SHIPPED[name])
     parent = doc
@@ -391,3 +419,11 @@ def test_any_single_leaf_replacement_loads_or_reports(tmp_path, leaf, value):
         load_scenario(write(tmp_path, yaml.safe_dump(doc, allow_unicode=True)))
     except ScenarioParseError as exc:
         assert exc.problems
+        return
+    scenario = write(tmp_path, yaml.safe_dump(_capped(doc), allow_unicode=True))
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out-dir", str(tmp_path / "out")])
+    if result.exit_code == 2:
+        lines = result.output.splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines), result.output
+    else:
+        assert result.exit_code == 0, "".join(traceback.format_exception(*result.exc_info))
