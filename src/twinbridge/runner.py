@@ -91,7 +91,7 @@ def _write_csv(path: Path, header: tuple, rows) -> Path:
 
 def _write_sync_csv(path: Path, sync: SyncReport) -> Path:
     """The bytes _write_csv would write (no field needs quoting), one %-format per chunk of rows."""
-    rows = zip(sync.t, sync.e_pos, sync.e_rot, sync.bound, sync.kp, sync.kd, sync.corrected)
+    rows = iter(sync.rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(SYNC_HEADER) + "\n")
         while flat := tuple(chain.from_iterable(islice(rows, SYNC_CHUNK))):

@@ -47,7 +47,8 @@ duration are required):
 A key that counts (seed, count, size, batch, capacities, attempts, probes,
 mmcf axes) takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is
 an error. A size takes at most MAX_PAYLOAD, any other count but the seed at
-most sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. Two
+most sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. A run
+takes at most MAX_STEPS sync ticks, bridge ticks and publishes each. Two
 expansions of the topic templates may not name one topic, which is checked at
 the agent count of each run and of each sweep step. A key the parser does not
 read is an error.
@@ -251,6 +252,9 @@ class SyncSpec:
     yaw_script: tuple[tuple[float, float], ...]
 
 
+# the steps of each kind one run may take, so that every run that loads ends: a run
+# of MAX_STEPS sync ticks, bridge ticks or publishes took 2-11 s on a 2-vCPU Xeon
+MAX_STEPS = 500_000
 # a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize; no count takes more
 _COUNT = {"minimum": 0, "maximum": sys.maxsize}
 _POSITIVE_COUNT = {"minimum": 1, "maximum": sys.maxsize}
@@ -555,6 +559,15 @@ def load_scenario(path: str | Path) -> Scenario:
 
     if drain >= duration:
         ctx.fail("bridge.drain", f"drain {drain} must be below duration {duration}")
+    # one error, at its key, for the first kind of step past MAX_STEPS; each topic publishes at t = 0
+    publishes = agent_count * sum(max(1.0, tpl["rate"] * (duration - drain)) for tpl in templates)
+    if sync is not None and duration / TICK > MAX_STEPS:
+        ctx.fail("duration", f"duration / TICK is {duration / TICK:.6g} sync ticks; a run takes at most {MAX_STEPS}")
+    elif duration / endpoint.tick > MAX_STEPS:
+        ticks = f"duration / bridge.tick is {duration / endpoint.tick:.6g} bridge ticks"
+        ctx.fail("bridge.tick" if "bridge.tick" in marks else "duration", f"{ticks}; a run takes at most {MAX_STEPS}")
+    elif publishes > MAX_STEPS:  # 0 agents times an overflowed sum is NaN, which passes
+        ctx.fail("agents.count", f"{agent_count} agents publish {publishes:.6g} messages; a run takes at most {MAX_STEPS}")
 
     if ctx.problems:
         raise ScenarioParseError(ctx.problems)

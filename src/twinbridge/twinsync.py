@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -368,9 +370,6 @@ class VirtualTwin:
     def __init__(self, params: PhysicalParams) -> None:
         self.params = params
         self.state = TwinState.at_rest()
-        self.known_force = vec3()
-        self.known_yaw_rate = 0.0
-        self.correction = vec3()
         self._history: deque[TwinState] = deque(maxlen=int(HISTORY_WINDOW / TICK) + 2)
         self._history.append(self.state)
 
@@ -380,36 +379,50 @@ class VirtualTwin:
         return self._history[-1 - min(max(back, 0), len(self._history) - 1)]
 
 
+def _column(index: int) -> property:
+    return property(lambda report: tuple(map(itemgetter(index), report.rows)))
+
+
 @dataclass
 class SyncReport:
-    """Time series and audit counters from one synchronization run."""
+    """One sync run: its sync.csv row per tick, t = 0 first, its arrival log and audit counters.
 
-    t: list[float] = field(default_factory=list)
-    e_pos: list[float] = field(default_factory=list)
-    e_rot: list[float] = field(default_factory=list)
-    bound: list[float] = field(default_factory=list)
-    kp: list[float] = field(default_factory=list)
-    kd: list[float] = field(default_factory=list)
-    corrected: list[int] = field(default_factory=list)
-    eps_pos: list[float] = field(default_factory=list)  # adaptive gate threshold per sample
+    A row is (t, e_pos, e_rot, bound, kp, kd, corrected), corrected the int 0 or 1 and
+    bound -1.0 where the envelope is infinite; t, e_pos and the rest are read-only column
+    views. The gate threshold is not recorded: eps_pos derives it from the arrival log.
+    """
+
+    rows: list[tuple[float, float, float, float, float, float, int]] = field(default_factory=list)
+    arrivals: list[float] = field(default_factory=list)
+    ctrl: SyncController = field(default_factory=SyncController)  # the run's base thresholds
     bound_violations: int = 0
     max_input_mismatch: float = 0.0
     updates_sent: int = 0
     updates_received: int = 0
     corrections_applied: int = 0
 
+    t, e_pos, e_rot, bound, kp, kd, corrected = map(_column, range(7))
+
+    @property
+    def eps_pos(self) -> list[float]:
+        """The position gate threshold at each row's t, from the arrival log as the loop derives it."""
+        arrivals, ctrl, out = self.arrivals, self.ctrl, []
+        for t, *_ in self.rows:
+            seen = bisect_right(arrivals, t)
+            gap = t - (arrivals[seen - 1] if seen else 0.0) - UPDATE_PERIOD
+            out.append(adaptive_thresholds(ctrl, _estimate_loss(arrivals, t), gap)[0] if t else ctrl.eps_pos)
+        return out
+
     def integrated_error(self) -> float:
         total = 0.0
-        for i in range(1, len(self.t)):
-            total += self.e_pos[i] * (self.t[i] - self.t[i - 1])
+        for prev, row in zip(self.rows, self.rows[1:]):
+            total += row[1] * (row[0] - prev[0])
         return total
 
     def steady_state_max(self, t_from: float) -> tuple[float, float]:
-        """(max |e_pos|, max |e_rot|) over samples with t > t_from."""
-        pairs = [(e, r) for t, e, r in zip(self.t, self.e_pos, self.e_rot) if t > t_from]
-        if not pairs:
-            return 0.0, 0.0
-        return max(p[0] for p in pairs), max(abs(p[1]) for p in pairs)
+        """(max |e_pos|, max |e_rot|) over rows with t > t_from."""
+        late = [row for row in self.rows if row[0] > t_from]
+        return max((row[1] for row in late), default=0.0), max((abs(row[2]) for row in late), default=0.0)
 
 
 # arrivals within this many seconds feed the loss estimate behind the adaptive thresholds
@@ -449,25 +462,27 @@ def run_sync_loop(
     Each tick the agent integrates its script, the twin dead-reckons with its
     last known force plus any held correction, due updates cross the link,
     and arrivals gate PD corrections through the adaptive thresholds. The
-    report records the true instantaneous error every tick alongside the
-    analytic envelope and flags any sample exceeding it. A non-empty
+    report gets one row at t = 0 and one per tick (true error, analytic envelope,
+    gains, held correction) and counts the samples exceeding the envelope. It logs
+    each accepted arrival's time, and derives the gate threshold from it. A non-empty
     ctrl.gain_grid reschedules the gains every GAIN_WINDOW if the window of
     gain samples differs from the one last scheduled, and at once on a grossly
     out-of-band error, rolling candidates out on the twin's mass. Gain
     switches rebind a local controller; the caller's ctrl is left as passed.
     Raises SyncStateError once the agent or the twin leaves the finite floats.
     """
-    report = SyncReport()
+    report = SyncReport(ctrl=ctrl)
     ticks = int(round(duration / TICK))
     arrivals: deque[StateUpdate] = deque()
 
     # both sides share the mission plan at deployment: the twin starts with
     # the scripted control inputs in effect at t0
-    f_agent = twin.known_force = agent.force_script.value_at(agent.state.t)
-    yaw_agent = twin.known_yaw_rate = agent.yaw_script.value_at(agent.state.t)
+    f_agent = known_force = agent.force_script.value_at(agent.state.t)
+    yaw_agent = known_yaw_rate = agent.yaw_script.value_at(agent.state.t)
     f_steps, yaw_steps = (iter(s.breakpoints() + [(math.inf, None)]) for s in (agent.force_script, agent.yaw_script))
     f_next, yaw_next = next(f_steps), next(yaw_steps)
-    applied = _add(twin.known_force, twin.correction)
+    correction = vec3()  # the twin's PD correction force, zeroed when it expires
+    applied = _add(known_force, correction)
 
     def on_deliver(payload: bytes, _at: float) -> None:
         arrivals.append(StateUpdate.unpack(payload))
@@ -475,70 +490,56 @@ def run_sync_loop(
     link.on_deliver = on_deliver
 
     gain_samples: deque[GainSample] = deque(maxlen=int(GAIN_WINDOW / UPDATE_PERIOD))
-    recent_updates: deque[float] = deque()  # arrival times for loss estimation
-    last_arrival = 0.0
     last_reschedule = 0.0
     latest_update_t = -math.inf
     correcting = False  # the gate's hysteresis state, kept across expiries
-    held = any(twin.correction)  # a non-zero correction that has not expired
+    held = False  # a non-zero correction that has not expired
+    correction_expires = -math.inf
     scheduled: list[GainSample] = []  # the window the gains were last scheduled on
+    kp, kd, grid = ctrl.kp, ctrl.kd, bool(ctrl.gain_grid)
+    a, tw = agent.state, twin.state
+    a_params, tw_params, a_mass, tw_mass = agent.params, twin.params, agent.params.mass, twin.params.mass
+    remember, advance, add_row, arrival_log = twin._history.append, clock.advance, report.rows.append, report.arrivals
+    sqrt, isfinite, new_state = math.sqrt, math.isfinite, tuple.__new__
 
-    def record(now: float) -> None:
-        (ax, ay, az), (tx, ty, tz) = agent.state.p, twin.state.p
+    now = max_mismatch = 0.0
+    for k in range(1, ticks + 2):
+        # the row of the state at now: t = 0 on the first pass, then the tick just run
+        (ax, ay, az), (tx, ty, tz) = a.p, tw.p
         dx, dy, dz = ax - tx, ay - ty, az - tz
-        e_pos_true = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if not math.isfinite(e_pos_true):
+        e_pos_true = sqrt(dx * dx + dy * dy + dz * dz)
+        if not isfinite(e_pos_true):
             raise SyncStateError(f"sync: the state is not finite at t={now:.2f} s")
         b = gronwall_bound(bound_model, now) if bound_model is not None else math.inf
         if e_pos_true > b + 1e-12:
             report.bound_violations += 1
-        # the gate threshold adaptive_thresholds gives for the live gap and loss estimate
-        live_gap = now - last_arrival - UPDATE_PERIOD
-        factor = 1.0 + live_gap / THRESHOLD_T_REF if live_gap > 0.0 else 1.0
-        if now > 0:
-            while recent_updates and recent_updates[0] < now - LOSS_WINDOW:
-                recent_updates.popleft()
-            loss = 1.0 - len(recent_updates) / max(1.0, min(now, LOSS_WINDOW) / UPDATE_PERIOD)
-            if loss > 0.0:
-                factor *= 1.0 + loss
-        report.t.append(now)
-        report.e_pos.append(e_pos_true)
-        report.e_rot.append(wrap_angle(agent.state.heading - twin.state.heading))
-        report.bound.append(b if math.isfinite(b) else -1.0)
-        report.kp.append(ctrl.kp)
-        report.kd.append(ctrl.kd)
-        report.corrected.append(1 if held else 0)
-        report.eps_pos.append(ctrl.eps_pos * min(factor, THRESHOLD_CAP))
+        add_row((now, e_pos_true, wrap_angle(a.heading - tw.heading), b if isfinite(b) else -1.0, kp, kd, 1 if held else 0))
+        if k > ticks:
+            break
 
-    correction_expires = -math.inf
-
-    record(0.0)
-    for k in range(1, ticks + 1):
         now = k * TICK
         if held and now > correction_expires:
             held = False
-            twin.correction = vec3()
-            applied = _add(twin.known_force, twin.correction)
+            correction = vec3()
+            applied = _add(known_force, correction)
         # t pins each state to the tick grid so script breakpoints stay
         # aligned across agent and twin
-        a, tw = agent.state, twin.state
-        new = predict_step(a, f_agent, agent.params)
-        agent.state = tuple.__new__(TwinState, (new.p, new.v, wrap_angle(a.heading + yaw_agent * TICK), now))
-        new = predict_step(tw, applied, twin.params)
-        twin.state = tuple.__new__(TwinState, (new.p, new.v, wrap_angle(tw.heading + twin.known_yaw_rate * TICK), now))
-        twin._history.append(twin.state)
+        new = predict_step(a, f_agent, a_params)
+        a = new_state(TwinState, (new.p, new.v, wrap_angle(a.heading + yaw_agent * TICK), now))
+        new = predict_step(tw, applied, tw_params)
+        tw = new_state(TwinState, (new.p, new.v, wrap_angle(tw.heading + known_yaw_rate * TICK), now))
+        remember(tw)
         while now >= f_next[0]:
             f_agent, f_next = f_next[1], next(f_steps)
         while now >= yaw_next[0]:
             yaw_agent, yaw_next = yaw_next[1], next(yaw_steps)
 
         if k % UPDATE_TICKS == 0:
-            a = agent.state
             link.send(StateUpdate(now, a.p, a.v, a.heading, f_agent, yaw_agent).pack())
             report.updates_sent += 1
 
         # fires every delivery due by the tick's end, a zero-latency send above included
-        clock.advance(TICK)
+        advance(TICK)
 
         while arrivals:
             update = arrivals.popleft()
@@ -546,9 +547,8 @@ def run_sync_loop(
             if update.t <= latest_update_t:
                 continue
             latest_update_t = update.t
-            recent_updates.append(now)
-            gap = now - last_arrival if report.updates_received > 1 else 0.0
-            last_arrival = now
+            gap = now - arrival_log[-1] if arrival_log else 0.0
+            arrival_log.append(now)
 
             e_pos, e_vel, e_rot = sync_errors(update, twin.state_at(update.t))
             # the sample horizon is the staleness of the information the
@@ -559,51 +559,49 @@ def run_sync_loop(
 
             # escalation: a grossly out-of-band error reschedules immediately
             # so the transient is handled with freshly chosen gains
-            if ctrl.gain_grid and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos:
+            if grid and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos:
                 scheduled = list(gain_samples)
-                kp, kd = schedule_gains(ctrl, scheduled, twin.params.mass)
+                kp, kd = schedule_gains(ctrl, scheduled, tw_mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 last_reschedule = now
 
-            loss_rate = _estimate_loss(recent_updates, now)
+            loss_rate = _estimate_loss(arrival_log, now)
             disconnect = max(0.0, gap - UPDATE_PERIOD)
             thresholds = adaptive_thresholds(ctrl, loss_rate, disconnect)
             if correcting:
                 thresholds = (thresholds[0] * GATE_HYSTERESIS, thresholds[1] * GATE_HYSTERESIS)
             f_corr = tuple(pd_correct(e_pos, e_vel, ctrl, thresholds).tolist())
             held = correcting = any(f_corr)
-            twin.correction = f_corr
+            correction = f_corr
             correction_expires = now + CORRECTION_HOLD_PERIODS * UPDATE_PERIOD
             if correcting:
                 report.corrections_applied += 1
-            twin.state = twin._history[-1] = twin.state._replace(heading=wrap_angle(twin.state.heading + e_rot))
-            twin.known_force = update.force
-            twin.known_yaw_rate = update.yaw_rate
-            applied = _add(twin.known_force, twin.correction)
+            tw = twin._history[-1] = tw._replace(heading=wrap_angle(tw.heading + e_rot))
+            known_force, known_yaw_rate = update.force, update.yaw_rate
+            applied = _add(known_force, correction)
 
         # schedule_gains picks from the window alone (the grid, mass and limits
         # never change), so a window equal to the one last scheduled is skipped
-        if ctrl.gain_grid and now - last_reschedule >= GAIN_WINDOW:
+        if grid and now - last_reschedule >= GAIN_WINDOW:
             window = list(gain_samples)
             if window != scheduled:
-                kp, kd = schedule_gains(ctrl, window, twin.params.mass)
+                kp, kd = schedule_gains(ctrl, window, tw_mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 scheduled = window
             last_reschedule = now
 
         if bound_model is not None:
             dx, dy, dz = f_agent[0] - applied[0], f_agent[1] - applied[1], f_agent[2] - applied[2]
-            mismatch = math.sqrt(dx * dx + dy * dy + dz * dz) / agent.params.mass
-            if mismatch > report.max_input_mismatch:
-                report.max_input_mismatch = mismatch
+            mismatch = sqrt(dx * dx + dy * dy + dz * dz) / a_mass
+            if mismatch > max_mismatch:
+                max_mismatch = mismatch
 
-        record(now)
-
+    agent.state, twin.state, report.max_input_mismatch = a, tw, max_mismatch
     return report
 
 
-def _estimate_loss(recent: deque[float], now: float) -> float:
-    while recent and recent[0] < now - LOSS_WINDOW:
-        recent.popleft()
+def _estimate_loss(arrivals: list[float], now: float) -> float:
+    """Share of the updates due in the LOSS_WINDOW s up to now that did not arrive, from sorted arrival times."""
+    arrived = bisect_right(arrivals, now) - bisect_left(arrivals, now - LOSS_WINDOW)
     expected = max(1.0, min(now, LOSS_WINDOW) / UPDATE_PERIOD)
-    return min(1.0, max(0.0, 1.0 - len(recent) / expected))
+    return min(1.0, max(0.0, 1.0 - arrived / expected))

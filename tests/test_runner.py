@@ -45,6 +45,13 @@ CONSTANT_KEYS = [
 ]
 
 
+def edited(name: str, old: str, new: str) -> str:
+    """The text of a shipped scenario with its first `old` replaced by `new`."""
+    text = (SCENARIOS / name).read_text(encoding="utf-8")
+    assert old in text
+    return text.replace(old, new, 1)
+
+
 @pytest.fixture(scope="module")
 def sweep_scenario():
     return load_scenario(SCENARIOS / "bridge_sweep.yaml")
@@ -457,6 +464,45 @@ class TestCli:
         [line] = result.output.splitlines()
         assert line.startswith(f"error: {path} (line 5): unknown key; expected one of ["), line
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                edited("bridge_loss.yaml", "  tick: 0.02\n", "  tick: 1.0e-9\n"),
+                "bridge.tick (line 14): duration / bridge.tick is 3e+10 bridge ticks; a run takes at most 500000",
+            ),
+            (
+                edited("bridge_loss.yaml", "kind: pose, rate: 10.0,", "kind: pose, rate: 1.0e+12,"),
+                "agents.count (line 28): 2 agents publish 4.4e+13 messages; a run takes at most 500000",
+            ),
+            (
+                edited("agents20.yaml", "  count: 20\n", "  count: 100000\n"),
+                "agents.count (line 27): 100000 agents publish 6e+06 messages; a run takes at most 500000",
+            ),
+            (
+                edited("sync_default.yaml", "duration: 40.0\n", "duration: 1.0e+7\n"),
+                "duration (line 5): duration / TICK is 1e+09 sync ticks; a run takes at most 500000",
+            ),
+            (
+                # no bridge.tick key: the bridge would tick at its default, 0.01 s
+                "name: long\nseed: 1\nduration: 1.0e+7\n",
+                "duration (line 3): duration / bridge.tick is 1e+09 bridge ticks; a run takes at most 500000",
+            ),
+        ],
+        ids=["tiny-bridge-tick", "huge-rate", "huge-agent-count", "huge-duration-with-sync", "huge-duration"],
+    )
+    def test_a_run_past_the_step_limit_is_an_error_at_the_key(self, tmp_path, monkeypatch, text, expected):
+        # each of these loaded and then ran for hours or more; none may start
+        scenario = tmp_path / "long.yaml"
+        scenario.write_text(text, encoding="utf-8")
+        runs = []
+        monkeypatch.setattr("twinbridge.runner.run_traffic", lambda *args: runs.append(args))
+        monkeypatch.setattr("twinbridge.runner.run_sync_loop", lambda *args: runs.append(args))
+        result = CliRunner().invoke(main, ["run", str(scenario)])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"error: {expected}"]
+        assert runs == []
+
     def test_a_drag_the_integrator_cannot_take_is_an_error_at_the_key(self, tmp_path):
         # drag * TICK / mass = 1e6 * 0.01 / 10 = 1000: each tick would scale the velocity by -999
         text = (SCENARIOS / "sync_latency200.yaml").read_text(encoding="utf-8")
@@ -648,7 +694,7 @@ EDGE_ROW = (-0.0, 5e-324, 1e16, 1e22, 3.35e25, -1.0, 1)
 
 
 def sync_report(rows) -> SyncReport:
-    return SyncReport(*([list(column) for column in zip(*rows)] or [[] for _ in runner.SYNC_HEADER]))
+    return SyncReport(rows=list(rows))
 
 
 @settings(deadline=None)
@@ -672,3 +718,14 @@ def test_sync_csv_past_one_chunk_is_what_csv_writer_writes(tmp_path):
     report.write_csvs(tmp_path)
     expected = runner._write_csv(tmp_path / "csv_writer.csv", runner.SYNC_HEADER, rows).read_bytes()
     assert (tmp_path / "sync.csv").read_bytes() == expected
+
+
+def test_the_column_views_read_back_the_rows():
+    report = run(SCENARIOS / "sync_disconnect.yaml").sync
+    columns = (report.t, report.e_pos, report.e_rot, report.bound, report.kp, report.kd, report.corrected)
+    assert len(columns) == len(runner.SYNC_HEADER)
+    assert list(zip(*columns)) == report.rows
+    assert [type(c) for c in report.corrected] == [int] * len(report.rows)
+    assert set(report.corrected) == {0, 1}
+    with pytest.raises(AttributeError):
+        report.t = []

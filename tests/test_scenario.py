@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from twinbridge import scenario as scenario_module
 from twinbridge.cli import main
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, TIER_STANDARD
 from twinbridge.msgbus import MessageKind
@@ -340,6 +341,23 @@ class TestShippedScenarios:
     def test_parses(self, filename):
         scenario = load_scenario(SCENARIOS / filename)
         assert scenario.duration > 0
+
+    @pytest.mark.parametrize(
+        "filename, old, new",
+        [(path.name, "", "") for path in sorted(SCENARIOS.glob("*.yaml"))]
+        + [
+            # the largest benchmark loads: replay_loss at 300 sim-s, agents20 at 1 000 agents
+            ("bridge_loss.yaml", "duration: 30.0\n", "duration: 300.0\n"),
+            ("agents20.yaml", "  count: 20\n", "  count: 1000\n"),
+        ],
+    )
+    def test_no_shipped_or_benchmarked_run_comes_within_8_times_the_step_limit(
+        self, tmp_path, monkeypatch, filename, old, new
+    ):
+        text = (SCENARIOS / filename).read_text(encoding="utf-8")
+        assert old in text
+        monkeypatch.setattr(scenario_module, "MAX_STEPS", scenario_module.MAX_STEPS // 8)
+        load_scenario(write(tmp_path, text.replace(old, new, 1)))
 
     def test_mmcf_space_is_24_configs(self):
         scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")

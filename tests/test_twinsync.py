@@ -1,8 +1,10 @@
 """Predictive model, PD gating, gain scheduling, and the error envelope."""
 
+import bisect
 import hashlib
 import math
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from twinbridge.twinsync import (
     ACCURACY_WEIGHT,
     ENERGY_WEIGHT,
     GAIN_ROLLOUT_STEPS,
+    LOSS_WINDOW,
     GainSample,
     PhysicalAgent,
     PhysicalParams,
@@ -29,6 +32,7 @@ from twinbridge.twinsync import (
     UPDATE_PERIOD,
     TwinState,
     VirtualTwin,
+    _estimate_loss,
     adaptive_thresholds,
     gronwall_bound,
     pd_correct,
@@ -552,6 +556,33 @@ def test_each_tick_steps_through_predict_step_and_each_sample_through_gronwall_b
     ticks = round(scenario.duration / TICK)
     assert len(report.t) == ticks + 1
     assert calls == {"predict_step": 2 * ticks, "gronwall_bound": ticks + 1}
+
+
+# SHA-256 of each run's per-tick gate threshold as little-endian doubles, taken when the
+# loop still recorded the threshold every tick; the loop now derives it from the arrival log
+EPS_POS_SHA256 = {
+    "sync_default": "f83f5d40475461bee2e9d242468f059037ab0e2b9df728979d17d89f8f72fd62",
+    "sync_latency200": "86e7747a37e4cd3b95b71eb86d699923eac824b4c71970ec43c13fae21c3fc2a",
+    "sync_disconnect": "aa7dec5476c4aee2e4c1c04a10289515dc954fe939b9151da6864100b9002671",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPS_POS_SHA256))
+def test_the_gate_threshold_is_the_one_the_arrival_log_gives_each_tick(name):
+    scenario = load_scenario(SCENARIOS / f"{name}.yaml")
+    report = runner.run_sync_section(scenario, scenario.seed)
+    ctrl, arrivals = scenario.sync.controller, report.arrivals
+    assert arrivals == sorted(arrivals) and len(arrivals) <= report.updates_received
+    expected = []
+    for t in report.t:
+        # the arrivals by t, of which those at most LOSS_WINDOW old feed the loss estimate
+        seen = bisect.bisect_right(arrivals, t)
+        recent = arrivals[bisect.bisect_left(arrivals, t - LOSS_WINDOW) : seen]
+        gap = t - (arrivals[seen - 1] if seen else 0.0) - UPDATE_PERIOD
+        expected.append(adaptive_thresholds(ctrl, _estimate_loss(recent, t), gap)[0] if t > 0 else ctrl.eps_pos)
+    eps_pos = report.eps_pos
+    assert eps_pos == expected
+    assert hashlib.sha256(struct.pack(f"<{len(eps_pos)}d", *eps_pos)).hexdigest() == EPS_POS_SHA256[name]
 
 
 def traced_loop(monkeypatch, force, yaw, duration):
