@@ -77,6 +77,8 @@ _REQ_HEAD = struct.Struct("<H")
 _REQ_RANGE = struct.Struct("<QQ")
 _BEAT_SEQ = struct.Struct("<Q")
 
+# the scheduler period in simulated seconds: an endpoint plans and sends once per TICK
+TICK = 0.02
 BULK_BUDGET_FRACTION = 0.05
 # messages a bridged topic's bus subscription holds before the oldest is dropped
 SUB_CAPACITY = 4096
@@ -198,7 +200,6 @@ class EndpointConfig:
     """Tunable endpoint parameters; `prioritized=False` is the FIFO baseline."""
 
     prioritized: bool = True
-    tick: float = 0.01
     batch_size: int = 4
     redundancy: int = 0
     replay_capacity: int = 256
@@ -207,9 +208,6 @@ class EndpointConfig:
     topics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # each check is written so that NaN fails it
-        if not self.tick > 0:
-            raise ValueError("tick must be positive")
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
         if self.batch_size < 1:
@@ -270,7 +268,7 @@ class BridgeEndpoint:
         cap = tx_link.conditions.bandwidth_cap
         # bytes per tick; 10% headroom keeps backlog in the prioritized tier
         # queues instead of the link's FIFO serialization queue
-        self._budget = 0.9 * cap * config.tick if cap else 1_000_000.0
+        self._budget = 0.9 * cap * TICK if cap else 1_000_000.0
         self.origin_id = f"bridge-{next(self._ids)}"
 
         self.replay_buffer = ReplayBuffer(config.replay_capacity)
@@ -306,7 +304,7 @@ class BridgeEndpoint:
     # --- wiring -------------------------------------------------------------
 
     def _schedule_tick(self) -> None:
-        self.clock.schedule(self.clock.now + self.config.tick, self._tick)
+        self.clock.schedule(self.clock.now + TICK, self._tick)
 
     def _ensure_subscription(self, topic: str) -> None:
         if topic in self._tx:

@@ -17,7 +17,7 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 
-from .bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
+from .bridge import TICK, BridgeEndpoint, EndpointConfig, PriorityPolicy
 from .envelope import TIER_CRITICAL, TIER_NAMES
 from .msgbus import MessageKind, TopicBus
 from .netsim import NetLink, NetworkConditions, SimClock, link_pair
@@ -159,16 +159,15 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
             n += 1
     schedule.sort()
 
-    tick = endpoint_cfg.tick
-    steps = int(round(scenario.duration / tick))
+    steps = int(round(scenario.duration / TICK))
     cursor = 0
     for k in range(1, steps + 1):
-        now = k * tick
+        now = k * TICK
         while cursor < len(schedule) and schedule[cursor][0] <= now:
             at, topic = schedule[cursor]
             publishers[topic].publish(payloads[topic], at)
             cursor += 1
-        clock.advance(tick)
+        clock.advance(TICK)
     clock.advance(0.0)
 
     return _audit(scenario, topics, local, remote, fwd, rev)

@@ -17,8 +17,8 @@ from pathlib import Path
 from .engine import TrafficResult, percentile, run_traffic
 from .mmcf import calibrate_bounds, optimize, reusing_evaluator
 from .netsim import NetLink, PiecewiseConstant, SimClock
-from .scenario import Scenario, load_scenario
-from .twinsync import PhysicalAgent, SyncReport, VirtualTwin, run_sync_loop, vec3
+from .scenario import Scenario, ScenarioParseError, load_scenario, publish_limit
+from .twinsync import SyncReport, run_sync_loop, vec3
 
 TOPICS_HEADER = (
     "topic", "tier", "sent", "delivered", "dropped", "buffered",
@@ -159,9 +159,8 @@ def run_sync_section(scenario: Scenario, seed: int) -> SyncReport:
     clock = SimClock()
     link = NetLink(clock, scenario.conditions, seed ^ SYNC_LINK_SEED)
     force = PiecewiseConstant((t, vec3(x, y, z)) for t, x, y, z in spec.force_script)
-    agent = PhysicalAgent(spec.params, force, PiecewiseConstant(spec.yaw_script))
-    twin = VirtualTwin(spec.params)
-    return run_sync_loop(agent, twin, spec.controller, link, clock, scenario.duration, spec.bound)
+    yaw = PiecewiseConstant(spec.yaw_script)
+    return run_sync_loop(spec.params, force, yaw, spec.controller, link, clock, scenario.duration, spec.bound)
 
 
 def sync_gain_comparison(
@@ -371,7 +370,9 @@ def sweep_agents(
     use_seed = scenario.seed if seed is None else seed
     reports: list[RunReport] = []
     rows: list[tuple] = []
-    # every count's topics are expanded, and so checked, before the first run
+    # the largest count is held to the publish limit, and every count's topics are checked, before the first run
+    if problem := publish_limit(counts[-1], scenario.topic_templates, scenario.duration, scenario.drain):
+        raise ScenarioParseError([f"--counts: {problem}"])
     bridges = [scenario.bridge_scenario(count=count, baseline=baseline, seed=use_seed) for count in counts]
     for count, bridge in zip(counts, bridges):
         result = run_traffic(bridge)

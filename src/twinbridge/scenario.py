@@ -14,9 +14,7 @@ duration are required):
       disconnects: [[10.0, 40.0]]  # [start, end) windows
 
     bridge:                        # endpoint knobs (all optional)
-      tick: 0.02                   # scheduler tick, seconds
       batch: 4                     # max frames per link packet
-      redundancy: 0                # duplicate copies per frame, 0..3
       replay_capacity: 256         # per-topic replay ring depth
       heartbeat: 0.25              # idle-topic heartbeat period
       replay_attempts: 12          # re-requests before giving up
@@ -41,17 +39,17 @@ duration are required):
 
     mmcf:                          # configuration optimization (optional)
       weights: [0.4, 0.3, 0.2, 0.1]
-      space: {redundancy: [0, 1], batch: [1, 4]}  # an omitted axis takes its bridge: value
-      probes: 6
+      space: {redundancy: [0, 1], batch: [1, 4]}  # an omitted axis takes the endpoint's value
 
-A key that counts (seed, count, size, batch, capacities, attempts, probes,
-mmcf axes) takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is
-an error. A size takes at most MAX_PAYLOAD, any other count but the seed at
-most sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. A run
-takes at most MAX_STEPS sync ticks, bridge ticks and publishes each. Two
-expansions of the topic templates may not name one topic, which is checked at
-the agent count of each run and of each sweep step. A key the parser does not
-read is an error.
+A key that counts (seed, count, size, batch, capacities, attempts, mmcf axes)
+takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is an error.
+A size takes at most MAX_PAYLOAD, any other count but the seed at most
+sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. A run, and
+each agent count of a sweep, takes at most MAX_STEPS sync ticks, bridge ticks
+and publishes each. Two expansions of the topic templates may not name one
+topic, which is checked at the agent count of each run and of each sweep step.
+A key the parser does not read is an error, and the bridge tick (bridge.TICK),
+redundancy (0 outside the MMCF search) and probe count (PROBES) are not keys.
 Validation failures raise ScenarioParseError carrying one "path (line N):
 message" entry per problem; the line of a key's problem is the key's line.
 """
@@ -67,7 +65,7 @@ from typing import Any
 
 import yaml
 
-from .bridge import EndpointConfig, PriorityPolicy
+from .bridge import TICK as BRIDGE_TICK, EndpointConfig, PriorityPolicy
 from .engine import BridgeScenario, TopicTraffic
 from .envelope import MAX_PAYLOAD, TIER_BY_NAME, TIER_STANDARD
 from .mmcf import BridgeConfig, MmcfWeights
@@ -255,10 +253,12 @@ class SyncSpec:
 # the steps of each kind one run may take, so that every run that loads ends: a run
 # of MAX_STEPS sync ticks, bridge ticks or publishes took 2-11 s on a 2-vCPU Xeon
 MAX_STEPS = 500_000
+# configurations the MMCF search measures first, evenly spread over the space, to calibrate its bounds
+PROBES = 6
 # a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize; no count takes more
 _COUNT = {"minimum": 0, "maximum": sys.maxsize}
 _POSITIVE_COUNT = {"minimum": 1, "maximum": sys.maxsize}
-# mmcf.space axes, in BridgeConfig's field order, each with the range of its bridge: key
+# mmcf.space axes, in BridgeConfig's field order, each with the range EndpointConfig takes
 _MMCF_AXES = {
     "redundancy": {"minimum": 0, "maximum": 3},
     "replay_capacity": _POSITIVE_COUNT,
@@ -272,7 +272,6 @@ class MmcfSpec:
 
     weights: MmcfWeights
     space: dict[str, tuple]
-    probes: int
 
     def configs(self) -> list[BridgeConfig]:
         axes = (self.space[axis] for axis in _MMCF_AXES)
@@ -280,10 +279,10 @@ class MmcfSpec:
 
     def probe_configs(self) -> list[BridgeConfig]:
         space = self.configs()
-        if len(space) <= self.probes:
+        if len(space) <= PROBES:
             return space
-        step = (len(space) - 1) / (self.probes - 1)
-        idx = sorted({round(i * step) for i in range(self.probes)})
+        step = (len(space) - 1) / (PROBES - 1)
+        idx = sorted({round(i * step) for i in range(PROBES)})
         return [space[i] for i in idx]
 
 
@@ -308,6 +307,8 @@ class Scenario:
 
         ScenarioParseError if an expansion is not a valid topic or two name one topic.
         """
+        if not self.topic_templates:  # nothing to expand, however many agents
+            return ()
         count = self.agent_count if count is None else count
         out = []
         named_by: dict[str, tuple[str, int]] = {}  # topic -> (template location, agent)
@@ -329,9 +330,6 @@ class Scenario:
     def bridge_scenario(
         self, count: int | None = None, baseline: bool = False, seed: int | None = None
     ) -> BridgeScenario:
-        endpoint = self.endpoint
-        if baseline:
-            endpoint = replace(endpoint, prioritized=False, redundancy=0)
         return BridgeScenario(
             name=self.name,
             seed=self.seed if seed is None else seed,
@@ -339,7 +337,7 @@ class Scenario:
             conditions=self.conditions,
             traffic=self.traffic_for(count),
             policy=self.policy,
-            endpoint=endpoint,
+            endpoint=replace(self.endpoint, prioritized=not baseline),
             drain=self.drain,
         )
 
@@ -405,13 +403,10 @@ def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
 
 def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, float]:
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
-    ctx.known(br, "bridge", ("tick", "batch", "redundancy", "replay_capacity", "heartbeat", "replay_attempts", "drain"))
+    ctx.known(br, "bridge", ("batch", "replay_capacity", "heartbeat", "replay_attempts", "drain"))
     # each value is checked here at its own key, so EndpointConfig has nothing left to reject
     endpoint = EndpointConfig(
-        prioritized=True,
-        tick=ctx.number(br, "bridge", "tick", default=0.01, positive=True),
         batch_size=ctx.number(br, "bridge", "batch", default=4, integer=True, **_POSITIVE_COUNT),
-        redundancy=ctx.number(br, "bridge", "redundancy", default=0, minimum=0, maximum=3, integer=True),
         replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, integer=True, **_POSITIVE_COUNT),
         heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
         replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, integer=True, **_COUNT),
@@ -511,7 +506,7 @@ def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | N
     mm = ctx.get(data, "", "mmcf", dict, default=None)
     if mm is None:
         return None
-    ctx.known(mm, "mmcf", ("weights", "space", "probes"))
+    ctx.known(mm, "mmcf", ("weights", "space"))
     weights = MmcfWeights(0.25, 0.25, 0.25, 0.25)
     weights_raw = ctx.get(mm, "mmcf", "weights", list, required=True, default=[0.25, 0.25, 0.25, 0.25])
     values = _vector(ctx, weights_raw, "mmcf.weights", 4, "4 weights")
@@ -536,8 +531,15 @@ def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | N
             ctx.fail(f"mmcf.space.{key}", f"expected a list of integers, got {values!r:.40}")
         else:
             space[key] = tuple(ctx.number({key: v}, "mmcf.space", key, integer=True, **_MMCF_AXES[key]) for v in values)
-    probes = ctx.number(mm, "mmcf", "probes", default=6, minimum=2, maximum=sys.maxsize, integer=True)
-    return MmcfSpec(weights=weights, space=space, probes=probes)
+    return MmcfSpec(weights=weights, space=space)
+
+
+def publish_limit(count: int, templates: tuple[dict, ...], duration: float, drain: float) -> str | None:
+    """The problem of count agents publishing past MAX_STEPS messages, or None; each topic publishes at t = 0."""
+    publishes = count * sum(max(1.0, tpl["rate"] * (duration - drain)) for tpl in templates)
+    if publishes > MAX_STEPS:  # 0 agents times an overflowed sum is NaN, which passes
+        return f"{count} agents publish {publishes:.6g} messages; a run takes at most {MAX_STEPS}"
+    return None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -559,15 +561,14 @@ def load_scenario(path: str | Path) -> Scenario:
 
     if drain >= duration:
         ctx.fail("bridge.drain", f"drain {drain} must be below duration {duration}")
-    # one error, at its key, for the first kind of step past MAX_STEPS; each topic publishes at t = 0
-    publishes = agent_count * sum(max(1.0, tpl["rate"] * (duration - drain)) for tpl in templates)
+    # one error, at its key, for the first kind of step past MAX_STEPS
     if sync is not None and duration / TICK > MAX_STEPS:
         ctx.fail("duration", f"duration / TICK is {duration / TICK:.6g} sync ticks; a run takes at most {MAX_STEPS}")
-    elif duration / endpoint.tick > MAX_STEPS:
-        ticks = f"duration / bridge.tick is {duration / endpoint.tick:.6g} bridge ticks"
-        ctx.fail("bridge.tick" if "bridge.tick" in marks else "duration", f"{ticks}; a run takes at most {MAX_STEPS}")
-    elif publishes > MAX_STEPS:  # 0 agents times an overflowed sum is NaN, which passes
-        ctx.fail("agents.count", f"{agent_count} agents publish {publishes:.6g} messages; a run takes at most {MAX_STEPS}")
+    elif duration / BRIDGE_TICK > MAX_STEPS:
+        ticks = f"duration / bridge.TICK is {duration / BRIDGE_TICK:.6g} bridge ticks"
+        ctx.fail("duration", f"{ticks}; a run takes at most {MAX_STEPS}")
+    elif problem := publish_limit(agent_count, templates, duration, drain):
+        ctx.fail("agents.count", problem)
 
     if ctx.problems:
         raise ScenarioParseError(ctx.problems)

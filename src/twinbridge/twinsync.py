@@ -1,17 +1,17 @@
 """Physics-aware synchronization of a physical agent onto its virtual twin.
 
-The twin never copies state. Between received updates it dead-reckons with
-the last known applied force through the same semi-implicit integrator the
-physical side uses; on each received update it measures the synchronization
-error at the update's send instant (ring history lookup) and, when the error
-exceeds the adaptive thresholds, applies a PD correction force held until
-the next update or a short expiry, whichever comes first, so long blackouts
-fall back to pure dead reckoning. An analytic error envelope derived from
-Lipschitz dynamics runs alongside and the loop flags any sample exceeding it;
-the plant is linear and drag-only (resistance drag * v), so it is Lipschitz.
-With a gain grid the gains are rescheduled every GAIN_WINDOW, but only when the
-window of gain samples differs from the one last scheduled: nothing else that
-changes enters the choice, so a repeat would pick the same gains.
+The twin never copies state. Agent and twin share one plant (mass and drag) and one
+semi-implicit integrator; between received updates the twin dead-reckons with the
+last known applied force. On each received update it measures the synchronization
+error at the update's send instant (ring history lookup) and, when the error exceeds
+the adaptive thresholds, applies a PD correction force held until the next update or
+a short expiry, whichever comes first, so long blackouts fall back to pure dead
+reckoning. An analytic error envelope derived from Lipschitz dynamics runs alongside
+and the loop flags any sample exceeding it; the plant is linear and drag-only
+(resistance drag * v), so it is Lipschitz. With a gain grid the gains are
+rescheduled every GAIN_WINDOW, but only when the window of gain samples differs from
+the one last scheduled: nothing else that changes enters the choice, so a repeat
+would pick the same gains.
 
 A `Vec3` is a 3-tuple of Python floats, written out per component; every norm
 sums x*x + y*y + z*z in that order, as `_norm3` does. No BLAS kernel fuses or
@@ -257,7 +257,7 @@ def _gain_force_scale(ctrl: SyncController, window: Sequence[GainSample]) -> flo
 def schedule_gains(ctrl: SyncController, window: Sequence[GainSample], mass: float) -> tuple[float, float]:
     """Pick the grid candidate minimizing the window-ahead weighted cost.
 
-    Each candidate is rolled out on a plant of the given mass (the twin's).
+    Each candidate is rolled out on a plant of the given mass.
     The cost trades predicted residual position error (normalized by the
     base position threshold) against correction energy (normalized by the
     largest grid response to the window's own error scale). Ties break to
@@ -345,33 +345,15 @@ class StateUpdate:
         )
 
 
-class PhysicalAgent:
-    """Ground-truth agent integrating its scripted force and yaw-rate profile."""
-
-    def __init__(
-        self,
-        params: PhysicalParams,
-        force_script: PiecewiseConstant,
-        yaw_script: PiecewiseConstant | None = None,
-    ) -> None:
-        self.params = params
-        self.force_script = force_script
-        self.yaw_script = yaw_script or PiecewiseConstant(0.0)
-        self.state = TwinState.at_rest()
-
-
 # seconds of recorded twin states kept for lookups at an update's send instant
 HISTORY_WINDOW = 6.0
 
 
 class VirtualTwin:
-    """Dead-reckoning twin with a bounded state history for staleness lookups."""
+    """The dead-reckoning twin's bounded state history, one state per tick, for staleness lookups."""
 
-    def __init__(self, params: PhysicalParams) -> None:
-        self.params = params
-        self.state = TwinState.at_rest()
-        self._history: deque[TwinState] = deque(maxlen=int(HISTORY_WINDOW / TICK) + 2)
-        self._history.append(self.state)
+    def __init__(self) -> None:
+        self._history: deque[TwinState] = deque([TwinState.at_rest()], maxlen=int(HISTORY_WINDOW / TICK) + 2)
 
     def state_at(self, t: float) -> TwinState:
         """Recorded state nearest to t by tick offset from the newest, clamped to the ends."""
@@ -448,17 +430,18 @@ class SyncStateError(ValueError):
 
 
 def run_sync_loop(
-    agent: PhysicalAgent,
-    twin: VirtualTwin,
+    params: PhysicalParams,
+    force_script: PiecewiseConstant,
+    yaw_script: PiecewiseConstant,
     ctrl: SyncController,
     link: NetLink,
     clock: SimClock,
     duration: float,
     bound_model: SyncBoundModel | None = None,
 ) -> SyncReport:
-    """Drive physical agent and twin over an impaired link; return the report.
+    """Drive physical agent and twin, both on the plant params, over an impaired link; return the report.
 
-    The agent starts at t = 0, and its scripts are read only at their breakpoints.
+    Both start at rest at t = 0, and the agent's scripts are read only at their breakpoints.
     Each tick the agent integrates its script, the twin dead-reckons with its
     last known force plus any held correction, due updates cross the link,
     and arrivals gate PD corrections through the adaptive thresholds. The
@@ -467,19 +450,20 @@ def run_sync_loop(
     each accepted arrival's time, and derives the gate threshold from it. A non-empty
     ctrl.gain_grid reschedules the gains every GAIN_WINDOW if the window of
     gain samples differs from the one last scheduled, and at once on a grossly
-    out-of-band error, rolling candidates out on the twin's mass. Gain
+    out-of-band error, rolling candidates out on the plant's mass. Gain
     switches rebind a local controller; the caller's ctrl is left as passed.
     Raises SyncStateError once the agent or the twin leaves the finite floats.
     """
     report = SyncReport(ctrl=ctrl)
+    twin = VirtualTwin()
     ticks = int(round(duration / TICK))
     arrivals: deque[StateUpdate] = deque()
 
     # both sides share the mission plan at deployment: the twin starts with
     # the scripted control inputs in effect at t0
-    f_agent = known_force = agent.force_script.value_at(agent.state.t)
-    yaw_agent = known_yaw_rate = agent.yaw_script.value_at(agent.state.t)
-    f_steps, yaw_steps = (iter(s.breakpoints() + [(math.inf, None)]) for s in (agent.force_script, agent.yaw_script))
+    f_agent = known_force = force_script.value_at(0.0)
+    yaw_agent = known_yaw_rate = yaw_script.value_at(0.0)
+    f_steps, yaw_steps = (iter(s.breakpoints() + [(math.inf, None)]) for s in (force_script, yaw_script))
     f_next, yaw_next = next(f_steps), next(yaw_steps)
     correction = vec3()  # the twin's PD correction force, zeroed when it expires
     applied = _add(known_force, correction)
@@ -497,8 +481,8 @@ def run_sync_loop(
     correction_expires = -math.inf
     scheduled: list[GainSample] = []  # the window the gains were last scheduled on
     kp, kd, grid = ctrl.kp, ctrl.kd, bool(ctrl.gain_grid)
-    a, tw = agent.state, twin.state
-    a_params, tw_params, a_mass, tw_mass = agent.params, twin.params, agent.params.mass, twin.params.mass
+    a = tw = twin._history[0]
+    mass = params.mass
     remember, advance, add_row, arrival_log = twin._history.append, clock.advance, report.rows.append, report.arrivals
     sqrt, isfinite, new_state = math.sqrt, math.isfinite, tuple.__new__
 
@@ -524,9 +508,9 @@ def run_sync_loop(
             applied = _add(known_force, correction)
         # t pins each state to the tick grid so script breakpoints stay
         # aligned across agent and twin
-        new = predict_step(a, f_agent, a_params)
+        new = predict_step(a, f_agent, params)
         a = new_state(TwinState, (new.p, new.v, wrap_angle(a.heading + yaw_agent * TICK), now))
-        new = predict_step(tw, applied, tw_params)
+        new = predict_step(tw, applied, params)
         tw = new_state(TwinState, (new.p, new.v, wrap_angle(tw.heading + known_yaw_rate * TICK), now))
         remember(tw)
         while now >= f_next[0]:
@@ -561,7 +545,7 @@ def run_sync_loop(
             # so the transient is handled with freshly chosen gains
             if grid and _norm3(e_pos) > THRESHOLD_CAP * ctrl.eps_pos:
                 scheduled = list(gain_samples)
-                kp, kd = schedule_gains(ctrl, scheduled, tw_mass)
+                kp, kd = schedule_gains(ctrl, scheduled, mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 last_reschedule = now
 
@@ -585,18 +569,18 @@ def run_sync_loop(
         if grid and now - last_reschedule >= GAIN_WINDOW:
             window = list(gain_samples)
             if window != scheduled:
-                kp, kd = schedule_gains(ctrl, window, tw_mass)
+                kp, kd = schedule_gains(ctrl, window, mass)
                 ctrl = replace(ctrl, kp=kp, kd=kd)
                 scheduled = window
             last_reschedule = now
 
         if bound_model is not None:
             dx, dy, dz = f_agent[0] - applied[0], f_agent[1] - applied[1], f_agent[2] - applied[2]
-            mismatch = sqrt(dx * dx + dy * dy + dz * dz) / a_mass
+            mismatch = sqrt(dx * dx + dy * dy + dz * dz) / mass
             if mismatch > max_mismatch:
                 max_mismatch = mismatch
 
-    agent.state, twin.state, report.max_input_mismatch = a, tw, max_mismatch
+    report.max_input_mismatch = max_mismatch
     return report
 
 

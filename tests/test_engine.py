@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbridge import bridge, engine
-from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
+from twinbridge.bridge import BridgeEndpoint, PriorityPolicy
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
@@ -35,10 +35,7 @@ def simple_scenario(loss=0.0, cap=None, seed=5, duration=6.0, drain=1.0):
         TopicTraffic("/r1/pose", MessageKind.POSE, 10.0, 64),
         TopicTraffic("/r1/scan", MessageKind.SCAN2D, 5.0, 600),
     )
-    return BridgeScenario(
-        "simple", seed, duration, cond, traffic, POLICY,
-        endpoint=EndpointConfig(tick=0.02), drain=drain,
-    )
+    return BridgeScenario("simple", seed, duration, cond, traffic, POLICY, drain=drain)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
@@ -56,9 +53,7 @@ class TestRunTraffic:
 
     def test_no_traffic_scenario(self):
         cond = NetworkConditions.ideal()
-        scenario = BridgeScenario(
-            "none", 1, 2.0, cond, (), PriorityPolicy(), endpoint=EndpointConfig(tick=0.02)
-        )
+        scenario = BridgeScenario("none", 1, 2.0, cond, (), PriorityPolicy())
         result = run_traffic(scenario)
         assert result.totals() == (0, 0, 0, 0)
 
@@ -171,10 +166,12 @@ class TestRunTraffic:
             }),
         ],
     )
-    def test_deliveries_landing_on_tick_times_keep_their_order(self, latency, link, topics):
-        # tick, latency and publish times are exact in binary, so deliveries
+    def test_deliveries_landing_on_tick_times_keep_their_order(self, monkeypatch, latency, link, topics):
+        # a 0.25 s tick, latency and publish times are exact in binary, so deliveries
         # land exactly on tick times and the clock breaks each tie by the order
         # its events were scheduled in; any change to that order moves these
+        for module in (bridge, engine):
+            monkeypatch.setattr(module, "TICK", 0.25)
         cond = NetworkConditions(PiecewiseConstant(latency), PiecewiseConstant(0.3), None)
         traffic = (
             TopicTraffic("/r1/cmd", MessageKind.COMMAND, 4.0, 32),
@@ -182,9 +179,7 @@ class TestRunTraffic:
             TopicTraffic("/r1/scan", MessageKind.SCAN2D, 8.0, 200),
         )
         policy = PriorityPolicy(rules=(("/*/cmd", TIER_CRITICAL), ("/*/pose", TIER_CRITICAL)))
-        scenario = BridgeScenario(
-            "ties", 7, 20.0, cond, traffic, policy, endpoint=EndpointConfig(tick=0.25), drain=5.0
-        )
+        scenario = BridgeScenario("ties", 7, 20.0, cond, traffic, policy, drain=5.0)
         result = run_traffic(scenario)
         assert (result.link_sends, result.replays_requested, result.replays_served) == link
         assert {
@@ -330,7 +325,6 @@ class TestMeasureConfig:
             "bad", 1, 1.0, cond,
             (TopicTraffic("x", MessageKind.POSE, 1.0, 8),),  # the bus rejects the name at run time
             PriorityPolicy(),
-            endpoint=EndpointConfig(tick=0.02),
         )
         with pytest.raises(ScenarioError):
             measure_config(BridgeConfig(), bad)

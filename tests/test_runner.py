@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from twinbridge import runner
 from twinbridge.cli import main
 from twinbridge.runner import TOPICS_HEADER, compare, load_report, run, sweep_agents, sync_gain_comparison
-from twinbridge.scenario import load_scenario
+from twinbridge.scenario import Scenario, load_scenario
 from twinbridge.twinsync import SyncReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -24,7 +24,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # (path, value) of each former key that is now a module constant, because no scenario set
 # it to anything but its default, or that other keys decide: a non-empty gain_grid turns
-# gain scheduling on, and its rollout uses the twin's mass
+# gain scheduling on, and its rollout uses the plant's mass
 CONSTANT_KEYS = [
     ("sync.terrain", "default"),
     ("sync.t_ref", 10.0),
@@ -42,6 +42,10 @@ CONSTANT_KEYS = [
     ("sync.update_rate", "1.0e+300"),
     ("sync.gain_window", "1.0e+300"),
     ("sync.friction", 0.0),
+    # the bridge ticks every bridge.TICK s, and sends no duplicate copies outside the
+    # MMCF search; the tick is one that once passed the step limit
+    ("bridge.tick", "1.0e-9"),
+    ("bridge.redundancy", 2),
 ]
 
 
@@ -299,12 +303,12 @@ class TestCli:
         scenario.write_text(
             "name: tiny\nseed: 2\nduration: 3.0\n"
             "network:\n  latency: 0.02\n  loss: 0.1\n  bandwidth: 60000\n"
-            "bridge:\n  tick: 0.02\n  drain: 1.0\n"
+            "bridge:\n  drain: 1.0\n"
             "policy:\n  default: standard\n"
             "  rules:\n    - {pattern: '/*/pose', tier: critical}\n"
             "agents:\n  count: 1\n  topics:\n"
             "    - {name: '/r{i}/pose', kind: pose, rate: 10.0, size: 64}\n"
-            "mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  probes: 2\n"
+            "mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n"
             "  space:\n    redundancy: [0, 1]\n",
             encoding="utf-8",
         )
@@ -406,11 +410,8 @@ class TestCli:
                 ["sync.drag (line 5): expected a finite number, got {'default': 0.0}"],
             ),
             (
-                "bridge:\n  redundancy: 5\n  replay_capacity: 9223372036854775808\n",
-                [
-                    "bridge.redundancy (line 5): must be <= 3, got 5",
-                    "bridge.replay_capacity (line 6): must be <= 9223372036854775807, got 9223372036854775808",
-                ],
+                "bridge:\n  replay_capacity: 9223372036854775808\n",
+                ["bridge.replay_capacity (line 5): must be <= 9223372036854775807, got 9223372036854775808"],
             ),
             (
                 "sync:\n  gain_grid: [[-1.0, 2.0], [3.0, 4.0]]\n",
@@ -443,7 +444,7 @@ class TestCli:
             ),
         ],
         ids=[
-            "negative-drag", "drag-as-a-mapping", "redundancy-and-replay-capacity", "negative-gain",
+            "negative-drag", "drag-as-a-mapping", "replay-capacity", "negative-gain",
             "mmcf-space-axes", "mmcf-space-value-not-a-number", "size-over-max-payload", "geo-section",
         ],
     )
@@ -464,32 +465,40 @@ class TestCli:
         [line] = result.output.splitlines()
         assert line.startswith(f"error: {path} (line 5): unknown key; expected one of ["), line
 
+    def test_the_probe_count_is_not_a_key(self, tmp_path):
+        # the MMCF search calibrates on scenario.PROBES configurations; weights is required beside it
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "name: bad\nseed: 1\nduration: 1.0\nmmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  probes: 2\n",
+            encoding="utf-8",
+        )
+        result = CliRunner().invoke(main, ["run", str(bad)])
+        assert result.exit_code == 2, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith("error: mmcf.probes (line 6): unknown key; expected one of ["), line
+
     @pytest.mark.parametrize(
         "text, expected",
         [
             (
-                edited("bridge_loss.yaml", "  tick: 0.02\n", "  tick: 1.0e-9\n"),
-                "bridge.tick (line 14): duration / bridge.tick is 3e+10 bridge ticks; a run takes at most 500000",
-            ),
-            (
                 edited("bridge_loss.yaml", "kind: pose, rate: 10.0,", "kind: pose, rate: 1.0e+12,"),
-                "agents.count (line 28): 2 agents publish 4.4e+13 messages; a run takes at most 500000",
+                "agents.count (line 27): 2 agents publish 4.4e+13 messages; a run takes at most 500000",
             ),
             (
                 edited("agents20.yaml", "  count: 20\n", "  count: 100000\n"),
-                "agents.count (line 27): 100000 agents publish 6e+06 messages; a run takes at most 500000",
+                "agents.count (line 26): 100000 agents publish 6e+06 messages; a run takes at most 500000",
             ),
             (
                 edited("sync_default.yaml", "duration: 40.0\n", "duration: 1.0e+7\n"),
                 "duration (line 5): duration / TICK is 1e+09 sync ticks; a run takes at most 500000",
             ),
             (
-                # no bridge.tick key: the bridge would tick at its default, 0.01 s
+                # the bridge ticks every bridge.TICK = 0.02 s
                 "name: long\nseed: 1\nduration: 1.0e+7\n",
-                "duration (line 3): duration / bridge.tick is 1e+09 bridge ticks; a run takes at most 500000",
+                "duration (line 3): duration / bridge.TICK is 5e+08 bridge ticks; a run takes at most 500000",
             ),
         ],
-        ids=["tiny-bridge-tick", "huge-rate", "huge-agent-count", "huge-duration-with-sync", "huge-duration"],
+        ids=["huge-rate", "huge-agent-count", "huge-duration-with-sync", "huge-duration"],
     )
     def test_a_run_past_the_step_limit_is_an_error_at_the_key(self, tmp_path, monkeypatch, text, expected):
         # each of these loaded and then ran for hours or more; none may start
@@ -658,6 +667,35 @@ class TestCli:
             "which agents.topics[1].name (line 8) names for agent 1"
         ]
         assert runs == []
+
+    def test_sweep_holds_every_count_to_the_publish_limit_before_expanding_topics(self, monkeypatch):
+        # agents20.yaml publishes 60 messages per agent: 8 334 agents publish 500 040
+        expansions = []
+        monkeypatch.setattr(Scenario, "traffic_for", lambda scenario, count=None: expansions.append(count))
+        result = CliRunner().invoke(main, ["sweep", str(SCENARIOS / "agents20.yaml"), "--counts", "50,8334"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [
+            "error: --counts: 8334 agents publish 500040 messages; a run takes at most 500000"
+        ]
+        assert expansions == []
+
+    @pytest.mark.parametrize(
+        "command", [["run"], ["mmcf-opt"], ["sweep", "--counts", "1,1000000000000000"]], ids=lambda c: c[0]
+    )
+    def test_a_huge_agent_count_with_no_topics_runs(self, tmp_path, command):
+        # no template leaves nothing to expand, however many agents: each of these once never ended
+        scenario = tmp_path / "empty.yaml"
+        scenario.write_text(
+            "name: empty\nseed: 1\nduration: 1.0\nagents:\n  count: 1000000000000000\n  topics: []\n"
+            "mmcf:\n  weights: [0.25, 0.25, 0.25, 0.25]\n",
+            encoding="utf-8",
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "twinbridge.cli", command[0], str(scenario), *command[1:]],
+            env=dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
 
     @pytest.mark.parametrize("counts", ["3,2", "2,2", "2,x", "-1,2", ","])
     def test_bad_sweep_counts_are_an_error_line_not_a_traceback(self, counts, monkeypatch):

@@ -195,8 +195,6 @@ agents:
 
     def test_baseline_bridge_scenario_disables_features(self, tmp_path):
         text = MINIMAL + """\
-bridge:
-  redundancy: 2
 agents:
   count: 1
   topics:
@@ -205,6 +203,7 @@ agents:
         scenario = load_scenario(write(tmp_path, text))
         baseline = scenario.bridge_scenario(baseline=True)
         assert baseline.endpoint.prioritized is False
+        # redundancy is 0 outside the MMCF search, so the baseline sends no duplicate copies either
         assert baseline.endpoint.redundancy == 0
 
 
@@ -269,9 +268,8 @@ agents:
              "    - {name: \"/a{i}\", kind: pose, rate: 1.0, size: 8}\n", "agents.count (line 5)"),
             (MINIMAL + "agents:\n  count: 1\n  topics:\n"
              "    - {name: \"/a{i}\", kind: pose, rate: 1.0, size: 64.9}\n", "agents.topics[0].size (line 7)"),
-            (MINIMAL + "mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  probes: 2.6\n", "mmcf.probes (line 6)"),
         ],
-        ids=["seed", "agents.count", "size", "mmcf.probes"],
+        ids=["seed", "agents.count", "size"],
     )
     def test_a_fractional_count_is_an_error_not_truncated(self, tmp_path, text, path):
         with pytest.raises(ScenarioParseError) as err:
@@ -291,10 +289,9 @@ agents:
             ("agents:\n  count: {n}\n  topics: []\n", "agents.count (line 5)"),
             ("bridge:\n  batch: {n}\n", "bridge.batch (line 5)"),
             ("bridge:\n  replay_attempts: {n}\n", "bridge.replay_attempts (line 5)"),
-            ("mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  probes: {n}\n", "mmcf.probes (line 6)"),
             ("mmcf:\n  weights: [0.4, 0.3, 0.2, 0.1]\n  space: {{batch: [1, {n}]}}\n", "mmcf.space.batch (line 6)"),
         ],
-        ids=["agents.count", "bridge.batch", "bridge.replay_attempts", "mmcf.probes", "mmcf.space.batch"],
+        ids=["agents.count", "bridge.batch", "bridge.replay_attempts", "mmcf.space.batch"],
     )
     def test_a_401_digit_count_is_an_error_at_its_key(self, tmp_path, section, path):
         with pytest.raises(ScenarioParseError) as err:
@@ -397,11 +394,10 @@ ANY_VALUE = st.recursive(
 
 # Caps on what one run may cost. Each lowers a value that loaded to one that
 # still loads, so it bounds the work of a run, never which keys are checked.
-# A value past a cap, such as `duration: 1.0e+300` or `tick: 1.0e-300`, runs
-# at the cap: a run that long is out of scope here.
+# A value past a cap, such as `duration: 1.0e+300`, runs at the cap: a run
+# that long is out of scope here.
 MAX_DURATION = 5.0  # simulated seconds; a drain that would reach it is halved below it
 MAX_AGENTS = 20
-MIN_TICK = 0.001  # seconds, at most 5 000 bridge ticks
 MAX_RATE = 100.0  # messages per second per topic
 MAX_SIZE = 1 << 20  # bytes per message, so the payloads of 20 agents stay small
 
@@ -412,8 +408,6 @@ def _capped(doc: dict) -> dict:
     bridge = doc.get("bridge") or {}
     if bridge.get("drain") is not None and bridge["drain"] >= doc["duration"]:
         bridge["drain"] = doc["duration"] / 2
-    if bridge.get("tick") is not None:
-        bridge["tick"] = max(bridge["tick"], MIN_TICK)
     agents = doc.get("agents")
     if agents is not None:
         agents["count"] = min(agents["count"], MAX_AGENTS)

@@ -22,7 +22,6 @@ from twinbridge.twinsync import (
     GAIN_ROLLOUT_STEPS,
     LOSS_WINDOW,
     GainSample,
-    PhysicalAgent,
     PhysicalParams,
     StateUpdate,
     SyncBoundModel,
@@ -438,12 +437,20 @@ class TestForceScript:
 
 
 class TestVirtualTwin:
-    def test_state_at_is_the_nearest_kept_state(self):
+    def test_state_at_is_the_nearest_kept_state(self, monkeypatch):
+        twins = []
+
+        class KeptTwin(VirtualTwin):
+            def __init__(self):
+                super().__init__()
+                twins.append(self)
+
+        monkeypatch.setattr(twinsync, "VirtualTwin", KeptTwin)
         clock = SimClock()
         link = NetLink(clock, NetworkConditions.ideal(), seed=1)
-        agent = PhysicalAgent(params(), PiecewiseConstant([(0.0, vec3(1.0, -0.5))]))
-        twin = VirtualTwin(params())
-        run_sync_loop(agent, twin, SyncController(), link, clock, 10.0)
+        force = PiecewiseConstant([(0.0, vec3(1.0, -0.5))])
+        run_sync_loop(params(), force, PiecewiseConstant(0.0), SyncController(), link, clock, 10.0)
+        [twin] = twins
         kept = list(twin._history)
         # the history holds the newest HISTORY_WINDOW / TICK + 2 states, one per tick
         assert [round(s.t / TICK) for s in kept] == list(range(399, 1001))
@@ -464,10 +471,8 @@ def ideal_loop(duration=5.0):
     p = params(mass=10.0, drag=1.5)
     script = PiecewiseConstant([(0.0, vec3(2.0)), (1.0, vec3(-1.0, 0.5)), (3.0, vec3(0.5))])
     yaw = PiecewiseConstant([(0.0, 0.1), (2.0, -0.05)])
-    agent = PhysicalAgent(p, script, yaw)
-    twin = VirtualTwin(p)
     ctrl = SyncController(kp=40.0, kd=30.0, eps_pos=0.05, eps_vel=0.1)
-    return run_sync_loop(agent, twin, ctrl, link, clock, duration)
+    return run_sync_loop(p, script, yaw, ctrl, link, clock, duration)
 
 
 class TestRunSyncLoop:
@@ -493,9 +498,9 @@ class TestRunSyncLoop:
         clock = SimClock()
         link = NetLink(clock, NetworkConditions.ideal(), seed=1)
         p = params(mass=10.0, drag=1.5)
-        agent = PhysicalAgent(p, PiecewiseConstant([(0.0, vec3(2.0))]))
+        force = PiecewiseConstant([(0.0, vec3(2.0))])
         ctrl = SyncController(kp=40.0, kd=30.0, gain_grid=((12.0, 10.0), (110.0, 40.0)))
-        report = run_sync_loop(agent, VirtualTwin(p), ctrl, link, clock, 3.0)
+        report = run_sync_loop(p, force, PiecewiseConstant(0.0), ctrl, link, clock, 3.0)
         assert (ctrl.kp, ctrl.kd) == (40.0, 30.0)
         assert (report.kp[0], report.kd[0]) == (40.0, 30.0)
         assert set(zip(report.kp, report.kd)) - {(40.0, 30.0)}
@@ -503,11 +508,11 @@ class TestRunSyncLoop:
     def test_a_state_that_goes_non_finite_is_an_error(self):
         clock = SimClock()
         link = NetLink(clock, NetworkConditions.ideal(), seed=1)
-        agent = PhysicalAgent(params(mass=10.0), PiecewiseConstant([(0.0, vec3(2.0))]))
-        twin = VirtualTwin(params(mass=1.0))
+        # the force turns between two updates, so the twin, still pushing the old one, falls out of the gate
+        force = PiecewiseConstant([(0.0, vec3(2.0)), (0.05, vec3(-100.0))])
         ctrl = SyncController(kp=1e300, kd=1e300)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SyncStateError, match=r"t=0\.\d\d s"):
-            run_sync_loop(agent, twin, ctrl, link, clock, 1.0)
+            run_sync_loop(params(mass=10.0), force, PiecewiseConstant(0.0), ctrl, link, clock, 1.0)
 
     def test_integrated_error_zero_on_perfect_channel(self):
         report = ideal_loop(duration=2.0)
@@ -587,14 +592,11 @@ def test_the_gate_threshold_is_the_one_the_arrival_log_gives_each_tick(name):
 
 def traced_loop(monkeypatch, force, yaw, duration):
     """run_sync_loop over an ideal link; returns the agent's (state, force) per step and its updates."""
-    steps, updates = [], []
+    calls, updates = [], []
     step = twinsync.predict_step
-    agent_params = params(mass=10.0, drag=1.5)
-    agent = PhysicalAgent(agent_params, force, yaw)
 
     def traced_step(state, f_phys, p):
-        if p is agent_params:  # the twin steps with params of its own
-            steps.append((state, f_phys))
+        calls.append((state, f_phys))
         return step(state, f_phys, p)
 
     monkeypatch.setattr(twinsync, "predict_step", traced_step)
@@ -602,8 +604,8 @@ def traced_loop(monkeypatch, force, yaw, duration):
     link = NetLink(clock, NetworkConditions.ideal(), seed=1)
     send = link.send
     link.send = lambda payload: updates.append(StateUpdate.unpack(payload)) or send(payload)
-    run_sync_loop(agent, VirtualTwin(params(mass=10.0, drag=1.5)), SyncController(), link, clock, duration)
-    return steps, updates
+    run_sync_loop(params(mass=10.0, drag=1.5), force, yaw, SyncController(), link, clock, duration)
+    return calls[::2], updates  # each tick steps the agent, then the twin
 
 
 # a breakpoint time: anywhere, on the tick grid, negative, past the run, or one of a few shared ones
@@ -647,9 +649,9 @@ def test_the_scripts_are_read_only_at_their_breakpoints(monkeypatch, tmp_path):
         reads.append(profile)
         return value_at(profile, t)
 
-    def loop_keeping_the_scripts(agent, *args):
-        scripts.extend((agent.force_script, agent.yaw_script))
-        return loop(agent, *args)
+    def loop_keeping_the_scripts(plant, force_script, yaw_script, *args):
+        scripts.extend((force_script, yaw_script))
+        return loop(plant, force_script, yaw_script, *args)
 
     monkeypatch.setattr(PiecewiseConstant, "value_at", counted_value_at)
     monkeypatch.setattr(runner, "run_sync_loop", loop_keeping_the_scripts)
