@@ -29,8 +29,10 @@ sent: a seq whose replay copy is queued is skipped until that copy goes on
 the link.
 Replay-request and heartbeat frames carry seq 0: the receiver acts on their
 payload alone.
-Heartbeat and gap-retry deadlines live in min-heaps, so an idle tick, with
-nothing ready, queued or due, costs O(1): it only reschedules itself.
+Each endpoint ticks on the clock's cadence, every `TICK`, after the link
+deliveries due at that instant. Heartbeat and gap-retry deadlines live in
+min-heaps, so an idle tick, with nothing ready, queued or due, costs O(1): it
+reads the heap tops and returns.
 Every frame sent is retained in a per-topic replay ring that keeps the last
 `replay_capacity` frames of each topic.
 
@@ -299,12 +301,9 @@ class BridgeEndpoint:
         rx_link.on_deliver = self._on_deliver
         for topic in config.topics:
             self._ensure_subscription(topic)
-        self._schedule_tick()
+        clock.every(TICK, self._tick)
 
     # --- wiring -------------------------------------------------------------
-
-    def _schedule_tick(self) -> None:
-        self.clock.schedule(self.clock.now + TICK, self._tick)
 
     def _ensure_subscription(self, topic: str) -> None:
         if topic in self._tx:
@@ -336,13 +335,13 @@ class BridgeEndpoint:
             else:
                 plan = self._plan_fifo(self._budget)
             self._transmit(plan)
-        self._schedule_tick()
 
     def _drain_bus(self, now: float) -> None:
         ready = sorted(self._ready)
         self._ready.clear()
         origin, copies = self.origin_id, range(1 + self.config.redundancy)
         insert = self.replay_buffer.insert if self.config.prioritized else None
+        new = tuple.__new__  # skips the NamedTuple's Python-level constructor
         for topic in ready:
             tx = self._tx[topic]
             tier, append = tx.tier, self._queues[tx.tier].append
@@ -350,7 +349,7 @@ class BridgeEndpoint:
                 if msg.origin == origin:
                     continue
                 sim_time_us = int(round(msg.publish_time * 1e6))
-                env = Envelope(tier, 0, tx.next_seq, sim_time_us, topic, int(msg.kind), msg.payload)
+                env = new(Envelope, (tier, 0, tx.next_seq, sim_time_us, topic, int(msg.kind), msg.payload))
                 if tx.next_seq == 0 and tier == TIER_CRITICAL:
                     heapq.heappush(self._beats, (now, topic))
                 tx.next_seq += 1
@@ -413,14 +412,10 @@ class BridgeEndpoint:
             self._send_control(HEARTBEAT_TOPIC, payload, now)
 
     def _send_control(self, control_topic: str, payload: bytes, now: float) -> None:
-        env = Envelope(
-            tier=TIER_CRITICAL,
-            flags=0,
-            seq=0,
-            sim_time_us=int(round(now * 1e6)),
-            topic=control_topic,
-            kind=int(MessageKind.COMMAND),
-            payload=payload,
+        # Envelope's fields in order: tier, flags, seq, sim_time_us, topic, kind, payload
+        env = tuple.__new__(
+            Envelope,
+            (TIER_CRITICAL, 0, 0, int(round(now * 1e6)), control_topic, int(MessageKind.COMMAND), payload),
         )
         self.encodes += 1
         self._queues[TIER_CRITICAL].append(env)

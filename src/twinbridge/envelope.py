@@ -144,7 +144,9 @@ def _parse_one(buf: bytes, offset: int) -> tuple[Envelope, int]:
         topic = buf[mid_at - topic_len : mid_at].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BadTopic(f"topic is not UTF-8: {exc.reason}") from None
-    return Envelope(tier, flags, seq, sim_time_us, topic, kind, buf[crc_at - payload_len : crc_at]), end
+    # tuple.__new__ skips the NamedTuple's Python-level constructor
+    env = tuple.__new__(Envelope, (tier, flags, seq, sim_time_us, topic, kind, buf[crc_at - payload_len : crc_at]))
+    return env, end
 
 
 def decode_envelope(buf: bytes) -> Envelope:
@@ -166,6 +168,5 @@ def decode_stream(buf: bytes) -> list[Envelope]:
 
 
 def with_replay_flag(env: Envelope) -> Envelope:
-    return Envelope(
-        env.tier, env.flags | FLAG_REPLAY, env.seq, env.sim_time_us, env.topic, env.kind, env.payload
-    )
+    tier, flags, seq, sim_time_us, topic, kind, payload = env
+    return tuple.__new__(Envelope, (tier, flags | FLAG_REPLAY, seq, sim_time_us, topic, kind, payload))

@@ -5,7 +5,10 @@ against empirically calibrated bounds, combined under mission weights that
 sum to one, and minimized over a finite configuration space in one
 exhaustive pass that evaluates and tabulates every configuration.
 
-A search simulates each distinct run once (`reusing_evaluator`). A
+A search simulates each distinct run once (`reusing_evaluator`), and it
+counts a run simulated before it, such as a scenario's plain traffic run, as
+one of its own: `twinbridge run` on `mmcf_default.yaml` simulates 10 runs in
+all, the plain run included, for 24 configurations. A
 configuration reuses an earlier simulation when it binds to the same
 scenario on every field but `replay_capacity` and `batch_size`, and on each
 of those two fields its value equals the earlier run's, or both values are at
@@ -188,33 +191,42 @@ def _metrics(result: TrafficResult) -> MeasuredMetrics:
 Evaluator = Callable[[BridgeConfig, BridgeScenario], MeasuredMetrics]
 
 
-def reusing_evaluator() -> Evaluator:
+def reusing_evaluator(known: Iterable[tuple[BridgeScenario, TrafficResult]] = ()) -> Evaluator:
     """An evaluator returning what `measure_config` does, simulating each distinct run once.
 
     A run's need on a limit is the least value at which that limit never
     binds in it: the busiest topic's sent count for the ring,
     `TrafficResult.batch_need` for batches. A limit that did bind is recorded
     as needing one more than it had, so only an equal value reuses that run.
+    Each (scenario, result) in `known` is recorded first, as if this
+    evaluator had simulated it, so a configuration it matches is not run again.
     """
     # (replay_capacity, batch_size, ring need, batch need, metrics) per run,
-    # keyed by the scenario bound with both limits at 1
+    # keyed by the scenario run with both limits at 1
     runs: dict[BridgeScenario, list[tuple[int, int, int, int, MeasuredMetrics]]] = {}
 
+    def key(bound: BridgeScenario) -> BridgeScenario:
+        return replace(bound, endpoint=replace(bound.endpoint, replay_capacity=1, batch_size=1))
+
+    def record(bound: BridgeScenario, result: TrafficResult) -> MeasuredMetrics:
+        cap, batch = bound.endpoint.replay_capacity, bound.endpoint.batch_size
+        ring_need = cap + 1 if result.replay_evictions else max((r.sent for r in result.topics.values()), default=0)
+        metrics = _metrics(result)
+        runs.setdefault(key(bound), []).append((cap, batch, ring_need, result.batch_need, metrics))
+        return metrics
+
     def evaluate(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMetrics:
-        key = apply_config(scenario, replace(config, replay_capacity=1, batch_size=1))
+        bound = apply_config(scenario, config)
         cap, batch = config.replay_capacity, config.batch_size
-        done = runs.setdefault(key, [])
-        for run_cap, run_batch, ring_need, batch_need, metrics in done:
+        for run_cap, run_batch, ring_need, batch_need, metrics in runs.get(key(bound), ()):
             if (cap == run_cap or min(cap, run_cap) >= ring_need) and (
                 batch == run_batch or min(batch, run_batch) >= batch_need
             ):
                 return metrics
-        result = _simulate(config, scenario)
-        ring_need = cap + 1 if result.replay_evictions else max((r.sent for r in result.topics.values()), default=0)
-        metrics = _metrics(result)
-        done.append((cap, batch, ring_need, result.batch_need, metrics))
-        return metrics
+        return record(bound, _simulate(config, scenario))
 
+    for bound, result in known:
+        record(bound, result)
     return evaluate
 
 

@@ -46,7 +46,7 @@ def _check_payload(payload: bytes) -> None:
 def validate_topic(name: str) -> str:
     if not name or not name.startswith("/"):
         raise InvalidTopic(f"topic {name!r:.40} must be non-empty and start with '/'")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:  # str.split cuts at every code point that isspace()
         raise InvalidTopic(f"topic {name!r:.40} must not contain whitespace")
     try:
         if len(name.encode("utf-8")) > 0xFFFF:

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable
 
-from .engine import TrafficResult, percentile, run_traffic
+from .engine import BridgeScenario, TrafficResult, percentile, run_traffic
 from .mmcf import calibrate_bounds, optimize, reusing_evaluator
 from .netsim import NetLink, PiecewiseConstant, SimClock
 from .scenario import Scenario, ScenarioParseError, load_scenario, publish_limit
@@ -182,13 +183,19 @@ def sync_gain_comparison(
     return adaptive_report, fixed
 
 
-def run_mmcf_section(scenario: Scenario, seed: int) -> tuple[list[tuple], dict]:
-    """Calibrate bounds, optimize the declared space, and tabulate every config."""
+def run_mmcf_section(
+    scenario: Scenario, seed: int, known: Iterable[tuple[BridgeScenario, TrafficResult]] = ()
+) -> tuple[list[tuple], dict]:
+    """Calibrate bounds, optimize the declared space, and tabulate every config.
+
+    `known` holds traffic runs already simulated, each with the scenario it
+    ran; a configuration the search would run the same way reuses one.
+    """
     spec = scenario.mmcf
     assert spec is not None
     base = scenario.bridge_scenario(seed=seed)
     space = spec.configs()
-    evaluate = reusing_evaluator()
+    evaluate = reusing_evaluator(known)
     bounds = calibrate_bounds(spec.probe_configs(), base, evaluate)
     result = optimize(space, base, bounds, spec.weights, evaluate)
     # bench/worker.py::_check_mmcf reads mmcf.csv by column position and
@@ -237,8 +244,11 @@ def run(
     report = RunReport(scenario.name, use_seed, mode)
     report.summary.update({"name": scenario.name, "seed": use_seed, "mode": mode})
 
+    known = []  # the plain traffic run, which the MMCF search may reuse
     if scenario.topic_templates:
-        result = run_traffic(scenario.bridge_scenario(baseline=baseline, seed=use_seed))
+        bridge = scenario.bridge_scenario(baseline=baseline, seed=use_seed)
+        result = run_traffic(bridge)
+        known.append((bridge, result))
         report.traffic = result
         _traffic_report(report, result)
 
@@ -259,7 +269,7 @@ def run(
         )
 
     if scenario.mmcf is not None:
-        rows, info = run_mmcf_section(scenario, use_seed)
+        rows, info = run_mmcf_section(scenario, use_seed, known)
         report.mmcf_rows = rows
         report.summary.update(info)
 

@@ -19,7 +19,7 @@ from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
 from twinbridge.msgbus import MessageKind
-from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant
+from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant, SimClock
 from twinbridge.scenario import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -154,10 +154,10 @@ class TestRunTraffic:
                 "/r1/pose": (30, 30, 0, 0, 27.75),
                 "/r1/scan": (120, 87, 33, 0, 49.125),
             }),
-            (0.25, (182, 75, 66), {
-                "/r1/cmd": (60, 60, 0, 0, 65.25),
-                "/r1/pose": (30, 30, 0, 0, 29.0),
-                "/r1/scan": (120, 96, 24, 0, 30.25),
+            (0.25, (172, 51, 41), {
+                "/r1/cmd": (60, 60, 0, 0, 42.25),
+                "/r1/pose": (30, 30, 0, 0, 20.75),
+                "/r1/scan": (120, 89, 31, 0, 28.0),
             }),
             (0.0, (181, 68, 50), {
                 "/r1/cmd": (60, 60, 0, 0, 39.0),
@@ -168,8 +168,9 @@ class TestRunTraffic:
     )
     def test_deliveries_landing_on_tick_times_keep_their_order(self, monkeypatch, latency, link, topics):
         # a 0.25 s tick, latency and publish times are exact in binary, so deliveries
-        # land exactly on tick times and the clock breaks each tie by the order
-        # its events were scheduled in; any change to that order moves these
+        # land exactly on tick times; every delivery due at a tick instant fires
+        # before both endpoints tick, so at 0.25 s latency a replay request sent
+        # on one tick is served on the next; any change to that order moves these
         for module in (bridge, engine):
             monkeypatch.setattr(module, "TICK", 0.25)
         cond = NetworkConditions(PiecewiseConstant(latency), PiecewiseConstant(0.3), None)
@@ -186,6 +187,27 @@ class TestRunTraffic:
             topic: (res.sent, res.delivered, res.dropped, res.buffered, sum(res.latencies))
             for topic, res in result.topics.items()
         } == topics
+
+    def test_the_clock_heap_holds_link_deliveries_and_never_a_tick(self, monkeypatch):
+        # the endpoints tick on the clock's cadence, so each schedule is one delivery
+        scheduled, delivered_sends = [], []
+        schedule, send = SimClock.schedule, NetLink.send
+
+        def counted_schedule(clock, at, callback):
+            scheduled.append(callback)
+            return schedule(clock, at, callback)
+
+        def counted_send(link, payload):
+            event = send(link, payload)
+            delivered_sends.append(not event.dropped)
+            return event
+
+        monkeypatch.setattr(SimClock, "schedule", counted_schedule)
+        monkeypatch.setattr(NetLink, "send", counted_send)
+        result = run_traffic(simple_scenario(loss=0.2))
+        assert len(delivered_sends) == result.link_sends
+        assert 0 < len(scheduled) == sum(delivered_sends) < result.link_sends
+        assert not any(getattr(callback, "__func__", None) is BridgeEndpoint._tick for callback in scheduled)
 
     def test_replay_stays_lean_on_an_overloaded_fleet(self):
         # agents20 at 200 agents, seed 11, the fleet benchmark's run: a request

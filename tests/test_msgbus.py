@@ -1,6 +1,10 @@
 """Topic bus semantics: advertising, FIFO fan-out, bounded queues."""
 
+import sys
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twinbridge.envelope import MAX_PAYLOAD
 from twinbridge.msgbus import (
@@ -8,7 +12,11 @@ from twinbridge.msgbus import (
     KindMismatch,
     MessageKind,
     TopicBus,
+    validate_topic,
 )
+
+# every code point str.isspace() holds for, so each is drawn often
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
 
 
 @pytest.fixture
@@ -37,6 +45,16 @@ class TestAdvertise:
     def test_invalid_topics(self, bus, name):
         with pytest.raises(InvalidTopic):
             bus.advertise(name, MessageKind.POSE)
+
+    @given(st.text(st.one_of(st.sampled_from(SPACES), st.characters(exclude_categories=("Cs",)))))
+    def test_whitespace_is_rejected_exactly_where_a_character_isspace(self, tail):
+        name = "/" + tail
+        try:
+            validate_topic(name)
+            rejected = False
+        except InvalidTopic as exc:
+            rejected = "whitespace" in str(exc)
+        assert rejected == any(ch.isspace() for ch in name)
 
 
 class TestSubscribe:

@@ -107,6 +107,109 @@ class TestSimClock:
         assert fired == ["first", "chained"]
 
 
+class TestCadence:
+    def test_instants_are_the_accumulated_floats(self):
+        clock = SimClock()
+        seen = []
+        clock.every(0.02, lambda: seen.append(clock.now))
+        for _ in range(300):
+            clock.advance(0.02)
+        expected, t = [], 0.0
+        for _ in range(300):
+            t += 0.02
+            expected.append(t)
+        assert seen == expected
+        assert clock.advance(0.0) == []
+
+    def test_one_advance_across_many_instants_fires_each(self):
+        clock = SimClock()
+        seen = []
+        clock.every(0.25, lambda: seen.append(clock.now))
+        assert clock.advance(1.1) == [0.25, 0.5, 0.75, 1.0]
+        assert seen == [0.25, 0.5, 0.75, 1.0] and clock.now == 1.1
+
+    def test_callbacks_run_in_registration_order_and_each_is_a_firing(self):
+        clock = SimClock()
+        fired = []
+        for name in "abc":
+            clock.every(0.5, lambda name=name: fired.append((clock.now, name)))
+        assert clock.advance(1.0) == [0.5] * 3 + [1.0] * 3
+        assert fired == [(0.5, "a"), (0.5, "b"), (0.5, "c"), (1.0, "a"), (1.0, "b"), (1.0, "c")]
+
+    def test_an_event_due_at_an_instant_fires_before_the_cadence_however_it_was_scheduled(self):
+        clock = SimClock()
+        fired = []
+
+        def tick():
+            fired.append(("tick", clock.now))
+            if clock.now == 0.25:  # scheduled after this instant's tick
+                clock.schedule(0.5, lambda: fired.append(("late", clock.now)))
+
+        def at_instant():
+            fired.append(("at", clock.now))
+            clock.schedule(clock.now, lambda: fired.append(("chained", clock.now)))
+
+        clock.schedule(0.5, at_instant)  # scheduled before the cadence existed
+        clock.every(0.25, tick)
+        clock.advance(0.25)
+        clock.advance(0.25)
+        assert fired == [
+            ("tick", 0.25),
+            ("at", 0.5),
+            ("late", 0.5),
+            ("chained", 0.5),
+            ("tick", 0.5),
+        ]
+
+    def test_an_event_a_callback_schedules_at_its_instant_fires_after_every_callback(self):
+        clock = SimClock()
+        fired = []
+        clock.every(0.5, lambda: clock.schedule(clock.now, lambda: fired.append("event")))
+        clock.every(0.5, lambda: fired.append("second"))
+        clock.advance(0.5)
+        assert fired == ["second", "event"]
+
+    def test_a_registration_on_the_same_instants_is_accepted(self):
+        clock = SimClock()
+        fired = []
+        clock.every(0.25, lambda: fired.append("a"))
+        clock.advance(0.25)
+        clock.every(0.25, lambda: fired.append("b"))
+        clock.advance(0.5)
+        assert fired == ["a", "a", "b", "a", "b"]
+
+    @pytest.mark.parametrize(
+        "period, advance",
+        [(0.5, 0.0), (0.125, 0.0), (0.25, 0.1), (0.25, 0.3)],
+        ids=["other-period", "shorter-period", "mid-interval", "past-an-instant"],
+    )
+    def test_a_registration_off_the_cadence_is_rejected(self, period, advance):
+        clock = SimClock()
+        clock.every(0.25, lambda: None)
+        clock.advance(advance)
+        with pytest.raises(ValueError, match="does not line up"):
+            clock.every(period, lambda: None)
+
+    @pytest.mark.parametrize("period", [0.0, -0.02, float("nan"), float("inf"), float("-inf")])
+    def test_a_period_that_is_not_positive_and_finite_is_rejected(self, period):
+        clock = SimClock()
+        with pytest.raises(ValueError, match="positive"):
+            clock.every(period, lambda: None)
+
+    def test_a_period_lost_to_rounding_is_rejected(self):
+        # 1e20 + 1.0 == 1e20: the cadence would never leave its first instant
+        clock = SimClock()
+        clock.advance(1e20)
+        with pytest.raises(ValueError, match="not after"):
+            clock.every(1.0, lambda: None)
+
+    def test_a_cadence_cannot_start_inside_a_running_advance(self):
+        clock = SimClock()
+        clock.schedule(0.1, lambda: clock.every(0.2, lambda: None))
+        with pytest.raises(ValueError, match="not after"):
+            clock.advance(1.0)
+
+
 class TestSend:
     def test_pure_latency(self):
         clock = SimClock()

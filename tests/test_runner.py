@@ -715,6 +715,40 @@ class TestCli:
         assert result.exit_code == 2
 
 
+@pytest.fixture
+def traffic_runs(monkeypatch):
+    """The scenario of each traffic run `runner` and `mmcf` simulate, in order."""
+    from twinbridge import mmcf
+
+    seen = []
+    for module in (runner, mmcf):
+
+        def counted(scenario, run_traffic=module.run_traffic):
+            seen.append(scenario)
+            return run_traffic(scenario)
+
+        monkeypatch.setattr(module, "run_traffic", counted)
+    return seen
+
+
+def test_the_mmcf_search_reuses_the_plain_run(tmp_path, traffic_runs):
+    scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
+    run(scenario, out_dir=tmp_path / "run")
+    assert len(traffic_runs) == 10
+    # the search simulating every run itself writes the same table
+    rows, _ = runner.run_mmcf_section(scenario, scenario.seed)
+    fresh = runner._write_csv(tmp_path / "fresh.csv", runner.MMCF_HEADER, rows)
+    assert (tmp_path / "run" / "mmcf.csv").read_bytes() == fresh.read_bytes()
+
+
+def test_the_fifo_plain_run_is_no_mmcf_configuration(traffic_runs):
+    scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
+    report = run(scenario, baseline=True)
+    assert len(traffic_runs) == 11
+    assert not traffic_runs[0].endpoint.prioritized
+    assert report.mmcf_rows == runner.run_mmcf_section(scenario, scenario.seed)[0]
+
+
 def test_twenty_agent_scenario_smoke():
     report = run(SCENARIOS / "agents20.yaml")
     assert len(report.topic_rows) == 60
