@@ -29,10 +29,10 @@ sent: a seq whose replay copy is queued is skipped until that copy goes on
 the link.
 Replay-request and heartbeat frames carry seq 0: the receiver acts on their
 payload alone.
-Each endpoint ticks on the clock's cadence, every `TICK`, after the link
-deliveries due at that instant. Heartbeat and gap-retry deadlines live in
-min-heaps, so an idle tick, with nothing ready, queued or due, costs O(1): it
-reads the heap tops and returns.
+The engine ticks each endpoint every `TICK`, after the link deliveries due at
+that instant. Heartbeat and gap-retry deadlines live in min-heaps, so an idle
+tick, with nothing ready, queued or due, costs O(1): it reads the heap tops
+and returns.
 Every frame sent is retained in a per-topic replay ring that keeps the last
 `replay_capacity` frames of each topic.
 
@@ -301,7 +301,6 @@ class BridgeEndpoint:
         rx_link.on_deliver = self._on_deliver
         for topic in config.topics:
             self._ensure_subscription(topic)
-        clock.every(TICK, self._tick)
 
     # --- wiring -------------------------------------------------------------
 

@@ -130,7 +130,11 @@ def percentile(values: list[float], q: float) -> float:
 
 
 def run_traffic(scenario: BridgeScenario) -> TrafficResult:
-    """Execute one bridge traffic scenario and audit every message's fate."""
+    """Execute one bridge traffic scenario and audit every message's fate.
+
+    The engine ticks each endpoint every `TICK`, local then remote, after the
+    link deliveries due at that instant.
+    """
     clock = SimClock()
     bus_local = TopicBus()
     bus_remote = TopicBus()
@@ -168,7 +172,9 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
             publishers[topic].publish(payloads[topic], at)
             cursor += 1
         clock.advance(TICK)
-    clock.advance(0.0)
+        local._tick()
+        remote._tick()
+    clock.advance(0.0)  # fires what the last ticks scheduled at the end instant
 
     return _audit(scenario, topics, local, remote, fwd, rev)
 

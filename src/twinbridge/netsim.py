@@ -4,12 +4,6 @@ Provides the simulation clock used by every other component, piecewise-constant
 time profiles, and a point-to-point impaired link with time-varying latency,
 probabilistic loss, a bandwidth cap, and scripted disconnect windows.
 
-The clock runs two kinds of work. Timed events, such as link deliveries, sit
-in a heap and fire in (time, insertion order). A cadence, such as the bridge
-endpoints' ticks, is scanned at a fixed period instead, in the three-phase
-manner: at any instant, every heap event due then fires first, and then the
-cadence callbacks in registration order.
-
 Determinism contract: identical (seed, profiles, input schedule) produce
 byte-identical event traces. The loss RNG draws exactly one uniform per send,
 whether or not the draw is consumed, so profile changes never desynchronize
@@ -20,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -58,71 +51,33 @@ class PiecewiseConstant:
 
 
 class SimClock:
-    """Simulated-time event queue plus one fixed-period cadence.
+    """Simulated-time event queue.
 
-    Heap events fire in (time, insertion order); time never moves backwards.
+    Events fire in (time, insertion order); time never moves backwards.
     Callbacks may schedule further events, including at the current time.
-    A cadence instant fires after every heap event due at it, then each
-    cadence callback in registration order; an event a cadence callback
-    schedules at that instant fires after the last of them.
     """
 
     def __init__(self) -> None:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._cadence: tuple[Callable[[], None], ...] = ()
-        self._period = math.inf
-        self._next_at = math.inf  # the next cadence instant; never, without a cadence
-        self._until = 0.0  # the target of the latest advance
 
     def schedule(self, at: float, callback: Callable[[], None]) -> None:
         if not at >= self.now:  # NaN fails too: it would stall the heap
             raise ValueError(f"cannot schedule at {at} before now={self.now}")
         heapq.heappush(self._heap, (at, next(self._seq), callback))
 
-    def every(self, period: float, callback: Callable[[], None]) -> None:
-        """Call callback at now + period, and at that instant plus period each time after.
-
-        The instants are accumulated floats. A second registration must share
-        the first one's instants, and none may start inside a running advance.
-        """
-        if not 0 < period < math.inf:  # NaN fails too
-            raise ValueError(f"cadence period {period} must be positive and finite")
-        first = self.now + period
-        if not first > self._until:
-            raise ValueError(f"cadence from t={self.now} would start at {first}, not after t={self._until}")
-        if self._cadence and (period != self._period or first != self._next_at):
-            raise ValueError(
-                f"a {period} s cadence from t={first} does not line up with the"
-                f" {self._period} s cadence due at t={self._next_at}"
-            )
-        self._period, self._next_at = period, first
-        self._cadence = (*self._cadence, callback)
-
     def advance(self, dt: float) -> list[float]:
-        """Advance by dt >= 0, firing every event and cadence instant due on the way.
+        """Advance by dt >= 0, firing every event due on the way.
 
-        Returns the time of each firing, one per event and one per cadence
-        callback, in firing order. dt = 0 fires only what is due exactly now.
+        Returns the time of each fired event, in firing order. dt = 0 fires
+        only events due exactly now.
         """
-        if dt < 0:
+        if not dt >= 0:  # NaN fails too: now would never compare again
             raise ValueError("dt must be >= 0")
-        self._until = target = self.now + dt
+        target = self.now + dt
         fired: list[float] = []
         heap = self._heap
-        while self._next_at <= target:
-            tick = self._next_at
-            while heap and heap[0][0] <= tick:
-                at, _, callback = heapq.heappop(heap)
-                self.now = at
-                fired.append(at)
-                callback()
-            self.now = tick
-            self._next_at = tick + self._period
-            for callback in self._cadence:
-                fired.append(tick)
-                callback()
         while heap and heap[0][0] <= target:
             at, _, callback = heapq.heappop(heap)
             self.now = at

@@ -1,5 +1,6 @@
 """Prioritization, replay, and endpoint integration."""
 
+import itertools
 import struct
 import zlib
 from collections import deque
@@ -220,6 +221,23 @@ class TestReplayBuffer:
         assert buf.dropped == max(0, n - capacity)
 
 
+class TickingClock(SimClock):
+    """Ticks its endpoints as engine.run_traffic does: advance(dt) steps round(dt / TICK)
+    ticks, each firing the deliveries due by its instant, then each endpoint's _tick."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.endpoints: list[BridgeEndpoint] = []
+
+    def advance(self, dt: float) -> list[float]:
+        fired = []
+        for _ in range(round(dt / bridge.TICK)):
+            fired += super().advance(bridge.TICK)
+            for endpoint in self.endpoints:
+                endpoint._tick()
+        return fired
+
+
 def ideal_pair(clock, seed=1, **kwargs):
     cond = NetworkConditions(
         PiecewiseConstant(kwargs.pop("latency", 0.0)),
@@ -236,6 +254,7 @@ def make_pair(clock, fwd, rev, policy=None, config=None, remote_config=None):
     bus_a, bus_b = TopicBus(), TopicBus()
     local = BridgeEndpoint(bus_a, fwd, rev, policy, clock, config)
     remote = BridgeEndpoint(bus_b, rev, fwd, policy, clock, remote_config or EndpointConfig(topics=()))
+    clock.endpoints += (local, remote)
     return bus_a, bus_b, local, remote
 
 
@@ -245,7 +264,7 @@ def ping_both_ways():
     Returns (pings received at B, seqs the remote endpoint delivered, seqs
     the local endpoint delivered back to A).
     """
-    clock = SimClock()
+    clock = TickingClock()
     fwd, rev = ideal_pair(clock)
     config = EndpointConfig(topics=("/ping",))
     bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, config=config, remote_config=config)
@@ -259,9 +278,22 @@ def ping_both_ways():
     return len(sub.drain()), len(remote.rx_stats()["/ping"].delivered), len(rx_back.delivered) if rx_back else 0
 
 
+def test_the_ticking_clock_ticks_as_the_engine_does(monkeypatch):
+    log = []
+    tick = BridgeEndpoint._tick
+    monkeypatch.setattr(BridgeEndpoint, "_tick", lambda endpoint: log.append(endpoint) or tick(endpoint))
+    clock = TickingClock()
+    _, _, local, remote = make_pair(clock, *ideal_pair(clock))
+    clock.schedule(2 * bridge.TICK, lambda: log.append("due"))
+    assert clock.advance(0.0) == [] and log == []
+    clock.advance(3 * bridge.TICK)
+    assert log == [local, remote, "due", local, remote, local, remote]
+    assert clock.now == 3 * bridge.TICK
+
+
 class TestEndpoint:
     def test_basic_bridging(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
         pub = bus_a.advertise("/data", MessageKind.POSE)
@@ -275,7 +307,7 @@ class TestEndpoint:
         assert bus_b.kind_of("/data") == MessageKind.POSE
 
     def test_a_topic_off_the_list_is_not_bridged(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
         listed = bus_a.advertise("/data", MessageKind.POSE)
@@ -292,7 +324,7 @@ class TestEndpoint:
         assert len(remote.rx_stats()["/data"].delivered) == 10
 
     def test_order_preserved_under_loss_standard_tier(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock, loss=0.3, seed=9)
         bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
         pub = bus_a.advertise("/data", MessageKind.BLOB)
@@ -306,7 +338,7 @@ class TestEndpoint:
         assert len(seqs) < 60  # standard tier is not repaired
 
     def test_critical_tier_eventual_delivery_under_loss(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock, loss=0.25, seed=4)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
         bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy)
@@ -320,7 +352,7 @@ class TestEndpoint:
         assert got == list(range(80))  # exactly once, in order
 
     def test_disconnect_then_replay(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock, disconnects=((1.0, 6.0),), seed=2)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
         config = EndpointConfig(topics=("/data",), replay_capacity=128)
@@ -348,7 +380,7 @@ class TestEndpoint:
         assert received > 20 and echoed > 0
 
     def test_request_replay_counts(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
         config = EndpointConfig(topics=("/data",), replay_capacity=4)
@@ -370,7 +402,7 @@ class TestEndpoint:
         assert served("/missing", 0, 3) == 0
 
     def test_replayed_frames_carry_replay_flag(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
         config = EndpointConfig(topics=("/data",), replay_capacity=64)
@@ -386,7 +418,7 @@ class TestEndpoint:
         assert [env.seq for env in flagged] == [1, 2]
 
     def critical_sent(self, n):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
         bus_a, _, local, _ = make_pair(clock, fwd, rev, policy=policy)
@@ -419,7 +451,7 @@ class TestEndpoint:
         assert local.replays_served == 8
 
     def test_a_seq_whose_replay_copy_is_queued_is_buffered_in_the_audit(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock, loss=1.0)  # every original is lost
         bus_a, _, local, remote = make_pair(clock, fwd, rev)
         pub = bus_a.advertise("/data", MessageKind.BLOB)
@@ -439,7 +471,7 @@ class TestEndpoint:
 
     @staticmethod
     def burst_sender(batch_size):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         config = EndpointConfig(topics=("/data",), batch_size=batch_size)
         bus_a, _, local, _ = make_pair(clock, fwd, rev, config=config)
@@ -456,7 +488,7 @@ class TestEndpoint:
         assert [self.burst_sender(b).batch_need for b in (1, 3, 8, 64)] == [2, 4, 8, 8]
 
     def test_fifo_baseline_no_replay(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock, loss=0.25, seed=4)
         config = EndpointConfig(topics=("/data",), prioritized=False)
         bus_a, bus_b, local, remote = make_pair(
@@ -488,7 +520,7 @@ class TestWakeOnWork:
 
     def idle_endpoint(self):
         """30 bridged, advertised topics after 50 ticks with nothing published."""
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         config = EndpointConfig(topics=self.TOPICS)
         bus_a, bus_b, _, _ = make_pair(clock, fwd, rev, config=config)
@@ -512,7 +544,7 @@ class TestWakeOnWork:
         assert [m.payload for m in sub.drain()] == [b"x"]
 
     def test_topic_listed_before_it_is_advertised_is_bridged(self):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/late", TIER_CRITICAL),))
         config = EndpointConfig(topics=("/late",))
@@ -536,7 +568,7 @@ class TestDeadlineHeaps:
         plan, tick = TierScheduler.plan, BridgeEndpoint._tick
         monkeypatch.setattr(TierScheduler, "plan", lambda s, q, b: plans.append(b) or plan(s, q, b))
         monkeypatch.setattr(BridgeEndpoint, "_tick", lambda e: ticks.append(e) or tick(e))
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/robot0*", TIER_CRITICAL),))
         config = EndpointConfig(topics=TestWakeOnWork.TOPICS)
@@ -550,7 +582,7 @@ class TestDeadlineHeaps:
         assert len(plans) == 1
 
     def test_heartbeats_due_on_one_tick_leave_in_name_order(self, monkeypatch):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/*", TIER_CRITICAL),))
         config = EndpointConfig(topics=("/c", "/a", "/b"))
@@ -585,9 +617,9 @@ class TestDeadlineHeaps:
         # each request is re-sent on the first tick at or after its deadline,
         # due topics in name order, until the attempt budget runs out; a
         # re-ask on new evidence stands in for the timer's next re-ask; the times
-        # pinned here are those of a 0.01 s tick
+        # pinned here are those of a 0.01 s tick, and the frames arrive on tick instants
         monkeypatch.setattr(bridge, "TICK", 0.01)
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
         _, _, _, remote = make_pair(clock, fwd, rev, policy=policy)
@@ -609,8 +641,8 @@ class TestDeadlineHeaps:
         assert requests[:9] == [
             ("/cb", 1, 2, 0.05),
             ("/ca", 1, 2, 0.05),
-            ("/ca", 1, 2, 0.15000000000000002),
-            ("/ca", 4, 4, 0.15000000000000002),
+            ("/ca", 1, 2, 0.15),
+            ("/ca", 4, 4, 0.15),
             ("/cb", 1, 2, 0.35000000000000014),
             ("/ca", 1, 2, 0.45000000000000023),
             ("/ca", 4, 4, 0.45000000000000023),
@@ -634,7 +666,7 @@ class TestGapRequests:
 
     @staticmethod
     def receiver(monkeypatch):
-        clock = SimClock()
+        clock = TickingClock()
         fwd, rev = ideal_pair(clock, latency=0.05)
         policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
         config = EndpointConfig(topics=("/c",))
@@ -658,22 +690,22 @@ class TestGapRequests:
             for seq in seqs:
                 remote._on_deliver(raw_frame(b"/c", bytes([seq]), seq=seq), clock.now)
 
-        clock.advance(0.05)
+        clock.advance(0.04)
         deliver(0, 3)
-        clock.advance(0.05)
+        clock.advance(0.04)
         deliver(5)  # asking for 1..4 would name the held 3
-        clock.advance(0.05)
+        clock.advance(0.04)
         deliver(2)  # a replay lands inside the open run 1..2
-        clock.advance(0.05)
+        clock.advance(0.04)
         deliver(9)
         beat = control_payload(b"/c", struct.pack("<Q", 11))
         remote._on_deliver(raw_frame(HEARTBEAT_TOPIC.encode(), beat), clock.now)
         assert [(round(now, 2), lo, hi) for now, lo, hi, _, _ in log] == [
-            (0.05, 1, 2),
-            (0.1, 1, 2), (0.1, 4, 4),
-            (0.15, 1, 1), (0.15, 4, 4),
-            (0.2, 1, 1), (0.2, 4, 4), (0.2, 6, 8),
-            (0.2, 10, 11),  # asked at 0.2 already, so the heartbeat re-asks nothing
+            (0.04, 1, 2),
+            (0.08, 1, 2), (0.08, 4, 4),
+            (0.12, 1, 1), (0.12, 4, 4),
+            (0.16, 1, 1), (0.16, 4, 4), (0.16, 6, 8),
+            (0.16, 10, 11),  # asked at 0.16 already, so the heartbeat re-asks nothing
         ]
         asked: set[int] = set()
         for _, lo, hi, ahead, expected in log:
@@ -686,13 +718,10 @@ class TestGapRequests:
         assert len(log) == 9  # every run closed before its retry deadline
         assert [m.payload[0] for m in sub.drain()] == list(range(12))
 
-    @given(
-        n=st.integers(2, 24),
-        order=st.randoms(use_true_random=False),
-        keep=st.lists(st.booleans(), min_size=24, max_size=24),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_dropped_and_reordered_frames_are_delivered_once_in_order_property(self, n, order, keep):
+    def deliver_rearranged(self, n, rearrange):
+        """Publish n critical frames, hold them off the link, and hand the receiver
+        the frames rearrange(frames) returns, one per tick; every request must name
+        only missing seqs, and all n must still be delivered once, in order."""
         with pytest.MonkeyPatch.context() as monkeypatch:
             clock, (fwd, _), bus_a, bus_b, _, remote, log = self.receiver(monkeypatch)
             pub = bus_a.advertise("/c", MessageKind.COMMAND)
@@ -704,16 +733,39 @@ class TestGapRequests:
                 clock.advance(0.02)
             clock.advance(0.1)
             fwd.on_deliver = remote._on_deliver
-            frames = [env for payload in captured for env in decode_stream(payload)]
-            frames = [env for env, kept in zip(frames, keep) if kept]
-            order.shuffle(frames)
-            for env in frames:
+            for env in rearrange([env for payload in captured for env in decode_stream(payload)]):
                 remote._on_deliver(encode_envelope(env), clock.now)
-                clock.advance(0.01)
+                clock.advance(bridge.TICK)
             clock.advance(3.0)
         for _, lo, hi, ahead, expected in log:
             assert expected <= lo <= hi and not any(lo <= seq <= hi for seq in ahead)
         assert [m.payload[0] for m in sub.drain()] == list(range(n))
+
+    @given(
+        n=st.integers(2, 24),
+        order=st.randoms(use_true_random=False),
+        keep=st.lists(st.booleans(), min_size=24, max_size=24),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dropped_and_reordered_frames_are_delivered_once_in_order_property(self, n, order, keep):
+        def rearrange(frames):
+            frames = [env for env, kept in zip(frames, keep) if kept]
+            order.shuffle(frames)
+            return frames
+
+        self.deliver_rearranged(n, rearrange)
+
+    @pytest.mark.parametrize("n, cases", [(1, 2), (2, 5), (3, 16), (4, 65)])
+    def test_every_kept_subset_in_every_arrival_order_is_delivered_once_in_order(self, n, cases):
+        arrivals = [picks for k in range(n + 1) for picks in itertools.permutations(range(n), k)]
+        assert len(arrivals) == cases
+
+        def rearrange(frames):
+            assert [env.seq for env in frames] == list(range(n))  # no heartbeat among them
+            return [frames[i] for i in picks]
+
+        for picks in arrivals:
+            self.deliver_rearranged(n, rearrange)
 
     def test_a_forged_heartbeat_for_the_last_u64_seq_never_raises(self, monkeypatch):
         clock, (fwd, rev), bus_a, bus_b, local, remote, log = self.receiver(monkeypatch)
@@ -790,7 +842,7 @@ BAD_PEER_FRAMES = {
 @pytest.mark.parametrize("name", sorted(BAD_PEER_FRAMES))
 def test_bad_peer_frame_is_counted_and_dropped(name):
     bad, decodes = BAD_PEER_FRAMES[name]
-    clock = SimClock()
+    clock = TickingClock()
     fwd, rev = ideal_pair(clock)
     bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
     bus_b.advertise("/data", MessageKind.POSE)
@@ -811,7 +863,7 @@ def test_bad_peer_frame_is_counted_and_dropped(name):
 
 
 def test_first_frame_of_a_topic_with_a_clashing_kind_is_dropped():
-    clock = SimClock()
+    clock = TickingClock()
     fwd, rev = ideal_pair(clock)
     bus_a, bus_b, local, remote = make_pair(clock, fwd, rev)
     bus_b.advertise("/data", MessageKind.POSE)
@@ -856,7 +908,7 @@ control_payloads = st.one_of(
 @given(control=st.sampled_from([REPLAY_TOPIC, HEARTBEAT_TOPIC]), payload=control_payloads)
 @settings(max_examples=200, deadline=None)
 def test_control_frames_never_raise_property(control, payload):
-    clock = SimClock()
+    clock = TickingClock()
     fwd, rev = ideal_pair(clock)
     policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
     bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy)

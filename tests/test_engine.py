@@ -189,7 +189,8 @@ class TestRunTraffic:
         } == topics
 
     def test_the_clock_heap_holds_link_deliveries_and_never_a_tick(self, monkeypatch):
-        # the endpoints tick on the clock's cadence, so each schedule is one delivery
+        # the engine ticks each endpoint every TICK, after the link deliveries due at
+        # that instant, so each schedule is one delivery
         scheduled, delivered_sends = [], []
         schedule, send = SimClock.schedule, NetLink.send
 
@@ -208,6 +209,66 @@ class TestRunTraffic:
         assert len(delivered_sends) == result.link_sends
         assert 0 < len(scheduled) == sum(delivered_sends) < result.link_sends
         assert not any(getattr(callback, "__func__", None) is BridgeEndpoint._tick for callback in scheduled)
+
+    def test_each_endpoint_ticks_once_per_tick_instant_local_first(self, monkeypatch):
+        ticks = []
+        tick = BridgeEndpoint._tick
+
+        def logged_tick(endpoint):
+            ticks.append((endpoint.clock.now, "local" if endpoint.config.topics else "remote"))
+            return tick(endpoint)
+
+        monkeypatch.setattr(BridgeEndpoint, "_tick", logged_tick)
+        run_traffic(simple_scenario(duration=2.0, drain=0.5))
+        expected, t = [], 0.0
+        for _ in range(round(2.0 / bridge.TICK)):
+            t += bridge.TICK
+            expected += [(t, "local"), (t, "remote")]
+        assert ticks == expected
+
+    @pytest.mark.parametrize("latency", [0.25, 0.0])
+    def test_a_delivery_fires_before_the_ticks_of_its_instant_unless_a_tick_sent_it(self, monkeypatch, latency):
+        # 0.25 s ticks and latency are exact in binary, so deliveries land on tick
+        # instants; at 0.0 s a tick's frame lands at its own instant and fires after
+        # that instant's remote tick, before any later tick
+        for module in (bridge, engine):
+            monkeypatch.setattr(module, "TICK", 0.25)
+        log = []
+        tick, on_deliver, send = BridgeEndpoint._tick, BridgeEndpoint._on_deliver, NetLink.send
+        carried = []
+
+        def logged_tick(endpoint):
+            log.append(("tick", endpoint.clock.now, "local" if endpoint.config.topics else "remote"))
+            return tick(endpoint)
+
+        def logged_deliver(endpoint, payload, at):
+            log.append(("deliver", endpoint.clock.now, at))
+            return on_deliver(endpoint, payload, at)
+
+        monkeypatch.setattr(BridgeEndpoint, "_tick", logged_tick)
+        def counted_send(link, payload):
+            event = send(link, payload)
+            carried.append(event.deliver_at)
+            return event
+
+        monkeypatch.setattr(BridgeEndpoint, "_on_deliver", logged_deliver)
+        monkeypatch.setattr(NetLink, "send", counted_send)
+        cond = NetworkConditions(PiecewiseConstant(latency), PiecewiseConstant(0.3), None)
+        traffic = (TopicTraffic("/r1/pose", MessageKind.POSE, 2.0, 64),)
+        scenario = BridgeScenario("ties", 7, 10.0, cond, traffic, POLICY, drain=2.0)
+        run_traffic(scenario)
+        deliveries = [i for i, entry in enumerate(log) if entry[0] == "deliver"]
+        # a frame the last ticks send lands after the run ends
+        assert 0 < len(deliveries) == sum(at is not None and at <= 10.0 for at in carried) < len(carried)
+        for i in deliveries:
+            _, now, at = log[i]
+            assert now == at
+            ticks_at = [j for j, entry in enumerate(log) if entry[0] == "tick" and entry[1] == at]
+            if latency:
+                assert ticks_at and i < ticks_at[0]
+            else:
+                assert ticks_at and i > ticks_at[-1] and log[ticks_at[-1]][2] == "remote"
+                assert all(entry[1] > at for entry in log[i + 1 :] if entry[0] == "tick")
 
     def test_replay_stays_lean_on_an_overloaded_fleet(self):
         # agents20 at 200 agents, seed 11, the fleet benchmark's run: a request

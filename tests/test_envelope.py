@@ -58,6 +58,7 @@ def bridge_frames(publishes):
     for payload, t in publishes:
         pub.publish(payload, t)
     clock.advance(0.05)
+    endpoint._tick()
     wire = decode_stream(b"".join(fwd.in_flight()))
     return wire, endpoint.replay_buffer.get_range("/odom", 0, len(publishes) - 1)
 

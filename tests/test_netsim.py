@@ -106,108 +106,109 @@ class TestSimClock:
         clock.advance(1.0)
         assert fired == ["first", "chained"]
 
-
-class TestCadence:
-    def test_instants_are_the_accumulated_floats(self):
+    def test_advances_by_a_tick_land_on_the_accumulated_floats(self):
+        # the engine's tick instants are these targets, 0.0 + 0.02 + 0.02 + ...
         clock = SimClock()
+        expected, t = [], 0.0
         seen = []
-        clock.every(0.02, lambda: seen.append(clock.now))
         for _ in range(300):
             clock.advance(0.02)
-        expected, t = [], 0.0
-        for _ in range(300):
+            seen.append(clock.now)
             t += 0.02
             expected.append(t)
         assert seen == expected
-        assert clock.advance(0.0) == []
 
-    def test_one_advance_across_many_instants_fires_each(self):
+    def test_one_advance_across_many_events_fires_each_at_its_own_time(self):
         clock = SimClock()
         seen = []
-        clock.every(0.25, lambda: seen.append(clock.now))
+        for at in (0.75, 0.25, 1.0, 0.5):
+            clock.schedule(at, lambda: seen.append(clock.now))
         assert clock.advance(1.1) == [0.25, 0.5, 0.75, 1.0]
         assert seen == [0.25, 0.5, 0.75, 1.0] and clock.now == 1.1
 
-    def test_callbacks_run_in_registration_order_and_each_is_a_firing(self):
+    def test_an_event_at_the_target_fires_and_one_just_after_waits(self):
         clock = SimClock()
         fired = []
-        for name in "abc":
-            clock.every(0.5, lambda name=name: fired.append((clock.now, name)))
-        assert clock.advance(1.0) == [0.5] * 3 + [1.0] * 3
-        assert fired == [(0.5, "a"), (0.5, "b"), (0.5, "c"), (1.0, "a"), (1.0, "b"), (1.0, "c")]
+        clock.schedule(0.5, lambda: fired.append("at"))
+        clock.schedule(0.5000000000000001, lambda: fired.append("after"))
+        assert clock.advance(0.5) == [0.5] and fired == ["at"]
+        assert clock.advance(0.0) == [] and fired == ["at"]
 
-    def test_an_event_due_at_an_instant_fires_before_the_cadence_however_it_was_scheduled(self):
+    def test_an_event_scheduled_now_after_an_advance_fires_in_the_next_one(self):
+        # as the engine's last ticks schedule deliveries at the end instant
         clock = SimClock()
         fired = []
-
-        def tick():
-            fired.append(("tick", clock.now))
-            if clock.now == 0.25:  # scheduled after this instant's tick
-                clock.schedule(0.5, lambda: fired.append(("late", clock.now)))
-
-        def at_instant():
-            fired.append(("at", clock.now))
-            clock.schedule(clock.now, lambda: fired.append(("chained", clock.now)))
-
-        clock.schedule(0.5, at_instant)  # scheduled before the cadence existed
-        clock.every(0.25, tick)
-        clock.advance(0.25)
-        clock.advance(0.25)
-        assert fired == [
-            ("tick", 0.25),
-            ("at", 0.5),
-            ("late", 0.5),
-            ("chained", 0.5),
-            ("tick", 0.5),
-        ]
-
-    def test_an_event_a_callback_schedules_at_its_instant_fires_after_every_callback(self):
-        clock = SimClock()
-        fired = []
-        clock.every(0.5, lambda: clock.schedule(clock.now, lambda: fired.append("event")))
-        clock.every(0.5, lambda: fired.append("second"))
         clock.advance(0.5)
-        assert fired == ["second", "event"]
+        clock.schedule(clock.now, lambda: fired.append(clock.now))
+        assert clock.advance(0.0) == [0.5] and fired == [0.5]
 
-    def test_a_registration_on_the_same_instants_is_accepted(self):
+    def test_an_event_a_callback_schedules_inside_the_window_fires_in_it(self):
         clock = SimClock()
         fired = []
-        clock.every(0.25, lambda: fired.append("a"))
-        clock.advance(0.25)
-        clock.every(0.25, lambda: fired.append("b"))
-        clock.advance(0.5)
-        assert fired == ["a", "a", "b", "a", "b"]
 
-    @pytest.mark.parametrize(
-        "period, advance",
-        [(0.5, 0.0), (0.125, 0.0), (0.25, 0.1), (0.25, 0.3)],
-        ids=["other-period", "shorter-period", "mid-interval", "past-an-instant"],
+        def first():
+            clock.schedule(clock.now + 0.25, lambda: fired.append(("inside", clock.now)))
+            clock.schedule(clock.now + 1.0, lambda: fired.append(("outside", clock.now)))
+
+        clock.schedule(0.25, first)
+        assert clock.advance(1.0) == [0.25, 0.5]
+        assert fired == [("inside", 0.5)]
+        assert clock.advance(1.0) == [1.25]
+        assert fired == [("inside", 0.5), ("outside", 1.25)]
+
+    @pytest.mark.parametrize("dt", [-0.02, float("-inf"), float("nan")])
+    def test_a_dt_that_is_not_at_least_zero_is_rejected_and_moves_nothing(self, dt):
+        clock = SimClock()
+        fired = []
+        clock.schedule(0.5, lambda: fired.append("due"))
+        clock.advance(0.25)
+        with pytest.raises(ValueError, match="dt"):
+            clock.advance(dt)
+        assert clock.now == 0.25 and fired == []
+        assert clock.advance(0.25) == [0.5] and fired == ["due"]
+
+    @given(
+        plan=st.lists(
+            st.tuples(st.integers(0, 40), st.lists(st.integers(0, 10), max_size=3)),
+            max_size=30,
+        ),
+        steps=st.lists(st.integers(0, 12), min_size=1, max_size=12),
     )
-    def test_a_registration_off_the_cadence_is_rejected(self, period, advance):
+    def test_events_fire_once_in_time_then_insertion_order_property(self, plan, steps):
+        # quarter-second grid: every sum is exact, so the expected order is plain
+        # (time, insertion) order; each event may chain children at or after it
         clock = SimClock()
-        clock.every(0.25, lambda: None)
-        clock.advance(advance)
-        with pytest.raises(ValueError, match="does not line up"):
-            clock.every(period, lambda: None)
+        order = []  # (at, insertion index) in firing order
+        inserted = 0
 
-    @pytest.mark.parametrize("period", [0.0, -0.02, float("nan"), float("inf"), float("-inf")])
-    def test_a_period_that_is_not_positive_and_finite_is_rejected(self, period):
-        clock = SimClock()
-        with pytest.raises(ValueError, match="positive"):
-            clock.every(period, lambda: None)
+        def put(at, children):
+            nonlocal inserted
+            key = (at, inserted)
+            inserted += 1
 
-    def test_a_period_lost_to_rounding_is_rejected(self):
-        # 1e20 + 1.0 == 1e20: the cadence would never leave its first instant
-        clock = SimClock()
-        clock.advance(1e20)
-        with pytest.raises(ValueError, match="not after"):
-            clock.every(1.0, lambda: None)
+            def fire():
+                assert clock.now == at
+                order.append(key)
+                for gap in children:
+                    put(at + gap / 4, [])
 
-    def test_a_cadence_cannot_start_inside_a_running_advance(self):
-        clock = SimClock()
-        clock.schedule(0.1, lambda: clock.every(0.2, lambda: None))
-        with pytest.raises(ValueError, match="not after"):
-            clock.advance(1.0)
+            clock.schedule(at, fire)
+
+        for quarter, children in plan:
+            put(quarter / 4, children)
+        times = []
+        for quarters in steps:
+            target = clock.now + quarters / 4
+            fired = clock.advance(quarters / 4)
+            assert all(at <= target for at in fired) and clock.now == target
+            times += fired
+        assert times == [at for at, _ in order]
+        assert order == sorted(order)
+        assert len(set(order)) == len(order)
+        # all that is due by the last target fired; nothing later did
+        assert not [k for k in order if k[0] > clock.now]
+        assert len(clock._heap) == inserted - len(order)
+        assert all(at > clock.now for at, _, _ in clock._heap)
 
 
 class TestSend:
