@@ -1,7 +1,7 @@
 """Prioritized, fault-tolerant topic bridging between two buses over a link.
 
-An endpoint bridges the fixed list of topics in its config, and runs two
-duties on the shared simulation clock:
+An endpoint bridges the topics it is built with, and keeps no clock: the loop
+that steps it feeds it time through its two duties, `_tick(now)` and `_on_deliver`:
 
 * egress: drain only the subscribed topics that received messages, classify
   each message into a priority tier, and queue its envelope per tier; the tier
@@ -29,10 +29,10 @@ sent: a seq whose replay copy is queued is skipped until that copy goes on
 the link.
 Replay-request and heartbeat frames carry seq 0: the receiver acts on their
 payload alone.
-The engine ticks each endpoint every `TICK`, after the link deliveries due at
-that instant. Heartbeat and gap-retry deadlines live in min-heaps, so an idle
-tick, with nothing ready, queued or due, costs O(1): it reads the heap tops
-and returns.
+The engine passes each endpoint the clock's `now` every `TICK`, after the link
+deliveries due at that instant. Heartbeat and gap-retry deadlines live in
+min-heaps, so an idle tick, with nothing ready, queued or due, costs O(1): it
+reads the heap tops and returns.
 Every frame sent is retained in a per-topic replay ring that keeps the last
 `replay_capacity` frames of each topic.
 
@@ -69,7 +69,7 @@ from .envelope import (
     with_replay_flag,
 )
 from .msgbus import InvalidTopic, KindMismatch, MessageKind, Publisher, Subscription, TopicBus
-from .netsim import NetLink, SimClock
+from .netsim import NetLink
 
 CONTROL_PREFIX = "/__bridge"
 REPLAY_TOPIC = "/__bridge/replay"
@@ -207,13 +207,16 @@ class EndpointConfig:
     replay_capacity: int = 256
     heartbeat_interval: float = 0.25
     replay_attempts: int = 12
-    topics: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.heartbeat_interval > 0:  # NaN fails too
+            raise ValueError("heartbeat_interval must be positive")
+        if not self.replay_attempts >= 0:
+            raise ValueError("replay_attempts must be >= 0")
 
 
 @dataclass(slots=True)
@@ -249,9 +252,8 @@ class _TxTopic:
 
 
 class BridgeEndpoint:
-    """One side of a bridged link."""
-
-    _ids = itertools.count()
+    """One side of a bridged link: it bridges the `topics` it is built with, and the
+    loop that steps it passes `now` to `_tick` and each arrival's time to `_on_deliver`."""
 
     def __init__(
         self,
@@ -259,19 +261,17 @@ class BridgeEndpoint:
         tx_link: NetLink,
         rx_link: NetLink,
         policy: PriorityPolicy,
-        clock: SimClock,
         config: EndpointConfig = EndpointConfig(),
+        topics: tuple[str, ...] = (),
     ) -> None:
         self.bus = bus
         self.tx_link = tx_link
         self.policy = policy
-        self.clock = clock
         self.config = config
         cap = tx_link.conditions.bandwidth_cap
         # bytes per tick; 10% headroom keeps backlog in the prioritized tier
         # queues instead of the link's FIFO serialization queue
         self._budget = 0.9 * cap * TICK if cap else 1_000_000.0
-        self.origin_id = f"bridge-{next(self._ids)}"
 
         self.replay_buffer = ReplayBuffer(config.replay_capacity)
         self._scheduler = TierScheduler()
@@ -299,26 +299,19 @@ class BridgeEndpoint:
         self.batch_need = 0
 
         rx_link.on_deliver = self._on_deliver
-        for topic in config.topics:
-            self._ensure_subscription(topic)
-
-    # --- wiring -------------------------------------------------------------
-
-    def _ensure_subscription(self, topic: str) -> None:
-        if topic in self._tx:
-            return
-        kind = self.bus.kind_of(topic)
-        sub = self.bus.subscribe(topic, SUB_CAPACITY)
-        sub.ready = self._ready
-        tier = self.policy.classify(topic) if self.config.prioritized else TIER_STANDARD
-        self._tx[topic] = _TxTopic(
-            tier=tier, kind=int(kind) if kind is not None else int(MessageKind.BLOB), sub=sub
-        )
+        for topic in dict.fromkeys(topics):
+            kind = bus.kind_of(topic)
+            sub = bus.subscribe(topic, SUB_CAPACITY)
+            sub.ready = self._ready
+            tier = policy.classify(topic) if config.prioritized else TIER_STANDARD
+            self._tx[topic] = _TxTopic(
+                tier=tier, kind=int(kind) if kind is not None else int(MessageKind.BLOB), sub=sub
+            )
 
     # --- egress duty ----------------------------------------------------------
 
-    def _tick(self) -> None:
-        now, beats, retries, queues = self.clock.now, self._beats, self._retries, self._queues
+    def _tick(self, now: float) -> None:
+        beats, retries, queues = self._beats, self._retries, self._queues
         beat_due = beats and now - beats[0][0] >= self.config.heartbeat_interval
         retry_due = retries and retries[0][0] <= now
         # an idle tick (nothing ready, queued or due) would send nothing and
@@ -338,14 +331,14 @@ class BridgeEndpoint:
     def _drain_bus(self, now: float) -> None:
         ready = sorted(self._ready)
         self._ready.clear()
-        origin, copies = self.origin_id, range(1 + self.config.redundancy)
+        copies = range(1 + self.config.redundancy)
         insert = self.replay_buffer.insert if self.config.prioritized else None
         new = tuple.__new__  # skips the NamedTuple's Python-level constructor
         for topic in ready:
             tx = self._tx[topic]
             tier, append = tx.tier, self._queues[tx.tier].append
             for msg in tx.sub.drain():
-                if msg.origin == origin:
+                if msg.origin is self:
                     continue
                 sim_time_us = int(round(msg.publish_time * 1e6))
                 env = new(Envelope, (tier, 0, tx.next_seq, sim_time_us, topic, int(msg.kind), msg.payload))
@@ -549,7 +542,7 @@ class BridgeEndpoint:
 
     def _republish(self, rx: _RxTopic, env: Envelope, at: float) -> None:
         # callers advance `expected` past env.seq, so each seq lands here once
-        self._publishers[env.topic].publish(env.payload, at, origin=self.origin_id)
+        self._publishers[env.topic].publish(env.payload, at, origin=self)
         rx.delivered[env.seq] = at - env.sim_time_us / 1e6
 
     # --- replay -------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Deterministic execution engine for bridge traffic scenarios.
 
-Builds two buses joined by a bridged link pair, publishes scripted periodic
-traffic on the local side, runs the shared clock, and audits the fate of
+Builds two buses joined by a bridged link pair, streams scripted periodic
+traffic onto the local side from a heap of each topic's next `n * period`
+publish, feeds both endpoints the shared clock's time, and audits the fate of
 every logical message at the end: delivered, still buffered somewhere (tier
 queue, in flight, held for reassembly, or recoverable from the replay ring),
 or dropped. The audit makes the conservation invariant
@@ -13,14 +14,15 @@ delivered but never sent, which only a forged frame can bring about, raises.
 
 from __future__ import annotations
 
+import heapq
 import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bridge import TICK, BridgeEndpoint, EndpointConfig, PriorityPolicy
 from .envelope import TIER_CRITICAL, TIER_NAMES
 from .msgbus import MessageKind, TopicBus
-from .netsim import NetLink, NetworkConditions, SimClock, link_pair
+from .netsim import NetworkConditions, SimClock, link_pair
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,10 @@ def percentile(values: list[float], q: float) -> float:
 def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     """Execute one bridge traffic scenario and audit every message's fate.
 
-    The engine ticks each endpoint every `TICK`, local then remote, after the
-    link deliveries due at that instant.
+    A topic publishes at `n * period`, never a running sum, while that is before
+    `duration - drain`. Each step publishes what is due by its end in (time,
+    topic) order, advances the clock by `TICK`, firing the link deliveries due,
+    then ticks the local and then the remote endpoint with `clock.now`.
     """
     clock = SimClock()
     bus_local = TopicBus()
@@ -141,42 +145,31 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     fwd, rev = link_pair(clock, scenario.conditions, scenario.seed)
 
     topics = sorted(scenario.traffic, key=lambda t: t.topic)
-    endpoint_cfg = scenario.endpoint
-    if not endpoint_cfg.topics:
-        endpoint_cfg = replace(endpoint_cfg, topics=tuple(t.topic for t in topics))
-
     publishers = {t.topic: bus_local.advertise(t.topic, t.kind) for t in topics}
     payloads = {t.topic: _payload(t, scenario.seed) for t in topics}
 
-    local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, clock, endpoint_cfg)
-    remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, clock, replace(endpoint_cfg, topics=()))
+    local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, scenario.endpoint, topics=tuple(publishers))
+    remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, scenario.endpoint)
 
-    # precomputed publish schedule keeps event ordering independent of float
-    # accumulation quirks
-    schedule: list[tuple[float, str]] = []
+    # (time, topic, n, period) per topic still publishing: sorted by name, a heap
+    pending = [(0.0, t.topic, 0, 1.0 / t.rate) for t in topics]
     stop_at = scenario.duration - scenario.drain
-    for t in topics:
-        period = 1.0 / t.rate
-        n = 0
-        while n * period < stop_at:
-            schedule.append((n * period, t.topic))
-            n += 1
-    schedule.sort()
-
     steps = int(round(scenario.duration / TICK))
-    cursor = 0
     for k in range(1, steps + 1):
         now = k * TICK
-        while cursor < len(schedule) and schedule[cursor][0] <= now:
-            at, topic = schedule[cursor]
+        while pending and pending[0][0] <= now:
+            at, topic, n, period = pending[0]
             publishers[topic].publish(payloads[topic], at)
-            cursor += 1
+            if (n + 1) * period < stop_at:
+                heapq.heapreplace(pending, ((n + 1) * period, topic, n + 1, period))
+            else:
+                heapq.heappop(pending)
         clock.advance(TICK)
-        local._tick()
-        remote._tick()
+        local._tick(clock.now)
+        remote._tick(clock.now)
     clock.advance(0.0)  # fires what the last ticks scheduled at the end instant
 
-    return _audit(scenario, topics, local, remote, fwd, rev)
+    return _audit(scenario, topics, local, remote)
 
 
 def _payload(t: TopicTraffic, seed: int) -> bytes:
@@ -192,8 +185,6 @@ def _audit(
     topics: list[TopicTraffic],
     local: BridgeEndpoint,
     remote: BridgeEndpoint,
-    fwd: NetLink,
-    rev: NetLink,
 ) -> TrafficResult:
     from .envelope import decode_stream
 
@@ -209,7 +200,7 @@ def _audit(
     in_queues: set[tuple[str, int]] = set()
     for env in local.pending_frames() + remote.pending_frames():
         in_queues.add((env.topic, env.seq))
-    for payload in fwd.in_flight() + rev.in_flight():
+    for payload in local.tx_link.in_flight() + remote.tx_link.in_flight():
         for env in decode_stream(payload):
             in_queues.add((env.topic, env.seq))
     for env in local.held_for_reassembly() + remote.held_for_reassembly():

@@ -59,16 +59,16 @@ def validate_topic(name: str) -> str:
 class Message(NamedTuple):
     """One payload on one topic at one simulated instant, as an immutable tuple.
 
-    `origin` identifies the publishing endpoint for bridge loop suppression;
-    it never crosses the wire. `Publisher.publish` refuses a payload over
-    16 MiB before it builds one.
+    `origin` is the bridge endpoint that republished the message, matched by
+    identity for loop suppression; it never crosses the wire.
+    `Publisher.publish` refuses a payload over 16 MiB before it builds one.
     """
 
     topic: str
     payload: bytes
     publish_time: float
     kind: MessageKind
-    origin: str | None = None
+    origin: object = None
 
 
 class Subscription:
@@ -109,7 +109,7 @@ class Publisher:
         self.kind = kind
         self._last_time: float | None = None
 
-    def publish(self, payload: bytes, publish_time: float, origin: str | None = None) -> None:
+    def publish(self, payload: bytes, publish_time: float, origin: object = None) -> None:
         """Refuse a payload over 16 MiB or a regressing time, then queue a Message on each subscriber, if any."""
         _check_payload(payload)
         if self._last_time is not None and publish_time < self._last_time:

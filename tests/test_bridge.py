@@ -234,7 +234,7 @@ class TickingClock(SimClock):
         for _ in range(round(dt / bridge.TICK)):
             fired += super().advance(bridge.TICK)
             for endpoint in self.endpoints:
-                endpoint._tick()
+                endpoint._tick(self.now)
         return fired
 
 
@@ -248,12 +248,14 @@ def ideal_pair(clock, seed=1, **kwargs):
     return link_pair(clock, cond, seed)
 
 
-def make_pair(clock, fwd, rev, policy=None, config=None, remote_config=None):
+def make_pair(
+    clock, fwd, rev, policy=None, config=None, remote_config=None, topics=("/data",), remote_topics=()
+):
     policy = policy or PriorityPolicy()
-    config = config or EndpointConfig(topics=("/data",))
+    config = config or EndpointConfig()
     bus_a, bus_b = TopicBus(), TopicBus()
-    local = BridgeEndpoint(bus_a, fwd, rev, policy, clock, config)
-    remote = BridgeEndpoint(bus_b, rev, fwd, policy, clock, remote_config or EndpointConfig(topics=()))
+    local = BridgeEndpoint(bus_a, fwd, rev, policy, config, topics)
+    remote = BridgeEndpoint(bus_b, rev, fwd, policy, remote_config or EndpointConfig(), remote_topics)
     clock.endpoints += (local, remote)
     return bus_a, bus_b, local, remote
 
@@ -266,8 +268,7 @@ def ping_both_ways():
     """
     clock = TickingClock()
     fwd, rev = ideal_pair(clock)
-    config = EndpointConfig(topics=("/ping",))
-    bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, config=config, remote_config=config)
+    bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, topics=("/ping",), remote_topics=("/ping",))
     pub = bus_a.advertise("/ping", MessageKind.POSE)
     sub = bus_b.subscribe("/ping", 64)
     for i in range(20):
@@ -281,7 +282,7 @@ def ping_both_ways():
 def test_the_ticking_clock_ticks_as_the_engine_does(monkeypatch):
     log = []
     tick = BridgeEndpoint._tick
-    monkeypatch.setattr(BridgeEndpoint, "_tick", lambda endpoint: log.append(endpoint) or tick(endpoint))
+    monkeypatch.setattr(BridgeEndpoint, "_tick", lambda endpoint, now: log.append(endpoint) or tick(endpoint, now))
     clock = TickingClock()
     _, _, local, remote = make_pair(clock, *ideal_pair(clock))
     clock.schedule(2 * bridge.TICK, lambda: log.append("due"))
@@ -289,6 +290,23 @@ def test_the_ticking_clock_ticks_as_the_engine_does(monkeypatch):
     clock.advance(3 * bridge.TICK)
     assert log == [local, remote, "due", local, remote, local, remote]
     assert clock.now == 3 * bridge.TICK
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("heartbeat_interval", 0.0),
+        ("heartbeat_interval", -0.25),
+        ("heartbeat_interval", float("nan")),
+        ("replay_attempts", -1),
+        ("replay_attempts", float("nan")),
+    ],
+)
+def test_endpoint_config_rejects_a_value_that_breaks_delivery(field, value):
+    # the ranges the scenario parser takes; a NaN heartbeat interval never falls due,
+    # so a critical topic's lost last frames are never announced and never replayed
+    with pytest.raises(ValueError, match=field):
+        EndpointConfig(**{field: value})
 
 
 class TestEndpoint:
@@ -355,8 +373,8 @@ class TestEndpoint:
         clock = TickingClock()
         fwd, rev = ideal_pair(clock, disconnects=((1.0, 6.0),), seed=2)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
-        config = EndpointConfig(topics=("/data",), replay_capacity=128)
-        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config)
+        config = EndpointConfig(replay_capacity=128)
+        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config, topics=("/data",))
         pub = bus_a.advertise("/data", MessageKind.COMMAND)
         sub = bus_b.subscribe("/data", 512)
         # 10 Hz for 8 seconds straddling the 5 s blackout
@@ -383,8 +401,8 @@ class TestEndpoint:
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
-        config = EndpointConfig(topics=("/data",), replay_capacity=4)
-        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config)
+        config = EndpointConfig(replay_capacity=4)
+        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config, topics=("/data",))
         pub = bus_a.advertise("/data", MessageKind.COMMAND)
         for i in range(8):
             pub.publish(bytes([i]), clock.now)
@@ -405,8 +423,8 @@ class TestEndpoint:
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/data", TIER_CRITICAL),))
-        config = EndpointConfig(topics=("/data",), replay_capacity=64)
-        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config)
+        config = EndpointConfig(replay_capacity=64)
+        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config, topics=("/data",))
         pub = bus_a.advertise("/data", MessageKind.COMMAND)
         for i in range(4):
             pub.publish(bytes([i]), clock.now)
@@ -466,15 +484,15 @@ class TestEndpoint:
         # copies do not count, and only a queued copy keeps a seq buffered
         traffic = (TopicTraffic("/data", MessageKind.BLOB, 1.0, 1),)
         scenario = BridgeScenario("audit", 1, 1.0, fwd.conditions, traffic, PriorityPolicy())
-        res = _audit(scenario, list(traffic), local, remote, fwd, rev).topics["/data"]
+        res = _audit(scenario, list(traffic), local, remote).topics["/data"]
         assert (res.sent, res.delivered, res.buffered, res.dropped) == (6, 0, 4, 2)
 
     @staticmethod
     def burst_sender(batch_size):
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
-        config = EndpointConfig(topics=("/data",), batch_size=batch_size)
-        bus_a, _, local, _ = make_pair(clock, fwd, rev, config=config)
+        config = EndpointConfig(batch_size=batch_size)
+        bus_a, _, local, _ = make_pair(clock, fwd, rev, config=config, topics=("/data",))
         pub = bus_a.advertise("/data", MessageKind.BLOB)
         for i in range(8):  # all in one tick: batchable burst
             pub.publish(bytes([i]), clock.now)
@@ -490,10 +508,10 @@ class TestEndpoint:
     def test_fifo_baseline_no_replay(self):
         clock = TickingClock()
         fwd, rev = ideal_pair(clock, loss=0.25, seed=4)
-        config = EndpointConfig(topics=("/data",), prioritized=False)
+        config = EndpointConfig(prioritized=False)
         bus_a, bus_b, local, remote = make_pair(
             clock, fwd, rev, config=config,
-            remote_config=EndpointConfig(prioritized=False, topics=()),
+            remote_config=EndpointConfig(prioritized=False), topics=("/data",),
         )
         pub = bus_a.advertise("/data", MessageKind.COMMAND)
         sub = bus_b.subscribe("/data", 512)
@@ -522,8 +540,7 @@ class TestWakeOnWork:
         """30 bridged, advertised topics after 50 ticks with nothing published."""
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
-        config = EndpointConfig(topics=self.TOPICS)
-        bus_a, bus_b, _, _ = make_pair(clock, fwd, rev, config=config)
+        bus_a, bus_b, _, _ = make_pair(clock, fwd, rev, topics=self.TOPICS)
         pubs = {topic: bus_a.advertise(topic, MessageKind.POSE) for topic in self.TOPICS}
         for _ in range(50):
             clock.advance(bridge.TICK)
@@ -547,8 +564,7 @@ class TestWakeOnWork:
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/late", TIER_CRITICAL),))
-        config = EndpointConfig(topics=("/late",))
-        bus_a, bus_b, local, _ = make_pair(clock, fwd, rev, policy=policy, config=config)
+        bus_a, bus_b, local, _ = make_pair(clock, fwd, rev, policy=policy, topics=("/late",))
         sub = bus_b.subscribe("/late", 8)
         clock.advance(0.3)
         pub = bus_a.advertise("/late", MessageKind.COMMAND)
@@ -567,13 +583,13 @@ class TestDeadlineHeaps:
         plans, ticks = [], []
         plan, tick = TierScheduler.plan, BridgeEndpoint._tick
         monkeypatch.setattr(TierScheduler, "plan", lambda s, q, b: plans.append(b) or plan(s, q, b))
-        monkeypatch.setattr(BridgeEndpoint, "_tick", lambda e: ticks.append(e) or tick(e))
+        monkeypatch.setattr(BridgeEndpoint, "_tick", lambda e, now: ticks.append(e) or tick(e, now))
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/robot0*", TIER_CRITICAL),))
-        config = EndpointConfig(topics=TestWakeOnWork.TOPICS)
-        bus_a, _, _, _ = make_pair(clock, fwd, rev, policy=policy, config=config)
-        pubs = {topic: bus_a.advertise(topic, MessageKind.POSE) for topic in config.topics}
+        topics = TestWakeOnWork.TOPICS
+        bus_a, _, _, _ = make_pair(clock, fwd, rev, policy=policy, topics=topics)
+        pubs = {topic: bus_a.advertise(topic, MessageKind.POSE) for topic in topics}
         for _ in range(100):
             clock.advance(bridge.TICK)
         assert len(ticks) == 200 and plans == []
@@ -585,9 +601,9 @@ class TestDeadlineHeaps:
         clock = TickingClock()
         fwd, rev = ideal_pair(clock)
         policy = PriorityPolicy(rules=(("/*", TIER_CRITICAL),))
-        config = EndpointConfig(topics=("/c", "/a", "/b"))
-        bus_a, _, local, _ = make_pair(clock, fwd, rev, policy=policy, config=config)
-        pubs = {topic: bus_a.advertise(topic, MessageKind.COMMAND) for topic in config.topics}
+        topics = ("/c", "/a", "/b")
+        bus_a, _, local, _ = make_pair(clock, fwd, rev, policy=policy, topics=topics)
+        pubs = {topic: bus_a.advertise(topic, MessageKind.COMMAND) for topic in topics}
         beats: list[tuple[float, str]] = []
         send = local._send_control
 
@@ -610,8 +626,8 @@ class TestDeadlineHeaps:
         clock.advance(0.3)
         assert [topic for _, topic in beats] == ["/a", "/b", "/c"]
         assert len({now for now, _ in beats}) == 1
-        assert beats[0][0] - last_sent >= config.heartbeat_interval
-        assert beats[0][0] - bridge.TICK - last_sent < config.heartbeat_interval
+        assert beats[0][0] - last_sent >= EndpointConfig.heartbeat_interval
+        assert beats[0][0] - bridge.TICK - last_sent < EndpointConfig.heartbeat_interval
 
     def test_gap_re_requests_leave_at_the_same_times(self, monkeypatch):
         # each request is re-sent on the first tick at or after its deadline,
@@ -669,8 +685,7 @@ class TestGapRequests:
         clock = TickingClock()
         fwd, rev = ideal_pair(clock, latency=0.05)
         policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
-        config = EndpointConfig(topics=("/c",))
-        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, config=config)
+        bus_a, bus_b, local, remote = make_pair(clock, fwd, rev, policy=policy, topics=("/c",))
         log: list[tuple[float, int, int, set[int], int]] = []
         send = BridgeEndpoint._send_gap_request
 
@@ -718,14 +733,25 @@ class TestGapRequests:
         assert len(log) == 9  # every run closed before its retry deadline
         assert [m.payload[0] for m in sub.drain()] == list(range(12))
 
-    def deliver_rearranged(self, n, rearrange):
+    def deliver_rearranged(self, n, rearrange, lost=()):
         """Publish n critical frames, hold them off the link, and hand the receiver
         the frames rearrange(frames) returns, one per tick; every request must name
-        only missing seqs, and all n must still be delivered once, in order."""
+        only missing seqs, and all n must still be delivered once, in order. The
+        reverse link loses the packets whose index is in `lost`; returns how many
+        it carried, each one of the receiver's replay requests."""
         with pytest.MonkeyPatch.context() as monkeypatch:
-            clock, (fwd, _), bus_a, bus_b, _, remote, log = self.receiver(monkeypatch)
+            clock, (fwd, rev), bus_a, bus_b, _, remote, log = self.receiver(monkeypatch)
             pub = bus_a.advertise("/c", MessageKind.COMMAND)
             sub = bus_b.subscribe("/c", 64)
+            packets = itertools.count()
+            deliver = rev.on_deliver
+
+            def lossy_deliver(payload, at):
+                assert {env.topic for env in decode_stream(payload)} == {REPLAY_TOPIC}
+                if next(packets) not in lost:
+                    deliver(payload, at)
+
+            rev.on_deliver = lossy_deliver
             captured: list[bytes] = []
             fwd.on_deliver = lambda payload, at: captured.append(payload)
             for i in range(n):
@@ -740,6 +766,7 @@ class TestGapRequests:
         for _, lo, hi, ahead, expected in log:
             assert expected <= lo <= hi and not any(lo <= seq <= hi for seq in ahead)
         assert [m.payload[0] for m in sub.drain()] == list(range(n))
+        return next(packets)
 
     @given(
         n=st.integers(2, 24),
@@ -759,13 +786,21 @@ class TestGapRequests:
     def test_every_kept_subset_in_every_arrival_order_is_delivered_once_in_order(self, n, cases):
         arrivals = [picks for k in range(n + 1) for picks in itertools.permutations(range(n), k)]
         assert len(arrivals) == cases
+        # each arrival case runs with no loss, then with every set of at most 2 of the
+        # first 4 packets on the reverse link lost: only replay requests cross it here
+        losses = [set(lost) for k in range(3) for lost in itertools.combinations(range(4), k)]
+        assert len(losses) == 11
 
         def rearrange(frames):
             assert [env.seq for env in frames] == list(range(n))  # no heartbeat among them
             return [frames[i] for i in picks]
 
+        lost_packets = 0
         for picks in arrivals:
-            self.deliver_rearranged(n, rearrange)
+            for lost in losses:
+                carried = self.deliver_rearranged(n, rearrange, lost)
+                lost_packets += len([i for i in lost if i < carried])
+        assert lost_packets > 0
 
     def test_a_forged_heartbeat_for_the_last_u64_seq_never_raises(self, monkeypatch):
         clock, (fwd, rev), bus_a, bus_b, local, remote, log = self.receiver(monkeypatch)
@@ -793,7 +828,7 @@ class TestGapRequests:
         traffic = (TopicTraffic("/c", MessageKind.COMMAND, 1.0, 1),)
         policy = PriorityPolicy(rules=(("/c*", TIER_CRITICAL),))
         scenario = BridgeScenario("forged", 1, 1.0, fwd.conditions, traffic, policy)
-        res = _audit(scenario, list(traffic), local, remote, fwd, rev).topics["/c"]
+        res = _audit(scenario, list(traffic), local, remote).topics["/c"]
         assert res.sent == res.delivered + res.dropped + res.buffered == 10
 
     def test_a_run_a_forged_heartbeat_announced_is_given_up_only_to_the_last_seq_that_arrived(

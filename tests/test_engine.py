@@ -1,5 +1,6 @@
 """Engine-level traffic runs and configuration measurement behavior."""
 
+import itertools
 import os
 import pickle
 import shutil
@@ -10,7 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbridge import bridge, engine
@@ -18,7 +19,7 @@ from twinbridge.bridge import BridgeEndpoint, PriorityPolicy
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
-from twinbridge.msgbus import MessageKind
+from twinbridge.msgbus import MessageKind, Publisher
 from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant, SimClock
 from twinbridge.scenario import load_scenario
 
@@ -38,9 +39,22 @@ def simple_scenario(loss=0.0, cap=None, seed=5, duration=6.0, drain=1.0):
     return BridgeScenario("simple", seed, duration, cond, traffic, POLICY, drain=drain)
 
 
+def name_endpoints(monkeypatch) -> dict[BridgeEndpoint, str]:
+    """Name each endpoint run_traffic builds by identity: the first is local."""
+    names: dict[BridgeEndpoint, str] = {}
+    init = BridgeEndpoint.__init__
+
+    def named_init(endpoint, *args, **kwargs):
+        init(endpoint, *args, **kwargs)
+        names[endpoint] = "remote" if names else "local"
+
+    monkeypatch.setattr(BridgeEndpoint, "__init__", named_init)
+    return names
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
 def test_topic_traffic_rejects_a_rate_that_is_not_positive_and_finite(rate):
-    # construction only: at an infinite rate run_traffic's schedule never ends
+    # construction only: at an infinite rate run_traffic's publish heap never empties
     with pytest.raises(ValueError, match="rate"):
         TopicTraffic("/t", MessageKind.BLOB, rate, 8)
 
@@ -137,10 +151,11 @@ class TestRunTraffic:
         )
 
         class Forging(BridgeEndpoint):
-            def __init__(self, *args):
-                super().__init__(*args)
-                if not self.config.topics:
-                    self.clock.schedule(1.0, lambda: self._on_deliver(forged, self.clock.now))
+            def __init__(self, *args, topics=()):
+                super().__init__(*args, topics=topics)
+                if not topics:
+                    clock = self.tx_link.clock
+                    clock.schedule(1.0, lambda: self._on_deliver(forged, clock.now))
 
         monkeypatch.setattr(engine, "BridgeEndpoint", Forging)
         with pytest.raises(RuntimeError, match="/r1/pose: seq 1000 delivered, only 50 sent"):
@@ -213,10 +228,11 @@ class TestRunTraffic:
     def test_each_endpoint_ticks_once_per_tick_instant_local_first(self, monkeypatch):
         ticks = []
         tick = BridgeEndpoint._tick
+        names = name_endpoints(monkeypatch)
 
-        def logged_tick(endpoint):
-            ticks.append((endpoint.clock.now, "local" if endpoint.config.topics else "remote"))
-            return tick(endpoint)
+        def logged_tick(endpoint, now):
+            ticks.append((now, names[endpoint]))
+            return tick(endpoint, now)
 
         monkeypatch.setattr(BridgeEndpoint, "_tick", logged_tick)
         run_traffic(simple_scenario(duration=2.0, drain=0.5))
@@ -236,13 +252,14 @@ class TestRunTraffic:
         log = []
         tick, on_deliver, send = BridgeEndpoint._tick, BridgeEndpoint._on_deliver, NetLink.send
         carried = []
+        names = name_endpoints(monkeypatch)
 
-        def logged_tick(endpoint):
-            log.append(("tick", endpoint.clock.now, "local" if endpoint.config.topics else "remote"))
-            return tick(endpoint)
+        def logged_tick(endpoint, now):
+            log.append(("tick", now, names[endpoint]))
+            return tick(endpoint, now)
 
         def logged_deliver(endpoint, payload, at):
-            log.append(("deliver", endpoint.clock.now, at))
+            log.append(("deliver", endpoint.tx_link.clock.now, at))
             return on_deliver(endpoint, payload, at)
 
         monkeypatch.setattr(BridgeEndpoint, "_tick", logged_tick)
@@ -313,6 +330,52 @@ class TestRunTraffic:
         assert percentile(values, 95) == 95.0
         assert percentile(values, 100) == 100.0
         assert percentile([], 95) == 0.0
+
+
+@given(
+    rates=st.lists(st.sampled_from([0.3, 2.5, 3.0, 7.0, 10.0]) | st.floats(0.2, 50.0), min_size=1, max_size=5),
+    steps=st.integers(1, 300),
+    drain_share=st.floats(0.0, 0.99),
+)
+@example(rates=[10.0, 2.5], steps=50, drain_share=0.0)  # n * period reaches duration - drain = 1.0 s exactly
+@settings(max_examples=100, deadline=None)
+def test_publishes_stream_in_time_then_topic_order_on_the_first_tick_due_property(rates, steps, drain_share):
+    # run_traffic runs round(duration / TICK) ticks, so a duration of whole ticks
+    # (here up to 6 s) leaves no publish time past the last tick
+    duration = steps * bridge.TICK
+    drain = drain_share * duration
+    topics = [f"/t{i}" for i in range(len(rates))]
+    traffic = tuple(TopicTraffic(topic, MessageKind.BLOB, rate, 8) for topic, rate in zip(topics, rates))
+    scenario = BridgeScenario("stream", 3, duration, NetworkConditions.ideal(), traffic, PriorityPolicy(), drain=drain)
+    publish, advance = Publisher.publish, SimClock.advance
+    records: list[tuple[float, str, int]] = []  # (time, topic, clock.advance calls before the publish)
+    advances = 0
+
+    def recorded_publish(pub, payload, at, origin=None):
+        if origin is None:  # the engine's own publishes, not a bridge republish
+            records.append((at, pub.topic, advances))
+        return publish(pub, payload, at, origin)
+
+    def counted_advance(clock, dt):
+        nonlocal advances
+        advances += 1
+        return advance(clock, dt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Publisher, "publish", recorded_publish)
+        mp.setattr(SimClock, "advance", counted_advance)
+        run_traffic(scenario)
+
+    def times(rate):
+        period = 1.0 / rate
+        return itertools.takewhile(lambda at: at < duration - drain, (n * period for n in itertools.count()))
+
+    assert [(at, topic) for at, topic, _ in records] == sorted(
+        (at, topic) for topic, rate in zip(topics, rates) for at in times(rate)
+    )
+    for at, _, before in records:
+        k = before + 1
+        assert at <= k * bridge.TICK and (k == 1 or at > (k - 1) * bridge.TICK)
 
 
 # (index of the link send it rides on, kind, random bytes, byte position, xor mask)

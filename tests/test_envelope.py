@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy
+from twinbridge.bridge import BridgeEndpoint, PriorityPolicy
 from twinbridge.envelope import (
     MIN_FRAME,
     MAX_PAYLOAD,
@@ -52,13 +52,13 @@ def bridge_frames(publishes):
     fwd, rev = link_pair(clock, ideal, 1)
     bus = TopicBus()
     endpoint = BridgeEndpoint(
-        bus, fwd, rev, PriorityPolicy(rules=(("/odom", TIER_CRITICAL),)), clock, EndpointConfig(topics=("/odom",))
+        bus, fwd, rev, PriorityPolicy(rules=(("/odom", TIER_CRITICAL),)), topics=("/odom",)
     )
     pub = bus.advertise("/odom", MessageKind.POSE)
     for payload, t in publishes:
         pub.publish(payload, t)
     clock.advance(0.05)
-    endpoint._tick()
+    endpoint._tick(clock.now)
     wire = decode_stream(b"".join(fwd.in_flight()))
     return wire, endpoint.replay_buffer.get_range("/odom", 0, len(publishes) - 1)
 
