@@ -7,7 +7,7 @@ that steps it feeds it time through its two duties, `_tick(now)` and `_on_delive
   each message into a priority tier, and queue its envelope per tier; the tier
   scheduler empties the queues in strict priority under a per-tick byte budget
   fixed from the link's bandwidth cap, and each frame is encoded as it goes on
-  the link;
+  the link, once for all its copies that one tick sends;
 * ingress: decode arriving frames, deduplicate by sequence number, republish
   on the local bus in per-topic sequence order, and detect gaps.
 
@@ -168,6 +168,7 @@ class TierScheduler:
     positive and may borrow ahead (credit goes negative), which keeps the
     long-run byte rate at the allowance while letting frames larger than one
     tick's budget through instead of stalling. Credit counts `frame_size` bytes.
+    An empty tier holds no credit and costs nothing: its allowance passes down whole.
     """
 
     def __init__(self) -> None:
@@ -176,21 +177,22 @@ class TierScheduler:
     def plan(self, queues: dict[int, deque[Envelope]], budget: float) -> list[Envelope]:
         """Pop frames to send this tick, in transmit order; budget is positive."""
         out: list[Envelope] = []
-        credit = self._credit
         reserve = BULK_BUDGET_FRACTION * budget if queues.get(TIER_BULK) else 0.0
         carry = budget - reserve  # critical's quantum; standard gets what cascades, bulk its floor too
         for tier in (TIER_CRITICAL, TIER_STANDARD, TIER_BULK):
+            if tier == TIER_BULK:
+                carry += reserve
             queue = queues.get(tier)
-            credit[tier] += reserve + carry if tier == TIER_BULK else carry
-            carry = 0.0
-            while queue and credit[tier] > 0:
-                env = queue.popleft()
-                credit[tier] -= frame_size(env)
-                out.append(env)
             if not queue:
-                # an idle tier neither banks nor owes; surplus cascades down
-                carry = max(credit[tier], 0.0)
-                credit[tier] = 0.0
+                continue  # left empty, a tier was reset to 0.0, and queues only grow between plans
+            credit = self._credit[tier] + carry
+            while queue and credit > 0:
+                env = queue.popleft()
+                credit -= frame_size(env)
+                out.append(env)
+            # an idle tier neither banks nor owes; surplus cascades down
+            carry = 0.0 if queue else max(credit, 0.0)
+            self._credit[tier] = credit if queue else 0.0
         return out
 
 
@@ -317,7 +319,8 @@ class BridgeEndpoint:
         # an idle tick (nothing ready, queued or due) would send nothing and
         # leave every scheduler credit at 0, as the last full tick did
         if self._ready or queues[TIER_CRITICAL] or queues[TIER_STANDARD] or queues[TIER_BULK] or beat_due or retry_due:
-            self._drain_bus(now)
+            if self._ready:
+                self._drain_bus(now)
             if self.config.prioritized:
                 if beat_due:
                     self._emit_heartbeats(now)
@@ -357,16 +360,18 @@ class BridgeEndpoint:
         fifo = self._queues[TIER_STANDARD]
         out: list[Envelope] = []
         spent = 0.0
-        while fifo and (not out or spent + frame_size(fifo[0]) <= budget):
-            spent += frame_size(fifo[0])
+        while fifo and (spent + (size := frame_size(fifo[0])) <= budget or not out):
+            spent += size
             out.append(fifo.popleft())
         return out
 
     def _transmit(self, plan: list[Envelope]) -> None:
         # one transport packet never mixes tiers, so a small critical packet
-        # is not serialized behind bulk bytes sharing its batch
+        # is not serialized behind bulk bytes sharing its batch; a redundant copy
+        # follows its envelope in the plan, so it reuses that envelope's frame
         batch: list[bytes] = []
         batch_tier: int | None = None
+        last: Envelope | None = None
         for env in plan:
             if env.flags & FLAG_REPLAY:
                 self._queued_replays.discard((env.topic, env.seq))
@@ -376,7 +381,9 @@ class BridgeEndpoint:
                 self._send_batch(batch)
                 batch = []
             batch_tier = env.tier
-            batch.append(encode_envelope(env))
+            if env is not last:
+                last, encoded = env, encode_envelope(env)
+            batch.append(encoded)
         if batch:
             self._send_batch(batch)
 

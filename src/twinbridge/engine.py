@@ -114,7 +114,8 @@ class TrafficResult:
     @property
     def compute_time(self) -> float:
         """Deterministic compute proxy: per-op costs in seconds. `encodes` counts a frame
-        once, when it is built; its redundant copies, each encoded as it is sent, share it."""
+        once, when it is built; its redundant copies share the count, and copies sent in
+        one tick share one encoding too."""
         return (self.encodes + self.decodes) * 20e-6 + self.link_sends * 30e-6
 
     @property

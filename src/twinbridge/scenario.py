@@ -46,8 +46,9 @@ takes a whole number, an integer kept exact: 2.0 reads as 2, 2.5 is an error.
 A size takes at most MAX_PAYLOAD, any other count but the seed at most
 sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. A run, and
 each agent count of a sweep, takes at most MAX_STEPS sync ticks, bridge ticks
-and publishes each. Two expansions of the topic templates may not name one
-topic, which is checked at the agent count of each run and of each sweep step.
+and publishes each, and lasts a whole number of bridge ticks (with agents) and
+of sync ticks (with a sync section). Two expansions of the topic templates may
+not name one topic, which is checked at the agent count of each run and sweep step.
 A key the parser does not read is an error, and the bridge tick (bridge.TICK),
 redundancy (0 outside the MMCF search) and probe count (PROBES) are not keys.
 Validation failures raise ScenarioParseError carrying one "path (line N):
@@ -561,12 +562,16 @@ def load_scenario(path: str | Path) -> Scenario:
 
     if drain >= duration:
         ctx.fail("bridge.drain", f"drain {drain} must be below duration {duration}")
-    # one error, at its key, for the first kind of step past MAX_STEPS
+    # one error, at its key, for the first kind of step past MAX_STEPS, then for a duration between
+    # ticks: a run takes round(duration / tick) ticks, and would drop what falls due after the last
+    ticked = [(BRIDGE_TICK, "bridge.TICK")] * bool(templates) + [(TICK, "twinsync.TICK")] * (sync is not None)
     if sync is not None and duration / TICK > MAX_STEPS:
         ctx.fail("duration", f"duration / TICK is {duration / TICK:.6g} sync ticks; a run takes at most {MAX_STEPS}")
     elif duration / BRIDGE_TICK > MAX_STEPS:
         ticks = f"duration / bridge.TICK is {duration / BRIDGE_TICK:.6g} bridge ticks"
         ctx.fail("duration", f"{ticks}; a run takes at most {MAX_STEPS}")
+    elif off := [f"{name} ({tick} s)" for tick, name in ticked if not math.isclose(n := duration / tick, round(n))]:
+        ctx.fail("duration", f"duration {duration} is not a whole number of {off[0]}")
     elif problem := publish_limit(agent_count, templates, duration, drain):
         ctx.fail("agents.count", problem)
 

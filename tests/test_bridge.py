@@ -6,11 +6,12 @@ import zlib
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbridge import bridge
 from twinbridge.bridge import (
+    BULK_BUDGET_FRACTION,
     HEARTBEAT_TOPIC,
     REPLAY_TOPIC,
     BridgeEndpoint,
@@ -25,6 +26,7 @@ from twinbridge.envelope import (
     TIER_BULK,
     TIER_CRITICAL,
     TIER_STANDARD,
+    TIERS,
     Envelope,
     decode_stream,
     encode_envelope,
@@ -62,6 +64,37 @@ def queues(critical=(), standard=(), bulk=()):
         TIER_STANDARD: deque(standard),
         TIER_BULK: deque(bulk),
     }
+
+
+def reference_plan(credit: dict[int, float], queues: dict, budget: float) -> list[Envelope]:
+    """The scheduler as a plain per-tier loop: every tier, empty or not, takes its
+    quantum, and an empty one hands its credit on and is reset."""
+    out = []
+    reserve = BULK_BUDGET_FRACTION * budget if queues.get(TIER_BULK) else 0.0
+    carry = budget - reserve
+    for tier in (TIER_CRITICAL, TIER_STANDARD, TIER_BULK):
+        queue = queues.get(tier)
+        credit[tier] += reserve + carry if tier == TIER_BULK else carry
+        carry = 0.0
+        while queue and credit[tier] > 0:
+            env = queue.popleft()
+            credit[tier] -= frame_size(env)
+            out.append(env)
+        if not queue:
+            carry = max(credit[tier], 0.0)
+            credit[tier] = 0.0
+    return out
+
+
+# a tick: envelopes appended as (tier, payload bytes), then a plan with a positive budget
+SCHEDULER_TICKS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.sampled_from(TIERS), st.integers(0, 600)), max_size=6),
+        st.floats(1.0, 4000.0),
+    ),
+    min_size=1,
+    max_size=30,
+)
 
 
 class TestPolicy:
@@ -157,6 +190,34 @@ class TestTierScheduler:
         if bulk_available:
             bulk_sent = sum(frame_size(item) for item in plan if item.tier == TIER_BULK)
             assert bulk_sent >= min(0.05 * budget, bulk_available)
+
+    @given(ticks=SCHEDULER_TICKS)
+    # standard alone, behind an empty critical tier
+    @example(ticks=[([(TIER_STANDARD, 300)] * 3, 500.0)])
+    # critical empties in the middle of a plan and standard stays backlogged;
+    # then, with the rest drained, only bulk is non-empty
+    @example(
+        ticks=[
+            ([(TIER_CRITICAL, 100)] + [(TIER_STANDARD, 400)] * 3, 700.0),
+            ([], 2000.0),
+            ([(TIER_BULK, 250)] * 4, 600.0),
+            ([], 900.5),
+        ]
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_plan_matches_the_per_tier_model_tick_by_tick(self, ticks):
+        scheduler, model_credit = TierScheduler(), {tier: 0.0 for tier in TIERS}
+        planned_queues, model_queues = queues(), queues()
+        seqs = itertools.count()
+        for appends, budget in ticks:
+            for tier, size in appends:
+                env = frame(tier=tier, seq=next(seqs), size=size)
+                planned_queues[tier].append(env)
+                model_queues[tier].append(env)
+            planned = scheduler.plan(planned_queues, budget)
+            expected = reference_plan(model_credit, model_queues, budget)
+            assert [env.seq for env in planned] == [env.seq for env in expected]
+            assert scheduler._credit == model_credit
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbridge import bridge, engine
-from twinbridge.bridge import BridgeEndpoint, PriorityPolicy
+from twinbridge.bridge import BridgeEndpoint, PriorityPolicy, TierScheduler
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
 from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
@@ -300,8 +300,9 @@ class TestRunTraffic:
         # agents20 at 50 agents overloads its link, so frames are left queued
         scenario = load_scenario(SCENARIOS / "agents20.yaml").bridge_scenario(count=50)
         scenario = replace(scenario, endpoint=replace(scenario.endpoint, redundancy=redundancy))
-        counts = {"encoded": 0, "on_link": 0, "control": 0}
+        counts = {"encoded": 0, "on_link": 0, "control": 0, "copies": 0}
         encode, send, send_control = bridge.encode_envelope, NetLink.send, BridgeEndpoint._send_control
+        plan = TierScheduler.plan
 
         def counted_encode(env):
             counts["encoded"] += 1
@@ -315,12 +316,23 @@ class TestRunTraffic:
             counts["control"] += 1
             return send_control(endpoint, *args)
 
+        def counted_plan(scheduler, queues, budget):
+            frames = plan(scheduler, queues, budget)
+            # a redundant copy that follows its own envelope reuses its frame
+            counts["copies"] += sum(env is prev for prev, env in zip(frames, frames[1:]))
+            return frames
+
         monkeypatch.setattr(bridge, "encode_envelope", counted_encode)
         monkeypatch.setattr(NetLink, "send", counted_send)
         monkeypatch.setattr(BridgeEndpoint, "_send_control", counted_control)
+        monkeypatch.setattr(TierScheduler, "plan", counted_plan)
         result = run_traffic(scenario)
         assert sum(res.buffered for res in result.topics.values()) > 0
-        assert counts["encoded"] == counts["on_link"]
+        assert counts["encoded"] == counts["on_link"] - counts["copies"]
+        if redundancy:
+            assert counts["encoded"] < counts["on_link"]
+        else:
+            assert counts["copies"] == 0
         # `encodes` counts each frame built once, whatever its redundant copies
         assert result.encodes == result.totals()[0] + result.replays_served + counts["control"]
 

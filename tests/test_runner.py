@@ -56,6 +56,26 @@ def edited(name: str, old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+# one agent whose one topic publishes every 1 / 22 s (about 0.045 s), for a given duration
+SHORT_TRAFFIC = (
+    'name: short\nseed: 1\nduration: {duration}\nagents:\n  count: 1\n  topics:\n'
+    '    - {{name: "/robot{{i}}/pose", kind: pose, rate: 22.0, size: 8}}\n'
+)
+
+
+def assert_refused_before_running(tmp_path, monkeypatch, text: str, expected: str) -> None:
+    """`twinbridge run` on text exits 2 with the one line `error: {expected}`, and no run starts."""
+    scenario = tmp_path / "refused.yaml"
+    scenario.write_text(text, encoding="utf-8")
+    runs = []
+    monkeypatch.setattr("twinbridge.runner.run_traffic", lambda *args: runs.append(args))
+    monkeypatch.setattr("twinbridge.runner.run_sync_loop", lambda *args: runs.append(args))
+    result = CliRunner().invoke(main, ["run", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [f"error: {expected}"]
+    assert runs == []
+
+
 @pytest.fixture(scope="module")
 def sweep_scenario():
     return load_scenario(SCENARIOS / "bridge_sweep.yaml")
@@ -502,15 +522,49 @@ class TestCli:
     )
     def test_a_run_past_the_step_limit_is_an_error_at_the_key(self, tmp_path, monkeypatch, text, expected):
         # each of these loaded and then ran for hours or more; none may start
-        scenario = tmp_path / "long.yaml"
+        assert_refused_before_running(tmp_path, monkeypatch, text, expected)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                # 2 bridge ticks, to 0.04 s: the publish due at about 0.045 s would never go out
+                SHORT_TRAFFIC.format(duration="0.05"),
+                "duration (line 3): duration 0.05 is not a whole number of bridge.TICK (0.02 s)",
+            ),
+            (
+                # no bridge tick at all
+                SHORT_TRAFFIC.format(duration="0.01"),
+                "duration (line 3): duration 0.01 is not a whole number of bridge.TICK (0.02 s)",
+            ),
+            (
+                edited("agents20.yaml", "duration: 10.0\n", "duration: 10.01\n"),
+                "duration (line 6): duration 10.01 is not a whole number of bridge.TICK (0.02 s)",
+            ),
+            (
+                edited("sync_default.yaml", "duration: 40.0\n", "duration: 40.005\n"),
+                "duration (line 5): duration 40.005 is not a whole number of twinsync.TICK (0.01 s)",
+            ),
+        ],
+        ids=["between-bridge-ticks", "below-one-bridge-tick", "agents20-between-ticks", "between-sync-ticks"],
+    )
+    def test_a_duration_between_ticks_is_an_error_at_the_key(self, tmp_path, monkeypatch, text, expected):
+        assert_refused_before_running(tmp_path, monkeypatch, text, expected)
+
+    @pytest.mark.parametrize(
+        "duration, text",
+        [
+            (0.06, SHORT_TRAFFIC.format(duration="0.06")),
+            (30.02, edited("bridge_loss.yaml", "duration: 30.0\n", "duration: 30.02\n")),
+            # a sync-only run takes sync ticks alone, so half a bridge tick is whole
+            (40.01, edited("sync_default.yaml", "duration: 40.0\n", "duration: 40.01\n")),
+        ],
+        ids=["three-bridge-ticks", "bridge-loss-one-tick-longer", "sync-only-between-bridge-ticks"],
+    )
+    def test_a_duration_of_whole_ticks_loads(self, tmp_path, duration, text):
+        scenario = tmp_path / "whole.yaml"
         scenario.write_text(text, encoding="utf-8")
-        runs = []
-        monkeypatch.setattr("twinbridge.runner.run_traffic", lambda *args: runs.append(args))
-        monkeypatch.setattr("twinbridge.runner.run_sync_loop", lambda *args: runs.append(args))
-        result = CliRunner().invoke(main, ["run", str(scenario)])
-        assert result.exit_code == 2, result.output
-        assert result.output.splitlines() == [f"error: {expected}"]
-        assert runs == []
+        assert load_scenario(scenario).duration == duration
 
     def test_a_drag_the_integrator_cannot_take_is_an_error_at_the_key(self, tmp_path):
         # drag * TICK / mass = 1e6 * 0.01 / 10 = 1000: each tick would scale the velocity by -999
