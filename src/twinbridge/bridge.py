@@ -48,7 +48,6 @@ in `decode_errors` and dropped.
 from __future__ import annotations
 
 import heapq
-import itertools
 import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -149,7 +148,7 @@ class ReplayBuffer:
         first = ring[0].seq
         start = max(from_seq, first) - first
         stop = min(to_seq, ring[-1].seq) - first + 1
-        return list(itertools.islice(ring, start, stop)) if start < stop else []
+        return [ring[i] for i in range(start, stop)]
 
     def contains(self, topic: str, seq: int) -> bool:
         ring = self._rings.get(topic)

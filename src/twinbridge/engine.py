@@ -1,8 +1,9 @@
 """Deterministic execution engine for bridge traffic scenarios.
 
 Builds two buses joined by a bridged link pair, streams scripted periodic
-traffic onto the local side from a heap of each topic's next `n * period`
-publish, feeds both endpoints the shared clock's time, and audits the fate of
+traffic onto the local side from a heap of each publish rate's next
+`n * period` instant (the topics of rates that coincide interleave by name),
+feeds both endpoints the shared clock's time, and audits the fate of
 every logical message at the end: delivered, still buffered somewhere (tier
 queue, in flight, held for reassembly, or recoverable from the replay ring),
 or dropped. The audit makes the conservation invariant
@@ -15,6 +16,7 @@ delivered but never sent, which only a forged frame can bring about, raises.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -55,9 +57,9 @@ class BridgeScenario:
     drain: float = 0.0  # quiet tail after traffic stops, still simulated
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.drain < 0 or self.drain >= self.duration:
+        if not 0 < self.duration < math.inf:  # NaN fails too
+            raise ValueError("duration must be positive and finite")
+        if not 0 <= self.drain < self.duration:
             raise ValueError("drain must be in [0, duration)")
 
 
@@ -136,9 +138,11 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     """Execute one bridge traffic scenario and audit every message's fate.
 
     A topic publishes at `n * period`, never a running sum, while that is before
-    `duration - drain`. Each step publishes what is due by its end in (time,
-    topic) order, advances the clock by `TICK`, firing the link deliveries due,
-    then ticks the local and then the remote endpoint with `clock.now`.
+    `duration - drain`. Topics that share a rate share one heap entry, so an
+    instant costs one heap step per rate due, not one per topic. Each step
+    publishes what is due by its end in (time, topic) order, advances the
+    clock by `TICK`, firing the link deliveries due, then ticks the local and
+    then the remote endpoint with `clock.now`.
     """
     clock = SimClock()
     bus_local = TopicBus()
@@ -152,19 +156,29 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, scenario.endpoint, topics=tuple(publishers))
     remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, scenario.endpoint)
 
-    # (time, topic, n, period) per topic still publishing: sorted by name, a heap
-    pending = [(0.0, t.topic, 0, 1.0 / t.rate) for t in topics]
+    # one (time, i, n, period, members) entry per rate still publishing, its
+    # (topic, publish, payload) members in name order; all at 0.0 in order of i, a heap
+    rates: dict[float, list] = {}
+    for t in topics:
+        rates.setdefault(1.0 / t.rate, []).append((t.topic, publishers[t.topic].publish, payloads[t.topic]))
+    pending = [(0.0, i, 0, period, members) for i, (period, members) in enumerate(rates.items())]
     stop_at = scenario.duration - scenario.drain
     steps = int(round(scenario.duration / TICK))
     for k in range(1, steps + 1):
         now = k * TICK
         while pending and pending[0][0] <= now:
-            at, topic, n, period = pending[0]
-            publishers[topic].publish(payloads[topic], at)
-            if (n + 1) * period < stop_at:
-                heapq.heapreplace(pending, ((n + 1) * period, topic, n + 1, period))
-            else:
-                heapq.heappop(pending)
+            at = pending[0][0]
+            due = []
+            while pending and pending[0][0] == at:
+                _, i, n, period, members = pending[0]
+                due.append(members)
+                if (n + 1) * period < stop_at:
+                    heapq.heapreplace(pending, ((n + 1) * period, i, n + 1, period, members))
+                else:
+                    heapq.heappop(pending)
+            # rates that fall due together interleave their topics by name
+            for _, publish, payload in due[0] if len(due) == 1 else sorted(itertools.chain(*due)):
+                publish(payload, at)
         clock.advance(TICK)
         local._tick(clock.now)
         remote._tick(clock.now)
@@ -173,12 +187,15 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     return _audit(scenario, topics, local, remote)
 
 
+_FILLER = bytes(range(256))
+
+
 def _payload(t: TopicTraffic, seed: int) -> bytes:
     # deterministic filler unique per topic; crc32, unlike hash(), is not
     # salted per process
     basis = (zlib.crc32(f"{t.topic}:{seed}".encode("utf-8")) & 0xFF) or 1
     # byte i is (basis + i) % 256
-    return (bytes(range(256)) * (t.size // 256 + 2))[basis : basis + t.size]
+    return (_FILLER * (t.size // 256 + 2))[basis : basis + t.size]
 
 
 def _audit(

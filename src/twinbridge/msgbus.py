@@ -14,11 +14,14 @@ Timestamps are simulated seconds supplied by the caller, never wall clock.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from enum import IntEnum
 from typing import NamedTuple
 
 from .envelope import MAX_PAYLOAD
+
+_MAX_TIME = sys.float_info.max  # the largest finite float
 
 
 class MessageKind(IntEnum):
@@ -100,22 +103,22 @@ class Subscription:
 class Publisher:
     """Handle for publishing to one advertised topic.
 
-    Enforces monotone non-decreasing publish_time per handle.
+    Enforces a finite, monotone non-decreasing publish_time per handle.
     """
 
     def __init__(self, subs: list[Subscription], topic: str, kind: MessageKind) -> None:
         self._subs = subs  # the bus's live subscriber list for the topic
         self.topic = topic
         self.kind = kind
-        self._last_time: float | None = None
+        self._last_time = -_MAX_TIME
 
     def publish(self, payload: bytes, publish_time: float, origin: object = None) -> None:
-        """Refuse a payload over 16 MiB or a regressing time, then queue a Message on each subscriber, if any."""
+        """Refuse a payload over 16 MiB or a time that is not finite or regresses, then queue a
+        Message on each subscriber, if any."""
         _check_payload(payload)
-        if self._last_time is not None and publish_time < self._last_time:
-            raise ValueError(
-                f"publish_time {publish_time} regresses below {self._last_time} on {self.topic}"
-            )
+        if not self._last_time <= publish_time <= _MAX_TIME:  # NaN fails too
+            problem = f"regresses below {self._last_time}" if abs(publish_time) <= _MAX_TIME else "is not finite"
+            raise ValueError(f"publish_time {publish_time} {problem} on {self.topic}")
         self._last_time = publish_time
         if self._subs:
             # tuple.__new__ skips the NamedTuple's Python-level constructor

@@ -59,6 +59,18 @@ def test_topic_traffic_rejects_a_rate_that_is_not_positive_and_finite(rate):
         TopicTraffic("/t", MessageKind.BLOB, rate, 8)
 
 
+@pytest.mark.parametrize(
+    "duration, drain",
+    [(float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")), (0.0, 0.0), (1.0, -0.1), (1.0, 1.0)],
+)
+def test_bridge_scenario_rejects_a_duration_or_drain_out_of_range(duration, drain):
+    # a NaN drain would publish once per topic, and a NaN or infinite duration
+    # would fail only when run_traffic counts its ticks
+    traffic = (TopicTraffic("/t", MessageKind.BLOB, 10.0, 8),)
+    with pytest.raises(ValueError, match="duration|drain"):
+        BridgeScenario("bad", 1, duration, NetworkConditions.ideal(), traffic, PriorityPolicy(), drain=drain)
+
+
 class TestRunTraffic:
     def test_conservation_under_loss(self):
         result = run_traffic(simple_scenario(loss=0.2))
@@ -350,6 +362,8 @@ class TestRunTraffic:
     drain_share=st.floats(0.0, 0.99),
 )
 @example(rates=[10.0, 2.5], steps=50, drain_share=0.0)  # n * period reaches duration - drain = 1.0 s exactly
+@example(rates=[10.0, 5.0, 2.0, 10.0, 5.0], steps=50, drain_share=0.0)  # topics share rates, and rates coincide
+@example(rates=[1.0, 10.0, 5.0, 1.0], steps=100, drain_share=0.25)  # all three rates are due at 1.0 s, where 1 Hz stops
 @settings(max_examples=100, deadline=None)
 def test_publishes_stream_in_time_then_topic_order_on_the_first_tick_due_property(rates, steps, drain_share):
     # run_traffic runs round(duration / TICK) ticks, so a duration of whole ticks

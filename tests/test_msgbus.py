@@ -111,6 +111,21 @@ class TestMessage:
             pub.publish(b"y", 4.0)
         pub.publish(b"z", 5.0)  # equal is fine
 
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf")])
+    def test_a_time_that_is_not_finite_is_refused_and_the_clock_holds(self, bus, at):
+        # an accepted NaN would turn the regression check off for the handle, and
+        # the bridge's next tick would fail to turn the time into microseconds
+        pub = bus.advertise("/a", MessageKind.POSE)
+        sub = bus.subscribe("/a", queue_capacity=4)
+        with pytest.raises(ValueError, match="is not finite"):
+            pub.publish(b"x", at)
+        pub.publish(b"y", 5.0)
+        with pytest.raises(ValueError, match="is not finite"):
+            pub.publish(b"x", at)
+        with pytest.raises(ValueError, match="regresses below 5.0"):
+            pub.publish(b"z", 4.0)
+        assert [m.payload for m in sub.drain()] == [b"y"]
+
 
     @pytest.mark.parametrize("subscribed", [True, False], ids=["subscribed", "unsubscribed"])
     def test_a_refused_publish_leaves_the_publishers_clock(self, bus, subscribed):
