@@ -124,9 +124,7 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("replay capacity must be >= 1")
-        self.capacity = capacity
+        self.capacity = capacity  # at least 1, as EndpointConfig checks
         self.dropped = 0
         self._rings: dict[str, deque[Envelope]] = {}
 
@@ -198,23 +196,29 @@ class TierScheduler:
 # --- bridge endpoint ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EndpointConfig:
-    """Tunable endpoint parameters; `prioritized=False` is the FIFO baseline."""
+    """Tunable endpoint parameters; `prioritized=False` is the FIFO baseline.
 
-    prioritized: bool = True
-    batch_size: int = 4
+    The field order is the order the MMCF search evaluates configurations in, and so its tie-break.
+    """
+
     redundancy: int = 0
     replay_capacity: int = 256
+    batch_size: int = 4
+    prioritized: bool = True
     heartbeat_interval: float = 0.25
     replay_attempts: int = 12
 
     def __post_init__(self) -> None:
+        # each range check is written so that NaN fails it
         if not 0 <= self.redundancy <= 3:
             raise ValueError("redundancy must be in 0..3")
-        if self.batch_size < 1:
+        if not self.replay_capacity >= 1:
+            raise ValueError("replay_capacity must be >= 1")
+        if not self.batch_size >= 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.heartbeat_interval > 0:  # NaN fails too
+        if not self.heartbeat_interval > 0:
             raise ValueError("heartbeat_interval must be positive")
         if not self.replay_attempts >= 0:
             raise ValueError("replay_attempts must be >= 0")

@@ -7,7 +7,7 @@ from pathlib import Path
 import click
 
 from .runner import SWEEP_HEADER, compare, load_report, run, sweep_agents
-from .scenario import ScenarioParseError, load_scenario
+from .scenario import ScenarioParseError
 from .twinsync import SyncStateError
 
 
@@ -88,22 +88,6 @@ def sweep_cmd(scenario_path: str, counts: str, seed: int | None, out_dir: str | 
         for count, report in zip(result.counts, result.reports):
             report.write_csvs(out / f"agents_{count}")
         click.echo(f"artifacts written to {out}")
-
-
-@main.command("mmcf-opt")
-@click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--seed", type=int, default=None)
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None)
-def mmcf_cmd(scenario_path: str, seed: int | None, out_dir: str | None) -> None:
-    """Optimize the scenario's declared configuration space and print the pick."""
-    scenario = load_scenario(scenario_path)
-    if scenario.mmcf is None:
-        click.echo("error: scenario has no mmcf section", err=True)
-        raise SystemExit(2)
-    report = run(scenario, seed=seed, out_dir=out_dir)
-    for key in sorted(report.summary):
-        if key.startswith("mmcf_"):
-            click.echo(f"{key}: {report.summary[key]}")
 
 
 if __name__ == "__main__":

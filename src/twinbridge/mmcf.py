@@ -3,7 +3,9 @@
 Latency, loss, compute, and bandwidth measurements are normalized into [0, 1]
 against empirically calibrated bounds, combined under mission weights that
 sum to one, and minimized over a finite configuration space in one
-exhaustive pass that evaluates and tabulates every configuration.
+exhaustive pass that evaluates and tabulates every configuration. A
+configuration is the bridge's own `EndpointConfig`, which a measurement
+binds into the scenario whole.
 
 A search simulates each distinct run once (`reusing_evaluator`), and it
 counts a run simulated before it, such as a scenario's plain traffic run, as
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
+from .bridge import EndpointConfig
 from .engine import BridgeScenario, TrafficResult, run_traffic
 
 
@@ -38,28 +41,6 @@ class EmptySpace(ValueError):
 
 class ScenarioError(RuntimeError):
     """A measurement scenario failed to complete."""
-
-
-@dataclass(frozen=True, order=True)
-class BridgeConfig:
-    """Candidate configuration vector for the bridge.
-
-    Field order defines the order the optimizer evaluates configurations in,
-    and so its lexicographic tie-break.
-    """
-
-    redundancy: int = 0
-    replay_capacity: int = 256
-    batch_size: int = 4
-
-    def __post_init__(self) -> None:
-        # each range check is written so that NaN fails it
-        if not 0 <= self.redundancy <= 3:
-            raise ValueError("redundancy must be in 0..3")
-        if self.replay_capacity < 1:
-            raise ValueError("replay_capacity must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -152,31 +133,20 @@ def normalize(
     return lat, loss, compute, bandwidth
 
 
-def apply_config(scenario: BridgeScenario, config: BridgeConfig) -> BridgeScenario:
-    """Bind a candidate configuration into a measurement scenario."""
-    endpoint = replace(
-        scenario.endpoint,
-        redundancy=config.redundancy,
-        replay_capacity=config.replay_capacity,
-        batch_size=config.batch_size,
-    )
-    return replace(scenario, endpoint=endpoint)
-
-
-def measure_config(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMetrics:
+def measure_config(config: EndpointConfig, scenario: BridgeScenario) -> MeasuredMetrics:
     """Run the scenario under one configuration and collect its metrics.
 
     Deterministic: the scenario seed is fixed, the compute metric is an
     operation-count proxy, so repeated calls return identical values.
     """
-    return _metrics(_simulate(config, scenario))
+    return _metrics(_simulate(replace(scenario, endpoint=config)))
 
 
-def _simulate(config: BridgeConfig, scenario: BridgeScenario) -> TrafficResult:
+def _simulate(bound: BridgeScenario) -> TrafficResult:
     try:
-        return run_traffic(apply_config(scenario, config))
+        return run_traffic(bound)
     except Exception as exc:  # re-raised with measurement context
-        raise ScenarioError(f"scenario {scenario.name!r} failed under {config}: {exc}") from exc
+        raise ScenarioError(f"scenario {bound.name!r} failed under {bound.endpoint}: {exc}") from exc
 
 
 def _metrics(result: TrafficResult) -> MeasuredMetrics:
@@ -188,7 +158,7 @@ def _metrics(result: TrafficResult) -> MeasuredMetrics:
     )
 
 
-Evaluator = Callable[[BridgeConfig, BridgeScenario], MeasuredMetrics]
+Evaluator = Callable[[EndpointConfig, BridgeScenario], MeasuredMetrics]
 
 
 def reusing_evaluator(known: Iterable[tuple[BridgeScenario, TrafficResult]] = ()) -> Evaluator:
@@ -215,15 +185,15 @@ def reusing_evaluator(known: Iterable[tuple[BridgeScenario, TrafficResult]] = ()
         runs.setdefault(key(bound), []).append((cap, batch, ring_need, result.batch_need, metrics))
         return metrics
 
-    def evaluate(config: BridgeConfig, scenario: BridgeScenario) -> MeasuredMetrics:
-        bound = apply_config(scenario, config)
+    def evaluate(config: EndpointConfig, scenario: BridgeScenario) -> MeasuredMetrics:
+        bound = replace(scenario, endpoint=config)
         cap, batch = config.replay_capacity, config.batch_size
         for run_cap, run_batch, ring_need, batch_need, metrics in runs.get(key(bound), ()):
             if (cap == run_cap or min(cap, run_cap) >= ring_need) and (
                 batch == run_batch or min(batch, run_batch) >= batch_need
             ):
                 return metrics
-        return record(bound, _simulate(config, scenario))
+        return record(bound, _simulate(bound))
 
     for bound, result in known:
         record(bound, result)
@@ -231,7 +201,7 @@ def reusing_evaluator(known: Iterable[tuple[BridgeScenario, TrafficResult]] = ()
 
 
 def calibrate_bounds(
-    probes: Sequence[BridgeConfig],
+    probes: Sequence[EndpointConfig],
     scenario: BridgeScenario,
     evaluator: Evaluator = measure_config,
 ) -> MetricBounds:
@@ -258,14 +228,14 @@ def calibrate_bounds(
 
 @dataclass
 class OptimizeResult:
-    best: BridgeConfig
+    best: EndpointConfig
     cost: float
     clamps: int
-    table: list[tuple[BridgeConfig, MeasuredMetrics, tuple[float, float, float, float], float]]
+    table: list[tuple[EndpointConfig, MeasuredMetrics, tuple[float, float, float, float], float]]
 
 
 def optimize(
-    config_space: Iterable[BridgeConfig],
+    config_space: Iterable[EndpointConfig],
     scenario: BridgeScenario,
     bounds: MetricBounds,
     weights: MmcfWeights,
@@ -273,7 +243,7 @@ def optimize(
 ) -> OptimizeResult:
     """Minimize the cost function over a finite configuration space, exhaustively.
 
-    Every distinct configuration is evaluated once, in `BridgeConfig` order,
+    Every distinct configuration is evaluated once, in `EndpointConfig` order,
     and tabulated. Cost ties break to the lexicographically smallest
     configuration, the first minimum in that order. `clamps` counts each
     configuration's clamps once.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -85,6 +86,13 @@ class SimClock:
             callback()
         self.now = target
         return fired
+
+
+def whole_ticks(duration: float, tick: float, name: str) -> int:
+    """The number of `tick`s in `duration`, to a relative 1e-9; ValueError, naming the tick, if it falls between two."""
+    if not math.isclose(n := duration / tick, ticks := round(n)):
+        raise ValueError(f"duration {duration} is not a whole number of {name} ({tick} s)")
+    return ticks
 
 
 @dataclass(frozen=True)

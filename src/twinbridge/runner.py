@@ -194,10 +194,9 @@ def run_mmcf_section(
     spec = scenario.mmcf
     assert spec is not None
     base = scenario.bridge_scenario(seed=seed)
-    space = spec.configs()
     evaluate = reusing_evaluator(known)
     bounds = calibrate_bounds(spec.probe_configs(), base, evaluate)
-    result = optimize(space, base, bounds, spec.weights, evaluate)
+    result = optimize(spec.space, base, bounds, spec.weights, evaluate)
     # bench/worker.py::_check_mmcf reads mmcf.csv by column position and
     # mmcf_best as a 5-tuple, so the retired shares and discovery_period
     # columns keep the constants every run wrote for them: no shares ("" in

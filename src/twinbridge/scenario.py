@@ -69,9 +69,9 @@ import yaml
 from .bridge import TICK as BRIDGE_TICK, EndpointConfig, PriorityPolicy
 from .engine import BridgeScenario, TopicTraffic
 from .envelope import MAX_PAYLOAD, TIER_BY_NAME, TIER_STANDARD
-from .mmcf import BridgeConfig, MmcfWeights
+from .mmcf import MmcfWeights
 from .msgbus import InvalidTopic, MessageKind, validate_topic
-from .netsim import NetworkConditions, PiecewiseConstant
+from .netsim import NetworkConditions, PiecewiseConstant, whole_ticks
 from .twinsync import TICK, PhysicalParams, SyncBoundModel, SyncController
 
 KIND_NAMES = {
@@ -259,7 +259,7 @@ PROBES = 6
 # a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize; no count takes more
 _COUNT = {"minimum": 0, "maximum": sys.maxsize}
 _POSITIVE_COUNT = {"minimum": 1, "maximum": sys.maxsize}
-# mmcf.space axes, in BridgeConfig's field order, each with the range EndpointConfig takes
+# mmcf.space axes, each with the range EndpointConfig takes for its field
 _MMCF_AXES = {
     "redundancy": {"minimum": 0, "maximum": 3},
     "replay_capacity": _POSITIVE_COUNT,
@@ -269,19 +269,15 @@ _MMCF_AXES = {
 
 @dataclass(frozen=True)
 class MmcfSpec:
-    """mmcf section; `space` holds every axis, an omitted one as the scenario's own value."""
+    """mmcf section; `space` is the scenario's endpoint under each combination of the axes, in search order."""
 
     weights: MmcfWeights
-    space: dict[str, tuple]
+    space: tuple[EndpointConfig, ...]
 
-    def configs(self) -> list[BridgeConfig]:
-        axes = (self.space[axis] for axis in _MMCF_AXES)
-        return sorted({BridgeConfig(*values) for values in itertools.product(*axes)})
-
-    def probe_configs(self) -> list[BridgeConfig]:
-        space = self.configs()
+    def probe_configs(self) -> list[EndpointConfig]:
+        space = self.space
         if len(space) <= PROBES:
-            return space
+            return list(space)
         step = (len(space) - 1) / (PROBES - 1)
         idx = sorted({round(i * step) for i in range(PROBES)})
         return [space[i] for i in idx]
@@ -518,7 +514,7 @@ def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | N
             ctx.fail("mmcf.weights", str(exc))
     space_raw = ctx.get(mm, "mmcf", "space", dict, default={}) or {}
     ctx.known(space_raw, "mmcf.space", _MMCF_AXES)
-    space: dict[str, tuple] = {
+    axes: dict[str, tuple] = {
         "redundancy": (endpoint.redundancy,),
         "replay_capacity": (endpoint.replay_capacity,),
         "batch": (endpoint.batch_size,),
@@ -531,8 +527,12 @@ def _parse_mmcf(ctx: _Ctx, data: dict, endpoint: EndpointConfig) -> MmcfSpec | N
         elif None in [_whole(v) for v in values]:
             ctx.fail(f"mmcf.space.{key}", f"expected a list of integers, got {values!r:.40}")
         else:
-            space[key] = tuple(ctx.number({key: v}, "mmcf.space", key, integer=True, **_MMCF_AXES[key]) for v in values)
-    return MmcfSpec(weights=weights, space=space)
+            # a value refused here reads as the scenario's own, and the parse fails
+            limits = dict(default=axes[key][0], integer=True, **_MMCF_AXES[key])
+            axes[key] = tuple(ctx.number({key: v}, "mmcf.space", key, **limits) for v in values)
+    combos = itertools.product(*axes.values())
+    space = {replace(endpoint, redundancy=r, replay_capacity=c, batch_size=b) for r, c, b in combos}
+    return MmcfSpec(weights=weights, space=tuple(sorted(space)))
 
 
 def publish_limit(count: int, templates: tuple[dict, ...], duration: float, drain: float) -> str | None:
@@ -563,17 +563,22 @@ def load_scenario(path: str | Path) -> Scenario:
     if drain >= duration:
         ctx.fail("bridge.drain", f"drain {drain} must be below duration {duration}")
     # one error, at its key, for the first kind of step past MAX_STEPS, then for a duration between
-    # ticks: a run takes round(duration / tick) ticks, and would drop what falls due after the last
+    # ticks, which a run would refuse (netsim.whole_ticks), then for the publishes
     ticked = [(BRIDGE_TICK, "bridge.TICK")] * bool(templates) + [(TICK, "twinsync.TICK")] * (sync is not None)
     if sync is not None and duration / TICK > MAX_STEPS:
         ctx.fail("duration", f"duration / TICK is {duration / TICK:.6g} sync ticks; a run takes at most {MAX_STEPS}")
     elif duration / BRIDGE_TICK > MAX_STEPS:
         ticks = f"duration / bridge.TICK is {duration / BRIDGE_TICK:.6g} bridge ticks"
         ctx.fail("duration", f"{ticks}; a run takes at most {MAX_STEPS}")
-    elif off := [f"{name} ({tick} s)" for tick, name in ticked if not math.isclose(n := duration / tick, round(n))]:
-        ctx.fail("duration", f"duration {duration} is not a whole number of {off[0]}")
-    elif problem := publish_limit(agent_count, templates, duration, drain):
-        ctx.fail("agents.count", problem)
+    else:
+        try:
+            for tick, tick_name in ticked:
+                whole_ticks(duration, tick, tick_name)
+        except ValueError as exc:
+            ctx.fail("duration", str(exc))
+        else:
+            if problem := publish_limit(agent_count, templates, duration, drain):
+                ctx.fail("agents.count", problem)
 
     if ctx.problems:
         raise ScenarioParseError(ctx.problems)

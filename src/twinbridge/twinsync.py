@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .netsim import NetLink, PiecewiseConstant, SimClock
+from .netsim import NetLink, PiecewiseConstant, SimClock, whole_ticks
 
 # the loop's one timing: an integrator step every TICK s, a state update every
 # UPDATE_TICKS ticks and, with a gain grid, a gain reschedule every GAIN_WINDOW s
@@ -452,11 +452,11 @@ def run_sync_loop(
     gain samples differs from the one last scheduled, and at once on a grossly
     out-of-band error, rolling candidates out on the plant's mass. Gain
     switches rebind a local controller; the caller's ctrl is left as passed.
-    Raises SyncStateError once the agent or the twin leaves the finite floats.
+    Raises SyncStateError once the agent or the twin leaves the finite floats, ValueError for a duration between ticks.
     """
     report = SyncReport(ctrl=ctrl)
     twin = VirtualTwin()
-    ticks = int(round(duration / TICK))
+    ticks = whole_ticks(duration, TICK, "twinsync.TICK")
     arrivals: deque[StateUpdate] = deque()
 
     # both sides share the mission plan at deployment: the twin starts with

@@ -174,7 +174,7 @@ def test_criterion_6_mmcf_optimality():
     scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
     bridge = scenario.bridge_scenario()
     spec = scenario.mmcf
-    space = spec.configs()
+    space = spec.space
     assert len(space) == 24
     bounds = calibrate_bounds(spec.probe_configs(), bridge)
     result = optimize(space, bridge, bounds, spec.weights)

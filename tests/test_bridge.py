@@ -32,7 +32,6 @@ from twinbridge.envelope import (
     encode_envelope,
     frame_size,
 )
-from twinbridge.mmcf import BridgeConfig
 from twinbridge.msgbus import MessageKind, Publisher, Subscription, TopicBus
 from twinbridge.netsim import (
     NetLink,
@@ -221,12 +220,16 @@ class TestTierScheduler:
 
 
 @pytest.mark.parametrize(
-    "field, value", [("redundancy", 4), ("redundancy", -1), ("redundancy", float("nan")), ("batch_size", 0)]
+    "field, value",
+    [
+        ("redundancy", 4), ("redundancy", -1), ("redundancy", float("nan")),
+        ("replay_capacity", 0), ("replay_capacity", float("nan")), ("batch_size", 0), ("batch_size", float("nan")),
+    ],
 )
-def test_one_range_rule_for_endpoint_and_bridge_configs(field, value):
-    for build in (EndpointConfig, BridgeConfig):
-        with pytest.raises(ValueError, match=field):
-            build(**{field: value})
+def test_endpoint_config_rejects_what_the_mmcf_search_must_not_try(field, value):
+    # the search's configurations are EndpointConfigs, so a value out of range fails at construction
+    with pytest.raises(ValueError, match=field):
+        EndpointConfig(**{field: value})
 
 
 @pytest.mark.parametrize(

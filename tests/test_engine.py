@@ -14,11 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twinbridge import bridge, engine
-from twinbridge.bridge import BridgeEndpoint, PriorityPolicy, TierScheduler
+from twinbridge import bridge, engine, mmcf
+from twinbridge.bridge import BridgeEndpoint, EndpointConfig, PriorityPolicy, TierScheduler
 from twinbridge.engine import BridgeScenario, TopicTraffic, _payload, percentile, run_traffic
-from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, Envelope, FrameError, decode_stream, encode_envelope
-from twinbridge.mmcf import BridgeConfig, ScenarioError, measure_config
+from twinbridge.envelope import (
+    TIER_BULK, TIER_CRITICAL, TIER_STANDARD, Envelope, FrameError, decode_stream, encode_envelope,
+)
+from twinbridge.mmcf import ScenarioError, measure_config
 from twinbridge.msgbus import MessageKind, Publisher
 from twinbridge.netsim import NetLink, NetworkConditions, PiecewiseConstant, SimClock
 from twinbridge.scenario import load_scenario
@@ -69,6 +71,15 @@ def test_bridge_scenario_rejects_a_duration_or_drain_out_of_range(duration, drai
     traffic = (TopicTraffic("/t", MessageKind.BLOB, 10.0, 8),)
     with pytest.raises(ValueError, match="duration|drain"):
         BridgeScenario("bad", 1, duration, NetworkConditions.ideal(), traffic, PriorityPolicy(), drain=drain)
+
+
+@pytest.mark.parametrize("duration", [0.05, 0.01, 6.01])
+def test_run_traffic_refuses_a_duration_between_bridge_ticks(duration):
+    # rounded, 0.05 s would run 2 ticks and send 1 of the 2 messages due every 0.045 s, and 0.01 s would run none
+    traffic = (TopicTraffic("/t", MessageKind.BLOB, 1 / 0.045, 8),)
+    scenario = BridgeScenario("off-grid", 1, duration, NetworkConditions.ideal(), traffic, PriorityPolicy())
+    with pytest.raises(ValueError, match=rf"duration {duration} is not a whole number of bridge\.TICK \(0\.02 s\)"):
+        run_traffic(scenario)
 
 
 class TestRunTraffic:
@@ -155,12 +166,24 @@ class TestRunTraffic:
                 seqs = sorted(seq for name, seq in republished if name == topic)
                 assert seqs == list(range(res.sent)), topic
 
-    def test_a_forged_critical_seq_beyond_sent_fails_the_audit(self, monkeypatch):
-        # the receiver holds the forged frame, gives up on the gap before it
-        # and republishes it: a delivery of a seq the sender never sent
-        forged = encode_envelope(
-            Envelope(TIER_CRITICAL, 0, 1000, 0, "/r1/pose", int(MessageKind.POSE), b"x")
-        )
+    @pytest.mark.parametrize(
+        "tier, topic, kind, sent",
+        [
+            (TIER_CRITICAL, "/r1/pose", MessageKind.POSE, 50),
+            (TIER_STANDARD, "/r1/scan", MessageKind.SCAN2D, 25),
+            (TIER_BULK, "/r1/points", MessageKind.POINTCLOUD, 5),
+        ],
+        ids=["critical", "standard", "bulk"],
+    )
+    def test_a_forged_seq_beyond_sent_fails_the_audit(self, monkeypatch, tier, topic, kind, sent):
+        # a critical receiver holds the forged frame, gives up on the gap before
+        # it and republishes it; any other tier republishes it on arrival and
+        # drops every real frame after it as old: a delivery of a seq the sender
+        # never sent, which would break conservation if it passed
+        forged = encode_envelope(Envelope(tier, 0, 1000, 0, topic, int(kind), b"x"))
+        points = TopicTraffic("/r1/points", MessageKind.POINTCLOUD, 1.0, 2000)
+        scenario = simple_scenario()
+        scenario = replace(scenario, traffic=(*scenario.traffic, points))
 
         class Forging(BridgeEndpoint):
             def __init__(self, *args, topics=()):
@@ -170,8 +193,8 @@ class TestRunTraffic:
                     clock.schedule(1.0, lambda: self._on_deliver(forged, clock.now))
 
         monkeypatch.setattr(engine, "BridgeEndpoint", Forging)
-        with pytest.raises(RuntimeError, match="/r1/pose: seq 1000 delivered, only 50 sent"):
-            run_traffic(simple_scenario())
+        with pytest.raises(RuntimeError, match=f"{topic}: seq 1000 delivered, only {sent} sent"):
+            run_traffic(scenario)
 
     @pytest.mark.parametrize(
         "latency, link, topics",
@@ -471,12 +494,12 @@ def test_injected_peer_bytes_never_break_a_lossy_run_property(injections):
 
 class TestMeasureConfig:
     def test_zero_impairment_zero_loss(self):
-        metrics = measure_config(BridgeConfig(), simple_scenario())
+        metrics = measure_config(EndpointConfig(), simple_scenario())
         assert metrics.loss == 0.0
         assert metrics.latency > 0.0
 
     def test_same_seed_identical(self):
-        cfg = BridgeConfig(redundancy=1)
+        cfg = EndpointConfig(redundancy=1)
         a = measure_config(cfg, simple_scenario(loss=0.15))
         b = measure_config(cfg, simple_scenario(loss=0.15))
         assert a == b
@@ -485,7 +508,7 @@ class TestMeasureConfig:
         # doubling redundancy never worsens loss and never shrinks bandwidth
         scenario = simple_scenario(loss=0.2, duration=8.0, drain=1.0)
         metrics = [
-            measure_config(BridgeConfig(redundancy=r), scenario) for r in (0, 1, 2)
+            measure_config(EndpointConfig(redundancy=r), scenario) for r in (0, 1, 2)
         ]
         for worse, better in zip(metrics, metrics[1:]):
             assert better.loss <= worse.loss + 1e-12
@@ -499,7 +522,7 @@ class TestMeasureConfig:
             PriorityPolicy(),
         )
         with pytest.raises(ScenarioError):
-            measure_config(BridgeConfig(), bad)
+            measure_config(EndpointConfig(), bad)
 
 
 def test_payload_filler_independent_of_hash_seed():
@@ -580,9 +603,39 @@ def test_traffic_results_are_identical_on_every_interpreter_installed():
         "for scenario in pickle.load(sys.stdin.buffer):\n"
         "    print(repr(run_traffic(scenario)))\n"
     )
+    runs_the_same_on(interpreters, script, scenarios, expected)
+
+
+def runs_the_same_on(interpreters, script, inputs, expected):
+    """Run script under each interpreter with -I -S, src on its path and inputs pickled on stdin; compare stdout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    blob = pickle.dumps(scenarios, protocol=4)
+    blob = pickle.dumps(inputs, protocol=4)
     for version, exe in sorted(interpreters.items()):
         out = subprocess.run([exe, "-I", "-S", "-c", script, src], input=blob, capture_output=True, timeout=300)
         assert out.returncode == 0, (version, out.stderr.decode(errors="replace"))
         assert out.stdout.decode() == expected, f"{exe} ({version}) ran the scenarios differently"
+
+
+def test_the_mmcf_search_is_identical_on_every_interpreter_installed():
+    # the optimizer imports only the standard library, the engine and the bridge,
+    # and its configurations are EndpointConfigs, which pickle
+    scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
+    spec, base = scenario.mmcf, scenario.bridge_scenario()
+    probes, space, weights = spec.probe_configs(), spec.space, spec.weights
+    evaluate = mmcf.reusing_evaluator()
+    result = mmcf.optimize(space, base, mmcf.calibrate_bounds(probes, base, evaluate), weights, evaluate)
+    expected = "".join(f"{value!r}\n" for value in (result.table, result.best, result.cost, result.clamps))
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10+ interpreter found")
+    script = (
+        "import pickle, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from twinbridge.mmcf import calibrate_bounds, optimize, reusing_evaluator\n"
+        "base, probes, space, weights = pickle.load(sys.stdin.buffer)\n"
+        "evaluate = reusing_evaluator()\n"
+        "result = optimize(space, base, calibrate_bounds(probes, base, evaluate), weights, evaluate)\n"
+        "for value in (result.table, result.best, result.cost, result.clamps):\n"
+        "    print(repr(value))\n"
+    )
+    runs_the_same_on(interpreters, script, (base, probes, space, weights), expected)

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinbridge import mmcf as mmcf_module
+from twinbridge.bridge import EndpointConfig
 from twinbridge.mmcf import (
-    BridgeConfig,
     ClampCounter,
     EmptySpace,
     InvalidWeights,
@@ -107,33 +107,33 @@ class TestMmcf:
         assert mid.weigh(n) == pytest.approx(0.5 * w1.weigh(n) + 0.5 * w2.weigh(n))
 
 
-class TestBridgeConfig:
+class TestEndpointConfigAsCandidate:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BridgeConfig(redundancy=4)
+            EndpointConfig(redundancy=4)
         with pytest.raises(ValueError):
-            BridgeConfig(replay_capacity=0)
+            EndpointConfig(replay_capacity=0)
         with pytest.raises(ValueError):
-            BridgeConfig(batch_size=0)
+            EndpointConfig(batch_size=0)
 
     def test_configs_order_lexicographically_in_field_order(self):
-        assert [f.name for f in fields(BridgeConfig)] == ["redundancy", "replay_capacity", "batch_size"]
-        a = BridgeConfig(redundancy=0, replay_capacity=512, batch_size=8)
-        b = BridgeConfig(redundancy=1, replay_capacity=64, batch_size=8)
-        c = BridgeConfig(redundancy=1, replay_capacity=256, batch_size=1)
-        d = BridgeConfig(redundancy=1, replay_capacity=256, batch_size=2)
+        assert [f.name for f in fields(EndpointConfig)][:3] == ["redundancy", "replay_capacity", "batch_size"]
+        a = EndpointConfig(redundancy=0, replay_capacity=512, batch_size=8)
+        b = EndpointConfig(redundancy=1, replay_capacity=64, batch_size=8)
+        c = EndpointConfig(redundancy=1, replay_capacity=256, batch_size=1)
+        d = EndpointConfig(redundancy=1, replay_capacity=256, batch_size=2)
         assert a < b < c < d
         assert sorted([d, c, b, a]) == [a, b, c, d]
 
 
 def synthetic_space():
     return [
-        BridgeConfig(redundancy=r, replay_capacity=c, batch_size=b)
+        EndpointConfig(redundancy=r, replay_capacity=c, batch_size=b)
         for r, c, b in itertools.product((0, 1, 2), (64, 256), (1, 2, 4, 8))
     ]
 
 
-def synthetic_evaluator(cfg: BridgeConfig, scenario) -> MeasuredMetrics:
+def synthetic_evaluator(cfg: EndpointConfig, scenario) -> MeasuredMetrics:
     # deterministic synthetic landscape with a unique optimum
     latency = 0.05 + 0.02 * cfg.batch_size + 0.01 * cfg.redundancy
     loss = max(0.0, 0.2 - 0.08 * cfg.redundancy) + (0.01 if cfg.replay_capacity < 100 else 0.0)
@@ -146,13 +146,13 @@ class TestOptimize:
     weights = MmcfWeights(0.4, 0.3, 0.2, 0.1)
 
     def test_single_config(self):
-        only = BridgeConfig()
+        only = EndpointConfig()
         result = optimize([only], None, BOUNDS, self.weights, evaluator=synthetic_evaluator)
         assert result.best == only
 
     def test_dominating_config_wins_under_any_weights(self):
-        good = BridgeConfig(redundancy=0, batch_size=8)
-        bad = BridgeConfig(redundancy=2, batch_size=1)
+        good = EndpointConfig(redundancy=0, batch_size=8)
+        bad = EndpointConfig(redundancy=2, batch_size=1)
 
         def evaluator(cfg, scenario):
             if cfg == good:
@@ -187,7 +187,7 @@ class TestOptimize:
 
     def test_a_space_over_ten_thousand_configs_is_searched_exhaustively(self):
         space = [
-            BridgeConfig(redundancy=r, replay_capacity=c, batch_size=b)
+            EndpointConfig(redundancy=r, replay_capacity=c, batch_size=b)
             for r in (0, 1, 2, 3)
             for c in range(1, 322)
             for b in (1, 2, 4, 8, 16, 32, 64, 128)
@@ -213,8 +213,8 @@ class TestOptimize:
         assert result.clamps == expected.clamps > 0
 
     def test_the_winners_clamps_count_once(self):
-        fast = BridgeConfig(batch_size=1)
-        slow = BridgeConfig(batch_size=2)
+        fast = EndpointConfig(batch_size=1)
+        slow = EndpointConfig(batch_size=2)
 
         def evaluator(cfg, scenario):
             # fast's latency is below latency_min: its one clamp is the only one
@@ -311,7 +311,7 @@ class TestReusingEvaluator:
     def test_every_config_of_mmcf_default_reads_as_a_fresh_run(self):
         scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
         spec, base = scenario.mmcf, scenario.bridge_scenario()
-        space = spec.configs()
+        space = spec.space
         evaluate = reusing_evaluator()
         assert [evaluate(cfg, base) for cfg in space] == [measure_config(cfg, base) for cfg in space]
 
@@ -327,7 +327,7 @@ class TestReusingEvaluator:
         base = load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario()
         base = replace(base, duration=6.0, drain=2.0)
         space = [
-            BridgeConfig(replay_capacity=cap, batch_size=batch)
+            replace(base.endpoint, replay_capacity=cap, batch_size=batch)
             for cap, batch in itertools.product((8, 512), (1, 4))
         ]
         evaluate = reusing_evaluator()

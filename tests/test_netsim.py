@@ -11,6 +11,7 @@ from twinbridge.netsim import (
     SimClock,
     link_pair,
     replay_trace,
+    whole_ticks,
 )
 
 
@@ -379,3 +380,15 @@ def test_clock_refuses_an_event_that_is_not_at_or_after_now(at):
     clock.schedule(1.5, lambda: fired.append(1.5))
     clock.advance(1.0)
     assert fired == [1.2, 1.5]
+
+
+@pytest.mark.parametrize("duration, tick, ticks", [(0.3, 0.1, 3), (8.0, 0.02, 400), (0.06, 0.02, 3), (0.0, 0.01, 0)])
+def test_whole_ticks_counts_a_duration_on_the_tick_grid(duration, tick, ticks):
+    # 0.3 / 0.1 is 2.9999999999999996 in floats: on the grid to a relative 1e-9
+    assert whole_ticks(duration, tick, "tick") == ticks
+
+
+@pytest.mark.parametrize("duration, tick", [(0.05, 0.02), (0.01, 0.02), (0.015, 0.01), (0.3 + 1e-6, 0.1)])
+def test_whole_ticks_refuses_a_duration_between_ticks(duration, tick):
+    with pytest.raises(ValueError, match=rf"duration {duration} is not a whole number of bridge\.TICK"):
+        whole_ticks(duration, tick, "bridge.TICK")

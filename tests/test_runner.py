@@ -318,7 +318,7 @@ class TestCli:
         assert (tmp_path / "sweep" / "sweep.csv").exists()
         assert (tmp_path / "sweep" / "agents_2" / "topics.csv").exists()
 
-    def test_mmcf_opt_command(self, tmp_path):
+    def test_run_command_prints_the_mmcf_pick(self, tmp_path):
         scenario = tmp_path / "tiny_mmcf.yaml"
         scenario.write_text(
             "name: tiny\nseed: 2\nduration: 3.0\n"
@@ -333,10 +333,11 @@ class TestCli:
             encoding="utf-8",
         )
         result = CliRunner().invoke(
-            main, ["mmcf-opt", str(scenario), "--out-dir", str(tmp_path / "out")]
+            main, ["run", str(scenario), "--out-dir", str(tmp_path / "out")]
         )
         assert result.exit_code == 0, result.output
-        assert "mmcf_best" in result.output
+        printed = [line.partition(":")[0] for line in result.output.splitlines() if line.startswith("mmcf_")]
+        assert printed == ["mmcf_best", "mmcf_best_cost", "mmcf_clamp_events", "mmcf_evaluated_fraction"]
         assert (tmp_path / "out" / "mmcf.csv").exists()
 
     @pytest.mark.parametrize("command", sorted(set(main.commands) - {"compare"}))
@@ -734,7 +735,7 @@ class TestCli:
         assert expansions == []
 
     @pytest.mark.parametrize(
-        "command", [["run"], ["mmcf-opt"], ["sweep", "--counts", "1,1000000000000000"]], ids=lambda c: c[0]
+        "command", [["run"], ["sweep", "--counts", "1,1000000000000000"]], ids=lambda c: c[0]
     )
     def test_a_huge_agent_count_with_no_topics_runs(self, tmp_path, command):
         # no template leaves nothing to expand, however many agents: each of these once never ended
@@ -761,12 +762,6 @@ class TestCli:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: --counts {counts!r}")
         assert runs == []
-
-    def test_mmcf_opt_requires_section(self, tmp_path):
-        scenario = tmp_path / "plain.yaml"
-        scenario.write_text("name: plain\nseed: 1\nduration: 1.0\n", encoding="utf-8")
-        result = CliRunner().invoke(main, ["mmcf-opt", str(scenario)])
-        assert result.exit_code == 2
 
 
 @pytest.fixture

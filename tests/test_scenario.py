@@ -3,6 +3,7 @@
 import copy
 import re
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,7 +108,7 @@ mmcf:
         assert traffic[0].kind == MessageKind.POSE
         assert scenario.sync.params.mass == 5.0
         assert scenario.sync.bound == SyncBoundModel(1.0, 0.5, 0.0)
-        assert len(scenario.mmcf.configs()) == 2
+        assert len(scenario.mmcf.space) == 2
 
     def test_empty_sync_section_takes_the_twinsync_defaults(self, tmp_path):
         spec = load_scenario(write(tmp_path, MINIMAL + "sync: {}\n")).sync
@@ -145,15 +146,20 @@ mmcf:
 bridge:
   batch: 8
   replay_capacity: 512
+  heartbeat: 0.5
+  replay_attempts: 3
 mmcf:
   weights: [0.4, 0.3, 0.2, 0.1]
   space: {redundancy: [0, 1]}
 """
-        configs = load_scenario(write(tmp_path, text)).mmcf.configs()
+        scenario = load_scenario(write(tmp_path, text))
+        configs = scenario.mmcf.space
         assert [c.redundancy for c in configs] == [0, 1]
         for config in configs:
             assert config.batch_size == 8
             assert config.replay_capacity == 512
+        # a candidate is the scenario's endpoint with its axes set, so the fields the search leaves alone are kept
+        assert configs == (scenario.endpoint, replace(scenario.endpoint, redundancy=1))
 
     def test_traffic_for_overrides_count(self, tmp_path):
         text = MINIMAL + """\
@@ -174,7 +180,7 @@ mmcf:
         scenario = load_scenario(write(tmp_path, text))
         assert scenario.seed == 2 and isinstance(scenario.seed, int)
         assert scenario.endpoint.batch_size == 3 and isinstance(scenario.endpoint.batch_size, int)
-        assert [c.redundancy for c in scenario.mmcf.configs()] == [0, 1]
+        assert [c.redundancy for c in scenario.mmcf.space] == [0, 1]
 
     def test_traffic_for_rejects_two_templates_naming_one_topic(self, tmp_path):
         text = MINIMAL + """\
@@ -358,10 +364,10 @@ class TestShippedScenarios:
 
     def test_mmcf_space_is_24_configs(self):
         scenario = load_scenario(SCENARIOS / "mmcf_default.yaml")
-        assert len(scenario.mmcf.configs()) == 24
+        assert len(scenario.mmcf.space) == 24
         probes = scenario.mmcf.probe_configs()
         assert len(probes) == 6
-        assert set(probes) <= set(scenario.mmcf.configs())
+        assert set(probes) <= set(scenario.mmcf.space)
 
 
 def test_readme_sync_key_table_names_every_sync_key():

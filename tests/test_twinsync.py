@@ -488,6 +488,12 @@ class TestRunSyncLoop:
         assert report.updates_sent == round(duration / UPDATE_PERIOD)
         assert len(report.t) == round(duration / TICK) + 1  # a sample at 0 and one per tick
 
+    @pytest.mark.parametrize("duration", [0.015, 0.004])
+    def test_a_duration_between_ticks_is_refused_not_rounded(self, duration):
+        # rounded, 0.015 s would simulate to t = 0.02 s, and 0.004 s would run no tick
+        with pytest.raises(ValueError, match=r"is not a whole number of twinsync\.TICK \(0\.01 s\)"):
+            ideal_loop(duration=duration)
+
     def test_report_series_aligned(self):
         report = ideal_loop(duration=2.0)
         n = len(report.t)
