@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import struct
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
@@ -244,7 +245,10 @@ class _RxTopic:
     known: int = -1
     ahead: dict[int, Envelope] = field(default_factory=dict)
     gaps: dict[int, _Gap] = field(default_factory=dict)  # disjoint runs, keyed by first seq
-    delivered: dict[int, float] = field(default_factory=dict)  # seq -> latency, in republish order
+    # the delivery log, 16 bytes a message: each seq republished, in republish
+    # order, so strictly increasing, and its latency; wire seqs are u64
+    delivered: array = field(default_factory=lambda: array("Q"))
+    latencies: array = field(default_factory=lambda: array("d"))
 
 
 @dataclass
@@ -340,13 +344,16 @@ class BridgeEndpoint:
         copies = range(1 + self.config.redundancy)
         insert = self.replay_buffer.insert if self.config.prioritized else None
         new = tuple.__new__  # skips the NamedTuple's Python-level constructor
+        stamped = sim_time_us = None  # one int per publish instant, shared by its messages
         for topic in ready:
             tx = self._tx[topic]
             tier, append = tx.tier, self._queues[tx.tier].append
             for msg in tx.sub.drain():
                 if msg.origin is self:
                     continue
-                sim_time_us = int(round(msg.publish_time * 1e6))
+                if msg.publish_time != stamped:
+                    stamped = msg.publish_time
+                    sim_time_us = round(stamped * 1e6)
                 env = new(Envelope, (tier, 0, tx.next_seq, sim_time_us, topic, int(msg.kind), msg.payload))
                 if tx.next_seq == 0 and tier == TIER_CRITICAL:
                     heapq.heappush(self._beats, (now, topic))
@@ -551,9 +558,10 @@ class BridgeEndpoint:
         self._flush_ahead(rx, now)
 
     def _republish(self, rx: _RxTopic, env: Envelope, at: float) -> None:
-        # callers advance `expected` past env.seq, so each seq lands here once
+        # callers advance `expected` past env.seq, so each seq lands here once, in rising order
         self._publishers[env.topic].publish(env.payload, at, origin=self)
-        rx.delivered[env.seq] = at - env.sim_time_us / 1e6
+        rx.delivered.append(env.seq)
+        rx.latencies.append(at - env.sim_time_us / 1e6)
 
     # --- replay -------------------------------------------------------------------
 

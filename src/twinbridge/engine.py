@@ -6,11 +6,13 @@ traffic onto the local side from a heap of each publish rate's next
 feeds both endpoints the shared clock's time, and audits the fate of
 every logical message at the end: delivered, still buffered somewhere (tier
 queue, in flight, held for reassembly, or recoverable from the replay ring),
-or dropped. The audit makes the conservation invariant
+or dropped. Every topic's payload is a view of one filler per run, so a run
+holds no payload copy per topic. The audit makes the conservation invariant
 sent = delivered + dropped + buffered checkable exactly. A ring copy counts
 as buffered only for a critical topic, at or above the receiver's next
-expected seq: the receiver asks for replays of nothing else. A critical seq
-delivered but never sent, which only a forged frame can bring about, raises.
+expected seq: the receiver asks for replays of nothing else. A seq
+delivered but never sent, which only a forged frame can bring about, raises,
+and so does a seq delivered twice.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import heapq
 import itertools
 import math
 import zlib
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .bridge import TICK, BridgeEndpoint, EndpointConfig, PriorityPolicy
@@ -154,7 +157,8 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
 
     topics = sorted(scenario.traffic, key=lambda t: t.topic)
     publishers = {t.topic: bus_local.advertise(t.topic, t.kind) for t in topics}
-    payloads = {t.topic: _payload(t, scenario.seed) for t in topics}
+    filler = _filler(max((t.size for t in topics), default=0))
+    payloads = {t.topic: _payload(t, scenario.seed, filler) for t in topics}
 
     local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, scenario.endpoint, topics=tuple(publishers))
     remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, scenario.endpoint)
@@ -193,12 +197,33 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
 _FILLER = bytes(range(256))
 
 
-def _payload(t: TopicTraffic, seed: int) -> bytes:
-    # deterministic filler unique per topic; crc32, unlike hash(), is not
-    # salted per process
+def _filler(size: int) -> memoryview:
+    """Byte i is i % 256, long enough for a payload of `size` bytes at any basis."""
+    return memoryview(_FILLER * (size // 256 + 2))
+
+
+def _payload(t: TopicTraffic, seed: int, filler: memoryview) -> memoryview:
+    # deterministic filler unique per topic, a view that copies nothing;
+    # crc32, unlike hash(), is not salted per process
     basis = (zlib.crc32(f"{t.topic}:{seed}".encode("utf-8")) & 0xFF) or 1
     # byte i is (basis + i) % 256
-    return (_FILLER * (t.size // 256 + 2))[basis : basis + t.size]
+    return filler[basis : basis + t.size]
+
+
+def _missing_runs(topic: str, delivered: Iterable[int], sent: int) -> Iterator[range]:
+    """The runs of seqs below `sent` missing from `delivered`, a log that must rise strictly below `sent`."""
+    last = -1
+    for seq in delivered:
+        if seq != last + 1:  # a seq that follows the last one, the common case, needs no test
+            if seq <= last:
+                raise RuntimeError(f"{topic}: seq {seq} republished after seq {last}")
+            if seq >= sent:
+                raise RuntimeError(f"{topic}: seq {seq} delivered, only {sent} sent")
+            yield range(last + 1, seq)
+        last = seq
+    if last >= sent:
+        raise RuntimeError(f"{topic}: seq {last} delivered, only {sent} sent")
+    yield range(last + 1, sent)
 
 
 def _audit(
@@ -234,19 +259,15 @@ def _audit(
         sent = tx.next_seq if tx else 0
         res.sent = sent
         res.bytes_sent = sent * t.size
-        delivered = rx.delivered if rx else {}
-        res.latencies = sorted(delivered.values())
-        if max(delivered, default=-1) >= sent:
-            raise RuntimeError(f"{t.topic}: seq {max(delivered)} delivered, only {sent} sent")
+        delivered = rx.delivered if rx else ()
+        res.latencies = sorted(rx.latencies) if rx else []
         if tx and tx.tier == TIER_CRITICAL:
             replayable_from = rx.expected if rx else 0
         else:
             replayable_from = sent
         buffered = 0
         dropped = 0
-        for seq in range(sent):
-            if seq in delivered:
-                continue
+        for seq in itertools.chain.from_iterable(_missing_runs(t.topic, delivered, sent)):
             if (t.topic, seq) in in_queues or (
                 seq >= replayable_from and local.replay_buffer.contains(t.topic, seq)
             ):

@@ -94,8 +94,9 @@ class Envelope(NamedTuple):
 
 
 def frame_size(env: Envelope) -> int:
-    """The length of `encode_envelope(env)`, without building the frame."""
-    return MIN_FRAME + len(env.topic.encode("utf-8")) + len(env.payload)
+    """The length of `encode_envelope(env)`, without building the frame; an ASCII topic is not encoded."""
+    topic = env.topic
+    return MIN_FRAME + (len(topic) if topic.isascii() else len(topic.encode("utf-8"))) + len(env.payload)
 
 
 def encode_envelope(env: Envelope) -> bytes:

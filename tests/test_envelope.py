@@ -4,7 +4,7 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbridge.bridge import BridgeEndpoint, PriorityPolicy
@@ -239,6 +239,8 @@ def test_stream_roundtrip_property(envs):
     flags=st.integers(0, 255),
     seq=st.integers(0, 2**64 - 1),
 )
+# a topic that is not ASCII, with 2- and 3-byte characters, encodes longer than its length
+@example(topic="/robot\u00e9/\u4f4d\u59ff", payload=b"x", tier=TIER_CRITICAL, flags=0, seq=0)
 @settings(max_examples=300, deadline=None)
 def test_frame_size_is_the_encoded_length(topic, payload, tier, flags, seq):
     env = Envelope(tier, flags, seq, 0, topic, 0, payload)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbridge import runner
+from twinbridge.bridge import BridgeEndpoint
 from twinbridge.cli import main
 from twinbridge.runner import TOPICS_HEADER, compare, load_report, run, sweep_agents, sync_gain_comparison
 from twinbridge.scenario import Scenario, load_scenario
@@ -805,6 +806,21 @@ def test_twenty_agent_scenario_smoke():
         _, _, sent, delivered, dropped, buffered = row[:6]
         assert sent == delivered + dropped + buffered
     assert report.summary["delivered"] > 0
+
+
+def test_a_seq_delivered_twice_fails_the_run(monkeypatch):
+    # a receiver that republishes every seq = 7 (mod 50) twice: the audit's walk of
+    # the delivery log meets the seq again, where a log keyed by seq would hide it
+    republish = BridgeEndpoint._republish
+
+    def republish_some_twice(endpoint, rx, env, at):
+        republish(endpoint, rx, env, at)
+        if env.seq % 50 == 7:
+            republish(endpoint, rx, env, at)
+
+    monkeypatch.setattr(BridgeEndpoint, "_republish", republish_some_twice)
+    with pytest.raises(RuntimeError, match=r"^/\S+: seq 7 republished after seq 7$"):
+        run(SCENARIOS / "bridge_loss.yaml")
 
 
 # besides any float: a signed zero, the least subnormal, the switch to exponent form at 1e16,
