@@ -34,7 +34,7 @@ deliveries due at that instant. Heartbeat and gap-retry deadlines live in
 min-heaps, so an idle tick, with nothing ready, queued or due, costs O(1): it
 reads the heap tops and returns.
 Every frame sent is retained in a per-topic replay ring that keeps the last
-`replay_capacity` frames of each topic.
+`replay_capacity` frames of each topic, and no more frames than the topic sent.
 
 A baseline mode (prioritization and replay off, every topic in the standard
 queue sent FIFO) stands in for a conventional unprioritized setup in
@@ -120,38 +120,47 @@ class ReplayBuffer:
     """Per-topic ring of the last `capacity` envelopes sent.
 
     Each topic's envelopes must arrive with consecutive seqs, so a ring is
-    one unbroken window of seqs and a lookup is arithmetic on its ends.
-    `dropped` counts the envelopes pushed out of full rings.
+    `[first, last, slots]`: seq s lives in `slots[(s - first) % capacity]`,
+    and the window it holds is the last `len(slots)` seqs up to `last`. A ring
+    holds `min(sent, capacity)` envelopes and evicts the oldest by overwriting
+    its slot, so capacity a topic never filled costs nothing. `dropped` counts
+    the envelopes pushed out of full rings.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity  # at least 1, as EndpointConfig checks
         self.dropped = 0
-        self._rings: dict[str, deque[Envelope]] = {}
+        self._rings: dict[str, list] = {}
 
     def insert(self, env: Envelope) -> None:
         ring = self._rings.get(env.topic)
         if ring is None:
-            ring = self._rings[env.topic] = deque(maxlen=self.capacity)
-        elif env.seq != ring[-1].seq + 1:
-            raise ValueError(f"{env.topic} seq {env.seq} does not follow {ring[-1].seq}")
-        if len(ring) == self.capacity:
+            self._rings[env.topic] = [env.seq, env.seq, [env]]
+            return
+        first, last, slots = ring
+        if env.seq != last + 1:
+            raise ValueError(f"{env.topic} seq {env.seq} does not follow {last}")
+        ring[1] = env.seq
+        if len(slots) < self.capacity:
+            slots.append(env)
+        else:
+            slots[(env.seq - first) % self.capacity] = env
             self.dropped += 1
-        ring.append(env)
 
     def get_range(self, topic: str, from_seq: int, to_seq: int) -> list[Envelope]:
         ring = self._rings.get(topic)
-        if not ring:
+        if ring is None:
             return []
+        first, last, slots = ring
         # peers send u64 bounds: clip them to the window, never walk them
-        first = ring[0].seq
-        start = max(from_seq, first) - first
-        stop = min(to_seq, ring[-1].seq) - first + 1
-        return [ring[i] for i in range(start, stop)]
+        start = max(from_seq, last - len(slots) + 1)
+        stop = min(to_seq, last) + 1
+        capacity = self.capacity
+        return [slots[(seq - first) % capacity] for seq in range(start, stop)]
 
     def contains(self, topic: str, seq: int) -> bool:
         ring = self._rings.get(topic)
-        return bool(ring) and ring[0].seq <= seq <= ring[-1].seq
+        return ring is not None and ring[1] - len(ring[2]) < seq <= ring[1]
 
 
 # --- tier scheduling --------------------------------------------------------------
@@ -235,7 +244,7 @@ class _Gap:
     asked_at: float  # when a request last named the run, on evidence or on a deadline
 
 
-@dataclass
+@dataclass(slots=True)
 class _RxTopic:
     # every seq below `expected` was delivered or given up; it never decreases
     expected: int = 0
@@ -251,7 +260,7 @@ class _RxTopic:
     latencies: array = field(default_factory=lambda: array("d"))
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxTopic:
     tier: int
     kind: int

@@ -6,13 +6,16 @@ from pathlib import Path
 
 import click
 
+from .engine import AuditError
+from .mmcf import ScenarioError
 from .runner import SWEEP_HEADER, compare, load_report, run, sweep_agents
 from .scenario import ScenarioParseError
 from .twinsync import SyncStateError
 
 
 class _Group(click.Group):
-    """Reports scenario errors and a sync run that diverges as `error:` lines, exit code 2."""
+    """Reports scenario errors, a sync run that diverges and a failed audit, also inside
+    an MMCF evaluation, as `error:` lines, exit code 2."""
 
     def invoke(self, ctx: click.Context):
         try:
@@ -21,7 +24,12 @@ class _Group(click.Group):
             for problem in exc.problems:
                 click.echo(f"error: {problem}", err=True)
             ctx.exit(2)
-        except SyncStateError as exc:
+        except (SyncStateError, AuditError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+        except ScenarioError as exc:
+            if not isinstance(exc.__cause__, AuditError):
+                raise
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
 

@@ -11,8 +11,8 @@ holds no payload copy per topic. The audit makes the conservation invariant
 sent = delivered + dropped + buffered checkable exactly. A ring copy counts
 as buffered only for a critical topic, at or above the receiver's next
 expected seq: the receiver asks for replays of nothing else. A seq
-delivered but never sent, which only a forged frame can bring about, raises,
-and so does a seq delivered twice.
+delivered but never sent, which only a forged frame can bring about, raises
+`AuditError`, and so does a seq delivered twice.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import heapq
 import itertools
 import math
 import zlib
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .msgbus import MessageKind, TopicBus
 from .netsim import NetworkConditions, SimClock, link_pair, whole_ticks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopicTraffic:
     """One periodic publisher: fixed-size payloads at a fixed rate, from t = 0."""
 
@@ -210,19 +211,23 @@ def _payload(t: TopicTraffic, seed: int, filler: memoryview) -> memoryview:
     return filler[basis : basis + t.size]
 
 
+class AuditError(RuntimeError):
+    """A delivery log that no correct run can leave: a seq delivered twice or never sent."""
+
+
 def _missing_runs(topic: str, delivered: Iterable[int], sent: int) -> Iterator[range]:
     """The runs of seqs below `sent` missing from `delivered`, a log that must rise strictly below `sent`."""
     last = -1
     for seq in delivered:
         if seq != last + 1:  # a seq that follows the last one, the common case, needs no test
             if seq <= last:
-                raise RuntimeError(f"{topic}: seq {seq} republished after seq {last}")
+                raise AuditError(f"{topic}: seq {seq} republished after seq {last}")
             if seq >= sent:
-                raise RuntimeError(f"{topic}: seq {seq} delivered, only {sent} sent")
+                raise AuditError(f"{topic}: seq {seq} delivered, only {sent} sent")
             yield range(last + 1, seq)
         last = seq
     if last >= sent:
-        raise RuntimeError(f"{topic}: seq {last} delivered, only {sent} sent")
+        raise AuditError(f"{topic}: seq {last} delivered, only {sent} sent")
     yield range(last + 1, sent)
 
 
@@ -242,15 +247,17 @@ def _audit(
     tx_stats = local.tx_stats()
     rx_stats = remote.rx_stats()
 
-    # copies still recoverable somewhere, keyed (topic, seq)
-    in_queues: set[tuple[str, int]] = set()
-    for env in local.pending_frames() + remote.pending_frames():
-        in_queues.add((env.topic, env.seq))
-    for payload in local.tx_link.in_flight() + remote.tx_link.in_flight():
-        for env in decode_stream(payload):
-            in_queues.add((env.topic, env.seq))
-    for env in local.held_for_reassembly() + remote.held_for_reassembly():
-        in_queues.add((env.topic, env.seq))
+    # the seqs of copies still recoverable somewhere, per topic: queued, in flight or held
+    in_queues: defaultdict[str, set[int]] = defaultdict(set)
+    in_flight = map(decode_stream, itertools.chain(local.tx_link.in_flight(), remote.tx_link.in_flight()))
+    for env in itertools.chain(
+        local.pending_frames(),
+        remote.pending_frames(),
+        itertools.chain.from_iterable(in_flight),
+        local.held_for_reassembly(),
+        remote.held_for_reassembly(),
+    ):
+        in_queues[env.topic].add(env.seq)
 
     for t in topics:
         res = results[t.topic]
@@ -265,10 +272,11 @@ def _audit(
             replayable_from = rx.expected if rx else 0
         else:
             replayable_from = sent
+        queued = in_queues.get(t.topic, ())
         buffered = 0
         dropped = 0
         for seq in itertools.chain.from_iterable(_missing_runs(t.topic, delivered, sent)):
-            if (t.topic, seq) in in_queues or (
+            if seq in queued or (
                 seq >= replayable_from and local.replay_buffer.contains(t.topic, seq)
             ):
                 buffered += 1

@@ -15,7 +15,6 @@ Timestamps are simulated seconds supplied by the caller, never wall clock.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -75,7 +74,15 @@ class Message(NamedTuple):
 
 
 class Subscription:
-    """Single-consumer FIFO queue bound to one topic."""
+    """Single-consumer FIFO queue bound to one topic.
+
+    The queue is a plain list that `drain` hands over whole, starting an empty
+    one, so nothing is copied and an idle subscription holds an empty list. On
+    overflow the oldest message is dropped and counted: O(capacity) a drop,
+    paid only by a queue that is full.
+    """
+
+    __slots__ = ("topic", "capacity", "drops", "_queue", "ready")
 
     def __init__(self, topic: str, capacity: int) -> None:
         if capacity < 1:
@@ -83,20 +90,20 @@ class Subscription:
         self.topic = topic
         self.capacity = capacity
         self.drops = 0
-        self._queue: deque[Message] = deque()
+        self._queue: list[Message] = []
         self.ready: set[str] | None = None  # a consumer's set; each push adds the topic
 
     def _push(self, msg: Message) -> None:
-        if len(self._queue) >= self.capacity:
-            self._queue.popleft()
+        queue = self._queue
+        if len(queue) >= self.capacity:
+            del queue[0]
             self.drops += 1
-        self._queue.append(msg)
+        queue.append(msg)
         if self.ready is not None:
             self.ready.add(self.topic)
 
     def drain(self) -> list[Message]:
-        out = list(self._queue)
-        self._queue.clear()
+        out, self._queue = self._queue, []
         return out
 
 
@@ -105,6 +112,8 @@ class Publisher:
 
     Enforces a finite, monotone non-decreasing publish_time per handle.
     """
+
+    __slots__ = ("_subs", "topic", "kind", "_last_time")
 
     def __init__(self, subs: list[Subscription], topic: str, kind: MessageKind) -> None:
         self._subs = subs  # the bus's live subscriber list for the topic

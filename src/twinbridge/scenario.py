@@ -256,7 +256,8 @@ class SyncSpec:
 MAX_STEPS = 500_000
 # configurations the MMCF search measures first, evenly spread over the space, to calibrate its bounds
 PROBES = 6
-# a replay ring is a deque(maxlen=replay_capacity), which takes at most sys.maxsize; no count takes more
+# a count is at most sys.maxsize, the most items a list holds: a replay ring holds only the frames
+# sent, so no ring or batch could reach a larger capacity or limit, and no count promises one
 _COUNT = {"minimum": 0, "maximum": sys.maxsize}
 _POSITIVE_COUNT = {"minimum": 1, "maximum": sys.maxsize}
 # mmcf.space axes, each with the range EndpointConfig takes for its field

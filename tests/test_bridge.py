@@ -284,6 +284,29 @@ class TestReplayBuffer:
         assert buf.contains("/t", hi) == (hi in kept)
         assert buf.dropped == max(0, n - capacity)
 
+    u64 = st.integers(0, 2**64 - 1)
+
+    @given(capacity=st.integers(1, 6), start=st.integers(0, 2**64 - 41), n=st.integers(0, 40), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_deque_model_after_every_insert(self, capacity, start, n, data):
+        buf, model, dropped = ReplayBuffer(capacity), deque(maxlen=capacity), 0
+        # bounds in and around the seqs inserted, or anywhere in u64
+        bound = st.integers(max(0, start - 2), start + n + 1) | self.u64
+        for seq in range(start, start + n):
+            if model and data.draw(st.booleans()):
+                with pytest.raises(ValueError):
+                    buf.insert(self.env(seq=data.draw(bound.filter(lambda s, seq=seq: s != seq))))
+            env = self.env(seq=seq)
+            dropped += len(model) == capacity
+            model.append(env)
+            buf.insert(env)
+            lo, hi = sorted(data.draw(st.tuples(bound, bound)))
+            assert buf.get_range("/t", lo, hi) == [e for e in model if lo <= e.seq <= hi]
+            for probe in (lo, hi, data.draw(bound)):
+                assert buf.contains("/t", probe) == any(e.seq == probe for e in model)
+            assert buf.dropped == dropped
+        assert buf.get_range("/other", 0, 2**64 - 1) == []
+
 
 class TickingClock(SimClock):
     """Ticks its endpoints as engine.run_traffic does: advance(dt) steps round(dt / TICK)

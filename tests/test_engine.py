@@ -124,8 +124,9 @@ class TestRunTraffic:
             return give_up(self, rx, hi, now)
 
         def counted_get_range(self, topic, from_seq, to_seq):
-            # a request that names a seq below the ring's oldest asks for an evicted frame
-            counts["evicted_before_replay"] += from_seq < self._rings[topic][0].seq
+            # a request that names a seq below the ring's window asks for an evicted frame
+            _, last, slots = self._rings[topic]
+            counts["evicted_before_replay"] += from_seq <= last - len(slots)
             return get_range(self, topic, from_seq, to_seq)
 
         def counted_contains(self, topic, seq):
@@ -605,21 +606,35 @@ def test_every_payload_of_a_run_is_a_view_of_one_filler(monkeypatch):
         assert view == bytes((basis + i) % 256 for i in range(t.size)), t.topic
 
 
-def test_a_fleet_run_holds_no_filler_copy_per_topic():
-    # agents20 at 50 agents: 150 topics of 64, 1 440 and 12 000 bytes, 3 000 publishes.
-    # On CPython 3.11 the traced peak of one run read 1.24 MB with views of one filler,
-    # 1.89 MB with a private filler copy per topic put back, and 1.99 MB with a dict
-    # delivery log as well; 1.5 MB sits between, with room for another interpreter's
-    # object sizes. A warm-up run fills the caches first.
+@pytest.fixture(scope="module")
+def fleet_peak() -> int:
+    """The traced peak of one run of agents20 at 50 agents: 150 topics of 64, 1 440 and
+    12 000 bytes, 3 000 publishes. A warm-up run fills the caches first."""
     scenario = load_scenario(SCENARIOS / "agents20.yaml").bridge_scenario(count=50)
     run_traffic(scenario)
     tracemalloc.start()
     try:
         run_traffic(scenario)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_500_000
+
+
+def test_a_fleet_run_holds_no_filler_copy_per_topic(fleet_peak):
+    # On CPython 3.11 the traced peak of one run read 1.24 MB with views of one filler,
+    # 1.89 MB with a private filler copy per topic put back, and 1.99 MB with a dict
+    # delivery log as well; 1.5 MB sits between, with room for another interpreter's
+    # object sizes.
+    assert fleet_peak < 1_500_000
+
+
+def test_a_fleet_run_holds_per_topic_state_only_for_what_it_holds(fleet_peak):
+    # On CPython 3.11 the same peak reads 0.95 MB with list subscription queues, exact
+    # circular replay rings, slotted per-topic records and an audit keyed per topic,
+    # and 1.24 MB with a deque per subscription and per ring, a __dict__ per record
+    # and an audit set of (topic, seq) tuples. 1.12 MB sits between, 18% above the
+    # first and 10% below the second.
+    assert fleet_peak < 1_120_000
 
 
 def other_interpreters():

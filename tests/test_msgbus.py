@@ -76,6 +76,26 @@ class TestSubscribe:
         assert [m.payload[0] for m in got] == [2, 3, 4]
         assert sub.drops == 2
 
+    def test_drain_hands_the_queue_over_in_order_and_leaves_the_subscription_empty(self, bus):
+        pub = bus.advertise("/a", MessageKind.POSE)
+        sub = bus.subscribe("/a", queue_capacity=10)
+        for i in range(3):
+            pub.publish(bytes([i]), float(i))
+        got = sub.drain()
+        pub.publish(b"\x03", 3.0)  # lands in the new queue, not in the list handed over
+        assert [m.payload for m in got] == [b"\x00", b"\x01", b"\x02"]
+        assert [m.payload for m in sub.drain()] == [b"\x03"]
+        assert sub.drain() == []
+
+    def test_overflow_keeps_the_newest_and_counts_each_drop_as_it_happens(self, bus):
+        pub = bus.advertise("/a", MessageKind.POSE)
+        sub = bus.subscribe("/a", queue_capacity=4)
+        for i in range(10):
+            pub.publish(bytes([i]), float(i))
+            assert sub.drops == max(0, i + 1 - 4)
+        assert [m.payload[0] for m in sub.drain()] == [6, 7, 8, 9]
+        assert sub.drops == 6
+
     def test_subscribe_before_advertise(self, bus):
         sub = bus.subscribe("/later", queue_capacity=4)
         pub = bus.advertise("/later", MessageKind.COMMAND)

@@ -3,6 +3,7 @@
 import filecmp
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -821,6 +822,32 @@ def test_a_seq_delivered_twice_fails_the_run(monkeypatch):
     monkeypatch.setattr(BridgeEndpoint, "_republish", republish_some_twice)
     with pytest.raises(RuntimeError, match=r"^/\S+: seq 7 republished after seq 7$"):
         run(SCENARIOS / "bridge_loss.yaml")
+
+
+@pytest.mark.parametrize(
+    "name, redundancy, expected",
+    [
+        # the plain run's audit fails
+        ("bridge_loss.yaml", None, r"/\S+: seq 7 republished after seq 7"),
+        # the plain run (redundancy 0) passes; an MMCF evaluation at redundancy 2 fails
+        ("mmcf_default.yaml", 2, r"scenario 'mmcf_default' failed under EndpointConfig\(redundancy=2, .*\): "
+         r"/\S+: seq 7 republished after seq 7"),
+    ],
+    ids=["plain-run", "mmcf-evaluation"],
+)
+def test_the_cli_reports_a_failed_audit_as_one_error_line(monkeypatch, name, redundancy, expected):
+    republish = BridgeEndpoint._republish
+
+    def republish_some_twice(endpoint, rx, env, at):
+        republish(endpoint, rx, env, at)
+        if env.seq % 50 == 7 and redundancy in (None, endpoint.config.redundancy):
+            republish(endpoint, rx, env, at)
+
+    monkeypatch.setattr(BridgeEndpoint, "_republish", republish_some_twice)
+    result = CliRunner().invoke(main, ["run", str(SCENARIOS / name)])
+    assert result.exit_code == 2, result.output
+    [line] = result.output.splitlines()
+    assert re.fullmatch(f"error: {expected}", line), line
 
 
 # besides any float: a signed zero, the least subnormal, the switch to exponent form at 1e16,
