@@ -42,7 +42,9 @@ comparisons.
 
 Nothing that arrives from the peer raises out of an endpoint: a batch that
 does not decode, and a decoded frame the endpoint cannot act on, are counted
-in `decode_errors` and dropped.
+in `decode_errors` and dropped. Control frames own every topic name that
+starts with `CONTROL_PREFIX`: an endpoint bridges no such topic, and a control
+frame that names one, or an invalid topic, is one it cannot act on.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from .envelope import (
     frame_size,
     with_replay_flag,
 )
-from .msgbus import InvalidTopic, KindMismatch, MessageKind, Publisher, Subscription, TopicBus
+from .msgbus import InvalidTopic, KindMismatch, MessageKind, Publisher, Subscription, TopicBus, validate_topic
 from .netsim import NetLink
 
 CONTROL_PREFIX = "/__bridge"
@@ -284,7 +286,6 @@ class BridgeEndpoint:
     ) -> None:
         self.bus = bus
         self.tx_link = tx_link
-        self.policy = policy
         self.config = config
         cap = tx_link.conditions.bandwidth_cap
         # bytes per tick; 10% headroom keeps backlog in the prioritized tier
@@ -299,7 +300,7 @@ class BridgeEndpoint:
         # sent, stale after a later send; (retry_at, topic) per gap request
         self._beats: list[tuple[float, str]] = []
         self._retries: list[tuple[float, str]] = []
-        self._rx: defaultdict[str, _RxTopic] = defaultdict(_RxTopic)  # a topic's state is made on first use
+        self._rx: defaultdict[str, _RxTopic] = defaultdict(_RxTopic)  # made on a checked topic's first use
         self._queues: dict[int, deque[Envelope]] = {t: deque() for t in TIERS}
         self._queued_replays: set[tuple[str, int]] = set()  # (topic, seq) of replay copies not yet sent
         self._publishers: dict[str, Publisher] = {}
@@ -318,6 +319,7 @@ class BridgeEndpoint:
 
         rx_link.on_deliver = self._on_deliver
         for topic in dict.fromkeys(topics):
+            validate_data_topic(topic)
             kind = bus.kind_of(topic)
             sub = bus.subscribe(topic, SUB_CAPACITY)
             sub.ready = self._ready
@@ -337,11 +339,12 @@ class BridgeEndpoint:
         if self._ready or queues[TIER_CRITICAL] or queues[TIER_STANDARD] or queues[TIER_BULK] or beat_due or retry_due:
             if self._ready:
                 self._drain_bus(now)
+            # only critical topics have deadlines, and a FIFO endpoint classifies none as critical
+            if beat_due:
+                self._emit_heartbeats(now)
+            if retry_due:
+                self._retry_gap_requests(now)
             if self.config.prioritized:
-                if beat_due:
-                    self._emit_heartbeats(now)
-                if retry_due:
-                    self._retry_gap_requests(now)
                 plan = self._scheduler.plan(self._queues, self._budget)
             else:
                 plan = self._plan_fifo(self._budget)
@@ -459,15 +462,16 @@ class BridgeEndpoint:
 
     def _handle_control(self, env: Envelope, at: float) -> None:
         if env.topic == REPLAY_TOPIC:
-            topic, from_seq, to_seq = _unpack_control(env.payload, _REQ_RANGE)
+            topic, from_seq, to_seq = _unpack_control(env.payload, _REQ_RANGE, self._tx)
             if from_seq > to_seq:
                 raise BadControl(f"replay range {from_seq}..{to_seq} is inverted")
             self.request_replay(topic, from_seq, to_seq)
         elif env.topic == HEARTBEAT_TOPIC:
-            topic, last_seq = _unpack_control(env.payload, _BEAT_SEQ)
-            rx = self._rx[topic]
-            if self.config.prioritized and last_seq >= rx.expected:
+            topic, last_seq = _unpack_control(env.payload, _BEAT_SEQ, self._rx)
+            if self.config.prioritized and last_seq >= (rx := self._rx[topic]).expected:
                 self._note_evidence(rx, topic, last_seq, at)
+        else:
+            raise BadControl(f"unknown control topic {env.topic!r:.40}")
 
     def _handle_data(self, env: Envelope, at: float) -> None:
         # a topic is advertised with its first frame, so one the local bus
@@ -615,17 +619,26 @@ def _split_gap(gaps: dict[int, _Gap], seq: int) -> None:
         del gaps[lo]
 
 
+def validate_data_topic(topic: str) -> None:
+    """Raise InvalidTopic unless topic is valid and outside CONTROL_PREFIX, which control frames reserve."""
+    if validate_topic(topic).startswith(CONTROL_PREFIX):
+        raise InvalidTopic(f"topic {topic!r:.40} is under {CONTROL_PREFIX}, which the bridge reserves")
+
+
 def _pack_topic(topic: str) -> bytes:
     raw = topic.encode("utf-8")
     return _REQ_HEAD.pack(len(raw)) + raw
 
 
-def _unpack_control(payload: bytes, tail: struct.Struct) -> tuple:
-    """Split a control payload into its topic and the fields of `tail`."""
+def _unpack_control(payload: bytes, tail: struct.Struct, known) -> tuple:
+    """Split a control payload into its data topic and the fields of `tail`; a topic in `known`
+    was checked when it was added there, so only another one is checked here."""
     try:
         (n,) = _REQ_HEAD.unpack_from(payload, 0)
         topic = payload[2 : 2 + n].decode("utf-8")
+        if topic not in known:
+            validate_data_topic(topic)
         fields = tail.unpack(payload[2 + n :])
-    except (struct.error, UnicodeDecodeError) as exc:
+    except (struct.error, UnicodeDecodeError, InvalidTopic) as exc:
         raise BadControl(f"malformed control payload: {exc}") from None
     return (topic, *fields)

@@ -4,15 +4,16 @@ Builds two buses joined by a bridged link pair, streams scripted periodic
 traffic onto the local side from a heap of each publish rate's next
 `n * period` instant (the topics of rates that coincide interleave by name),
 feeds both endpoints the shared clock's time, and audits the fate of
-every logical message at the end: delivered, still buffered somewhere (tier
-queue, in flight, held for reassembly, or recoverable from the replay ring),
-or dropped. Every topic's payload is a view of one filler per run, so a run
-holds no payload copy per topic. The audit makes the conservation invariant
-sent = delivered + dropped + buffered checkable exactly. A ring copy counts
-as buffered only for a critical topic, at or above the receiver's next
-expected seq: the receiver asks for replays of nothing else. A seq
-delivered but never sent, which only a forged frame can bring about, raises
-`AuditError`, and so does a seq delivered twice.
+every logical message at the end: delivered, still buffered, or dropped.
+Data flows from local to remote alone, so a copy of a sent seq can only be in
+a tier queue or the replay ring at local, in flight on the forward link, or
+held for reassembly at remote. Each topic's payload is a view of one filler.
+The audit makes the conservation invariant sent = delivered + dropped +
+buffered checkable exactly. A ring copy counts as buffered only for a
+critical topic, at or above the receiver's next expected seq: the receiver
+asks for replays of nothing else. A seq delivered but never sent, which only
+a forged frame can bring about, raises `AuditError`, and so does a seq
+delivered twice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import zlib
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bridge import TICK, BridgeEndpoint, EndpointConfig, PriorityPolicy
 from .envelope import TIER_CRITICAL, TIER_NAMES
@@ -70,12 +71,12 @@ class BridgeScenario:
 @dataclass
 class TopicResult:
     tier: str
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    buffered: int = 0
-    bytes_sent: int = 0
-    latencies: list[float] = field(default_factory=list)
+    sent: int
+    delivered: int
+    dropped: int
+    buffered: int
+    bytes_sent: int
+    latencies: list[float]
 
 
 @dataclass
@@ -157,18 +158,17 @@ def run_traffic(scenario: BridgeScenario) -> TrafficResult:
     fwd, rev = link_pair(clock, scenario.conditions, scenario.seed)
 
     topics = sorted(scenario.traffic, key=lambda t: t.topic)
-    publishers = {t.topic: bus_local.advertise(t.topic, t.kind) for t in topics}
     filler = _filler(max((t.size for t in topics), default=0))
-    payloads = {t.topic: _payload(t, scenario.seed, filler) for t in topics}
-
-    local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, scenario.endpoint, topics=tuple(publishers))
-    remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, scenario.endpoint)
-
     # one (time, i, n, period, members) entry per rate still publishing, its
     # (topic, publish, payload) members in name order; all at 0.0 in order of i, a heap
     rates: dict[float, list] = {}
     for t in topics:
-        rates.setdefault(1.0 / t.rate, []).append((t.topic, publishers[t.topic].publish, payloads[t.topic]))
+        member = (t.topic, bus_local.advertise(t.topic, t.kind).publish, _payload(t, scenario.seed, filler))
+        rates.setdefault(1.0 / t.rate, []).append(member)
+
+    names = tuple(t.topic for t in topics)
+    local = BridgeEndpoint(bus_local, fwd, rev, scenario.policy, scenario.endpoint, topics=names)
+    remote = BridgeEndpoint(bus_remote, rev, fwd, scenario.policy, scenario.endpoint)
     pending = [(0.0, i, 0, period, members) for i, (period, members) in enumerate(rates.items())]
     stop_at = scenario.duration - scenario.drain
     steps = whole_ticks(scenario.duration, TICK, "bridge.TICK")
@@ -239,35 +239,21 @@ def _audit(
 ) -> TrafficResult:
     from .envelope import decode_stream
 
-    # tier labels always describe the topic's policy class, even in FIFO mode
-    # where the runtime ignores them; comparisons then line up across modes
-    tier_of = {t.topic: TIER_NAMES[local.policy.classify(t.topic)] for t in topics}
-    results = {t.topic: TopicResult(tier=tier_of[t.topic]) for t in topics}
-
     tx_stats = local.tx_stats()
     rx_stats = remote.rx_stats()
 
-    # the seqs of copies still recoverable somewhere, per topic: queued, in flight or held
+    # the seqs of copies still recoverable, per topic, outside the replay ring
     in_queues: defaultdict[str, set[int]] = defaultdict(set)
-    in_flight = map(decode_stream, itertools.chain(local.tx_link.in_flight(), remote.tx_link.in_flight()))
-    for env in itertools.chain(
-        local.pending_frames(),
-        remote.pending_frames(),
-        itertools.chain.from_iterable(in_flight),
-        local.held_for_reassembly(),
-        remote.held_for_reassembly(),
-    ):
+    in_flight = itertools.chain.from_iterable(map(decode_stream, local.tx_link.in_flight()))
+    for env in itertools.chain(local.pending_frames(), in_flight, remote.held_for_reassembly()):
         in_queues[env.topic].add(env.seq)
 
+    results = {}
     for t in topics:
-        res = results[t.topic]
         tx = tx_stats.get(t.topic)
         rx = rx_stats.get(t.topic)
         sent = tx.next_seq if tx else 0
-        res.sent = sent
-        res.bytes_sent = sent * t.size
         delivered = rx.delivered if rx else ()
-        res.latencies = sorted(rx.latencies) if rx else []
         if tx and tx.tier == TIER_CRITICAL:
             replayable_from = rx.expected if rx else 0
         else:
@@ -282,13 +268,15 @@ def _audit(
                 buffered += 1
             else:
                 dropped += 1
-        res.delivered = len(delivered)
-        res.buffered = buffered
-        res.dropped = dropped
+        # the tier label is the topic's policy class, in FIFO mode too, where
+        # the runtime ignores it; comparisons then line up across modes
+        tier = TIER_NAMES[scenario.policy.classify(t.topic)]
+        latencies = sorted(rx.latencies) if rx else []
+        results[t.topic] = TopicResult(tier, sent, len(delivered), dropped, buffered, sent * t.size, latencies)
 
     return TrafficResult(
         duration=scenario.duration,
-        topics=dict(sorted(results.items())),
+        topics=results,
         encodes=local.encodes + remote.encodes,
         decodes=local.decodes + remote.decodes,
         link_sends=local.link_sends + remote.link_sends,

@@ -56,30 +56,30 @@ class RunReport:
     mmcf_rows: list[tuple] = field(default_factory=list)
     traffic: TrafficResult | None = None
 
+    def __post_init__(self) -> None:
+        # the identity cells; a summary loaded from a run's CSV keeps its own
+        self.summary = {"name": self.name, "seed": self.seed, "mode": self.mode, **self.summary}
+
     def tier_p95(self, tier: str) -> float:
-        for row in self.tier_rows:
-            if row[0] == tier:
-                return row[5]
-        return 0.0
+        return self._tier_cell(tier, "lat_p95")
 
     def tier_delivery_rate(self, tier: str) -> float:
-        for row in self.tier_rows:
-            if row[0] == tier:
-                return row[3]
-        return 0.0
+        return self._tier_cell(tier, "delivery_rate")
 
-    def write_csvs(self, out_dir: str | Path) -> list[Path]:
+    def _tier_cell(self, tier: str, column: str) -> float:
+        i = TIERS_HEADER.index(column)
+        return next((row[i] for row in self.tier_rows if row[0] == tier), 0.0)
+
+    def write_csvs(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        written.append(_write_csv(out / "topics.csv", TOPICS_HEADER, self.topic_rows))
-        written.append(_write_csv(out / "tiers.csv", TIERS_HEADER, self.tier_rows))
-        written.append(_write_csv(out / "summary.csv", SUMMARY_HEADER, sorted(self.summary.items())))
+        _write_csv(out / "topics.csv", TOPICS_HEADER, self.topic_rows)
+        _write_csv(out / "tiers.csv", TIERS_HEADER, self.tier_rows)
+        _write_csv(out / "summary.csv", SUMMARY_HEADER, sorted(self.summary.items()))
         if self.sync is not None:
-            written.append(_write_sync_csv(out / "sync.csv", self.sync))
+            _write_sync_csv(out / "sync.csv", self.sync)
         if self.mmcf_rows:
-            written.append(_write_csv(out / "mmcf.csv", MMCF_HEADER, self.mmcf_rows))
-        return written
+            _write_csv(out / "mmcf.csv", MMCF_HEADER, self.mmcf_rows)
 
 
 def _write_csv(path: Path, header: tuple, rows) -> Path:
@@ -100,38 +100,22 @@ def _write_sync_csv(path: Path, sync: SyncReport) -> Path:
     return path
 
 
+def _latency_cells(latencies: list[float]) -> tuple[float, float, float]:
+    """The lat_p50, lat_p95 and lat_max cells of a topic or tier row."""
+    ordered = sorted(latencies)  # so that percentile's own sorts are linear
+    return percentile(ordered, 50), percentile(ordered, 95), ordered[-1] if ordered else 0.0
+
+
 def _traffic_report(report: RunReport, result: TrafficResult) -> None:
+    report.traffic = result
     for topic, res in sorted(result.topics.items()):
-        report.topic_rows.append(
-            (
-                topic,
-                res.tier,
-                res.sent,
-                res.delivered,
-                res.dropped,
-                res.buffered,
-                res.bytes_sent,
-                percentile(res.latencies, 50),
-                percentile(res.latencies, 95),
-                max(res.latencies) if res.latencies else 0.0,
-            )
-        )
-    by_tier = result.tier_latencies()
-    for tier in ("critical", "standard", "bulk"):
-        lat = sorted(by_tier.get(tier, []))
+        cells = (res.sent, res.delivered, res.dropped, res.buffered, res.bytes_sent)
+        report.topic_rows.append((topic, res.tier, *cells, *_latency_cells(res.latencies)))
+    for tier, latencies in result.tier_latencies().items():
         sent = sum(r.sent for r in result.topics.values() if r.tier == tier)
         delivered = sum(r.delivered for r in result.topics.values() if r.tier == tier)
-        report.tier_rows.append(
-            (
-                tier,
-                sent,
-                delivered,
-                delivered / sent if sent else 0.0,
-                percentile(lat, 50),
-                percentile(lat, 95),
-                max(lat) if lat else 0.0,
-            )
-        )
+        rate = delivered / sent if sent else 0.0
+        report.tier_rows.append((tier, sent, delivered, rate, *_latency_cells(latencies)))
     sent, delivered, dropped, buffered = result.totals()
     report.summary.update(
         {
@@ -239,16 +223,13 @@ def run(
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     use_seed = scenario.seed if seed is None else seed
-    mode = "fifo" if baseline else "prioritized"
-    report = RunReport(scenario.name, use_seed, mode)
-    report.summary.update({"name": scenario.name, "seed": use_seed, "mode": mode})
+    report = RunReport(scenario.name, use_seed, "fifo" if baseline else "prioritized")
 
     known = []  # the plain traffic run, which the MMCF search may reuse
     if scenario.topic_templates:
         bridge = scenario.bridge_scenario(baseline=baseline, seed=use_seed)
         result = run_traffic(bridge)
         known.append((bridge, result))
-        report.traffic = result
         _traffic_report(report, result)
 
     if scenario.sync is not None:
@@ -303,20 +284,14 @@ def compare(a: RunReport, b: RunReport) -> list[DeltaRow]:
             f"reports disagree on scenario identity: {a.name}/{a.seed} vs {b.name}/{b.seed}"
         )
     rows: list[DeltaRow] = []
-    b_topics = {row[0]: row for row in b.topic_rows}
-    for row in a.topic_rows:
-        other = b_topics.get(row[0])
-        if other is None:
-            continue
-        for i, metric in enumerate(TOPICS_HEADER[2:], start=2):
-            rows.append(DeltaRow(f"topic:{row[0]}", metric, float(row[i]), float(other[i])))
-    b_tiers = {row[0]: row for row in b.tier_rows}
-    for row in a.tier_rows:
-        other = b_tiers.get(row[0])
-        if other is None:
-            continue
-        for i, metric in enumerate(TIERS_HEADER[1:], start=1):
-            rows.append(DeltaRow(f"tier:{row[0]}", metric, float(row[i]), float(other[i])))
+    tables = {"topic": (TOPICS_HEADER, a.topic_rows, b.topic_rows), "tier": (TIERS_HEADER, a.tier_rows, b.tier_rows)}
+    for scope, (header, a_rows, b_rows) in tables.items():
+        first = header.index("sent")  # the metrics: every column from sent on, after the name and tier label
+        b_by_name = {row[0]: row for row in b_rows}
+        for row in a_rows:
+            if (other := b_by_name.get(row[0])) is not None:
+                for i, metric in enumerate(header[first:], start=first):
+                    rows.append(DeltaRow(f"{scope}:{row[0]}", metric, float(row[i]), float(other[i])))
     return rows
 
 
@@ -385,9 +360,7 @@ def sweep_agents(
     bridges = [scenario.bridge_scenario(count=count, baseline=baseline, seed=use_seed) for count in counts]
     for count, bridge in zip(counts, bridges):
         result = run_traffic(bridge)
-        report = RunReport(scenario.name, use_seed, "fifo" if baseline else "prioritized")
-        report.summary.update({"name": scenario.name, "seed": use_seed, "mode": report.mode, "agents": count})
-        report.traffic = result
+        report = RunReport(scenario.name, use_seed, "fifo" if baseline else "prioritized", summary={"agents": count})
         _traffic_report(report, result)
         reports.append(report)
         sent, delivered, _, _ = result.totals()

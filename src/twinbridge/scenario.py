@@ -33,7 +33,7 @@ duration are required):
     sync:                          # twin synchronization run (optional)
       mass: 10.0
       force_script: [[0.0, 2.0, 0.0, 0.0]]   # rows: t, fx, fy, fz
-      bound: {lipschitz: 1.2, delta: 0.6, e0: 0.0}
+      bound: {lipschitz: 1.2, delta: 0.6}
       ... (drag, gains, thresholds, grid; an omitted key takes the default
       of twinsync's PhysicalParams or SyncController)
 
@@ -48,7 +48,8 @@ sys.maxsize, and sync.drag * twinsync.TICK / sync.mass is below 2. A run, and
 each agent count of a sweep, takes at most MAX_STEPS sync ticks, bridge ticks
 and publishes each, and lasts a whole number of bridge ticks (with agents) and
 of sync ticks (with a sync section). Two expansions of the topic templates may
-not name one topic, which is checked at the agent count of each run and sweep step.
+not name one topic, which is checked at the agent count of each run and sweep step,
+and none may start with bridge.CONTROL_PREFIX, which control frames reserve.
 A key the parser does not read is an error, and the bridge tick (bridge.TICK),
 redundancy (0 outside the MMCF search) and probe count (PROBES) are not keys.
 Validation failures raise ScenarioParseError carrying one "path (line N):
@@ -66,7 +67,7 @@ from typing import Any
 
 import yaml
 
-from .bridge import TICK as BRIDGE_TICK, EndpointConfig, PriorityPolicy
+from .bridge import TICK as BRIDGE_TICK, EndpointConfig, PriorityPolicy, validate_data_topic
 from .engine import BridgeScenario, TopicTraffic
 from .envelope import MAX_PAYLOAD, TIER_BY_NAME, TIER_STANDARD
 from .mmcf import MmcfWeights
@@ -74,14 +75,7 @@ from .msgbus import InvalidTopic, MessageKind, validate_topic
 from .netsim import NetworkConditions, PiecewiseConstant, whole_ticks
 from .twinsync import TICK, PhysicalParams, SyncBoundModel, SyncController
 
-KIND_NAMES = {
-    "pose": MessageKind.POSE,
-    "twist": MessageKind.TWIST,
-    "scan2d": MessageKind.SCAN2D,
-    "pointcloud": MessageKind.POINTCLOUD,
-    "command": MessageKind.COMMAND,
-    "blob": MessageKind.BLOB,
-}
+KIND_NAMES = {kind.name.lower(): kind for kind in MessageKind}
 
 
 class ScenarioParseError(ValueError):
@@ -276,9 +270,7 @@ class MmcfSpec:
     space: tuple[EndpointConfig, ...]
 
     def probe_configs(self) -> list[EndpointConfig]:
-        space = self.space
-        if len(space) <= PROBES:
-            return list(space)
+        space = self.space  # a space of PROBES or fewer gives every configuration
         step = (len(space) - 1) / (PROBES - 1)
         idx = sorted({round(i * step) for i in range(PROBES)})
         return [space[i] for i in idx]
@@ -402,13 +394,15 @@ def _parse_policy(ctx: _Ctx, data: dict) -> PriorityPolicy:
 def _parse_bridge(ctx: _Ctx, data: dict) -> tuple[EndpointConfig, float]:
     br = ctx.get(data, "", "bridge", dict, default={}) or {}
     ctx.known(br, "bridge", ("batch", "replay_capacity", "heartbeat", "replay_attempts", "drain"))
-    # each value is checked here at its own key, so EndpointConfig has nothing left to reject
-    endpoint = EndpointConfig(
-        batch_size=ctx.number(br, "bridge", "batch", default=4, integer=True, **_POSITIVE_COUNT),
-        replay_capacity=ctx.number(br, "bridge", "replay_capacity", default=256, integer=True, **_POSITIVE_COUNT),
-        heartbeat_interval=ctx.number(br, "bridge", "heartbeat", default=0.25, positive=True),
-        replay_attempts=ctx.number(br, "bridge", "replay_attempts", default=12, integer=True, **_COUNT),
-    )
+    # each value is checked here at its own key, so EndpointConfig has nothing left to reject;
+    # a key the file leaves out, or sets wrong, takes EndpointConfig's default
+    given = {
+        "batch_size": ctx.number(br, "bridge", "batch", integer=True, **_POSITIVE_COUNT),
+        "replay_capacity": ctx.number(br, "bridge", "replay_capacity", integer=True, **_POSITIVE_COUNT),
+        "heartbeat_interval": ctx.number(br, "bridge", "heartbeat", positive=True),
+        "replay_attempts": ctx.number(br, "bridge", "replay_attempts", integer=True, **_COUNT),
+    }
+    endpoint = EndpointConfig(**{key: value for key, value in given.items() if value is not None})
     drain = ctx.number(br, "bridge", "drain", default=0.0, minimum=0.0)
     return endpoint, drain
 
@@ -436,8 +430,8 @@ def _parse_agents(ctx: _Ctx, data: dict) -> tuple[int, tuple[dict, ...]]:
         size = ctx.number(raw, path, "size", required=True, minimum=0, maximum=MAX_PAYLOAD, integer=True)
         if name is None or rate is None or size is None:
             continue
-        try:
-            validate_topic(name.replace("{i}", "1"))
+        try:  # "{i}" expands to digits alone, so agent 1 stands for every agent
+            validate_data_topic(name.replace("{i}", "1"))
         except InvalidTopic as exc:
             ctx.fail(f"{path}.name", f"template {name!r:.40}: {exc}")
             continue
@@ -484,12 +478,11 @@ def _parse_sync(ctx: _Ctx, data: dict) -> SyncSpec | None:
     bound_raw = ctx.get(sy, "sync", "bound", dict) if sy.get("bound") is not None else None
     bound = None
     if bound_raw is not None:
-        ctx.known(bound_raw, "sync.bound", ("lipschitz", "delta", "e0"))
+        ctx.known(bound_raw, "sync.bound", ("lipschitz", "delta"))
         k = ctx.number(bound_raw, "sync.bound", "lipschitz", required=True, positive=True)
         delta = ctx.number(bound_raw, "sync.bound", "delta", required=True, minimum=0.0)
-        e0 = ctx.number(bound_raw, "sync.bound", "e0", minimum=0.0)
         if k is not None and delta is not None:
-            bound = SyncBoundModel(k, delta) if e0 is None else SyncBoundModel(k, delta, e0)
+            bound = SyncBoundModel(k, delta)  # both sides start from one state, so e0 is 0
     # each value is checked here at its own key, so these configs have nothing left to reject
     return SyncSpec(
         params=plant,

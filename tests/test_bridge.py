@@ -958,6 +958,13 @@ BAD_PEER_FRAMES = {
     ),
     "data-topic-not-utf8": (raw_frame(b"/\xff\xfe", b"x"), False),
     "data-topic-invalid-name": (raw_frame(b"no-slash", b"x"), True),
+    # every topic name that starts with /__bridge belongs to control frames
+    "control-topic-unknown": (raw_frame(b"/__bridge/nope", b"x"), True),
+    "control-prefix-without-slash": (raw_frame(b"/__bridge1/x", b"x"), True),
+    "replay-names-a-control-topic": (
+        raw_frame(REPLAY_TOPIC.encode(), control_payload(REPLAY_TOPIC.encode(), struct.pack("<QQ", 0, 1))),
+        True,
+    ),
 }
 
 
@@ -995,7 +1002,7 @@ def test_first_frame_of_a_topic_with_a_clashing_kind_is_dropped():
 
 
 def _control_payload_is_wellformed(control: str, payload: bytes) -> bool:
-    """Independent oracle for the control payload layouts."""
+    """Independent oracle for the control payload layouts, which name a topic a data frame may carry."""
     if len(payload) < 2:
         return False
     (n,) = struct.unpack_from("<H", payload)
@@ -1003,8 +1010,10 @@ def _control_payload_is_wellformed(control: str, payload: bytes) -> bool:
     if len(payload) != 2 + n + tail:
         return False
     try:
-        payload[2 : 2 + n].decode("utf-8")
+        topic = payload[2 : 2 + n].decode("utf-8")
     except UnicodeDecodeError:
+        return False
+    if not topic.startswith("/") or topic.startswith("/__bridge") or any(c.isspace() for c in topic):
         return False
     if control == REPLAY_TOPIC:
         lo, hi = struct.unpack_from("<QQ", payload, 2 + n)
@@ -1017,7 +1026,7 @@ control_payloads = st.one_of(
     st.binary(max_size=40),
     st.builds(
         control_payload,
-        st.one_of(st.just(b"/data"), st.binary(max_size=12)),
+        st.one_of(st.sampled_from([b"/data", b"/a b", b"/__bridge/beat"]), st.binary(max_size=12)),
         st.one_of(
             st.binary(max_size=20),
             st.builds(lambda lo, hi: struct.pack("<QQ", lo, hi), st.integers(0, 12) | u64, st.integers(0, 12) | u64),
@@ -1046,3 +1055,37 @@ def test_control_frames_never_raise_property(control, payload):
         clock.advance(0.05)
     clock.advance(1.0)
     assert [m.payload[0] for m in sub.drain()] == list(range(8))
+
+
+@pytest.mark.parametrize("prioritized", [True, False], ids=["prioritized", "fifo"])
+@pytest.mark.parametrize(
+    "name",
+    [b"", b"no slash", b"/a b", b"/__bridge/replay", b"/__bridge1/x"],
+    ids=["empty", "no-slash", "whitespace", "control-topic", "control-prefix-without-slash"],
+)
+def test_a_heartbeat_that_names_no_data_topic_is_counted_and_makes_no_state(name, prioritized):
+    clock = TickingClock()
+    fwd, rev = ideal_pair(clock)
+    config = EndpointConfig(prioritized=prioritized)
+    _, _, local, remote = make_pair(clock, fwd, rev, config=config, remote_config=config)
+    remote._on_deliver(raw_frame(HEARTBEAT_TOPIC.encode(), control_payload(name, struct.pack("<Q", 3))), clock.now)
+    clock.advance(1.0)
+    assert (remote.decode_errors, remote.rx_stats(), remote.replays_requested) == (1, {}, 0)
+
+
+def test_a_fifo_endpoint_makes_no_state_for_a_heartbeat():
+    clock = TickingClock()
+    fwd, rev = ideal_pair(clock)
+    config = EndpointConfig(prioritized=False)
+    _, _, local, remote = make_pair(clock, fwd, rev, config=config, remote_config=config)
+    remote._on_deliver(raw_frame(HEARTBEAT_TOPIC.encode(), control_payload(b"/data", struct.pack("<Q", 3))), clock.now)
+    clock.advance(1.0)
+    assert (remote.decode_errors, remote.rx_stats(), remote.replays_requested) == (0, {}, 0)
+
+
+@pytest.mark.parametrize("topic", ["/__bridge/scan1", "/__bridge1/x", HEARTBEAT_TOPIC])
+def test_an_endpoint_refuses_to_bridge_a_topic_under_the_control_prefix(topic):
+    clock = TickingClock()
+    fwd, rev = ideal_pair(clock)
+    with pytest.raises(ValueError, match="which the bridge reserves"):
+        BridgeEndpoint(TopicBus(), fwd, rev, PriorityPolicy(), EndpointConfig(), (topic,))

@@ -378,6 +378,41 @@ class TestRunTraffic:
         # `encodes` counts each frame built once, whatever its redundant copies
         assert result.encodes == result.totals()[0] + result.replays_served + counts["control"]
 
+    @pytest.mark.parametrize("baseline", [True, False], ids=["fifo", "prioritized"])
+    def test_only_a_prioritized_run_meets_heartbeat_and_retry_deadlines(self, monkeypatch, baseline):
+        # only a critical topic has deadlines, and a FIFO endpoint classifies every topic as standard
+        duties = ("_emit_heartbeats", "_retry_gap_requests")
+        calls, endpoints = [], []
+
+        def counted(duty, met):
+            return lambda endpoint, now: calls.append(duty) or met(endpoint, now)
+
+        for duty in duties:
+            monkeypatch.setattr(BridgeEndpoint, duty, counted(duty, getattr(BridgeEndpoint, duty)))
+        audit = engine._audit
+        monkeypatch.setattr(engine, "_audit", lambda *args: endpoints.extend(args[2:]) or audit(*args))
+        run_traffic(load_scenario(SCENARIOS / "bridge_loss.yaml").bridge_scenario(baseline=baseline))
+        if baseline:
+            assert calls == []
+            assert [(ep._beats, ep._retries) for ep in endpoints] == [([], [])] * 2
+        else:
+            assert set(calls) == set(duties)
+
+    @pytest.mark.parametrize("baseline", [True, False], ids=["fifo", "prioritized"])
+    @pytest.mark.parametrize("name, count", [("bridge_loss.yaml", None), ("agents20.yaml", 50)])
+    def test_data_copies_are_left_only_on_the_forward_path(self, monkeypatch, baseline, name, count):
+        # what the audit rests on: the remote endpoint queues and sends control frames alone,
+        # and the local endpoint never holds a frame for reassembly
+        ends = []
+        audit = engine._audit
+        monkeypatch.setattr(engine, "_audit", lambda *args: ends.append(args[2:]) or audit(*args))
+        run_traffic(load_scenario(SCENARIOS / name).bridge_scenario(count=count, baseline=baseline))
+        [(local, remote)] = ends
+        in_flight = [env for payload in remote.tx_link.in_flight() for env in decode_stream(payload)]
+        backward = remote.pending_frames() + in_flight
+        assert all(env.topic.startswith(bridge.CONTROL_PREFIX) for env in backward)
+        assert local.held_for_reassembly() == [] and local.rx_stats() == {}
+
     def test_percentile_nearest_rank(self):
         values = [float(i) for i in range(1, 101)]
         assert percentile(values, 50) == 50.0

@@ -465,10 +465,16 @@ class TestCli:
                     "['agents', 'bridge', 'duration', 'mmcf', 'name', 'network', 'policy', 'seed', 'sync']"
                 ],
             ),
+            (
+                # the sync loop starts the agent and the twin from one state, so the initial error is 0
+                "sync:\n  bound: {lipschitz: 0.8, delta: 0.8, e0: 0.0}\n",
+                ["sync.bound.e0 (line 5): unknown key; expected one of ['delta', 'lipschitz']"],
+            ),
         ],
         ids=[
             "negative-drag", "drag-as-a-mapping", "replay-capacity", "negative-gain",
             "mmcf-space-axes", "mmcf-space-value-not-a-number", "size-over-max-payload", "geo-section",
+            "sync-bound-e0",
         ],
     )
     def test_each_problem_is_reported_at_its_own_key(self, tmp_path, body, expected):
@@ -643,6 +649,14 @@ class TestCli:
         lines = result.output.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: agents.topics[0].name (line 7): ")
         assert len(lines[0]) < 200
+
+    @pytest.mark.parametrize("name", ["/__bridge/scan{i}", "/__bridge{i}/scan", "/__bridge"])
+    def test_a_template_under_the_control_prefix_is_one_error_line(self, tmp_path, monkeypatch, name):
+        # control frames own every topic name that starts with /__bridge
+        text = edited("bridge_loss.yaml", '"/robot{i}/scan"', f'"{name}"')
+        topic = name.replace("{i}", "1")
+        expected = f"template {name!r}: topic {topic!r} is under /__bridge, which the bridge reserves"
+        assert_refused_before_running(tmp_path, monkeypatch, text, f"agents.topics[1].name (line 30): {expected}")
 
     def test_sweep_checks_every_expansion_of_a_template_before_the_first_run(self, tmp_path, monkeypatch):
         scenario = tmp_path / "long.yaml"

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from twinbridge import scenario as scenario_module
+from twinbridge.bridge import EndpointConfig
 from twinbridge.cli import main
 from twinbridge.envelope import TIER_BULK, TIER_CRITICAL, TIER_STANDARD
 from twinbridge.msgbus import MessageKind
@@ -109,6 +110,10 @@ mmcf:
         assert scenario.sync.params.mass == 5.0
         assert scenario.sync.bound == SyncBoundModel(1.0, 0.5, 0.0)
         assert len(scenario.mmcf.space) == 2
+
+    def test_no_bridge_section_takes_the_endpoint_defaults(self, tmp_path):
+        scenario = load_scenario(write(tmp_path, MINIMAL))
+        assert (scenario.endpoint, scenario.drain) == (EndpointConfig(), 0.0)
 
     def test_empty_sync_section_takes_the_twinsync_defaults(self, tmp_path):
         spec = load_scenario(write(tmp_path, MINIMAL + "sync: {}\n")).sync
